@@ -1,0 +1,278 @@
+//! Minimal JSON value: enough to read `BENCHMARK.json` and result sets
+//! and to write results. The workspace's `serde_json` shim cannot parse,
+//! so the harness carries its own reader rather than a dependency.
+
+use std::fmt::Write as _;
+
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(String),
+    Arr(Vec<Json>),
+    /// Insertion-ordered, so written files keep the order they were built in.
+    Obj(Vec<(String, Json)>),
+}
+
+impl Json {
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser {
+            s: text.as_bytes(),
+            i: 0,
+        };
+        let v = p.value()?;
+        p.ws();
+        if p.i != p.s.len() {
+            return Err(format!("trailing bytes at offset {}", p.i));
+        }
+        Ok(v)
+    }
+
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(kv) => kv.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(a) => Some(a),
+            _ => None,
+        }
+    }
+
+    /// Compact one-line rendering.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out);
+        out
+    }
+
+    fn write(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) => {
+                assert!(n.is_finite(), "non-finite number in JSON output");
+                // Shortest representation that round-trips: every digit
+                // that was measured, none that was not.
+                let _ = write!(out, "{n}");
+            }
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(a) => {
+                out.push('[');
+                for (i, v) in a.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    v.write(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(kv) => {
+                out.push('{');
+                for (i, (k, v)) in kv.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    write_str(out, k);
+                    out.push_str(": ");
+                    v.write(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+struct Parser<'a> {
+    s: &'a [u8],
+    i: usize,
+}
+
+impl Parser<'_> {
+    fn ws(&mut self) {
+        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
+            self.i += 1;
+        }
+    }
+
+    fn eat(&mut self, lit: &str) -> bool {
+        if self.s[self.i..].starts_with(lit.as_bytes()) {
+            self.i += lit.len();
+            true
+        } else {
+            false
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        self.ws();
+        let Some(&c) = self.s.get(self.i) else {
+            return Err("unexpected end of input".into());
+        };
+        match c {
+            b'{' => {
+                self.i += 1;
+                let mut kv = Vec::new();
+                self.ws();
+                if self.eat("}") {
+                    return Ok(Json::Obj(kv));
+                }
+                loop {
+                    self.ws();
+                    let k = self.string()?;
+                    self.ws();
+                    if !self.eat(":") {
+                        return Err(format!("expected ':' at offset {}", self.i));
+                    }
+                    kv.push((k, self.value()?));
+                    self.ws();
+                    if self.eat("}") {
+                        return Ok(Json::Obj(kv));
+                    }
+                    if !self.eat(",") {
+                        return Err(format!("expected ',' or '}}' at offset {}", self.i));
+                    }
+                }
+            }
+            b'[' => {
+                self.i += 1;
+                let mut a = Vec::new();
+                self.ws();
+                if self.eat("]") {
+                    return Ok(Json::Arr(a));
+                }
+                loop {
+                    a.push(self.value()?);
+                    self.ws();
+                    if self.eat("]") {
+                        return Ok(Json::Arr(a));
+                    }
+                    if !self.eat(",") {
+                        return Err(format!("expected ',' or ']' at offset {}", self.i));
+                    }
+                }
+            }
+            b'"' => Ok(Json::Str(self.string()?)),
+            b't' if self.eat("true") => Ok(Json::Bool(true)),
+            b'f' if self.eat("false") => Ok(Json::Bool(false)),
+            b'n' if self.eat("null") => Ok(Json::Null),
+            _ => {
+                let start = self.i;
+                while self.i < self.s.len()
+                    && matches!(
+                        self.s[self.i],
+                        b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
+                    )
+                {
+                    self.i += 1;
+                }
+                std::str::from_utf8(&self.s[start..self.i])
+                    .ok()
+                    .and_then(|t| t.parse::<f64>().ok())
+                    .map(Json::Num)
+                    .ok_or_else(|| format!("bad value at offset {start}"))
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        if !self.eat("\"") {
+            return Err(format!("expected string at offset {}", self.i));
+        }
+        let mut out = Vec::new();
+        loop {
+            let Some(&c) = self.s.get(self.i) else {
+                return Err("unterminated string".into());
+            };
+            self.i += 1;
+            match c {
+                b'"' => return String::from_utf8(out).map_err(|e| e.to_string()),
+                b'\\' => {
+                    let Some(&e) = self.s.get(self.i) else {
+                        return Err("unterminated escape".into());
+                    };
+                    self.i += 1;
+                    match e {
+                        b'n' => out.push(b'\n'),
+                        b't' => out.push(b'\t'),
+                        b'r' => out.push(b'\r'),
+                        b'b' => out.push(8),
+                        b'f' => out.push(12),
+                        b'u' => {
+                            let hex = self
+                                .s
+                                .get(self.i..self.i + 4)
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or("bad \\u escape")?;
+                            self.i += 4;
+                            out.extend_from_slice(hex.encode_utf8(&mut [0; 4]).as_bytes());
+                        }
+                        other => out.push(other),
+                    }
+                }
+                c => out.push(c),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn round_trips_nested_values() {
+        let text = r#"{"a": [1, 2.5, -3e2], "b": {"c": "x\"y\n"}, "d": true, "e": null}"#;
+        let v = Json::parse(text).unwrap();
+        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[2], Json::Num(-300.0));
+        assert_eq!(
+            v.get("b").unwrap().get("c").unwrap().as_str(),
+            Some("x\"y\n")
+        );
+        assert_eq!(Json::parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn rejects_garbage() {
+        assert!(Json::parse("{\"a\": }").is_err());
+        assert!(Json::parse("[1, 2").is_err());
+        assert!(Json::parse("{} x").is_err());
+    }
+}
