@@ -30,6 +30,7 @@
 //! it); `--keys`/`--ops` are ignored because the log capacity, extent
 //! count and overwrite volume must stay in tuned proportion.
 
+use chameleondb::GcConfig;
 use kvapi::{CrashRecover, KvStore};
 use kvlog::LogConfig;
 use pmem_sim::{Histogram, ThreadCtx};
@@ -120,8 +121,7 @@ pub fn run(opts: &Opts) -> ChurnReport {
     // smoke step needs reproducible pass/fail, and the footprint bound
     // is only meaningful when GC is never starved by thread scheduling).
     cfg.bg.synchronous = true;
-    let gc_cfg = cfg.gc.clone();
-    assert!(gc_cfg.enabled, "churn must run with GC on (the default)");
+    assert!(cfg.gc.enabled, "churn must run with GC on (the default)");
     let (dev, mut db) = stores::build_chameleon_with(scale, cfg);
     dev.set_active_threads(1);
     println!(
@@ -175,8 +175,8 @@ pub fn run(opts: &Opts) -> ChurnReport {
             let s = db.space_stats();
             let amp = s.space_amp_milli();
             // The amplification target only binds once the log is big
-            // enough for the GC trigger (min_extents) to arm.
-            if s.footprint_bytes >= gc_cfg.min_extents * extent {
+            // enough for the GC trigger (MIN_EXTENTS) to arm.
+            if s.footprint_bytes >= GcConfig::MIN_EXTENTS * extent {
                 max_amp_milli = max_amp_milli.max(amp);
             }
             samples.push(ChurnSample {
@@ -218,13 +218,13 @@ pub fn run(opts: &Opts) -> ChurnReport {
         }
     }
 
-    // Footprint bound: the GC trigger fires at `space_amp_target x live`;
+    // Footprint bound: the GC trigger fires at `SPACE_AMP_TARGET x live`;
     // while it keeps pace the overshoot is bounded by extent granularity
     // (extents mid-relocation plus emptied extents still in reader
     // quarantine).
     let stats = db.space_stats();
     let slack = 6 * extent;
-    let bound_milli = (gc_cfg.space_amp_target * 1000.0) as u64 + slack * 1000 / live_bytes;
+    let bound_milli = (GcConfig::SPACE_AMP_TARGET * 1000.0) as u64 + slack * 1000 / live_bytes;
     if max_amp_milli > bound_milli {
         violations.push(format!(
             "footprint escaped the amplification bound: peak {:.2}x live > {:.2}x",

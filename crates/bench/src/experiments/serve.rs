@@ -24,7 +24,7 @@ use chameleon_obs::{ServerObs, TraceConfig};
 use chameleondb::{ChameleonConfig, ChameleonDb};
 use kvclient::openloop::{self, OpenLoopConfig, OpenLoopReport};
 use kvclient::Client;
-use kvserver::{IoModel, KvServer, ServerConfig};
+use kvserver::{KvServer, ServerConfig};
 use pmem_sim::{Histogram, PmemDevice};
 use serde::Serialize;
 
@@ -428,10 +428,9 @@ pub fn bench(opts: &Opts) {
 /// One measured configuration of the connection-scaling comparison.
 #[derive(Debug, Clone, Serialize)]
 pub struct ConnScaleRow {
-    pub model: String,
     pub conns: usize,
     /// Total service threads the server ran (acceptor + I/O + committers
-    /// + sampler) — the number the reactor holds constant.
+    /// + sampler) — constant in the connection count.
     pub server_threads: usize,
     pub offered_per_sec: u64,
     pub offered: u64,
@@ -485,30 +484,27 @@ fn drive_open_loop(
     total
 }
 
-fn scale_row(
-    model: &str,
-    cfg: ServerConfig,
-    conns: usize,
-    rate: u64,
-    duration: Duration,
-    gen_threads: usize,
-) -> ConnScaleRow {
+/// A default-config server over a fresh store, for the open-loop runs.
+fn start_default_server() -> KvServer {
     let dev = PmemDevice::optane(1 << 30);
     let store = new_store(&dev);
-    let obs = Arc::new(ServerObs::new());
-    let server = KvServer::start(
+    KvServer::start(
         "127.0.0.1:0",
-        Arc::clone(&dev),
-        Arc::clone(&store),
-        Arc::clone(&obs),
-        cfg,
+        dev,
+        store,
+        Arc::new(ServerObs::new()),
+        ServerConfig::default(),
     )
-    .expect("serve-bench: bind failed");
-    let server_threads = server.thread_count();
-    let report = drive_open_loop(server.local_addr(), conns, rate, duration, gen_threads);
-    server.shutdown().expect("serve-bench: dirty shutdown");
+    .expect("serve-bench: bind failed")
+}
+
+fn scale_row(
+    conns: usize,
+    server_threads: usize,
+    rate: u64,
+    report: &OpenLoopReport,
+) -> ConnScaleRow {
     ConnScaleRow {
-        model: model.into(),
         conns,
         server_threads,
         offered_per_sec: rate,
@@ -524,28 +520,31 @@ fn scale_row(
     }
 }
 
+/// One connection-scaling run: a fresh server driven open-loop over
+/// `conns` connections.
+fn run_scale(conns: usize, rate: u64, duration: Duration, gen_threads: usize) -> ConnScaleRow {
+    let server = start_default_server();
+    let server_threads = server.thread_count();
+    let report = drive_open_loop(server.local_addr(), conns, rate, duration, gen_threads);
+    server.shutdown().expect("serve-bench: dirty shutdown");
+    scale_row(conns, server_threads, rate, &report)
+}
+
 fn print_scale_rows(rows: &[&ConnScaleRow]) {
-    println!("  model      conns  srv-thr  offered/s  completed      shed   p50        p99");
+    println!("   conns  srv-thr  offered/s  completed      shed   p50        p99");
     for r in rows {
         println!(
-            "  {:<9} {:>6}  {:>7}  {:>9}  {:>9}  {:>8}  {:>8.1}us {:>8.1}us",
-            r.model,
-            r.conns,
-            r.server_threads,
-            r.offered_per_sec,
-            r.completed,
-            r.shed,
-            r.p50_us,
-            r.p99_us,
+            "  {:>6}  {:>7}  {:>9}  {:>9}  {:>8}  {:>8.1}us {:>8.1}us",
+            r.conns, r.server_threads, r.offered_per_sec, r.completed, r.shed, r.p50_us, r.p99_us,
         );
     }
 }
 
-/// The tentpole measurement: the reactor at `--conns` connections versus
-/// the thread-per-connection baseline at 16, same offered load, latency
-/// measured open-loop (no coordinated omission).
+/// Connection scaling: the server at `--conns` connections versus the
+/// same server at 16, same offered load, latency measured open-loop (no
+/// coordinated omission).
 fn connection_scaling(opts: &Opts) {
-    header("serve-bench: connection scaling (reactor vs thread-per-connection)");
+    header("serve-bench: connection scaling (16 vs --conns connections)");
     let conns = opts.conns;
     let (rate, duration) = if opts.quick {
         (2_000u64, Duration::from_secs(1))
@@ -556,58 +555,39 @@ fn connection_scaling(opts: &Opts) {
         "  offered load {rate} req/s (50% durable put / 50% get) for {duration:?}, open-loop\n"
     );
 
-    let threaded = scale_row(
-        "threaded",
-        ServerConfig {
-            io: IoModel::Threaded,
-            ..ServerConfig::default()
-        },
-        16,
-        rate,
-        duration,
-        2,
-    );
-    let reactor = scale_row(
-        "reactor",
-        ServerConfig {
-            io: IoModel::Reactor { workers: 4 },
-            ..ServerConfig::default()
-        },
-        conns,
-        rate,
-        duration,
-        4,
-    );
-    print_scale_rows(&[&threaded, &reactor]);
+    let base = run_scale(16, rate, duration, 2);
+    let wide = run_scale(conns, rate, duration, 4);
+    print_scale_rows(&[&base, &wide]);
     println!(
-        "\n  reactor served {}x the connections with {} service threads (threaded at {} conns would need ~{})",
+        "\n  served {}x the connections on the same {} service threads",
         conns / 16,
-        reactor.server_threads,
-        conns,
-        conns + threaded.server_threads - 16,
+        wide.server_threads,
     );
 
     // Acceptance: a fixed thread pool, and a tail no worse than the
-    // 16-connection threaded baseline at the same offered load. The
-    // latency bound is deliberately loose — wall-clock on a shared
-    // machine — and exists to catch catastrophic regressions, not to
-    // benchmark noise.
+    // 16-connection run at the same offered load. The latency bound is
+    // deliberately loose — wall-clock on a shared machine — and exists
+    // to catch catastrophic regressions, not to benchmark noise.
     assert!(
-        reactor.server_threads <= 16,
-        "reactor at {} conns used {} service threads (want <= 16)",
+        wide.server_threads <= 16,
+        "{} conns used {} service threads (want <= 16)",
         conns,
-        reactor.server_threads
+        wide.server_threads
+    );
+    assert_eq!(
+        wide.server_threads, base.server_threads,
+        "service thread count moved with the connection count"
     );
     assert!(
-        reactor.completed > 0,
-        "reactor completed no requests at {conns} connections"
+        wide.completed > 0,
+        "no requests completed at {conns} connections"
     );
     assert!(
-        reactor.p99_us <= threaded.p99_us * 10.0 + 10_000.0,
-        "reactor p99 {}us at {} conns catastrophically worse than threaded {}us at 16",
-        reactor.p99_us,
+        wide.p99_us <= base.p99_us * 10.0 + 10_000.0,
+        "p99 {}us at {} conns catastrophically worse than {}us at 16",
+        wide.p99_us,
         conns,
-        threaded.p99_us
+        base.p99_us
     );
 
     if let Some(dir) = &opts.out_dir {
@@ -616,7 +596,7 @@ fn connection_scaling(opts: &Opts) {
         let path = d.join("connection_scaling.json");
         std::fs::write(
             &path,
-            serde_json::to_string_pretty(&vec![&threaded, &reactor]).expect("serialize scaling"),
+            serde_json::to_string_pretty(&vec![&base, &wide]).expect("serialize scaling"),
         )
         .expect("write scaling artifact");
         println!("  [artifact] {}", path.display());
@@ -626,7 +606,7 @@ fn connection_scaling(opts: &Opts) {
 /// Offered-load sweep: latency and shed rate as the schedule outruns the
 /// store, the honest way (shed requests counted, never delayed).
 fn open_loop_sweep(opts: &Opts) {
-    header("serve-bench: open-loop latency vs offered load (reactor)");
+    header("serve-bench: open-loop latency vs offered load");
     let conns = if opts.conns > 0 { opts.conns } else { 64 };
     let (rates, duration): (&[u64], Duration) = if opts.quick {
         (&[1_000, 4_000], Duration::from_secs(1))
@@ -635,40 +615,13 @@ fn open_loop_sweep(opts: &Opts) {
     };
     println!("  {conns} connections, 50% durable put / 50% get, latency from scheduled send\n");
 
-    let dev = PmemDevice::optane(1 << 30);
-    let store = new_store(&dev);
-    let obs = Arc::new(ServerObs::new());
-    let server = KvServer::start(
-        "127.0.0.1:0",
-        Arc::clone(&dev),
-        Arc::clone(&store),
-        Arc::clone(&obs),
-        ServerConfig {
-            io: IoModel::Reactor { workers: 4 },
-            ..ServerConfig::default()
-        },
-    )
-    .expect("serve-bench: bind failed");
+    let server = start_default_server();
     let server_threads = server.thread_count();
 
     let mut rows = Vec::new();
     for &rate in rates {
         let report = drive_open_loop(server.local_addr(), conns, rate, duration, 4);
-        rows.push(ConnScaleRow {
-            model: "reactor".into(),
-            conns,
-            server_threads,
-            offered_per_sec: rate,
-            offered: report.offered,
-            completed: report.completed,
-            shed: report.shed,
-            retries: report.retries,
-            errors: report.errors,
-            unanswered: report.unanswered,
-            p50_us: report.latency.median() as f64 / 1e3,
-            p99_us: report.latency.quantile(0.99) as f64 / 1e3,
-            max_us: report.latency.max() as f64 / 1e3,
-        });
+        rows.push(scale_row(conns, server_threads, rate, &report));
     }
     server.shutdown().expect("serve-bench: dirty shutdown");
     print_scale_rows(&rows.iter().collect::<Vec<_>>());

@@ -2,7 +2,7 @@
 //!
 //! Each `experiments::*` module regenerates one table or figure of the
 //! paper's evaluation section on the simulated Optane device. The `repro`
-//! binary dispatches to them; Criterion benches reuse the same builders.
+//! binary dispatches to them.
 
 pub mod experiments;
 pub mod stores;

@@ -15,8 +15,8 @@
 //!   [`encode_trace_payload`] / [`decode_trace_payload`].
 //!
 //! Timestamps are **wall-clock nanoseconds** from a process-wide epoch
-//! ([`now_ns`]), not the simulated per-thread clocks: a span crosses the
-//! reader, committer, and writer threads, whose simulated clocks are not
+//! ([`now_ns`]), not the simulated per-thread clocks: a span crosses
+//! I/O worker and committer threads, whose simulated clocks are not
 //! mutually comparable, while one wall epoch is. Stage durations are gaps
 //! between *consecutive* stamps, so they always sum exactly to the span
 //! total — a traced request's latency is fully accounted for by

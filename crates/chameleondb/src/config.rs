@@ -67,31 +67,28 @@ pub struct GcConfig {
     /// Master switch. When false the log grows as a pure appender (the
     /// pre-GC behaviour) and dead bytes are only counted, not reclaimed.
     pub enabled: bool,
+}
+
+impl GcConfig {
     /// Space-amplification trigger: a GC pass is queued when
-    /// `footprint > space_amp_target × live bytes` (and the other gates
-    /// below pass). The default 2.0 bounds the log at twice its live set.
-    pub space_amp_target: f64,
+    /// `footprint > SPACE_AMP_TARGET × live bytes` (and the gates below
+    /// pass). 2.0 bounds the log at twice its live set.
+    pub const SPACE_AMP_TARGET: f64 = 2.0;
     /// Never trigger below this many in-use extents — a small log's
     /// amplification ratio is noise.
-    pub min_extents: u64,
+    pub const MIN_EXTENTS: u64 = 4;
     /// Only sealed extents whose dead fraction (`dead / appended`) is at
     /// least this are relocation candidates; fuller extents cost more
     /// copy-forward bandwidth per byte reclaimed.
-    pub min_dead_ratio: f64,
+    pub const MIN_DEAD_RATIO: f64 = 0.25;
     /// Upper bound on extents relocated by one GC pass, so a single pass
     /// cannot monopolize the maintenance pool.
-    pub max_extents_per_pass: usize,
+    pub const MAX_EXTENTS_PER_PASS: usize = 8;
 }
 
 impl Default for GcConfig {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            space_amp_target: 2.0,
-            min_extents: 4,
-            min_dead_ratio: 0.25,
-            max_extents_per_pass: 8,
-        }
+        Self { enabled: true }
     }
 }
 
@@ -114,9 +111,6 @@ pub struct ChameleonConfig {
     /// uniformly from this range (Table 1: 0.65–0.85, §2.5 "Randomized
     /// Load Factors").
     pub load_factor: (f64, f64),
-    /// ABI slot count per shard; `None` derives the exact upper-level
-    /// capacity (Table 1's 512KB per shard for the paper geometry).
-    pub abi_slots: Option<usize>,
     /// Compaction scheme for upper levels.
     pub compaction: CompactionScheme,
     /// Start in Write-Intensive Mode (§2.3).
@@ -126,9 +120,6 @@ pub struct ChameleonConfig {
     /// Maximum ABI tables that may be dumped unmerged by Get-Protect Mode
     /// (§2.4; paper default 1).
     pub max_abi_dumps: usize,
-    /// Rebuild ABIs eagerly during `recover()` instead of on first touch
-    /// per shard ("recovered along with serving front-end requests").
-    pub eager_abi_rebuild: bool,
     /// Deterministic seed for the per-shard load-factor draw.
     pub seed: u64,
     /// Storage-log configuration.
@@ -177,12 +168,10 @@ impl ChameleonConfig {
             levels: 4,
             ratio: 4,
             load_factor: (0.65, 0.85),
-            abi_slots: None,
             compaction: CompactionScheme::Direct,
             write_intensive: false,
             max_threads: 64,
             max_abi_dumps: 1,
-            eager_abi_rebuild: false,
             seed: 0x43484D4C,
             log: LogConfig::default(),
             manifest_bytes: 4 << 20,
@@ -214,7 +203,8 @@ impl ChameleonConfig {
     /// Slot capacity of the upper levels of one shard: `L0` holds up to
     /// `r` MemTable-sized tables and each deeper upper level up to `r-1`
     /// tables of exponentially growing size (the steady state of Direct
-    /// Compaction, §2.1).
+    /// Compaction, §2.1). The shard's ABI is sized to exactly this
+    /// (Table 1's 512KB per shard for the paper geometry).
     pub fn upper_capacity_slots(&self) -> usize {
         let m = self.memtable_slots;
         let r = self.ratio;
@@ -226,12 +216,6 @@ impl ChameleonConfig {
             table *= r;
         }
         total
-    }
-
-    /// Effective ABI slot count per shard.
-    pub fn effective_abi_slots(&self) -> usize {
-        self.abi_slots
-            .unwrap_or_else(|| self.upper_capacity_slots())
     }
 
     /// Validates internal consistency.
@@ -263,23 +247,6 @@ impl ChameleonConfig {
                 return Err("bg.frozen_queue_cap must be >= 1".into());
             }
         }
-        if self.gc.enabled {
-            if self.gc.space_amp_target < 1.1 {
-                return Err(format!(
-                    "gc.space_amp_target must be >= 1.1, got {}",
-                    self.gc.space_amp_target
-                ));
-            }
-            if !(0.0..=1.0).contains(&self.gc.min_dead_ratio) {
-                return Err(format!(
-                    "gc.min_dead_ratio must be in 0..=1, got {}",
-                    self.gc.min_dead_ratio
-                ));
-            }
-            if self.gc.max_extents_per_pass == 0 {
-                return Err("gc.max_extents_per_pass must be >= 1".into());
-            }
-        }
         Ok(())
     }
 
@@ -306,7 +273,7 @@ mod tests {
         assert_eq!(c.ratio, 4);
         assert_eq!(c.load_factor, (0.65, 0.85));
         // ABI = 512KB per shard = 32768 slots.
-        assert_eq!(c.effective_abi_slots() * 16, 512 << 10);
+        assert_eq!(c.upper_capacity_slots() * 16, 512 << 10);
         assert!(c.validate().is_ok());
     }
 

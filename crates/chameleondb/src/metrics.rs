@@ -2,146 +2,122 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counters describing where gets were served and how much maintenance the
-/// store performed. The harnesses use these to explain throughput results
-/// (e.g. ABI hit rate, compaction counts behind Fig. 15/16).
-#[derive(Debug, Default)]
-pub struct StoreMetrics {
-    pub puts: AtomicU64,
-    pub gets: AtomicU64,
-    pub deletes: AtomicU64,
+/// Declares every store counter exactly once and generates the live
+/// atomics ([`StoreMetrics`]), their point-in-time copy
+/// ([`StoreMetricsSnapshot`]), `snapshot()`, `counters()` and the
+/// counter-wise `Sub` from that one list — adding a counter is one line
+/// here, and none of the five can miss it.
+macro_rules! store_counters {
+    ($($(#[$doc:meta])* $f:ident,)+) => {
+        /// Counters describing where gets were served and how much maintenance the
+        /// store performed. The harnesses use these to explain throughput results
+        /// (e.g. ABI hit rate, compaction counts behind Fig. 15/16).
+        #[derive(Debug, Default)]
+        pub struct StoreMetrics {
+            $($(#[$doc])* pub $f: AtomicU64,)+
+        }
+
+        impl StoreMetrics {
+            /// Relaxed snapshot of all counters.
+            pub fn snapshot(&self) -> StoreMetricsSnapshot {
+                StoreMetricsSnapshot {
+                    $($f: self.$f.load(Ordering::Relaxed),)+
+                }
+            }
+        }
+
+        /// Point-in-time copy of [`StoreMetrics`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StoreMetricsSnapshot {
+            $(pub $f: u64,)+
+        }
+
+        impl StoreMetricsSnapshot {
+            /// Flattens the snapshot into `(name, value)` pairs, declaration
+            /// order — the shape the observability exporter consumes.
+            pub fn counters(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($f), self.$f),)+]
+            }
+        }
+
+        /// `later - earlier` phase delta, counter-wise. Replaces hand-rolled
+        /// per-field subtraction in the experiment harnesses.
+        impl std::ops::Sub for StoreMetricsSnapshot {
+            type Output = StoreMetricsSnapshot;
+
+            fn sub(self, earlier: StoreMetricsSnapshot) -> StoreMetricsSnapshot {
+                StoreMetricsSnapshot {
+                    $($f: self.$f - earlier.$f,)+
+                }
+            }
+        }
+    };
+}
+
+store_counters! {
+    puts,
+    gets,
+    deletes,
     /// Gets answered from the MemTable.
-    pub memtable_hits: AtomicU64,
+    memtable_hits,
     /// Gets answered from the Auxiliary Bypass Index.
-    pub abi_hits: AtomicU64,
+    abi_hits,
     /// Gets answered from a GPM-dumped ABI table.
-    pub dumped_hits: AtomicU64,
+    dumped_hits,
     /// Gets answered from the last-level table.
-    pub last_hits: AtomicU64,
+    last_hits,
     /// Gets answered from an upper-level Pmem table (degraded path while an
     /// ABI is still being rebuilt after restart).
-    pub upper_hits: AtomicU64,
+    upper_hits,
     /// Gets that found no live entry.
-    pub misses: AtomicU64,
+    misses,
     /// MemTable flushes to L0.
-    pub flushes: AtomicU64,
+    flushes,
     /// MemTable merges into the ABI (Write-Intensive Mode).
-    pub wim_merges: AtomicU64,
+    wim_merges,
     /// Upper-level (size-tiered) compactions.
-    pub mid_compactions: AtomicU64,
+    mid_compactions,
     /// Last-level (leveled) compactions.
-    pub last_compactions: AtomicU64,
+    last_compactions,
     /// ABI dumps performed by Get-Protect Mode.
-    pub abi_dumps: AtomicU64,
+    abi_dumps,
     /// Times the store entered Get-Protect Mode.
-    pub gpm_entries: AtomicU64,
+    gpm_entries,
     /// Shard-ABI rebuilds performed lazily after a restart.
-    pub abi_rebuilds: AtomicU64,
+    abi_rebuilds,
     /// Gets served through the degraded upper-level walk (ABI not yet
     /// rebuilt after a restart) — observability for the recovery window.
-    pub degraded_gets: AtomicU64,
+    degraded_gets,
     /// Read-view publications (one per structural transition per shard).
-    pub view_publishes: AtomicU64,
+    view_publishes,
     /// Puts that waited because their shard's frozen-MemTable queue was at
     /// capacity (background-maintenance backpressure).
-    pub write_stalls: AtomicU64,
+    write_stalls,
     /// Value-log GC passes completed.
-    pub gc_runs: AtomicU64,
+    gc_runs,
     /// Live entries relocated by GC copy-forward.
-    pub gc_relocated_entries: AtomicU64,
+    gc_relocated_entries,
     /// Bytes appended by GC copy-forward.
-    pub gc_relocated_bytes: AtomicU64,
+    gc_relocated_bytes,
     /// Extents returned to the free list by GC.
-    pub gc_reclaimed_extents: AtomicU64,
+    gc_reclaimed_extents,
     /// Dead-byte credits dropped because the index slot was stale — the
     /// extent its location word named was garbage-collected (and possibly
     /// reused) after the version was superseded but before the merge that
     /// finally dropped its slot. The bytes already left the accounting
     /// when the extent was reclaimed, so the credit must not land.
-    pub stale_credit_skips: AtomicU64,
+    stale_credit_skips,
     /// Range scans served from the ordered index.
-    pub scans: AtomicU64,
+    scans,
     /// Live keys returned across all scans.
-    pub scanned_keys: AtomicU64,
-}
-
-macro_rules! snapshot_fields {
-    ($self:ident, $($f:ident),+ $(,)?) => {
-        StoreMetricsSnapshot {
-            $($f: $self.$f.load(Ordering::Relaxed)),+
-        }
-    };
+    scanned_keys,
 }
 
 impl StoreMetrics {
-    /// Relaxed snapshot of all counters.
-    pub fn snapshot(&self) -> StoreMetricsSnapshot {
-        snapshot_fields!(
-            self,
-            puts,
-            gets,
-            deletes,
-            memtable_hits,
-            abi_hits,
-            dumped_hits,
-            last_hits,
-            upper_hits,
-            misses,
-            flushes,
-            wim_merges,
-            mid_compactions,
-            last_compactions,
-            abi_dumps,
-            gpm_entries,
-            abi_rebuilds,
-            degraded_gets,
-            view_publishes,
-            write_stalls,
-            gc_runs,
-            gc_relocated_entries,
-            gc_relocated_bytes,
-            gc_reclaimed_extents,
-            stale_credit_skips,
-            scans,
-            scanned_keys,
-        )
-    }
-
     #[inline]
     pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
-}
-
-/// Point-in-time copy of [`StoreMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreMetricsSnapshot {
-    pub puts: u64,
-    pub gets: u64,
-    pub deletes: u64,
-    pub memtable_hits: u64,
-    pub abi_hits: u64,
-    pub dumped_hits: u64,
-    pub last_hits: u64,
-    pub upper_hits: u64,
-    pub misses: u64,
-    pub flushes: u64,
-    pub wim_merges: u64,
-    pub mid_compactions: u64,
-    pub last_compactions: u64,
-    pub abi_dumps: u64,
-    pub gpm_entries: u64,
-    pub abi_rebuilds: u64,
-    pub degraded_gets: u64,
-    pub view_publishes: u64,
-    pub write_stalls: u64,
-    pub gc_runs: u64,
-    pub gc_relocated_entries: u64,
-    pub gc_relocated_bytes: u64,
-    pub gc_reclaimed_extents: u64,
-    pub stale_credit_skips: u64,
-    pub scans: u64,
-    pub scanned_keys: u64,
 }
 
 impl StoreMetricsSnapshot {
@@ -168,76 +144,6 @@ impl StoreMetricsSnapshot {
             0.0
         } else {
             self.abi_hits as f64 / hits as f64
-        }
-    }
-
-    /// Flattens the snapshot into `(name, value)` pairs, declaration
-    /// order — the shape the observability exporter consumes.
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("puts", self.puts),
-            ("gets", self.gets),
-            ("deletes", self.deletes),
-            ("memtable_hits", self.memtable_hits),
-            ("abi_hits", self.abi_hits),
-            ("dumped_hits", self.dumped_hits),
-            ("last_hits", self.last_hits),
-            ("upper_hits", self.upper_hits),
-            ("misses", self.misses),
-            ("flushes", self.flushes),
-            ("wim_merges", self.wim_merges),
-            ("mid_compactions", self.mid_compactions),
-            ("last_compactions", self.last_compactions),
-            ("abi_dumps", self.abi_dumps),
-            ("gpm_entries", self.gpm_entries),
-            ("abi_rebuilds", self.abi_rebuilds),
-            ("degraded_gets", self.degraded_gets),
-            ("view_publishes", self.view_publishes),
-            ("write_stalls", self.write_stalls),
-            ("gc_runs", self.gc_runs),
-            ("gc_relocated_entries", self.gc_relocated_entries),
-            ("gc_relocated_bytes", self.gc_relocated_bytes),
-            ("gc_reclaimed_extents", self.gc_reclaimed_extents),
-            ("stale_credit_skips", self.stale_credit_skips),
-            ("scans", self.scans),
-            ("scanned_keys", self.scanned_keys),
-        ]
-    }
-}
-
-/// `later - earlier` phase delta, counter-wise. Replaces hand-rolled
-/// per-field subtraction in the experiment harnesses.
-impl std::ops::Sub for StoreMetricsSnapshot {
-    type Output = StoreMetricsSnapshot;
-
-    fn sub(self, earlier: StoreMetricsSnapshot) -> StoreMetricsSnapshot {
-        StoreMetricsSnapshot {
-            puts: self.puts - earlier.puts,
-            gets: self.gets - earlier.gets,
-            deletes: self.deletes - earlier.deletes,
-            memtable_hits: self.memtable_hits - earlier.memtable_hits,
-            abi_hits: self.abi_hits - earlier.abi_hits,
-            dumped_hits: self.dumped_hits - earlier.dumped_hits,
-            last_hits: self.last_hits - earlier.last_hits,
-            upper_hits: self.upper_hits - earlier.upper_hits,
-            misses: self.misses - earlier.misses,
-            flushes: self.flushes - earlier.flushes,
-            wim_merges: self.wim_merges - earlier.wim_merges,
-            mid_compactions: self.mid_compactions - earlier.mid_compactions,
-            last_compactions: self.last_compactions - earlier.last_compactions,
-            abi_dumps: self.abi_dumps - earlier.abi_dumps,
-            gpm_entries: self.gpm_entries - earlier.gpm_entries,
-            abi_rebuilds: self.abi_rebuilds - earlier.abi_rebuilds,
-            degraded_gets: self.degraded_gets - earlier.degraded_gets,
-            view_publishes: self.view_publishes - earlier.view_publishes,
-            write_stalls: self.write_stalls - earlier.write_stalls,
-            gc_runs: self.gc_runs - earlier.gc_runs,
-            gc_relocated_entries: self.gc_relocated_entries - earlier.gc_relocated_entries,
-            gc_relocated_bytes: self.gc_relocated_bytes - earlier.gc_relocated_bytes,
-            gc_reclaimed_extents: self.gc_reclaimed_extents - earlier.gc_reclaimed_extents,
-            stale_credit_skips: self.stale_credit_skips - earlier.stale_credit_skips,
-            scans: self.scans - earlier.scans,
-            scanned_keys: self.scanned_keys - earlier.scanned_keys,
         }
     }
 }

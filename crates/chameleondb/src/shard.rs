@@ -20,7 +20,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use chameleon_obs::{EventKind, Obs, Stage};
-use kvapi::{KvError, Result};
+use kvapi::Result;
 use kvlog::StorageLog;
 use kvsync::ViewCell;
 use kvtables::{SharedTable, Slot, TableBuilder};
@@ -109,7 +109,7 @@ impl ShardMut {
             memtable: Arc::new(SharedTable::new_resident(cfg.memtable_slots)),
             frozen: VecDeque::new(),
             in_flight: None,
-            abi: Arc::new(SharedTable::new(cfg.effective_abi_slots())),
+            abi: Arc::new(SharedTable::new(cfg.upper_capacity_slots())),
             abi_valid: true,
             uppers: vec![Vec::new(); cfg.levels - 1],
             dumped: Vec::new(),
@@ -436,7 +436,7 @@ impl ShardMut {
         self.dumped.push(TableHandle::new(table, env.dev));
         // Evict-by-replacement: views from before this publish keep the
         // old ABI (which covers the dumped table's contents).
-        self.abi = Arc::new(SharedTable::new(env.cfg.effective_abi_slots()));
+        self.abi = Arc::new(SharedTable::new(env.cfg.upper_capacity_slots()));
         self.abi_unpersisted_floor = None;
         self.publish(env);
         StoreMetrics::bump(&env.metrics.abi_dumps);
@@ -755,7 +755,7 @@ impl ShardMut {
         self.last = Some(TableHandle::new(table, env.dev));
         // Replace (never clear) the shared ABI: views from before this
         // publish keep the old one, which covers the new last level.
-        self.abi = Arc::new(SharedTable::new(env.cfg.effective_abi_slots()));
+        self.abi = Arc::new(SharedTable::new(env.cfg.upper_capacity_slots()));
         self.abi_unpersisted_floor = None;
         self.publish(env);
         StoreMetrics::bump(&env.metrics.last_compactions);
@@ -799,17 +799,6 @@ pub(crate) fn shard_load_threshold(cfg: &ChameleonConfig, shard: u32) -> f64 {
     lo + (hi - lo) * u
 }
 
-/// Validation helper shared with recovery: total entries that can ever be
-/// staged in the ABI must fit its capacity.
-pub(crate) fn check_abi_capacity(cfg: &ChameleonConfig) -> Result<()> {
-    if cfg.effective_abi_slots() < cfg.upper_capacity_slots() {
-        return Err(KvError::Full(
-            "configured ABI smaller than upper-level capacity",
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -826,14 +815,5 @@ mod tests {
             distinct.insert((t * 1e9) as u64);
         }
         assert!(distinct.len() > 32, "thresholds must be staggered");
-    }
-
-    #[test]
-    fn abi_capacity_check() {
-        let cfg = ChameleonConfig::tiny();
-        assert!(check_abi_capacity(&cfg).is_ok());
-        let mut bad = cfg;
-        bad.abi_slots = Some(8);
-        assert!(check_abi_capacity(&bad).is_err());
     }
 }

@@ -17,12 +17,12 @@ use kvtables::{FixedHashTable, Slot};
 use parking_lot::Mutex;
 use pmem_sim::{CostModel, PRegion, PmemDevice, ThreadCtx};
 
-use crate::config::ChameleonConfig;
+use crate::config::{ChameleonConfig, GcConfig};
 use crate::maint::{raise, Job, Maint, MaintFailure};
 use crate::manifest::{Manifest, ManifestRecord, Superblock, LEVEL_DUMPED};
 use crate::metrics::{StoreMetrics, StoreMetricsSnapshot};
 use crate::mode::{Mode, ModeController};
-use crate::shard::{check_abi_capacity, shard_load_threshold, ShardEnv, ShardMut};
+use crate::shard::{shard_load_threshold, ShardEnv, ShardMut};
 use crate::view::{GetSource, ShardView, TableHandle};
 
 /// Fixed offset of the superblock: the store must be the first allocator
@@ -237,7 +237,6 @@ impl ChameleonDb {
     pub fn create(dev: Arc<PmemDevice>, cfg: ChameleonConfig) -> Result<Self> {
         cfg.validate()
             .map_err(|_| KvError::Corrupt("invalid config"))?;
-        check_abi_capacity(&cfg)?;
         let mut ctx = ThreadCtx::with_default_cost();
         let sb_off = dev.alloc(256)?;
         if sb_off != SUPERBLOCK_OFF {
@@ -308,9 +307,9 @@ impl ChameleonDb {
     /// Reopens a store after a crash, charging the full restart cost
     /// (superblock + manifest replay, table-header reads, one log scan, and
     /// MemTable reconstruction) to `ctx`. ABIs are rebuilt lazily at a
-    /// shard's first structural transition (MemTable-full) unless
-    /// `cfg.eager_abi_rebuild` is set; until then gets on that shard take
-    /// the degraded upper-level walk (counted in `degraded_gets`).
+    /// shard's first structural transition (MemTable-full); until then
+    /// gets on that shard take the degraded upper-level walk (counted in
+    /// `degraded_gets`).
     pub fn recover(
         dev: Arc<PmemDevice>,
         cfg: ChameleonConfig,
@@ -432,7 +431,7 @@ impl ChameleonDb {
             .map(|s| ViewCell::new(Arc::clone(&epochs), Arc::new(s.snapshot_view())))
             .collect();
         // No worker pool during replay: recovery maintenance (mid-replay
-        // flushes, compactions, eager ABI rebuilds) stays inline on this
+        // flushes, compactions, ABI rebuilds) stays inline on this
         // thread so the ascending-seq replay invariant is untouched. The
         // pool is spawned at the end, together with the writers.
         let maint = Maint::new(cfg.bg.enabled, cfg.shards);
@@ -498,11 +497,6 @@ impl ChameleonDb {
                 store.shards[shard]
                     .lock()
                     .insert(&env, ctx, slot, meta.seq)?;
-            }
-            if store.cfg.eager_abi_rebuild {
-                for shard in &store.shards {
-                    shard.lock().ensure_abi(&env, ctx)?;
-                }
             }
         }
         // The ordered key index is volatile but NOT rebuilt here: that
@@ -688,15 +682,14 @@ impl StoreInner {
     /// it. The pass runs on the worker pool, inline when the pipeline is
     /// disabled, and to completion (drain) in synchronous lock-step mode.
     fn maybe_trigger_gc(&self, ctx: &mut ThreadCtx) -> Result<()> {
-        let gc = &self.cfg.gc;
-        if !gc.enabled || self.writers.is_empty() {
+        if !self.cfg.gc.enabled || self.writers.is_empty() {
             return Ok(());
         }
-        if self.log.in_use_extents() < gc.min_extents {
+        if self.log.in_use_extents() < GcConfig::MIN_EXTENTS {
             return Ok(());
         }
         let amp = self.log.space_stats().space_amp_milli();
-        if (amp as f64) < gc.space_amp_target * 1000.0 {
+        if (amp as f64) < GcConfig::SPACE_AMP_TARGET * 1000.0 {
             return Ok(());
         }
         if self.gc_pending.swap(true, Ordering::AcqRel) {
@@ -719,13 +712,14 @@ impl StoreInner {
     /// One GC pass: rank sealed extents by dead bytes, take the deadest
     /// few above the dead-ratio floor, and copy-forward each in turn.
     fn gc_once(&self, ctx: &mut ThreadCtx) -> Result<()> {
-        let gc = &self.cfg.gc;
         let cands: Vec<u64> = self
             .log
             .gc_candidates(1)
             .into_iter()
-            .filter(|&(_, dead, appended)| dead as f64 >= appended as f64 * gc.min_dead_ratio)
-            .take(gc.max_extents_per_pass)
+            .filter(|&(_, dead, appended)| {
+                dead as f64 >= appended as f64 * GcConfig::MIN_DEAD_RATIO
+            })
+            .take(GcConfig::MAX_EXTENTS_PER_PASS)
             .map(|(idx, _, _)| idx)
             .collect();
         if cands.is_empty() {
@@ -795,6 +789,11 @@ impl StoreInner {
             // exists" — the invariant that makes skipping superseded
             // entries crash-safe.
             self.sync_writers(ctx)?;
+            // An entry is live iff the read path still resolves its hash
+            // to exactly this location; probe the same view gets probe.
+            // Repoints below rewrite slots inside these same tables, so
+            // this is also the view republished once they are durable.
+            let view = shard.snapshot_view();
             let mut moves: Vec<(u64, u64, u64)> = Vec::new();
             {
                 let writer = &self.writers[ctx.thread_id % self.writers.len()];
@@ -802,7 +801,10 @@ impl StoreInner {
                 for (meta, value) in &group {
                     let hash = hash64(meta.key);
                     let old_loc = meta.loc();
-                    if !self.gc_resolves(&shard, ctx, hash, old_loc) {
+                    let live = view
+                        .get(&self.dev, ctx, hash, self.cfg.use_abi_for_get)
+                        .is_some_and(|(s, _)| s.location() == old_loc);
+                    if !live {
                         continue;
                     }
                     let new = w.append_copy(ctx, meta, value)?;
@@ -849,7 +851,7 @@ impl StoreInner {
             // Republish so readers arriving from here on resolve the new
             // locations; readers pinned earlier drain in the synchronize
             // below, before the old bytes vanish.
-            self.views[shard_idx].publish(Arc::new(shard.snapshot_view()));
+            self.views[shard_idx].publish(Arc::new(view));
             StoreMetrics::bump(&self.metrics.view_publishes);
         }
         self.log.finish_gc(ctx, idx);
@@ -864,51 +866,6 @@ impl StoreInner {
         self.epochs.synchronize();
         self.log.reclaim_extent(ctx, idx);
         Ok((relocated, moved_bytes))
-    }
-
-    /// Whether the shard's read path currently resolves `hash` to exactly
-    /// `old_loc`, mirroring `ShardView::get`'s probe order: MemTable,
-    /// frozen tables (newest first), the ABI — or the degraded upper walk
-    /// while the ABI is stale — then dumped tables (newest first) and the
-    /// last level.
-    fn gc_resolves(&self, shard: &ShardMut, ctx: &mut ThreadCtx, hash: u64, old_loc: u64) -> bool {
-        if let Some(s) = shard.memtable.get(ctx, hash) {
-            return s.location() == old_loc;
-        }
-        for t in shard.frozen.iter().rev() {
-            if let Some(s) = t.get(ctx, hash) {
-                return s.location() == old_loc;
-            }
-        }
-        if let Some(t) = &shard.in_flight {
-            if let Some(s) = t.get(ctx, hash) {
-                return s.location() == old_loc;
-            }
-        }
-        if shard.abi_valid && self.cfg.use_abi_for_get {
-            if let Some(s) = shard.abi.get(ctx, hash) {
-                return s.location() == old_loc;
-            }
-        } else {
-            let mut tables: Vec<_> = shard.uppers.iter().flatten().collect();
-            tables.sort_by_key(|t| std::cmp::Reverse(t.table().header().table_seq));
-            for t in tables {
-                if let Some(s) = t.table().get(&self.dev, ctx, hash) {
-                    return s.location() == old_loc;
-                }
-            }
-        }
-        for t in shard.dumped.iter().rev() {
-            if let Some(s) = t.table().get(&self.dev, ctx, hash) {
-                return s.location() == old_loc;
-            }
-        }
-        if let Some(t) = &shard.last {
-            if let Some(s) = t.table().get(&self.dev, ctx, hash) {
-                return s.location() == old_loc;
-            }
-        }
-        false
     }
 
     /// Test oracle: walks every shard's read path and sums the on-log
@@ -1543,7 +1500,7 @@ fn config_blob(cfg: &ChameleonConfig) -> [u8; 128] {
     blob[4..8].copy_from_slice(&(cfg.memtable_slots as u32).to_le_bytes());
     blob[8..9].copy_from_slice(&(cfg.levels as u8).to_le_bytes());
     blob[9..10].copy_from_slice(&(cfg.ratio as u8).to_le_bytes());
-    blob[16..24].copy_from_slice(&(cfg.effective_abi_slots() as u64).to_le_bytes());
+    blob[16..24].copy_from_slice(&(cfg.upper_capacity_slots() as u64).to_le_bytes());
     blob[24..32].copy_from_slice(&cfg.log.capacity.to_le_bytes());
     blob[32..40].copy_from_slice(&cfg.manifest_bytes.to_le_bytes());
     blob[40..48].copy_from_slice(&cfg.seed.to_le_bytes());
@@ -1894,7 +1851,7 @@ mod tests {
         cfg.ordered_index = false;
         let expected = (cfg.shards
             * (cfg.memtable_slots.next_power_of_two()
-                + cfg.effective_abi_slots().next_power_of_two())
+                + cfg.upper_capacity_slots().next_power_of_two())
             * 16) as u64;
         let db = new_store(cfg);
         assert_eq!(db.dram_footprint(), expected);

@@ -6,8 +6,9 @@
 //! wire protocol, then applies every `REPL_BATCH` frame in ship-index
 //! order through [`ChameleonDb::apply_batch`] and confirms it with
 //! `REPL_ACK`. Alongside the apply loop the replica runs its own
-//! read-only [`KvServer`] (`read_only: true`), so clients can point GET /
-//! SCAN / STATS at the replica while PUT / DELETE / SYNC are refused.
+//! read-only [`KvServer`] (one started with `replica_floors` set), so
+//! clients can point GET / SCAN / STATS at the replica while PUT /
+//! DELETE / SYNC are refused.
 //!
 //! Three monotone floors ([`ReplicaFloors`]) describe the replica's
 //! position in the stream and feed the primary-visible `REPL_FLOOR`
@@ -105,8 +106,8 @@ impl Replica {
     /// this returns, so a refusal ("history trimmed", "replica does not
     /// serve subscriptions") surfaces here rather than asynchronously.
     ///
-    /// `base_cfg` seeds the front-end's [`ServerConfig`]; `read_only` and
-    /// `replica_floors` are forced regardless of what it says.
+    /// `base_cfg` seeds the front-end's [`ServerConfig`]; `replica_floors`
+    /// (which makes it read-only) is forced regardless of what it says.
     pub fn start(
         primary: SocketAddr,
         listen: &str,
@@ -116,7 +117,6 @@ impl Replica {
     ) -> io::Result<Self> {
         let floors = Arc::new(ReplicaFloors::new());
         let mut cfg = base_cfg;
-        cfg.read_only = true;
         cfg.replica_floors = Some(Arc::clone(&floors));
 
         // Subscribe synchronously: the primary answers REPL_SUBSCRIBE
@@ -230,7 +230,6 @@ impl Replica {
             server.shutdown()?;
         }
         let mut cfg = self.cfg.clone();
-        cfg.read_only = false;
         cfg.replica_floors = None;
         let server = KvServer::start(
             listen,

@@ -1,10 +1,7 @@
-//! The server engine: poll(2)-driven acceptor, reactor I/O workers (or
-//! the legacy per-connection threads), bounded per-shard submission
-//! lanes, and group-commit committers.
+//! The server engine: poll(2)-driven acceptor, reactor I/O workers,
+//! bounded per-shard submission lanes, and group-commit committers.
 //!
 //! # Threading model
-//!
-//! Default ([`IoModel::Reactor`]):
 //!
 //! ```text
 //! acceptor ──poll──▶ hands socket to worker (round-robin)
@@ -24,7 +21,7 @@
 //!
 //! * The **acceptor** blocks in `poll` on the listener plus a wake pipe —
 //!   no sleep loop. Each accepted socket is made nonblocking and handed
-//!   to one of `workers` reactor threads by round-robin.
+//!   to one of [`IO_WORKERS`] reactor threads by round-robin.
 //! * Each **I/O worker** owns its connections outright: per-connection
 //!   read buffers with partial-frame state machines (see
 //!   [`crate::conn::FrameBuf`]), inline dispatch of read-path requests
@@ -38,20 +35,16 @@
 //!   [`ChameleonDb::apply_batch`] — one persist fence at the tail — and
 //!   only then releases the durable acks, encoded and posted back to the
 //!   owning worker through its wake pipe.
-//! * [`IoModel::Threaded`] keeps PR 4's two-threads-per-connection model
-//!   (now with the same bounded response queues) as the measured
-//!   baseline for the reactor's connection-scaling experiments.
 //! * The **sampler** waits on a condvar with `telemetry_interval`
 //!   timeout (no sleep-polling) and ticks a [`DeltaTracker`] window into
 //!   the [`WindowedSeries`] ring.
 //!
 //! # Request tracing
 //!
-//! Unchanged from the threaded model: `decode` → `lane_enqueue` →
-//! `batch_seal` → `engine_append`/`engine_fence` → `fence_complete` →
-//! `ack_write`, except the final `ack_write` stamp now lands when the
-//! response frame is fully written to the socket (reactor) or flushed by
-//! the writer thread (threaded) — the span still seals exactly when the
+//! `decode` → `lane_enqueue` → `batch_seal` →
+//! `engine_append`/`engine_fence` → `fence_complete` → `ack_write`. The
+//! final `ack_write` stamp lands when the owning worker has fully written
+//! the response frame to the socket — the span seals exactly when the
 //! bytes hit the wire.
 //!
 //! # Durability contract
@@ -63,12 +56,11 @@
 //! SYNC is a barrier across *all* lanes: it is acked once every lane has
 //! fenced everything submitted before it.
 
-use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, ErrorKind};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TrySendError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -82,28 +74,14 @@ use chameleondb::{BatchOp, ChameleonDb, Mode};
 use parking_lot::{Condvar, Mutex};
 use pmem_sim::{CostModel, PmemDevice, ThreadCtx};
 
-use crate::proto::{
-    decode_request, encode_response, read_frame, ModeArg, Request, Response, StatsFormat,
-};
+use crate::proto::{encode_response, ModeArg, Request, Response, StatsFormat};
 use crate::reactor::{self, WakePipe, WorkerShared};
 use crate::repl::{self, AckPolicy, ReplHub, ReplicaFloors};
 
-/// How the front end multiplexes connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoModel {
-    /// PR 4's model: one reader + one writer thread per connection.
-    /// Kept as the measured baseline; does not scale past a few hundred
-    /// connections.
-    Threaded,
-    /// A fixed pool of nonblocking I/O workers multiplexing all
-    /// connections via `poll(2)` (see [`crate::reactor`]). Thread count
-    /// is `workers + lanes + acceptor (+ sampler + sidecar)` regardless
-    /// of connection count.
-    Reactor {
-        /// Number of I/O worker threads (≥ 1).
-        workers: usize,
-    },
-}
+/// Reactor I/O worker threads (see [`crate::reactor`]). Total service
+/// threads are `IO_WORKERS + lanes + acceptor (+ sampler + sidecar)`
+/// regardless of connection count.
+pub(crate) const IO_WORKERS: usize = 4;
 
 /// Tuning knobs for the service layer.
 #[derive(Debug, Clone)]
@@ -130,8 +108,6 @@ pub struct ServerConfig {
     /// Bind address for the plain-HTTP metrics sidecar (`/metrics`,
     /// `/snapshot.json`); `None` runs no sidecar.
     pub http_addr: Option<String>,
-    /// Connection multiplexing model.
-    pub io: IoModel,
     /// Most unsent response bytes a single connection may queue before
     /// it is shed as a slow consumer.
     pub resp_queue_cap: usize,
@@ -145,15 +121,11 @@ pub struct ServerConfig {
     /// once a quorum of subscribed replicas confirm it (see
     /// [`crate::repl`]).
     pub ack_policy: AckPolicy,
-    /// Published replication chunks retained for late subscribers; on
-    /// overrun the oldest is dropped and subscribes below the new base
-    /// are refused.
-    pub repl_retain: usize,
-    /// Serve reads only: PUT/DELETE/SYNC answer ERR. A replica applies
-    /// shipped batches out-of-band and must not take divergent writes.
-    pub read_only: bool,
     /// Replica-side shipped/applied/acked floors, filled by the replica's
-    /// apply loop and served via REPL_FLOOR and the obs snapshot.
+    /// apply loop and served via REPL_FLOOR and the obs snapshot. Setting
+    /// this makes the server a replica front-end: it serves reads only
+    /// (PUT/DELETE/SYNC answer ERR), because a replica applies shipped
+    /// batches out-of-band and must not take divergent writes.
     pub replica_floors: Option<Arc<ReplicaFloors>>,
 }
 
@@ -169,12 +141,9 @@ impl Default for ServerConfig {
             telemetry_interval: Duration::from_secs(1),
             window_cap: 120,
             http_addr: None,
-            io: IoModel::Reactor { workers: 4 },
             resp_queue_cap: 4 << 20,
             idle_timeout: Some(Duration::from_secs(300)),
             ack_policy: AckPolicy::LocalFence,
-            repl_retain: 4096,
-            read_only: false,
             replica_floors: None,
         }
     }
@@ -190,18 +159,10 @@ impl ServerConfig {
             ..Self::default()
         }
     }
-
-    /// Reactor I/O worker count (0 under [`IoModel::Threaded`]).
-    pub fn io_workers(&self) -> usize {
-        match self.io {
-            IoModel::Threaded => 0,
-            IoModel::Reactor { workers } => workers,
-        }
-    }
 }
 
 /// Encodes a response as a complete wire frame (length prefix included),
-/// ready to hand to a writer thread or a reactor connection queue.
+/// ready for a reactor connection queue.
 pub(crate) fn frame_of(resp: &Response) -> Vec<u8> {
     let payload = encode_response(resp);
     debug_assert!(payload.len() <= crate::proto::MAX_FRAME);
@@ -211,64 +172,22 @@ pub(crate) fn frame_of(resp: &Response) -> Vec<u8> {
     frame
 }
 
-/// Shared write-side state of one threaded-model connection: the bounded
-/// response accounting and the doom switch that sheds a slow consumer.
-pub(crate) struct ConnState {
-    /// Unsent response bytes: incremented at send, decremented by the
-    /// writer thread once bytes reach the socket.
-    queued: AtomicUsize,
-    cap: usize,
-    obs: Arc<ServerObs>,
-    /// A clone of the connection's stream, used only to shut it down.
-    stream: TcpStream,
-    doomed: AtomicBool,
-}
-
-/// Where a response goes: the connection's writer thread (threaded
-/// model) or the reactor worker owning the connection. Responses are
-/// encoded at the send site so the byte bound applies uniformly.
+/// Where a response goes: the reactor worker owning the connection.
+/// Responses are encoded at the send site; the owning worker applies the
+/// connection's byte bound when it drains its inbox.
 #[derive(Clone)]
-pub(crate) enum ReplyTx {
-    Threaded {
-        tx: Sender<(Vec<u8>, Option<Arc<TraceSpan>>)>,
-        state: Arc<ConnState>,
-    },
-    Reactor {
-        worker: Arc<WorkerShared>,
-        conn_id: u64,
-    },
+pub(crate) struct ReplyTx {
+    pub(crate) worker: Arc<WorkerShared>,
+    pub(crate) conn_id: u64,
 }
 
 impl ReplyTx {
-    /// Sends one response toward the wire. Never blocks. If the
-    /// connection's bounded response queue would overflow (threaded
-    /// model: accounted here; reactor: accounted by the owning worker),
-    /// the reply is dropped and the connection shed as a slow consumer.
+    /// Sends one response toward the wire. Never blocks: the frame is
+    /// posted to the owning worker's inbox, which sheds the connection
+    /// as a slow consumer if its bounded response queue would overflow.
     pub(crate) fn send(&self, resp: &Response, span: Option<Arc<TraceSpan>>) {
-        let frame = frame_of(resp);
-        match self {
-            ReplyTx::Threaded { tx, state } => {
-                if state.doomed.load(Ordering::Acquire) {
-                    return;
-                }
-                let after = state.queued.fetch_add(frame.len(), Ordering::AcqRel) + frame.len();
-                if after > state.cap {
-                    state.queued.fetch_sub(frame.len(), Ordering::AcqRel);
-                    if !state.doomed.swap(true, Ordering::AcqRel) {
-                        ServerObs::bump(&state.obs.slow_consumer_disconnects);
-                        // Unblocks both the reader (EOF) and the writer
-                        // (write error); the connection tears down via
-                        // its normal exit path.
-                        let _ = state.stream.shutdown(Shutdown::Both);
-                    }
-                    return;
-                }
-                let _ = tx.send((frame, span));
-            }
-            ReplyTx::Reactor { worker, conn_id } => {
-                worker.post_completion(*conn_id, frame, span);
-            }
-        }
+        self.worker
+            .post_completion(self.conn_id, frame_of(resp), span);
     }
 }
 
@@ -336,7 +255,7 @@ pub(crate) struct Shared {
     /// Final shutdown phase: committers have drained, reactor workers
     /// flush what they hold and exit.
     pub(crate) drained: AtomicBool,
-    /// Reactor I/O workers (empty under [`IoModel::Threaded`]).
+    /// Reactor I/O workers.
     pub(crate) workers: Vec<Arc<WorkerShared>>,
     /// Replication hub: committers publish fenced batches, subscribers
     /// and their acks register through [`handle_request`].
@@ -347,10 +266,6 @@ pub(crate) struct Shared {
     /// sleep-polling the stop flag.
     stop_mu: Mutex<()>,
     stop_cv: Condvar,
-    /// Threaded model only: live streams by connection id, for shutdown.
-    /// Entries are removed when their connection exits (no leak).
-    conns: Mutex<HashMap<usize, TcpStream>>,
-    conn_handles: Mutex<Vec<JoinHandle<()>>>,
     conn_seq: AtomicUsize,
 }
 
@@ -359,23 +274,23 @@ impl Shared {
         self.stop.load(Ordering::SeqCst)
     }
 
-    /// A simulation context with a thread id no committer, reactor
-    /// worker, or connection reader will reuse (allocated from the same
-    /// sequence as connection ids).
+    /// A simulation context with a thread id no committer or reactor
+    /// worker will reuse (allocated from the same sequence as connection
+    /// ids).
     pub(crate) fn sidecar_ctx(&self) -> ThreadCtx {
-        let id =
-            self.cfg.lanes + self.cfg.io_workers() + self.conn_seq.fetch_add(1, Ordering::Relaxed);
+        let id = self.cfg.lanes + IO_WORKERS + self.conn_seq.fetch_add(1, Ordering::Relaxed);
         ThreadCtx::for_thread(Arc::clone(&self.cfg.cost), id)
     }
 
     /// The full observability snapshot served by STATS and the HTTP
-    /// sidecar: store + server (+ reactor) + trace counter sections, the
+    /// sidecar: store + server + reactor + trace counter sections, the
     /// windowed telemetry ring, and per-trace-stage aggregates.
     pub(crate) fn obs_snapshot(&self, ctx: &mut ThreadCtx) -> ObsSnapshot {
-        let mut sections = vec![self.obs.section(), self.tracer.section()];
-        if let Some(sec) = reactor::section(&self.workers) {
-            sections.push(sec);
-        }
+        let mut sections = vec![
+            self.obs.section(),
+            self.tracer.section(),
+            reactor::section(&self.workers),
+        ];
         if let Some(floors) = &self.cfg.replica_floors {
             sections.push(repl::replica_section(floors));
         } else if let Some(sec) = self.repl.section() {
@@ -402,9 +317,8 @@ pub struct KvServer {
 
 impl KvServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// acceptor, the reactor I/O workers (or nothing, under the threaded
-    /// model), one committer per lane, the telemetry sampler, and (if
-    /// configured) the HTTP metrics sidecar.
+    /// acceptor, the reactor I/O workers, one committer per lane, the
+    /// telemetry sampler, and (if configured) the HTTP metrics sidecar.
     pub fn start(
         addr: &str,
         dev: Arc<PmemDevice>,
@@ -414,9 +328,6 @@ impl KvServer {
     ) -> io::Result<Self> {
         assert!(cfg.lanes >= 1, "need at least one commit lane");
         assert!(cfg.max_batch >= 1, "need at least batch-of-1");
-        if let IoModel::Reactor { workers } = cfg.io {
-            assert!(workers >= 1, "need at least one reactor worker");
-        }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -439,12 +350,12 @@ impl KvServer {
             });
             receivers.push(rx);
         }
-        let workers = (0..cfg.io_workers())
+        let workers = (0..IO_WORKERS)
             .map(|i| WorkerShared::new(i).map(Arc::new))
             .collect::<io::Result<Vec<_>>>()?;
         let tracer = Arc::new(Tracer::new(cfg.trace));
         let windows = Arc::new(WindowedSeries::new(cfg.window_cap));
-        let repl_hub = ReplHub::new(cfg.ack_policy, cfg.repl_retain);
+        let repl_hub = ReplHub::new(cfg.ack_policy);
         let shared = Arc::new(Shared {
             store,
             dev,
@@ -462,8 +373,6 @@ impl KvServer {
             http_wake: WakePipe::new()?,
             stop_mu: Mutex::new(()),
             stop_cv: Condvar::new(),
-            conns: Mutex::new(HashMap::new()),
-            conn_handles: Mutex::new(Vec::new()),
             conn_seq: AtomicUsize::new(0),
         });
 
@@ -552,7 +461,7 @@ impl KvServer {
 
     /// Total service threads this server runs (acceptor + I/O workers +
     /// committers + sampler + sidecar) — constant in the connection
-    /// count under the reactor model.
+    /// count.
     pub fn thread_count(&self) -> usize {
         1 + self.workers.len()
             + self.committers.len()
@@ -565,7 +474,7 @@ impl KvServer {
     /// connections, then take a final checkpoint. Returns an error
     /// listing any panicked threads.
     pub fn shutdown(mut self) -> Result<(), String> {
-        let panics = self.stop_threads(false);
+        let panics = self.stop_threads();
         let mut ctx = ThreadCtx::for_thread(Arc::clone(&self.shared.cfg.cost), 0);
         let ckpt = self.shared.store.checkpoint(&mut ctx);
         match (panics.is_empty(), ckpt) {
@@ -579,10 +488,10 @@ impl KvServer {
     /// without touching the device, and no final checkpoint is taken.
     pub fn abort(mut self) {
         self.shared.discard.store(true, Ordering::SeqCst);
-        self.stop_threads(true);
+        self.stop_threads();
     }
 
-    fn stop_threads(&mut self, _aborting: bool) -> Vec<String> {
+    fn stop_threads(&mut self) -> Vec<String> {
         let sh = &self.shared;
         sh.stop.store(true, Ordering::SeqCst);
         // Wake every sleeper through its own mechanism — no thread in
@@ -608,14 +517,6 @@ impl KvServer {
         if let Some(h) = self.http.take() {
             join(h, "http sidecar", &mut panics);
         }
-        // Threaded model: unblock readers; their writer threads exit once
-        // every pending submission holding a ReplyTx has been resolved.
-        for (_, conn) in sh.conns.lock().drain() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        for h in sh.conn_handles.lock().drain(..) {
-            join(h, "connection", &mut panics);
-        }
         // Committers drain their queues (posting final acks to the
         // reactor workers, which are still running) and exit on channel
         // disconnect.
@@ -639,8 +540,8 @@ impl KvServer {
 }
 
 /// Accepts connections with `poll` (listener + wake pipe — zero wakeups
-/// while idle) and hands each socket to its owner: a reactor worker
-/// (round-robin) or a fresh reader/writer thread pair.
+/// while idle) and hands each socket to the reactor worker that will own
+/// it (round-robin).
 fn acceptor_loop(sh: &Arc<Shared>, listener: TcpListener) {
     let lfd = listener.as_raw_fd();
     while !sh.stopping() {
@@ -675,44 +576,11 @@ fn accept_one(sh: &Arc<Shared>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     ServerObs::bump(&sh.obs.connections);
     let conn_id = sh.conn_seq.fetch_add(1, Ordering::Relaxed);
-    if !sh.workers.is_empty() {
-        if stream.set_nonblocking(true).is_err() {
-            ServerObs::bump(&sh.obs.disconnects);
-            return;
-        }
-        sh.workers[conn_id % sh.workers.len()].post_conn(conn_id as u64, stream);
+    if stream.set_nonblocking(true).is_err() {
+        ServerObs::bump(&sh.obs.disconnects);
         return;
     }
-    // Threaded model. Sweep finished connection threads first so the
-    // handle list tracks live connections, not connection history.
-    {
-        let mut handles = sh.conn_handles.lock();
-        let mut live = Vec::with_capacity(handles.len());
-        for h in handles.drain(..) {
-            if h.is_finished() {
-                let _ = h.join();
-            } else {
-                live.push(h);
-            }
-        }
-        *handles = live;
-    }
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(sh.cfg.idle_timeout);
-    if let Ok(clone) = stream.try_clone() {
-        sh.conns.lock().insert(conn_id, clone);
-    }
-    let sh2 = Arc::clone(sh);
-    let spawned = thread::Builder::new()
-        .name(format!("kvs-conn-{conn_id}"))
-        .spawn(move || connection_loop(&sh2, stream, conn_id));
-    match spawned {
-        Ok(h) => sh.conn_handles.lock().push(h),
-        Err(_) => {
-            sh.conns.lock().remove(&conn_id);
-            ServerObs::bump(&sh.obs.disconnects);
-        }
-    }
+    sh.workers[conn_id % sh.workers.len()].post_conn(conn_id as u64, stream);
 }
 
 /// Once per telemetry interval: subtract the previous tick's cumulative
@@ -761,99 +629,11 @@ fn sampler_loop(sh: &Arc<Shared>) {
     }
 }
 
-/// Threaded-model connection: a reader thread (this function) plus a
-/// writer thread draining the bounded response channel.
-fn connection_loop(sh: &Arc<Shared>, stream: TcpStream, conn_id: usize) {
-    let obs = &sh.obs;
-    // Committers own thread ids 0..lanes, reactor workers the next
-    // io_workers ids; connection readers and the sidecar share the
-    // sequence above that.
-    let mut ctx = ThreadCtx::for_thread(
-        Arc::clone(&sh.cfg.cost),
-        sh.cfg.lanes + sh.cfg.io_workers() + conn_id,
-    );
-    let (writer_stream, doom_stream) = match (stream.try_clone(), stream.try_clone()) {
-        (Ok(a), Ok(b)) => (a, b),
-        _ => {
-            ServerObs::bump(&obs.disconnects);
-            sh.conns.lock().remove(&conn_id);
-            return;
-        }
-    };
-    let state = Arc::new(ConnState {
-        queued: AtomicUsize::new(0),
-        cap: sh.cfg.resp_queue_cap,
-        obs: Arc::clone(&sh.obs),
-        stream: doom_stream,
-        doomed: AtomicBool::new(false),
-    });
-    let (tx, rx) = mpsc::channel::<(Vec<u8>, Option<Arc<TraceSpan>>)>();
-    let writer = {
-        let tracer = Arc::clone(&sh.tracer);
-        let state2 = Arc::clone(&state);
-        thread::Builder::new()
-            .name(format!("kvs-send-{conn_id}"))
-            .spawn(move || threaded_writer_loop(writer_stream, &rx, &tracer, &state2))
-    };
-    let reply = ReplyTx::Threaded { tx, state };
-    let mut reader = BufReader::new(stream);
-    serve_requests(sh, &mut ctx, &mut reader, &reply);
-    ServerObs::bump(&obs.disconnects);
-    drop(reply);
-    if let Ok(h) = writer {
-        let _ = h.join();
-    }
-    // Shut the stream down explicitly — after the writer has flushed any
-    // final error — so the peer sees EOF, then drop our registry entry
-    // (the map must track live connections only).
-    let _ = reader.get_ref().shutdown(Shutdown::Both);
-    sh.conns.lock().remove(&conn_id);
-}
-
 /// Stamps `ack_write` and completes the span once its response frame has
 /// been written (the final pipeline stage a span can observe).
-pub(crate) fn seal_span(tracer: &Tracer, span: &Option<Arc<TraceSpan>>) {
-    if let Some(s) = span {
-        s.stamp("ack_write");
-        tracer.complete(s);
-    }
-}
-
-/// Writer thread of one threaded-model connection: drains encoded
-/// frames, coalescing bursts into one flush, and returns the written
-/// bytes to the connection's response budget.
-fn threaded_writer_loop(
-    stream: TcpStream,
-    rx: &Receiver<(Vec<u8>, Option<Arc<TraceSpan>>)>,
-    tracer: &Tracer,
-    state: &ConnState,
-) {
-    let mut w = BufWriter::new(stream);
-    while let Ok((frame, span)) = rx.recv() {
-        let mut round = frame.len();
-        if w.write_all(&frame).is_err() {
-            return;
-        }
-        seal_span(tracer, &span);
-        // Opportunistically coalesce whatever else is queued into one
-        // flush.
-        while let Ok((more, span2)) = rx.try_recv() {
-            round += more.len();
-            if w.write_all(&more).is_err() {
-                return;
-            }
-            seal_span(tracer, &span2);
-        }
-        let flushed = w.flush();
-        // Credit the budget only after the bytes actually left for the
-        // socket: while this thread is blocked in `flush` against a
-        // wedged client, sends keep charging the budget and the cap
-        // trips (slow-consumer disconnect) instead of memory growing.
-        state.queued.fetch_sub(round, Ordering::AcqRel);
-        if flushed.is_err() {
-            return;
-        }
-    }
+pub(crate) fn seal_span(tracer: &Tracer, span: &TraceSpan) {
+    span.stamp("ack_write");
+    tracer.complete(span);
 }
 
 /// Starts a span for one write: the wire trace flag forces a sample,
@@ -871,53 +651,10 @@ fn span_for_write(sh: &Shared, op: &'static str, key: u64, forced: bool) -> Opti
     span
 }
 
-/// Threaded-model request loop: blocking frame reads off one connection,
-/// dispatched through the same [`handle_request`] the reactor workers
-/// use.
-fn serve_requests(sh: &Arc<Shared>, ctx: &mut ThreadCtx, reader: &mut impl Read, reply: &ReplyTx) {
-    let obs = &sh.obs;
-    let mut valbuf = Vec::new();
-    loop {
-        let payload = match read_frame(reader) {
-            Ok(Some(p)) => p,
-            Ok(None) => return,
-            Err(e) => {
-                match e.kind() {
-                    ErrorKind::InvalidData => ServerObs::bump(&obs.protocol_errors),
-                    // The blocking read timed out: the peer has been
-                    // silent past `idle_timeout`.
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut => {
-                        ServerObs::bump(&obs.idle_disconnects)
-                    }
-                    _ => {}
-                }
-                return;
-            }
-        };
-        match decode_request(&payload) {
-            Ok(req) => {
-                ServerObs::bump(&obs.requests);
-                handle_request(sh, ctx, req, reply, &mut valbuf);
-            }
-            Err(e) => {
-                ServerObs::bump(&obs.protocol_errors);
-                reply.send(
-                    &Response::Err {
-                        req_id: 0,
-                        message: e.to_string(),
-                    },
-                    None,
-                );
-                return;
-            }
-        }
-    }
-}
-
-/// Dispatches one decoded request. Shared by the threaded reader threads
-/// and the reactor workers: GET/STATS/MODE/TRACE answer inline through
-/// `reply`, PUT/DELETE/SYNC route to the commit lanes (their acks come
-/// back through the same `reply` after the fence).
+/// Dispatches one decoded request on the reactor worker that read it:
+/// GET/STATS/MODE/TRACE answer inline through `reply`, PUT/DELETE/SYNC
+/// route to the commit lanes (their acks come back through the same
+/// `reply` after the fence).
 pub(crate) fn handle_request(
     sh: &Arc<Shared>,
     ctx: &mut ThreadCtx,
@@ -926,7 +663,7 @@ pub(crate) fn handle_request(
     valbuf: &mut Vec<u8>,
 ) {
     let obs = &sh.obs;
-    if sh.cfg.read_only {
+    if sh.cfg.replica_floors.is_some() {
         if let Request::Put { req_id, .. }
         | Request::Delete { req_id, .. }
         | Request::Sync { req_id } = req

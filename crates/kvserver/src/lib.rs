@@ -5,14 +5,12 @@
 //!
 //! * [`proto`] — the length-prefixed binary wire protocol: pipelined
 //!   requests matched to streamed responses by `req_id`.
-//! * The **reactor** ([`IoModel::Reactor`], the default) — an acceptor
-//!   plus a small fixed pool of nonblocking I/O workers multiplexing
-//!   all connections via `poll(2)`: per-connection partial-frame state
-//!   machines ([`conn::FrameBuf`]), inline lock-free GETs, and bounded
-//!   per-connection response queues with slow-consumer disconnect.
-//!   Thread count is constant in the connection count.
-//!   [`IoModel::Threaded`] keeps the older two-threads-per-connection
-//!   model as a measured baseline.
+//! * The **reactor** — an acceptor plus a small fixed pool of
+//!   nonblocking I/O workers multiplexing all connections via `poll(2)`:
+//!   per-connection partial-frame state machines ([`conn::FrameBuf`]),
+//!   inline lock-free GETs, and bounded per-connection response queues
+//!   with slow-consumer disconnect. Thread count is constant in the
+//!   connection count.
 //! * The **group-commit engine** — one committer per lane drains its
 //!   queue into batches, appends each batch through
 //!   [`chameleondb::ChameleonDb::apply_batch`] under a single persist
@@ -56,5 +54,5 @@ pub mod proto;
 mod reactor;
 pub mod repl;
 
-pub use engine::{IoModel, KvServer, ServerConfig};
+pub use engine::{KvServer, ServerConfig};
 pub use repl::{AckPolicy, ReplicaFloors};

@@ -12,16 +12,14 @@
 //!
 //! GET/STATS/MODE/TRACE are served inline on the worker through the
 //! lock-free epoch-pinned read path; PUT/DELETE/SYNC route to the
-//! group-commit lanes exactly as in the threaded model, and the
-//! committer finishes the ack by posting the encoded response frame back
-//! to the owning worker's inbox.
+//! group-commit lanes, and the committer finishes the ack by posting the
+//! encoded response frame back to the owning worker's inbox.
 //!
 //! A worker's loop never sleeps blind: it blocks in `poll` until a
 //! socket is ready, a wakeup arrives, or the idle-sweep interval passes.
 //! The `polls` counter (exported in the `"reactor"` snapshot section)
 //! therefore measures actual wakeups — the idle-CPU regression test
-//! asserts it stays near zero on an idle server, where the old model
-//! burned a 2 ms sleep loop.
+//! asserts it stays near zero on an idle server.
 
 use std::collections::HashMap;
 use std::io;
@@ -184,11 +182,7 @@ impl WorkerShared {
 }
 
 /// The `"reactor"` counter section: totals plus per-worker breakdown.
-/// Returns `None` when the server runs the threaded model.
-pub(crate) fn section(workers: &[Arc<WorkerShared>]) -> Option<CounterSection> {
-    if workers.is_empty() {
-        return None;
-    }
+pub(crate) fn section(workers: &[Arc<WorkerShared>]) -> CounterSection {
     let mut counters: Vec<(&'static str, u64)> = vec![("workers", workers.len() as u64)];
     let (mut conns, mut polls, mut wakeups, mut queued) = (0u64, 0u64, 0u64, 0u64);
     for w in workers {
@@ -207,10 +201,10 @@ pub(crate) fn section(workers: &[Arc<WorkerShared>]) -> Option<CounterSection> {
         counters.push((w.name_wakeups, w.wakeups.load(Ordering::Relaxed)));
         counters.push((w.name_queued, w.queued_bytes.load(Ordering::Relaxed)));
     }
-    Some(CounterSection {
+    CounterSection {
         name: "reactor",
         counters,
-    })
+    }
 }
 
 /// How long one `poll` may block: long enough to be effectively idle,
@@ -268,7 +262,7 @@ pub(crate) fn worker_loop(sh: &Arc<Shared>, w: &Arc<WorkerShared>) {
         // 3) Flush whatever can be written right now; close the dead.
         let mut queued_total = 0u64;
         for c in conns.values_mut() {
-            if !c.doomed && c.wants_write() && !c.flush(|span| seal_span(&sh.tracer, &Some(span))) {
+            if !c.doomed && c.wants_write() && !c.flush(|span| seal_span(&sh.tracer, &span)) {
                 c.doomed = true;
             }
             // Half-closed peer with nothing left to send: done.
@@ -384,7 +378,7 @@ pub(crate) fn worker_loop(sh: &Arc<Shared>, w: &Arc<WorkerShared>) {
             }
             if revents & libc::POLLOUT != 0
                 && !c.doomed
-                && !c.flush(|span| seal_span(&sh.tracer, &Some(span)))
+                && !c.flush(|span| seal_span(&sh.tracer, &span))
             {
                 c.doomed = true;
             }
@@ -422,9 +416,9 @@ fn drain_conns(
         dispatch_frames(sh, ctx, c, w, valbuf);
     }
     // The dispatches above answered inline (committers are already
-    // joined, so nobody else posts), but every `ReplyTx::Reactor` send
-    // routes through this worker's own inbox — collect those replies
-    // onto their connections before the final flush.
+    // joined, so nobody else posts), but every `ReplyTx` send routes
+    // through this worker's own inbox — collect those replies onto
+    // their connections before the final flush.
     {
         let mut inbox = w.inbox.lock();
         for comp in inbox.completions.drain(..) {
@@ -441,7 +435,7 @@ fn drain_conns(
     let deadline = Instant::now() + Duration::from_secs(2);
     for c in conns.values_mut() {
         while !c.doomed && c.wants_write() && Instant::now() < deadline {
-            if !c.flush(|span| seal_span(&sh.tracer, &Some(span))) {
+            if !c.flush(|span| seal_span(&sh.tracer, &span)) {
                 break;
             }
             if c.wants_write() {
@@ -457,7 +451,7 @@ fn drain_conns(
 }
 
 /// Pulls every complete frame out of `c`'s read buffer and dispatches
-/// it. Responses come back through [`ReplyTx::Reactor`] — either
+/// it. Responses come back through [`ReplyTx`] — either
 /// immediately (inline GET/STATS) or later from a committer — and are
 /// routed to the connection on the next inbox drain.
 fn dispatch_frames(
@@ -496,7 +490,7 @@ fn dispatch_frames(
         if matches!(req, Request::ReplSubscribe { .. }) {
             c.pinned = true;
         }
-        let reply = ReplyTx::Reactor {
+        let reply = ReplyTx {
             worker: Arc::clone(w),
             conn_id: c.id,
         };
@@ -516,7 +510,7 @@ fn protocol_error(sh: &Arc<Shared>, c: &mut Conn, e: crate::proto::ProtoError) {
         message: e.to_string(),
     });
     if c.enqueue(frame, None, sh.cfg.resp_queue_cap) {
-        let _ = c.flush(|span| seal_span(&sh.tracer, &Some(span)));
+        let _ = c.flush(|span| seal_span(&sh.tracer, &span));
     }
     c.doomed = true;
 }

@@ -26,7 +26,7 @@
 //!
 //! # Retention
 //!
-//! Published chunks are retained (bounded by `repl_retain`) so a
+//! Published chunks are retained (the newest [`REPL_RETAIN`]) so a
 //! subscriber arriving after writes began can backfill from its
 //! requested `start_ship`. On overrun the oldest chunk is dropped and
 //! the retained base advances; a later subscribe below the base is
@@ -39,11 +39,8 @@
 //! the same stall a real synchronous-replication pair exhibits. Size the
 //! quorum below the replica count to tolerate replica loss.
 //!
-//! Under the reactor I/O model a subscription pins its connection
-//! against the idle sweep (the stream is push-based; read-silence is
-//! normal). The threaded model's per-connection read timeout has no
-//! such exemption — pair threaded-model replication with
-//! `idle_timeout: None`.
+//! A subscription pins its connection against the reactor's idle sweep
+//! (the stream is push-based; read-silence is normal).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -65,6 +62,11 @@ pub enum AckPolicy {
     /// Once `quorum` subscribed replicas have acked the fence's chunks.
     ReplicaQuorum { quorum: usize },
 }
+
+/// Published replication chunks retained for late subscribers; on
+/// overrun the oldest is dropped and subscribes below the new base are
+/// refused.
+const REPL_RETAIN: usize = 4096;
 
 /// Replica-side shipped/applied/acked floors, shared between the apply
 /// loop (writer) and the replica's read-only server (REPL_FLOOR, obs).
@@ -138,8 +140,8 @@ struct HubInner {
 }
 
 /// The primary's replication hub. Owned by the server's `Shared` state;
-/// committers publish into it after each fence, reactor/connection
-/// threads subscribe and ack through it.
+/// committers publish into it after each fence, reactor workers
+/// subscribe and ack through it.
 pub(crate) struct ReplHub {
     /// Set on first subscribe (or at construction under a quorum
     /// policy); until then `publish` is a no-op so an unreplicated
@@ -160,7 +162,11 @@ pub(crate) struct ReplHub {
 }
 
 impl ReplHub {
-    pub(crate) fn new(policy: AckPolicy, retain_cap: usize) -> Self {
+    pub(crate) fn new(policy: AckPolicy) -> Self {
+        Self::with_retain(policy, REPL_RETAIN)
+    }
+
+    fn with_retain(policy: AckPolicy, retain_cap: usize) -> Self {
         let quorum = match policy {
             AckPolicy::LocalFence => 0,
             AckPolicy::ReplicaQuorum { quorum } => quorum.max(1),
@@ -168,7 +174,7 @@ impl ReplHub {
         Self {
             enabled: AtomicBool::new(quorum > 0),
             quorum,
-            retain_cap: retain_cap.max(1),
+            retain_cap,
             inner: Mutex::new(HubInner {
                 next_ship: 1,
                 base_ship: 1,
@@ -444,7 +450,67 @@ pub fn batch_of_rep_ops(ops: Vec<RepOp>) -> Vec<BatchOp> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::MAX_VALUE;
+    use crate::proto::{decode_response, MAX_VALUE};
+    use crate::reactor::WorkerShared;
+
+    /// The responses posted so far for `conn_id`, in post order.
+    fn posted(worker: &WorkerShared, conn_id: u64) -> Vec<Response> {
+        worker
+            .inbox
+            .lock()
+            .completions
+            .iter()
+            .filter(|c| c.conn_id == conn_id)
+            .map(|c| decode_response(&c.frame[4..]).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn retention_overrun_refuses_below_base_and_backfills_from_base() {
+        let worker = Arc::new(WorkerShared::new(0).unwrap());
+        let reply = |conn_id| ReplyTx {
+            worker: Arc::clone(&worker),
+            conn_id,
+        };
+        let hub = ReplHub::with_retain(AckPolicy::LocalFence, 3);
+        // The first subscriber switches publishing on.
+        hub.subscribe(1, 7, reply(1)).unwrap();
+        for key in 1..=5u64 {
+            hub.publish(&[BatchOp::Delete { key }], Vec::new());
+        }
+        // Cap 3 over ships 1..=5: ships 1 and 2 are gone, the base is 3.
+        let err = hub.subscribe(2, 8, reply(2)).unwrap_err();
+        assert!(err.contains("history trimmed"), "{err}");
+        assert!(posted(&worker, 2).is_empty());
+
+        hub.subscribe(3, 9, reply(3)).unwrap();
+        let got = posted(&worker, 3);
+        assert!(
+            matches!(
+                got[0],
+                Response::ReplFloor {
+                    req_id: 9,
+                    shipped: 5,
+                    applied: 2,
+                    ..
+                }
+            ),
+            "{:?}",
+            got[0]
+        );
+        let backfill: Vec<(u64, Vec<u64>)> = got[1..]
+            .iter()
+            .map(|r| match r {
+                Response::ReplBatch {
+                    req_id: 9,
+                    ship,
+                    ops,
+                } => (*ship, ops.iter().map(|o| o.key).collect()),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(backfill, vec![(3, vec![3]), (4, vec![4]), (5, vec![5])]);
+    }
 
     #[test]
     fn chunks_respect_frame_and_count_bounds() {
