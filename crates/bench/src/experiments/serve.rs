@@ -2,13 +2,14 @@
 //!
 //! `serve` runs a kvserver over a fresh simulated device on
 //! `127.0.0.1:<--port>` until SIGINT/SIGTERM, then shuts down gracefully
-//! (drains the commit lanes, takes a final checkpoint) and prints the
+//! (drains the commit queue, takes a final checkpoint) and prints the
 //! observability snapshot.
 //!
 //! `serve-bench` measures what group commit buys: a closed-loop
 //! multi-connection load (durable puts with interleaved gets) runs twice
 //! over real TCP loopback — once with `max_batch = 1` (a persist fence
-//! per put) and once with group commit — and reports throughput, client
+//! per put) and once with natural batching (the committer takes whatever
+//! has queued up, never waits for more) — and reports throughput, client
 //! wall-clock latency, and the media cost per put (256B media blocks,
 //! fences, read-modify-write penalties). The batched run amortizes one
 //! fence across the batch, so media blocks per put and RMW charges drop;
@@ -93,11 +94,9 @@ pub fn serve(opts: &Opts) {
     .expect("serve: bind failed");
     install_stop_handlers();
     println!(
-        "  listening on {} ({} lanes, max batch {}, hold {:?}) — ctrl-c to stop",
+        "  listening on {} (one commit queue, max batch {}) — ctrl-c to stop",
         server.local_addr(),
-        cfg.lanes,
         cfg.max_batch,
-        cfg.max_hold
     );
     if opts.trace > 0 {
         println!(
@@ -119,7 +118,7 @@ pub fn serve(opts: &Opts) {
         }
     }
 
-    println!("\n  signal received: draining lanes and checkpointing...");
+    println!("\n  signal received: draining the commit queue and checkpointing...");
     let windows = server.windows();
     let tracer = server.tracer();
     match server.shutdown() {
@@ -149,16 +148,15 @@ pub fn serve(opts: &Opts) {
 pub struct ServeBenchRow {
     pub policy: String,
     pub connections: usize,
-    pub lanes: usize,
     pub max_batch: usize,
     pub puts: u64,
     pub gets: u64,
     pub retries: u64,
     pub wall_secs: f64,
     pub ops_per_sec: f64,
-    /// Client-observed wall-clock put latency (includes the group-commit
-    /// hold window — the latency cost of batching), from the kvclient
-    /// per-op histograms.
+    /// Client-observed wall-clock put latency (includes the wait in the
+    /// commit queue behind the batch in flight), from the kvclient per-op
+    /// histograms.
     pub put_p50_us: f64,
     pub put_p99_us: f64,
     /// Server-side put latency from the engine's histograms, in
@@ -270,7 +268,6 @@ fn run_policy(
     ServeBenchRow {
         policy: policy.into(),
         connections,
-        lanes: cfg.lanes,
         max_batch: cfg.max_batch,
         puts,
         gets,
@@ -289,44 +286,32 @@ fn run_policy(
     }
 }
 
-/// `repro serve-bench`: batch-of-1 vs group commit over TCP loopback.
+/// `repro serve-bench`: batch-of-1 vs natural batching over TCP loopback.
 pub fn bench(opts: &Opts) {
-    header("serve-bench: group commit vs fence-per-put over TCP loopback");
+    header("serve-bench: natural group commit vs fence-per-put over TCP loopback");
     let connections = opts.threads.max(8);
     // Closed-loop over real TCP: scale the op budget down from the
     // simulated-store default so the wall-clock stays reasonable.
     let ops_per_conn = (opts.ops / 10 / connections as u64).clamp(200, 20_000);
-    let lanes = 2;
-    println!("  {connections} connections x {ops_per_conn} durable puts, {lanes} commit lanes\n");
+    println!("  {connections} connections x {ops_per_conn} durable puts, one commit queue\n");
 
     let batch1 = run_policy(
         "batch-of-1",
-        ServerConfig {
-            lanes,
-            ..ServerConfig::batch_of_one()
-        },
+        ServerConfig::batch_of_one(),
         connections,
         ops_per_conn,
     );
     let group = run_policy(
-        "group-commit",
-        ServerConfig {
-            lanes,
-            max_batch: 64,
-            max_hold: Duration::from_micros(200),
-            ..ServerConfig::default()
-        },
+        "natural",
+        ServerConfig::default(),
         connections,
         ops_per_conn,
     );
-    // Same group-commit config with 1/64 request tracing: measures what
-    // the sampling instrumentation costs on the hot path.
+    // Same config with 1/64 request tracing: measures what the sampling
+    // instrumentation costs on the hot path.
     let traced = run_policy(
-        "group+trace64",
+        "natural+trace64",
         ServerConfig {
-            lanes,
-            max_batch: 64,
-            max_hold: Duration::from_micros(200),
             trace: TraceConfig::sampled(64),
             ..ServerConfig::default()
         },
@@ -339,7 +324,7 @@ pub fn bench(opts: &Opts) {
     );
     for row in [&batch1, &group, &traced] {
         println!(
-            "  {:<14}  {:>8.0}  {:>7.1}us {:>7.1}us  {:>7.3}  {:>7.3}  {:>9.1}  {:>9.3}",
+            "  {:<15} {:>8.0}  {:>7.1}us {:>7.1}us  {:>7.3}  {:>7.3}  {:>9.1}  {:>9.3}",
             row.policy,
             row.ops_per_sec,
             row.put_p50_us,
@@ -353,7 +338,7 @@ pub fn bench(opts: &Opts) {
     println!("\n  client-observed (wall) vs server-side (simulated media) put latency:");
     for row in [&batch1, &group, &traced] {
         println!(
-            "  {:<14}  client p50 {:>7.1}us / p99 {:>7.1}us   server p50 {:>6.2}us / p99 {:>6.2}us",
+            "  {:<15} client p50 {:>7.1}us / p99 {:>7.1}us   server p50 {:>6.2}us / p99 {:>6.2}us",
             row.policy,
             row.put_p50_us,
             row.put_p99_us,
@@ -390,13 +375,26 @@ pub fn bench(opts: &Opts) {
         println!("  [artifact] {}", path.display());
     }
     println!(
-        "\n  group commit: mean batch {:.1} ops, media per put {} -> {} ({}x), fences per put {:.2} -> {:.2}",
+        "\n  natural batching: mean batch {:.1} ops, media per put {} -> {} ({}x), fences per put {:.2} -> {:.2}",
         group.mean_batch,
         fmt_bytes((batch1.media_blocks_per_put * 256.0) as u64),
         fmt_bytes((group.media_blocks_per_put * 256.0) as u64),
         (batch1.media_blocks_per_put / group.media_blocks_per_put.max(1e-9)).round(),
         batch1.fences_per_kput / 1e3,
         group.fences_per_kput / 1e3,
+    );
+
+    // The ROADMAP target, printed rather than asserted (wall clock in CI
+    // is noise): batching must not cost throughput to save media writes.
+    let verdict = |met: bool| if met { "met" } else { "MISSED" };
+    println!(
+        "  target: natural >= batch-of-1 in wall ops/s ({:.0} vs {:.0}: {}) at equal-or-better blocks/put ({:.3} vs {:.3}: {})",
+        group.ops_per_sec,
+        batch1.ops_per_sec,
+        verdict(group.ops_per_sec >= batch1.ops_per_sec),
+        group.media_blocks_per_put,
+        batch1.media_blocks_per_put,
+        verdict(group.media_blocks_per_put <= batch1.media_blocks_per_put),
     );
 
     // The acceptance bar: with >= 8 connections, group commit must cut

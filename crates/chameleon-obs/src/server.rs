@@ -56,9 +56,9 @@ pub struct ServerObs {
     pub gets: AtomicU64,
     /// SCAN requests served (inline, under one epoch pin).
     pub scans: AtomicU64,
-    /// PUT requests routed to a commit lane.
+    /// PUT requests submitted to the commit queue.
     pub puts: AtomicU64,
-    /// DELETE requests routed to a commit lane.
+    /// DELETE requests submitted to the commit queue.
     pub deletes: AtomicU64,
     /// SYNC barrier requests.
     pub syncs: AtomicU64,
@@ -68,7 +68,7 @@ pub struct ServerObs {
     pub mode_reqs: AtomicU64,
     /// TRACE (span-dump) requests served.
     pub trace_reqs: AtomicU64,
-    /// Writes refused with RETRY because their lane queue was full.
+    /// Writes refused with RETRY because the commit queue was full.
     pub retries: AtomicU64,
     /// Connections dropped for an undecodable frame.
     pub protocol_errors: AtomicU64,
@@ -118,7 +118,7 @@ impl ServerObs {
 
     /// Closes a batch span after the batch's fence: `ops` write ops were
     /// committed, `durable_acks` of them released durable acks, and the
-    /// lane queue held `queue_depth` further submissions when the batch
+    /// commit queue held `queue_depth` further submissions when the batch
     /// was drained. Returns the media delta attributed to the batch (the
     /// committer's appends plus any maintenance they triggered).
     pub fn batch_end(

@@ -1071,7 +1071,7 @@ impl StoreInner {
         let elapsed = ctx.clock.now().saturating_sub(start);
         // Cross-shard op; attribute the latency to the start key's shard.
         self.obs
-            .record_op(self.shard_of_key(start_key), OpKind::Scan, elapsed);
+            .record_op(self.shard_of(hash64(start_key)), OpKind::Scan, elapsed);
         self.obs.record_scan_keys(keys.len() as u64);
         Ok(keys)
     }
@@ -1083,13 +1083,6 @@ impl StoreInner {
         } else {
             (hash >> self.shard_shift) as usize
         }
-    }
-
-    /// The shard index that serves `key` — the routing a service layer
-    /// needs to bind keys to commit lanes without re-deriving the hash
-    /// prefix scheme.
-    pub fn shard_of_key(&self, key: u64) -> usize {
-        self.shard_of(hash64(key))
     }
 
     /// Applies a batch of writes through the calling thread's log writer,

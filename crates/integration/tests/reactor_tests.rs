@@ -170,9 +170,7 @@ fn thousand_connections_acked_writes_survive_crash() {
         &dev,
         &store,
         ServerConfig {
-            lanes: 4,
             max_batch: 64,
-            max_hold: Duration::from_micros(500),
             ..ServerConfig::default()
         },
     );
@@ -333,7 +331,7 @@ fn wedged_client_is_shed_with_bounded_memory() {
     server.shutdown().unwrap();
 }
 
-/// Satellite: lane backpressure under the reactor is lossless — every
+/// Satellite: commit-queue backpressure under the reactor is lossless — every
 /// RETRY-ed durable put eventually lands, and nothing is dropped.
 #[test]
 fn backpressure_retry_is_lossless_under_reactor() {
@@ -343,10 +341,8 @@ fn backpressure_retry_is_lossless_under_reactor() {
         &dev,
         &store,
         ServerConfig {
-            lanes: 1,
             queue_cap: 8,
             max_batch: 4,
-            max_hold: Duration::from_micros(100),
             ..ServerConfig::default()
         },
     );
@@ -372,7 +368,7 @@ fn backpressure_retry_is_lossless_under_reactor() {
         h.join().unwrap();
     }
 
-    // Every write landed regardless of how many RETRYs the tiny lane
+    // Every write landed regardless of how many RETRYs the tiny
     // queue produced.
     let mut c = Client::connect(addr).unwrap();
     for t in 0..4u64 {
@@ -534,9 +530,7 @@ fn graceful_shutdown_drains_inflight_acks() {
         &dev,
         &store,
         ServerConfig {
-            lanes: 2,
             max_batch: 32,
-            max_hold: Duration::from_millis(2),
             ..ServerConfig::default()
         },
     );
@@ -548,10 +542,10 @@ fn graceful_shutdown_drains_inflight_acks() {
     c.flush().unwrap();
 
     // Shut down with all 256 acks potentially still in flight. The
-    // committers must drain their queues and the workers must flush the
+    // committer must drain its queue and the workers must flush the
     // resulting acks before the sockets close.
     // Wait for the first ack so the stop provably lands with work both
-    // accepted (in lanes) and still unread (in socket buffers).
+    // accepted (in the commit queue) and still unread (in socket buffers).
     c.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let mut ok = 0u32;
     let mut answered = 0u32;
@@ -572,7 +566,7 @@ fn graceful_shutdown_drains_inflight_acks() {
                 ok += 1;
                 answered += 1;
             }
-            // Read but not accepted (lane full, or lanes already
+            // Read but not accepted (queue full, or queue already
             // closed): explicitly answered, never silently dropped.
             Ok(Response::Retry { .. }) => answered += 1,
             Ok(Response::Err { message, .. }) => {

@@ -128,7 +128,7 @@ fn replica_ships_applies_and_serves_reads() {
 /// a replica confirms the fence — a client sees no ack while no replica
 /// is subscribed, then the ack arrives as soon as one catches up. The
 /// withheld submission also keeps the connection exempt from the idle
-/// sweep (ISSUE 10 satellite 2: an un-acked lane submission is an
+/// sweep (ISSUE 10 satellite 2: an un-acked queued write is an
 /// obligation, not idleness).
 #[test]
 fn quorum_ack_withheld_until_replica_confirms_and_conn_not_reaped() {

@@ -1,9 +1,10 @@
 //! End-to-end tests of the kvserver service layer over real TCP
 //! loopback: protocol round-trips, group-commit durability under an
-//! injected device crash, ack-withholding until the batch fence, STATS
-//! export, backpressure, and graceful shutdown.
+//! injected device crash, the natural-batching commit policy (bursts
+//! share a fence, a lone put waits for nobody, SYNC is a barrier over
+//! every connection), STATS export, backpressure, and graceful shutdown.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::ErrorKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,16 +34,27 @@ fn start_server(
     store: &Arc<ChameleonDb>,
     cfg: ServerConfig,
 ) -> (KvServer, std::net::SocketAddr) {
+    let (server, addr, _obs) = start_server_obs(dev, store, cfg);
+    (server, addr)
+}
+
+/// Like [`start_server`], also handing back the server's batch counters.
+fn start_server_obs(
+    dev: &Arc<PmemDevice>,
+    store: &Arc<ChameleonDb>,
+    cfg: ServerConfig,
+) -> (KvServer, std::net::SocketAddr, Arc<ServerObs>) {
+    let obs = Arc::new(ServerObs::new());
     let server = KvServer::start(
         "127.0.0.1:0",
         Arc::clone(dev),
         Arc::clone(store),
-        Arc::new(ServerObs::new()),
+        Arc::clone(&obs),
         cfg,
     )
     .expect("bind loopback");
     let addr = server.local_addr();
-    (server, addr)
+    (server, addr, obs)
 }
 
 fn value_for(key: u64) -> Vec<u8> {
@@ -109,9 +121,7 @@ fn every_acked_durable_write_survives_crash() {
         &dev,
         &store,
         ServerConfig {
-            lanes: 2,
             max_batch: 16,
-            max_hold: Duration::from_micros(500),
             ..ServerConfig::default()
         },
     );
@@ -177,55 +187,136 @@ fn every_acked_durable_write_survives_crash() {
     }
 }
 
-/// Satellite regression: a batch's acks are withheld until its fence.
-/// Wire-level half: with a held-open batch, acks must not arrive before
-/// the batch fills (or the hold expires).
+/// Commit policy, burst half: writes that arrive together commit
+/// together. One connection pipelines 64 durable puts in a single
+/// socket write; they all land in the one commit queue, so the committer
+/// finds company behind whichever op it wakes on and the burst shares
+/// fences — with no timer telling it to wait.
 #[test]
-fn durable_acks_wait_for_the_batch_fence() {
+fn pipelined_burst_shares_commit_fences() {
+    const PUTS: u64 = 64;
     let dev = PmemDevice::optane(256 << 20);
     let store = Arc::new(ChameleonDb::create(Arc::clone(&dev), test_store_config()).unwrap());
-    let (server, addr) = start_server(
-        &dev,
-        &store,
-        ServerConfig {
-            lanes: 1,
-            max_batch: 4,
-            max_hold: Duration::from_secs(5),
-            ..ServerConfig::default()
-        },
-    );
+    let (server, addr, obs) = start_server_obs(&dev, &store, ServerConfig::default());
 
-    let fences_before = dev.fence_count();
     let mut c = Client::connect(addr).unwrap();
-    let ids: Vec<u64> = (0..3u64)
-        .map(|k| c.send_put(k, b"held", true).unwrap())
+    let ids: Vec<u64> = (0..PUTS)
+        .map(|k| c.send_put(k, &value_for(k), true).unwrap())
         .collect();
     c.flush().unwrap();
-    // The batch is 3/4 full and the hold is 5s: no ack may arrive yet.
-    c.set_read_timeout(Some(Duration::from_millis(250)))
-        .unwrap();
-    match c.recv_for(ids[0]) {
-        Err(e) => assert!(
-            matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
-            "expected timeout, got {e:?}"
-        ),
-        Ok(r) => panic!("ack released before the batch fence: {r:?}"),
-    }
-    // The fourth put fills the batch; every ack is released by one fence.
-    let last = c.send_put(3, b"held", true).unwrap();
-    c.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-    for id in ids.into_iter().chain([last]) {
+    for id in ids {
         assert!(matches!(
             c.recv_for(id).unwrap(),
             kvclient::Response::Ok { .. }
         ));
     }
-    let commit_fences = dev.fence_count() - fences_before;
-    assert_eq!(
-        commit_fences, 1,
-        "a four-op batch must commit under exactly one fence"
+    let batches = obs.batches.load(Ordering::Relaxed);
+    let batched = obs.batched_ops.load(Ordering::Relaxed);
+    let fences = obs.commit_fences.load(Ordering::Relaxed);
+    assert_eq!(batched, PUTS, "every put of the burst was committed");
+    assert!(batches >= 1);
+    assert!(
+        batches < PUTS,
+        "a pipelined burst must batch (mean batch > 1), got {batches} batches"
+    );
+    assert!(
+        fences < PUTS,
+        "a pipelined burst must share fences, got {fences} for {PUTS} puts"
     );
     server.shutdown().unwrap();
+}
+
+/// Commit policy, lone half: a put with nothing behind it commits at
+/// once. A window-1 client never has two writes in flight, so every
+/// batch is a batch of one — nothing is held back to wait for company
+/// that is not coming.
+#[test]
+fn lone_put_commits_without_waiting_for_company() {
+    const PUTS: u64 = 100;
+    let dev = PmemDevice::optane(256 << 20);
+    let store = Arc::new(ChameleonDb::create(Arc::clone(&dev), test_store_config()).unwrap());
+    let (server, addr, obs) = start_server_obs(&dev, &store, ServerConfig::default());
+
+    let mut c = Client::connect(addr).unwrap();
+    for k in 0..PUTS {
+        assert_eq!(
+            c.put(k, &value_for(k), true).unwrap(),
+            WriteOutcome::Done { existed: true }
+        );
+    }
+    assert_eq!(obs.batches.load(Ordering::Relaxed), PUTS);
+    assert_eq!(obs.batched_ops.load(Ordering::Relaxed), PUTS);
+    server.shutdown().unwrap();
+}
+
+/// SYNC is one barrier entry in the one queue: its ack follows the
+/// commit of everything submitted before it, from any connection. On its
+/// own connection that is visible on the wire (every earlier durable
+/// put's ack precedes the SYNC's). For another connection's writes it is
+/// visible as durability: those are sent non-durable, so their ack at
+/// enqueue proves only that they were *submitted* — and once the SYNC is
+/// acked, a device crash must lose none of them.
+#[test]
+fn sync_is_a_barrier_across_connections() {
+    let dev = PmemDevice::optane(256 << 20);
+    let cfg = test_store_config();
+    let store = Arc::new(ChameleonDb::create(Arc::clone(&dev), cfg.clone()).unwrap());
+    let (server, addr) = start_server(&dev, &store, ServerConfig::default());
+
+    // Connection A: submitted (early-acked), not known to be committed.
+    let mut a = Client::connect(addr).unwrap();
+    let a_ids: Vec<(u64, u64)> = (0..512u64)
+        .map(|k| (k, a.send_put(k, &value_for(k), false).unwrap()))
+        .collect();
+    a.flush().unwrap();
+    let mut submitted = Vec::new();
+    for (key, id) in a_ids {
+        match a.recv_for(id).unwrap() {
+            kvclient::Response::Ok { .. } => submitted.push(key),
+            kvclient::Response::Retry { .. } => {}
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    assert!(submitted.len() >= 64, "queue accepted too little to test");
+
+    // Connection B: durable puts, then SYNC, pipelined in one write.
+    let mut b = Client::connect(addr).unwrap();
+    let b_keys: Vec<u64> = (1000..1032u64).collect();
+    let b_ids: Vec<u64> = b_keys
+        .iter()
+        .map(|&k| b.send_put(k, &value_for(k), true).unwrap())
+        .collect();
+    let sync_id = b.send(kvclient::Request::Sync { req_id: 0 }).unwrap();
+    b.flush().unwrap();
+    // Responses in wire order: the SYNC's must be the last of the 33.
+    let mut unacked: HashSet<u64> = b_ids.into_iter().collect();
+    loop {
+        match b.recv_any().unwrap() {
+            kvclient::Response::Ok { req_id } if req_id == sync_id => break,
+            kvclient::Response::Ok { req_id } => assert!(unacked.remove(&req_id)),
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+    assert!(
+        unacked.is_empty(),
+        "SYNC acked ahead of {} durable puts submitted before it",
+        unacked.len()
+    );
+    // The SYNC is acked: everything submitted before it is fenced.
+    dev.crash();
+    server.abort();
+    drop(store);
+
+    let mut ctx = ThreadCtx::with_default_cost();
+    let recovered = ChameleonDb::recover(Arc::clone(&dev), cfg, &mut ctx).unwrap();
+    let mut out = Vec::new();
+    for key in submitted.into_iter().chain(b_keys) {
+        assert!(
+            recovered.get(&mut ctx, key, &mut out).unwrap(),
+            "key {key} was submitted before an acked SYNC and is gone"
+        );
+        assert_eq!(out, value_for(key));
+    }
 }
 
 /// In-process half of the regression: a crash injected at the commit
@@ -330,7 +421,7 @@ fn stats_command_exports_store_and_server_sections() {
     server.shutdown().unwrap();
 }
 
-/// A full lane answers RETRY instead of blocking or dropping, and every
+/// A full commit queue answers RETRY instead of blocking or dropping, and every
 /// accepted write is still acked exactly once.
 #[test]
 fn full_lane_backpressure_yields_retry_not_loss() {
@@ -340,10 +431,8 @@ fn full_lane_backpressure_yields_retry_not_loss() {
         &dev,
         &store,
         ServerConfig {
-            lanes: 1,
             queue_cap: 1,
             max_batch: 1,
-            max_hold: Duration::ZERO,
             ..ServerConfig::default()
         },
     );
@@ -386,8 +475,8 @@ fn graceful_shutdown_drains_queues_and_checkpoints() {
 
     let mut c = Client::connect(addr).unwrap();
     for key in 0..128u64 {
-        // Non-durable: acked at enqueue, still in a lane queue or an
-        // open batch when shutdown starts.
+        // Non-durable: acked at enqueue, still in the commit queue or
+        // an open batch when shutdown starts.
         assert!(matches!(
             c.put(key, &value_for(key), false).unwrap(),
             WriteOutcome::Done { .. }
@@ -410,7 +499,7 @@ fn graceful_shutdown_drains_queues_and_checkpoints() {
     }
 }
 
-/// A commit lane that never drains must not hang the client forever:
+/// A commit queue that never drains must not hang the client forever:
 /// `put_retrying` is bounded and surfaces `TimedOut` once its attempt
 /// budget is spent. The "server" here is a bare socket that answers
 /// RETRY to the first seven puts and only then accepts, so the test

@@ -50,7 +50,7 @@ pub enum WriteOutcome {
     /// Acked. For a durable write the ack implies the commit fence has
     /// run; for a delete, `existed` says whether the key was present.
     Done { existed: bool },
-    /// The write's commit lane was full; resubmit after backoff.
+    /// The server's commit queue was full; resubmit after backoff.
     Retry,
 }
 
@@ -77,14 +77,14 @@ fn server_err(message: String) -> io::Error {
 
 /// Bounded, jittered exponential backoff for [`Client::put_retrying_with`].
 ///
-/// A RETRY response means the key's commit lane was full at enqueue
-/// time; the lane normally drains within one group-commit interval, so
+/// A RETRY response means the server's commit queue was full at enqueue
+/// time; the queue normally drains within a few batch commits, so
 /// retries back off exponentially from [`RetryPolicy::base_delay`] up to
 /// [`RetryPolicy::max_delay`], each sleep jittered down by up to half to
 /// keep a fleet of clients from resubmitting in lockstep. After
 /// [`RetryPolicy::max_attempts`] total attempts the write surfaces
 /// [`io::ErrorKind::TimedOut`] instead of hanging the caller forever on
-/// a wedged lane.
+/// a wedged committer.
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Total submission attempts, the initial one included (min 1).
@@ -278,7 +278,7 @@ impl Client {
     /// Blocking PUT that resubmits on RETRY with explicit backoff
     /// bounds. See [`RetryPolicy`].
     ///
-    /// Only RETRY — "this commit lane was momentarily full" — is
+    /// Only RETRY — "the commit queue was momentarily full" — is
     /// retryable. Terminal responses fail fast on the first attempt:
     /// a clean server shutdown surfaces as
     /// [`io::ErrorKind::ConnectionAborted`], a write refused by a
@@ -410,8 +410,8 @@ impl Client {
         Ok(out)
     }
 
-    /// SYNC barrier: returns once every commit lane has fenced all
-    /// writes submitted before this call on this connection.
+    /// SYNC barrier: returns once the server has committed (fenced) every
+    /// write submitted before this call, on this or any other connection.
     pub fn sync(&mut self) -> io::Result<()> {
         let id = self.send(Request::Sync { req_id: 0 })?;
         match self.recv_for(id)? {

@@ -79,7 +79,7 @@ pub struct OpenLoopReport {
     /// Requests dropped because their connection was saturated at their
     /// due time — the honest alternative to delaying them.
     pub shed: u64,
-    /// RETRY responses (lane backpressure reached the client).
+    /// RETRY responses (commit-queue backpressure reached the client).
     pub retries: u64,
     /// ERR responses.
     pub errors: u64,

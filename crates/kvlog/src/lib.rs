@@ -549,6 +549,7 @@ impl StorageLog {
             batch_start: 0,
             ext_idx: u64::MAX,
             ext_max_seq: 0,
+            claim_unfenced: false,
         }
     }
 
@@ -927,6 +928,10 @@ pub struct LogWriter {
     ext_idx: u64,
     /// Highest sequence number appended into the current extent.
     ext_max_seq: u64,
+    /// The current extent's claim record has not been through one of this
+    /// writer's fences yet (set on claim, cleared by the first
+    /// `fence_batch`, whichever thread issues it).
+    claim_unfenced: bool,
 }
 
 impl LogWriter {
@@ -985,6 +990,7 @@ impl LogWriter {
             let (idx, start, end) = self.log.claim_extent(ctx)?;
             self.ext_idx = idx;
             self.ext_max_seq = 0;
+            self.claim_unfenced = true;
             self.pos = start;
             self.end = end;
             self.batch_start = start;
@@ -1040,13 +1046,19 @@ impl LogWriter {
         // flush queue. A sync issued from another thread (a background
         // flush's WAL fence) re-queues the data range above but would
         // leave the claim record volatile: after a crash the extent reads
-        // as Free and its durable content is unreachable. Flushing the
-        // record here makes every data fence carry it, whoever fences.
-        self.log.dev.flush(
-            ctx,
-            self.log.region.off + self.ext_idx * META_RECORD,
-            META_RECORD as usize,
-        );
+        // as Free and its durable content is unreachable. So the first
+        // data fence after a claim carries the record, whoever fences;
+        // later fences in the same extent leave it alone — the device
+        // charges a whole media block (plus the read-modify-write) for
+        // every flushed record, durable already or not.
+        if self.claim_unfenced {
+            self.log.dev.flush(
+                ctx,
+                self.log.region.off + self.ext_idx * META_RECORD,
+                META_RECORD as usize,
+            );
+            self.claim_unfenced = false;
+        }
         self.log.dev.fence(ctx);
         self.batch_start = self.pos;
     }
@@ -1451,6 +1463,68 @@ mod tests {
         let nm = w2.append(&mut ctx, 999, b"fresh", false).unwrap();
         w2.flush(&mut ctx).unwrap();
         assert_eq!(log2.extent_index(nm.off), Some(0));
+    }
+
+    #[test]
+    fn claim_record_is_flushed_by_the_first_fence_only() {
+        let (dev, log, mut ctx) = setup();
+        let mut w = log.writer();
+        // 232 B of value + 24 B of header: every entry is exactly one
+        // aligned media block, so a fence that carries only data writes
+        // 256 B and no partial block.
+        let value = vec![3u8; 256 - ENTRY_HEADER];
+        w.append(&mut ctx, 0, &value, false).unwrap();
+        w.flush(&mut ctx).unwrap();
+        let first = dev.stats().snapshot();
+        assert_eq!(first.media_bytes_written, 512, "data block + claim record");
+        assert_eq!(first.rmw_blocks, 1, "the 32 B record is a partial block");
+        for k in 1..=8u64 {
+            w.append(&mut ctx, k, &value, false).unwrap();
+            w.flush(&mut ctx).unwrap();
+        }
+        let after = dev.stats().snapshot();
+        assert_eq!(after.fences - first.fences, 8);
+        assert_eq!(
+            after.media_bytes_written - first.media_bytes_written,
+            8 * 256
+        );
+        assert_eq!(after.rmw_blocks, first.rmw_blocks);
+    }
+
+    #[test]
+    fn claim_record_survives_when_another_thread_fences_first() {
+        let (dev, log, _) = setup();
+        let region = log.region();
+        let cost = Arc::new(pmem_sim::CostModel::default());
+        let mut claimer = ThreadCtx::for_thread(Arc::clone(&cost), 1);
+        let mut syncer = ThreadCtx::for_thread(cost, 2);
+        let mut w = log.writer();
+        // The claim record rides the claiming thread's flush queue...
+        for k in 0..4u64 {
+            w.append(&mut claimer, k, b"value", false).unwrap();
+        }
+        // ...but the first fence comes from another thread, and the
+        // claiming thread never fences before the crash.
+        w.flush(&mut syncer).unwrap();
+        dev.crash();
+        let mut rec = [0u8; 8];
+        dev.read_raw(region.off, &mut rec);
+        assert_eq!(u64::from_le_bytes(rec), ExtentState::Active as u64);
+        let mut seen = Vec::new();
+        let log2 = StorageLog::reopen_scan(
+            Arc::clone(&dev),
+            region,
+            LogConfig {
+                capacity: 32 << 20,
+                ..Default::default()
+            },
+            &mut syncer,
+            0,
+            |m| seen.push(m.key),
+        )
+        .unwrap();
+        assert_eq!(seen, vec![0, 1, 2, 3]);
+        assert_ne!(log2.extent_state(0), ExtentState::Free);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The server engine: poll(2)-driven acceptor, reactor I/O workers,
-//! bounded per-shard submission lanes, and group-commit committers.
+//! The server engine: poll(2)-driven acceptor, reactor I/O workers, one
+//! bounded submission queue, and the single group-commit committer.
 //!
 //! # Threading model
 //!
@@ -9,7 +9,7 @@
 //! I/O worker (×N) ──poll over owned conns + wake pipe──┐
 //!   │ reads → frame reassembly → decode                │
 //!   │ GET/STATS/MODE/TRACE served inline               │
-//!   │ PUT/DELETE/SYNC ──try_send──▶ lane queue ──▶ committer
+//!   │ PUT/DELETE/SYNC ──try_send──▶ commit queue ──▶ committer
 //!   │                                                  │
 //!   └── flush bounded per-conn outq ◀── encoded acks ──┘
 //!                        (committer posts to the owning worker's
@@ -30,11 +30,17 @@
 //!   writability. A client that stops reading its replies overflows the
 //!   bound and is disconnected (`slow_consumer_disconnects`); a client
 //!   that goes silent past `idle_timeout` is swept (`idle_disconnects`).
-//! * One **committer thread per lane** drains batches of at most
-//!   `max_batch` ops held at most `max_hold`, appends the whole batch via
-//!   [`ChameleonDb::apply_batch`] — one persist fence at the tail — and
-//!   only then releases the durable acks, encoded and posted back to the
-//!   owning worker through its wake pipe.
+//! * The **committer** is the one commit stage, and it batches
+//!   *naturally*: it blocks only on an empty queue, then takes whatever
+//!   accumulated while the previous batch was committing (at most
+//!   `max_batch` ops), appends it via [`ChameleonDb::apply_batch`] — one
+//!   persist fence at the tail — and only then releases the durable acks,
+//!   encoded and posted back to the owning worker through its wake pipe.
+//!   It never sleeps holding a non-empty batch: the simulated fence costs
+//!   no wall time, so a hold timer would buy latency and nothing else.
+//!   Batches exist to fill 256 B XPLines, which is also why every
+//!   in-flight write meets in one queue — splitting arrivals over several
+//!   committers only makes each fence's batch smaller.
 //! * The **sampler** waits on a condvar with `telemetry_interval`
 //!   timeout (no sleep-polling) and ticks a [`DeltaTracker`] window into
 //!   the [`WindowedSeries`] ring.
@@ -42,10 +48,12 @@
 //! # Request tracing
 //!
 //! `decode` → `lane_enqueue` → `batch_seal` →
-//! `engine_append`/`engine_fence` → `fence_complete` → `ack_write`. The
-//! final `ack_write` stamp lands when the owning worker has fully written
-//! the response frame to the socket — the span seals exactly when the
-//! bytes hit the wire.
+//! `engine_append`/`engine_fence` → `fence_complete` → `ack_write`.
+//! (`lane_enqueue` is the hand-off into the commit queue; the stage keeps
+//! the name the trace consumers already key on.) The final `ack_write`
+//! stamp lands when the owning worker has fully written the response
+//! frame to the socket — the span seals exactly when the bytes hit the
+//! wire.
 //!
 //! # Durability contract
 //!
@@ -53,14 +61,14 @@
 //! which is strictly after the fence covering its log entry. If the
 //! device crashes at that fence, `apply_batch` never returns and the acks
 //! are structurally unreachable — there is no code path that acks first.
-//! SYNC is a barrier across *all* lanes: it is acked once every lane has
-//! fenced everything submitted before it.
+//! SYNC is a barrier entry in the same queue: it is acked after the
+//! commit of everything submitted before it, from any connection.
 
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TrySendError};
+use std::sync::mpsc::{self, Receiver, TrySendError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -79,23 +87,17 @@ use crate::reactor::{self, WakePipe, WorkerShared};
 use crate::repl::{self, AckPolicy, ReplHub, ReplicaFloors};
 
 /// Reactor I/O worker threads (see [`crate::reactor`]). Total service
-/// threads are `IO_WORKERS + lanes + acceptor (+ sampler + sidecar)`
+/// threads are `IO_WORKERS + committer + acceptor (+ sampler + sidecar)`
 /// regardless of connection count.
 pub(crate) const IO_WORKERS: usize = 4;
 
 /// Tuning knobs for the service layer.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Commit lanes (committer threads); writes are routed by key shard.
-    pub lanes: usize,
-    /// Bounded capacity of each lane's submission queue; a full lane
-    /// answers RETRY.
+    /// Bounded capacity of the commit queue; a full queue answers RETRY.
     pub queue_cap: usize,
     /// Most write ops committed under one fence.
     pub max_batch: usize,
-    /// Longest a committer holds a non-full batch open waiting for more
-    /// work (wall-clock; the simulated device has no wall time).
-    pub max_hold: Duration,
     /// Cost model for the per-thread simulation contexts.
     pub cost: Arc<CostModel>,
     /// Request-trace sampling (off by default; the wire trace flag still
@@ -132,10 +134,8 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            lanes: 4,
             queue_cap: 1024,
             max_batch: 64,
-            max_hold: Duration::from_micros(200),
             cost: Arc::new(CostModel::default()),
             trace: TraceConfig::off(),
             telemetry_interval: Duration::from_secs(1),
@@ -155,7 +155,6 @@ impl ServerConfig {
     pub fn batch_of_one() -> Self {
         Self {
             max_batch: 1,
-            max_hold: Duration::ZERO,
             ..Self::default()
         }
     }
@@ -191,33 +190,6 @@ impl ReplyTx {
     }
 }
 
-/// Countdown released once every lane has fenced past the barrier.
-struct SyncGate {
-    remaining: AtomicUsize,
-    req_id: u64,
-    resp: Mutex<Option<ReplyTx>>,
-}
-
-impl SyncGate {
-    /// Counts one lane down; the last lane sends the ack (or `err`).
-    fn arrive(&self, err: Option<&str>) {
-        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            if let Some(tx) = self.resp.lock().take() {
-                let resp = match err {
-                    None => Response::Ok {
-                        req_id: self.req_id,
-                    },
-                    Some(m) => Response::Err {
-                        req_id: self.req_id,
-                        message: m.to_owned(),
-                    },
-                };
-                tx.send(&resp, None);
-            }
-        }
-    }
-}
-
 enum Submission {
     Write {
         op: BatchOp,
@@ -229,16 +201,8 @@ enum Submission {
         /// batch-seal / engine / fence-complete stamps.
         trace: Option<Arc<TraceSpan>>,
     },
-    Barrier(Arc<SyncGate>),
-}
-
-struct Lane {
-    /// Taken (dropped) at shutdown so the committer sees disconnect after
-    /// draining the queue.
-    tx: Mutex<Option<mpsc::SyncSender<Submission>>>,
-    /// Approximate queued submissions (sampled into the queue-depth
-    /// histogram at each batch drain).
-    depth: AtomicUsize,
+    /// SYNC: acked after the commit of everything queued before it.
+    Barrier { req_id: u64, resp: ReplyTx },
 }
 
 pub(crate) struct Shared {
@@ -247,17 +211,24 @@ pub(crate) struct Shared {
     pub(crate) obs: Arc<ServerObs>,
     pub(crate) tracer: Arc<Tracer>,
     windows: Arc<WindowedSeries>,
-    lanes: Vec<Lane>,
+    /// Sending half of the one commit queue every write and SYNC goes
+    /// through. Taken (dropped) at shutdown so the committer sees
+    /// disconnect after draining the queue.
+    queue_tx: Mutex<Option<mpsc::SyncSender<Submission>>>,
+    /// Approximate queued submissions (sampled into the queue-depth
+    /// histogram at each batch drain).
+    queue_depth: AtomicUsize,
     pub(crate) cfg: ServerConfig,
     stop: AtomicBool,
-    /// Set by [`KvServer::abort`]: committers drop queued work unapplied.
+    /// Set by [`KvServer::abort`]: the committer drops queued work
+    /// unapplied.
     pub(crate) discard: AtomicBool,
-    /// Final shutdown phase: committers have drained, reactor workers
+    /// Final shutdown phase: the committer has drained, reactor workers
     /// flush what they hold and exit.
     pub(crate) drained: AtomicBool,
     /// Reactor I/O workers.
     pub(crate) workers: Vec<Arc<WorkerShared>>,
-    /// Replication hub: committers publish fenced batches, subscribers
+    /// Replication hub: the committer publishes fenced batches, subscribers
     /// and their acks register through [`handle_request`].
     pub(crate) repl: ReplHub,
     accept_wake: WakePipe,
@@ -274,11 +245,11 @@ impl Shared {
         self.stop.load(Ordering::SeqCst)
     }
 
-    /// A simulation context with a thread id no committer or reactor
-    /// worker will reuse (allocated from the same sequence as connection
-    /// ids).
+    /// A simulation context with a thread id neither the committer (0)
+    /// nor a reactor worker (`1 + idx`) will reuse (allocated from the
+    /// same sequence as connection ids).
     pub(crate) fn sidecar_ctx(&self) -> ThreadCtx {
-        let id = self.cfg.lanes + IO_WORKERS + self.conn_seq.fetch_add(1, Ordering::Relaxed);
+        let id = 1 + IO_WORKERS + self.conn_seq.fetch_add(1, Ordering::Relaxed);
         ThreadCtx::for_thread(Arc::clone(&self.cfg.cost), id)
     }
 
@@ -308,7 +279,7 @@ pub struct KvServer {
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    committers: Vec<JoinHandle<()>>,
+    committer: Option<JoinHandle<()>>,
     sampler: Option<JoinHandle<()>>,
     http: Option<JoinHandle<()>>,
     http_addr: Option<SocketAddr>,
@@ -317,8 +288,8 @@ pub struct KvServer {
 
 impl KvServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// acceptor, the reactor I/O workers, one committer per lane, the
-    /// telemetry sampler, and (if configured) the HTTP metrics sidecar.
+    /// acceptor, the reactor I/O workers, the committer, the telemetry
+    /// sampler, and (if configured) the HTTP metrics sidecar.
     pub fn start(
         addr: &str,
         dev: Arc<PmemDevice>,
@@ -326,7 +297,6 @@ impl KvServer {
         obs: Arc<ServerObs>,
         cfg: ServerConfig,
     ) -> io::Result<Self> {
-        assert!(cfg.lanes >= 1, "need at least one commit lane");
         assert!(cfg.max_batch >= 1, "need at least batch-of-1");
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -340,16 +310,7 @@ impl KvServer {
             libc::listen(listener.as_raw_fd(), 4096);
         }
 
-        let mut lanes = Vec::with_capacity(cfg.lanes);
-        let mut receivers = Vec::with_capacity(cfg.lanes);
-        for _ in 0..cfg.lanes {
-            let (tx, rx) = mpsc::sync_channel(cfg.queue_cap);
-            lanes.push(Lane {
-                tx: Mutex::new(Some(tx)),
-                depth: AtomicUsize::new(0),
-            });
-            receivers.push(rx);
-        }
+        let (tx, rx) = mpsc::sync_channel(cfg.queue_cap);
         let workers = (0..IO_WORKERS)
             .map(|i| WorkerShared::new(i).map(Arc::new))
             .collect::<io::Result<Vec<_>>>()?;
@@ -362,7 +323,8 @@ impl KvServer {
             obs,
             tracer,
             windows,
-            lanes,
+            queue_tx: Mutex::new(Some(tx)),
+            queue_depth: AtomicUsize::new(0),
             cfg,
             stop: AtomicBool::new(false),
             discard: AtomicBool::new(false),
@@ -376,16 +338,12 @@ impl KvServer {
             conn_seq: AtomicUsize::new(0),
         });
 
-        let committers = receivers
-            .into_iter()
-            .enumerate()
-            .map(|(i, rx)| {
-                let sh = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("kvs-commit-{i}"))
-                    .spawn(move || committer_loop(&sh, i, rx))
-            })
-            .collect::<io::Result<Vec<_>>>()?;
+        let committer = {
+            let sh = Arc::clone(&shared);
+            thread::Builder::new()
+                .name("kvs-commit".to_owned())
+                .spawn(move || committer_loop(&sh, rx))?
+        };
 
         let worker_handles = shared
             .workers
@@ -430,7 +388,7 @@ impl KvServer {
             shared,
             acceptor: Some(acceptor),
             workers: worker_handles,
-            committers,
+            committer: Some(committer),
             sampler,
             http,
             http_addr,
@@ -460,16 +418,16 @@ impl KvServer {
     }
 
     /// Total service threads this server runs (acceptor + I/O workers +
-    /// committers + sampler + sidecar) — constant in the connection
+    /// committer + sampler + sidecar) — constant in the connection
     /// count.
     pub fn thread_count(&self) -> usize {
         1 + self.workers.len()
-            + self.committers.len()
+            + usize::from(self.committer.is_some())
             + usize::from(self.sampler.is_some())
             + usize::from(self.http.is_some())
     }
 
-    /// Graceful shutdown: stop accepting, drain every lane queue
+    /// Graceful shutdown: stop accepting, drain the commit queue
     /// (committing what was accepted), flush the final acks to their
     /// connections, then take a final checkpoint. Returns an error
     /// listing any panicked threads.
@@ -517,14 +475,12 @@ impl KvServer {
         if let Some(h) = self.http.take() {
             join(h, "http sidecar", &mut panics);
         }
-        // Committers drain their queues (posting final acks to the
-        // reactor workers, which are still running) and exit on channel
+        // The committer drains the queue (posting final acks to the
+        // reactor workers, which are still running) and exits on channel
         // disconnect.
-        for lane in &sh.lanes {
-            drop(lane.tx.lock().take());
-        }
-        for (i, h) in self.committers.drain(..).enumerate() {
-            join(h, &format!("committer {i}"), &mut panics);
+        drop(sh.queue_tx.lock().take());
+        if let Some(h) = self.committer.take() {
+            join(h, "committer", &mut panics);
         }
         // Only now may the workers go: every ack that will ever exist is
         // in an inbox. Workers flush best-effort and close their conns.
@@ -653,7 +609,7 @@ fn span_for_write(sh: &Shared, op: &'static str, key: u64, forced: bool) -> Opti
 
 /// Dispatches one decoded request on the reactor worker that read it:
 /// GET/STATS/MODE/TRACE answer inline through `reply`, PUT/DELETE/SYNC
-/// route to the commit lanes (their acks come back through the same
+/// go to the commit queue (their acks come back through the same
 /// `reply` after the fence).
 pub(crate) fn handle_request(
     sh: &Arc<Shared>,
@@ -711,7 +667,6 @@ pub(crate) fn handle_request(
             submit_write(
                 sh,
                 BatchOp::Put { key, value },
-                key,
                 req_id,
                 durable,
                 span,
@@ -728,7 +683,7 @@ pub(crate) fn handle_request(
             let span = span_for_write(sh, "delete", key, traced);
             // Deletes are always acked post-commit: the outcome
             // (existed or not) is only known once the batch applies.
-            submit_write(sh, BatchOp::Delete { key }, key, req_id, true, span, reply);
+            submit_write(sh, BatchOp::Delete { key }, req_id, true, span, reply);
         }
         Request::Sync { req_id } => {
             ServerObs::bump(&obs.syncs);
@@ -761,7 +716,7 @@ pub(crate) fn handle_request(
                 s.stamp("decode");
             }
             // Served inline like GET: the store scans under its own epoch
-            // pin (merge + per-candidate probe), no lane round-trip.
+            // pin (merge + per-candidate probe), no committer round-trip.
             let resp = match sh.store.scan(ctx, start_key, limit as usize) {
                 Ok(keys) => Response::Keys { req_id, keys },
                 Err(e) => Response::Err {
@@ -840,18 +795,17 @@ pub(crate) fn handle_request(
     }
 }
 
-/// Routes one write to its lane. Non-durable writes are acked here, at
-/// enqueue; durable ones are acked by the committer after the fence.
+/// Queues one write for the committer. Non-durable writes are acked
+/// here, at enqueue; durable ones are acked by the committer after the
+/// fence.
 fn submit_write(
     sh: &Arc<Shared>,
     op: BatchOp,
-    key: u64,
     req_id: u64,
     durable: bool,
     span: Option<Arc<TraceSpan>>,
     reply: &ReplyTx,
 ) {
-    let lane = &sh.lanes[sh.store.shard_of_key(key) % sh.cfg.lanes];
     // Stamp before the send: once the committer can see the submission
     // it may seal the batch at any moment, and stamps must stay in
     // pipeline order.
@@ -867,8 +821,8 @@ fn submit_write(
     };
     // Count before sending so the committer's decrement (which follows
     // its recv, which follows this send) can never underflow.
-    lane.depth.fetch_add(1, Ordering::Relaxed);
-    let sent = match &*lane.tx.lock() {
+    sh.queue_depth.fetch_add(1, Ordering::Relaxed);
+    let sent = match &*sh.queue_tx.lock() {
         Some(tx) => tx.try_send(sub),
         None => Err(TrySendError::Disconnected(sub)),
     };
@@ -882,7 +836,7 @@ fn submit_write(
             }
         }
         Err(TrySendError::Full(_)) => {
-            lane.depth.fetch_sub(1, Ordering::Relaxed);
+            sh.queue_depth.fetch_sub(1, Ordering::Relaxed);
             ServerObs::bump(&sh.obs.retries);
             if let Some(s) = &span {
                 s.annotate("retry");
@@ -890,7 +844,7 @@ fn submit_write(
             reply.send(&Response::Retry { req_id }, span);
         }
         Err(TrySendError::Disconnected(_)) => {
-            lane.depth.fetch_sub(1, Ordering::Relaxed);
+            sh.queue_depth.fetch_sub(1, Ordering::Relaxed);
             if let Some(s) = &span {
                 s.annotate("shutdown");
             }
@@ -905,74 +859,55 @@ fn submit_write(
     }
 }
 
-/// Posts a SYNC barrier to every lane; the last lane to fence past it
-/// sends the ack.
+/// Queues a SYNC barrier behind everything already submitted; the
+/// committer acks it after committing the batch it lands in.
 fn submit_barrier(sh: &Arc<Shared>, req_id: u64, reply: &ReplyTx) {
-    let gate = Arc::new(SyncGate {
-        remaining: AtomicUsize::new(sh.cfg.lanes),
+    sh.queue_depth.fetch_add(1, Ordering::Relaxed);
+    let barrier = Submission::Barrier {
         req_id,
-        resp: Mutex::new(Some(reply.clone())),
-    });
-    for lane in &sh.lanes {
-        lane.depth.fetch_add(1, Ordering::Relaxed);
-        // Blocking send: a barrier must not be dropped for backpressure,
-        // and the committer is always draining, so this cannot wedge.
-        let sent = match lane.tx.lock().as_ref() {
-            Some(tx) => tx.send(Submission::Barrier(Arc::clone(&gate))).is_ok(),
-            None => false,
-        };
-        if !sent {
-            lane.depth.fetch_sub(1, Ordering::Relaxed);
-            gate.arrive(Some("server shutting down"));
-        }
+        resp: reply.clone(),
+    };
+    // Blocking send: a barrier must not be dropped for backpressure, and
+    // the committer is always draining, so this cannot wedge.
+    let sent = match sh.queue_tx.lock().as_ref() {
+        Some(tx) => tx.send(barrier).is_ok(),
+        None => false,
+    };
+    if !sent {
+        sh.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        reply.send(
+            &Response::Err {
+                req_id,
+                message: "server shutting down".to_owned(),
+            },
+            None,
+        );
     }
 }
 
-fn committer_loop(sh: &Arc<Shared>, lane_idx: usize, rx: Receiver<Submission>) {
-    let mut ctx = ThreadCtx::for_thread(Arc::clone(&sh.cfg.cost), lane_idx);
-    let lane = &sh.lanes[lane_idx];
-    loop {
-        // Block until there is work; disconnect after drain means
-        // shutdown.
-        let first = match rx.recv() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        lane.depth.fetch_sub(1, Ordering::Relaxed);
+/// The one commit stage. Blocks only while the queue is empty; whatever
+/// piled up behind the first submission (while the previous batch was
+/// committing) joins its batch, and the batch commits at once — a
+/// non-empty batch is never held waiting for company.
+fn committer_loop(sh: &Arc<Shared>, rx: Receiver<Submission>) {
+    let mut ctx = ThreadCtx::for_thread(Arc::clone(&sh.cfg.cost), 0);
+    // Disconnect after drain means shutdown.
+    while let Ok(first) = rx.recv() {
         let mut batch = vec![first];
-        if sh.cfg.max_batch > 1 {
-            let deadline = Instant::now() + sh.cfg.max_hold;
-            while batch.len() < sh.cfg.max_batch {
-                let left = deadline.saturating_duration_since(Instant::now());
-                let next = if left.is_zero() {
-                    match rx.try_recv() {
-                        Ok(s) => s,
-                        Err(_) => break,
-                    }
-                } else {
-                    match rx.recv_timeout(left) {
-                        Ok(s) => s,
-                        Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                            break
-                        }
-                    }
-                };
-                lane.depth.fetch_sub(1, Ordering::Relaxed);
-                batch.push(next);
-            }
-        }
+        batch.extend(rx.try_iter().take(sh.cfg.max_batch - 1));
+        sh.queue_depth.fetch_sub(batch.len(), Ordering::Relaxed);
         if sh.discard.load(Ordering::SeqCst) {
             // Aborting: drop the batch unapplied and unacked (the reply
             // handles just go away). Keep draining so senders never
             // block.
             continue;
         }
-        commit_batch(sh, &mut ctx, lane, batch);
+        commit_batch(sh, &mut ctx, batch);
     }
 }
 
-fn commit_batch(sh: &Arc<Shared>, ctx: &mut ThreadCtx, lane: &Lane, batch: Vec<Submission>) {
-    let queue_depth = lane.depth.load(Ordering::Relaxed) as u64;
+fn commit_batch(sh: &Arc<Shared>, ctx: &mut ThreadCtx, batch: Vec<Submission>) {
+    let queue_depth = sh.queue_depth.load(Ordering::Relaxed) as u64;
     let mut ops = Vec::with_capacity(batch.len());
     let mut writes = Vec::with_capacity(batch.len());
     let mut barriers = Vec::new();
@@ -986,25 +921,38 @@ fn commit_batch(sh: &Arc<Shared>, ctx: &mut ThreadCtx, lane: &Lane, batch: Vec<S
                 trace,
             } => {
                 // The batch is sealed: `batch_seal` closes the
-                // queue-wait + batch-hold stage for every traced op.
+                // queue-wait stage for every traced op.
                 if let Some(s) = &trace {
                     s.stamp("batch_seal");
                 }
                 ops.push(op);
                 writes.push((req_id, durable, resp, trace));
             }
-            Submission::Barrier(gate) => barriers.push(gate),
+            Submission::Barrier { req_id, resp } => barriers.push((req_id, resp)),
         }
     }
+    // SYNC acks go out after the batch's commit, whatever its outcome.
+    // They stay local-fence under either ack policy: they assert device
+    // durability, not replica propagation.
+    let ack_barriers = |err: Option<&str>| {
+        for (req_id, resp) in &barriers {
+            let r = match err {
+                None => Response::Ok { req_id: *req_id },
+                Some(m) => Response::Err {
+                    req_id: *req_id,
+                    message: m.to_owned(),
+                },
+            };
+            resp.send(&r, None);
+        }
+    };
 
     if ops.is_empty() {
-        // Barrier-only batch: everything previously committed on this
-        // lane is already fenced, but flush the writer anyway so a
-        // barrier is a fence even across future refactors.
+        // Barrier-only batch: everything committed before it is already
+        // fenced, but flush the writer anyway so a barrier is a fence
+        // even across future refactors.
         let err = sh.store.sync_writer(ctx).err().map(|e| format!("{e:?}"));
-        for gate in barriers {
-            gate.arrive(err.as_deref());
-        }
+        ack_barriers(err.as_deref());
         return;
     }
 
@@ -1061,11 +1009,7 @@ fn commit_batch(sh: &Arc<Shared>, ctx: &mut ThreadCtx, lane: &Lane, batch: Vec<S
                 }
             }
             sh.repl.publish(&ops, withheld);
-            // SYNC barriers stay local-fence under either policy: they
-            // assert device durability, not replica propagation.
-            for gate in barriers {
-                gate.arrive(None);
-            }
+            ack_barriers(None);
         }
         Err(e) => {
             let msg = format!("{e:?}");
@@ -1080,9 +1024,7 @@ fn commit_batch(sh: &Arc<Shared>, ctx: &mut ThreadCtx, lane: &Lane, batch: Vec<S
                     );
                 }
             }
-            for gate in barriers {
-                gate.arrive(Some(&msg));
-            }
+            ack_barriers(Some(&msg));
         }
     }
 }

@@ -11,8 +11,9 @@
 //!   inline lock-free GETs, and bounded per-connection response queues
 //!   with slow-consumer disconnect. Thread count is constant in the
 //!   connection count.
-//! * The **group-commit engine** — one committer per lane drains its
-//!   queue into batches, appends each batch through
+//! * The **group-commit engine** — one committer drains the one commit
+//!   queue into batches (whatever has accumulated, never a timed hold),
+//!   appends each batch through
 //!   [`chameleondb::ChameleonDb::apply_batch`] under a single persist
 //!   fence, and releases durable acks only after that fence. On the
 //!   simulated Optane device this amortizes both the fence and the

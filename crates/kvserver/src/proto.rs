@@ -28,7 +28,7 @@
 //!   DELETED   (0x03) :=
 //!   STATS     (0x04) := len:u32 text[len]
 //!   MODE      (0x05) := mode:u8
-//!   RETRY     (0x06) :=                 (lane queue full; resubmit)
+//!   RETRY     (0x06) :=                 (commit queue full; resubmit)
 //!   ERR       (0x07) := len:u32 utf8[len]
 //!   TRACE     (0x08) := len:u32 text[len]   (trace-payload JSON)
 //!   KEYS      (0x09) := count:u32 key:u64 * count   (ascending live keys)

@@ -7,13 +7,13 @@
 //! reassembly, inline dispatch, and writes all happen on the worker
 //! thread, so per-connection state needs no locking. Cross-thread
 //! traffic arrives only through the worker's **inbox** (new connections
-//! from the acceptor, completed durable acks from the committers), paired
+//! from the acceptor, completed durable acks from the committer), paired
 //! with a [`WakePipe`] so a blocked `poll` learns about it immediately.
 //!
 //! GET/STATS/MODE/TRACE are served inline on the worker through the
-//! lock-free epoch-pinned read path; PUT/DELETE/SYNC route to the
-//! group-commit lanes, and the committer finishes the ack by posting the
-//! encoded response frame back to the owning worker's inbox.
+//! lock-free epoch-pinned read path; PUT/DELETE/SYNC go to the commit
+//! queue, and the committer finishes the ack by posting the encoded
+//! response frame back to the owning worker's inbox.
 //!
 //! A worker's loop never sleeps blind: it blocks in `poll` until a
 //! socket is ready, a wakeup arrives, or the idle-sweep interval passes.
@@ -113,7 +113,7 @@ pub(crate) struct Completion {
 pub(crate) struct Inbox {
     /// New connections from the acceptor (id, nonblocking stream).
     pub conns: Vec<(u64, TcpStream)>,
-    /// Durable acks / barrier acks from the committers.
+    /// Durable acks / barrier acks from the committer.
     pub completions: Vec<Completion>,
 }
 
@@ -126,7 +126,7 @@ pub(crate) struct WorkerShared {
     /// `poll(2)` calls made — the worker's true wakeup count. Near-zero
     /// on an idle server; the idle-CPU regression test pins this.
     pub polls: AtomicU64,
-    /// Wakeup posts targeted at this worker (acceptor + committers +
+    /// Wakeup posts targeted at this worker (acceptor + committer +
     /// self-posts from inline dispatch).
     pub wakeups: AtomicU64,
     /// Connections currently owned by this worker.
@@ -168,8 +168,8 @@ impl WorkerShared {
     }
 
     /// Posts an encoded response frame for one of this worker's
-    /// connections (from a committer, a sync gate, or the worker itself
-    /// during inline dispatch).
+    /// connections (from the committer or the worker itself during
+    /// inline dispatch).
     pub fn post_completion(&self, conn_id: u64, frame: Vec<u8>, span: Option<Arc<TraceSpan>>) {
         self.inbox.lock().completions.push(Completion {
             conn_id,
@@ -221,8 +221,8 @@ fn poll_timeout_ms(idle_timeout: Option<Duration>) -> libc::c_int {
 /// responses. Runs until the server signals the drained phase of
 /// shutdown (see `KvServer::stop_threads`).
 pub(crate) fn worker_loop(sh: &Arc<Shared>, w: &Arc<WorkerShared>) {
-    // Committers own simulated-thread ids 0..lanes; workers come next.
-    let mut ctx = ThreadCtx::for_thread(Arc::clone(&sh.cfg.cost), sh.cfg.lanes + w.idx);
+    // The committer owns simulated-thread id 0; workers come next.
+    let mut ctx = ThreadCtx::for_thread(Arc::clone(&sh.cfg.cost), 1 + w.idx);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut scratch = vec![0u8; 64 * 1024];
     let mut valbuf = Vec::new();
@@ -281,7 +281,7 @@ pub(crate) fn worker_loop(sh: &Arc<Shared>, w: &Arc<WorkerShared>) {
         w.queued_bytes.store(queued_total, Ordering::Relaxed);
         w.open_conns.store(conns.len() as u64, Ordering::Relaxed);
 
-        // Shutdown: keep serving until every committer has drained (their
+        // Shutdown: keep serving until the committer has drained (its
         // final acks arrive through the inbox above), then exit. `abort`
         // skips the flush — queued replies are discarded with the conns.
         if sh.drained.load(Ordering::SeqCst) {
@@ -299,7 +299,7 @@ pub(crate) fn worker_loop(sh: &Arc<Shared>, w: &Arc<WorkerShared>) {
         // Periodic idle sweep: a silent (dead or half-open) peer must not
         // pin a connection slot forever. Idleness is *no activity and no
         // obligations*: a connection with queued response bytes still
-        // draining, or a request in flight (an un-acked lane submission,
+        // draining, or a request in flight (an un-acked queued write,
         // a pending quorum ack), is live regardless of how long the
         // socket has been read-silent, and must not be reaped.
         if let Some(idle) = sh.cfg.idle_timeout {
@@ -389,7 +389,7 @@ pub(crate) fn worker_loop(sh: &Arc<Shared>, w: &Arc<WorkerShared>) {
 /// Final pass of a graceful shutdown: requests the client flushed
 /// before the stop may still sit unread in kernel socket buffers. Read
 /// and dispatch them so every request *received* before the close gets
-/// an explicit answer — the lanes are already gone, so writes come back
+/// an explicit answer — the commit queue is already closed, so writes come back
 /// as `Err("server shutting down")` — rather than a silent EOF, then
 /// flush each connection's queue under a bounded deadline.
 fn drain_conns(
@@ -415,7 +415,7 @@ fn drain_conns(
         }
         dispatch_frames(sh, ctx, c, w, valbuf);
     }
-    // The dispatches above answered inline (committers are already
+    // The dispatches above answered inline (the committer is already
     // joined, so nobody else posts), but every `ReplyTx` send routes
     // through this worker's own inbox — collect those replies onto
     // their connections before the final flush.

@@ -5,10 +5,12 @@
 //!
 //! # Ship indices
 //!
-//! Log sequence numbers interleave across commit lanes, but each
-//! subscriber's frame delivery is FIFO, so the stream is ordered by a
-//! dense 1-based **ship index** assigned per published chunk under the
-//! hub lock. A committed batch that encodes larger than one frame is
+//! Log sequence numbers are no stream position — the log's sequence is
+//! shared with every other writer of the store, and one batch may need
+//! several frames — but the one committer publishes batches in commit
+//! order and each subscriber's frame delivery is FIFO, so the stream is
+//! ordered by a dense 1-based **ship index** assigned per published
+//! chunk under the hub lock. A committed batch that encodes larger than one frame is
 //! split greedily into chunks, each with its own ship index; a replica
 //! that has applied ship `s` has applied every op of every chunk `<= s`.
 //!
@@ -140,7 +142,7 @@ struct HubInner {
 }
 
 /// The primary's replication hub. Owned by the server's `Shared` state;
-/// committers publish into it after each fence, reactor workers
+/// the committer publishes into it after each fence, reactor workers
 /// subscribe and ack through it.
 pub(crate) struct ReplHub {
     /// Set on first subscribe (or at construction under a quorum
