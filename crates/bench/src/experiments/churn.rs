@@ -1,12 +1,12 @@
 //! `churn` — sustained-overwrite survival under value-log GC.
 //!
 //! A constant live set is overwritten ≥20× its own volume while the
-//! extent-lifecycle GC (on by default) relocates live entries out of the
-//! deadest sealed extents and reclaims them. The log is deliberately
-//! sized far below the total appended volume: if GC falls behind, the
-//! run dies with `Full("storage log capacity")` instead of quietly
-//! growing. The experiment samples space accounting throughout and
-//! enforces the survival invariants:
+//! extent-lifecycle GC (a post-paper feature, switched on here) relocates
+//! live entries out of the deadest sealed extents and reclaims them. The
+//! log is deliberately sized far below the total appended volume: if GC
+//! falls behind, the run dies with `Full("storage log capacity")` instead
+//! of quietly growing. The experiment samples space accounting throughout
+//! and enforces the survival invariants:
 //!
 //! - footprint stays bounded by the space-amplification target
 //!   (2× live bytes, plus extent-granularity slack for extents mid-pass
@@ -115,13 +115,16 @@ pub fn run(opts: &Opts) -> ChurnReport {
         max_value: 4 << 10,
         ..LogConfig::default()
     };
-    // Lock-step maintenance: GC still runs on the worker pool, but each
-    // put drains its own enqueued work, so the space samples, the fence
-    // stream and the latency split are deterministic run to run (the CI
-    // smoke step needs reproducible pass/fail, and the footprint bound
-    // is only meaningful when GC is never starved by thread scheduling).
+    // The harness config is the paper's engine, which has neither GC nor
+    // a worker pool; this campaign is about both. Lock-step maintenance:
+    // GC runs on the worker pool, but each put drains its own enqueued
+    // work, so the space samples, the fence stream and the latency split
+    // are deterministic run to run (the CI smoke step needs reproducible
+    // pass/fail, and the footprint bound is only meaningful when GC is
+    // never starved by thread scheduling).
+    cfg.gc.enabled = true;
+    cfg.bg.enabled = true;
     cfg.bg.synchronous = true;
-    assert!(cfg.gc.enabled, "churn must run with GC on (the default)");
     let (dev, mut db) = stores::build_chameleon_with(scale, cfg);
     dev.set_active_threads(1);
     println!(

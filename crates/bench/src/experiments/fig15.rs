@@ -58,15 +58,18 @@ pub fn run(opts: &Opts) -> Vec<Fig15Series> {
             timeline,
         });
     }
-    if out.len() == 3 {
-        let lbl = out[0].avg_mops;
-        println!(
-            "  Direct vs Level-by-Level: {:+.1}%   Direct+WIM vs Direct: {:+.1}%",
-            (out[1].avg_mops / lbl - 1.0) * 100.0,
-            (out[2].avg_mops / out[1].avg_mops - 1.0) * 100.0
-        );
-    }
+    let [lbl, direct, wim] = [out[0].avg_mops, out[1].avg_mops, out[2].avg_mops];
+    println!(
+        "  Direct vs Level-by-Level: {:+.1}%   Direct+WIM vs Direct: {:+.1}%",
+        (direct / lbl - 1.0) * 100.0,
+        (wim / direct - 1.0) * 100.0
+    );
     write_json(opts, "fig15_compaction_modes", &out);
+    if opts.quick && wim <= direct {
+        // The CI paper smoke: §3.5's Write-Intensive Mode must pay off.
+        eprintln!("fig15 ordering flipped: Direct+WIM {wim:.2} !> Direct {direct:.2} Mops/s");
+        std::process::exit(1);
+    }
     out
 }
 

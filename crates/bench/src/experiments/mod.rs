@@ -1,7 +1,6 @@
 //! One module per reproduced table/figure.
 
 pub mod ablate;
-pub mod bg_maint;
 pub mod churn;
 pub mod crash;
 pub mod fig01;

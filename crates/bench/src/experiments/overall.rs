@@ -153,7 +153,8 @@ pub fn fig12(opts: &Opts) -> Vec<ThroughputPoint> {
 
     // ChameleonDB with a live put stream: the same get scaling measured
     // while one extra writer thread keeps inserting fresh keys, driving
-    // real MemTable freezes, flushes, and compactions under the readers.
+    // real flushes and compactions (inline on the writer) under the
+    // readers.
     // Gets go through the epoch-published shard views, so the put stream
     // must not serialize them — and every loaded key must stay visible
     // (`not_found == 0`) across every republish.
@@ -339,7 +340,44 @@ pub fn table4(opts: &Opts) -> Vec<Table4Row> {
     }
     write_json(opts, "table4_overall", &rows);
     fig3(opts, &rows);
+    if opts.quick {
+        // The CI paper smoke.
+        let flipped = flipped_orderings(&rows);
+        if !flipped.is_empty() {
+            for f in &flipped {
+                eprintln!("table4 ordering flipped: {f}");
+            }
+            std::process::exit(1);
+        }
+    }
     rows
+}
+
+/// The Table 4 orderings the paper's summary rests on (§3.3, §3.5): put
+/// throughput Pmem-Hash < ChameleonDB < Dram-Hash, Write-Intensive Mode
+/// above normal mode, and a DRAM footprint below Dram-Hash's. Returns one
+/// line per flipped ordering.
+pub fn flipped_orderings(rows: &[Table4Row]) -> Vec<String> {
+    type Measure = fn(&Table4Row) -> f64;
+    let put: Measure = |r| r.put_mops;
+    let dram: Measure = |r| r.dram_footprint_bytes as f64 / (1 << 20) as f64;
+    let row = |store: &str| {
+        rows.iter()
+            .find(|r| r.store == store)
+            .unwrap_or_else(|| panic!("table4 has no {store} row"))
+    };
+    [
+        ("put Mops/s", put, "Pmem-Hash", "ChameleonDB"),
+        ("put Mops/s", put, "ChameleonDB", "Dram-Hash"),
+        ("put Mops/s", put, "ChameleonDB", "ChameleonDB(WIM)"),
+        ("DRAM MB", dram, "ChameleonDB", "Dram-Hash"),
+    ]
+    .into_iter()
+    .filter_map(|(what, measure, lo, hi)| {
+        let (a, b) = (measure(row(lo)), measure(row(hi)));
+        (a >= b).then(|| format!("{what}: {lo} {a:.2} !< {hi} {b:.2}"))
+    })
+    .collect()
 }
 
 /// Fig. 3: the four-measure normalized comparison, derived from Table 4
@@ -392,4 +430,30 @@ fn fig3(opts: &Opts, rows: &[Table4Row]) {
         );
     }
     write_json(opts, "fig03_normalized", &out);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// 50k keys is the smallest round scale at which every shard has
+    /// paid a last-level compaction — below it ChameleonDB out-puts
+    /// Dram-Hash. One thread, so the rows are deterministic.
+    #[test]
+    fn table4_orderings_hold_at_tiny_scale() {
+        let opts = Opts {
+            keys: 50_000,
+            ops: 2_000,
+            threads: 1,
+            out_dir: None,
+            ..Opts::default()
+        };
+        let mut rows = table4(&opts);
+        let flipped = flipped_orderings(&rows);
+        assert!(flipped.is_empty(), "{flipped:?}");
+        // The gate is not vacuous: the parent's ChameleonDB row (put above
+        // Dram-Hash and above its own WIM) trips two orderings.
+        rows[0].put_mops = 150.0;
+        assert_eq!(flipped_orderings(&rows).len(), 2);
+    }
 }

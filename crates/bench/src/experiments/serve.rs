@@ -5,37 +5,33 @@
 //! (drains the commit queue, takes a final checkpoint) and prints the
 //! observability snapshot.
 //!
-//! `serve-bench` measures what group commit buys: a closed-loop
-//! multi-connection load (durable puts with interleaved gets) runs twice
-//! over real TCP loopback — once with `max_batch = 1` (a persist fence
-//! per put) and once with natural batching (the committer takes whatever
-//! has queued up, never waits for more) — and reports throughput, client
-//! wall-clock latency, and the media cost per put (256B media blocks,
-//! fences, read-modify-write penalties). The batched run amortizes one
-//! fence across the batch, so media blocks per put and RMW charges drop;
-//! `--quick` additionally asserts the workload was clean (no protocol
-//! errors, no lost reads, no thread panics) for the CI smoke job.
+//! `serve-bench` holds the two service-layer measurements `kvbench` does
+//! not carry yet: `--conns N` runs the same offered load over 16 and over
+//! N connections and asserts a constant service-thread count and no
+//! catastrophic tail; `--open-loop` sweeps offered load with a
+//! coordinated-omission-free generator. What group commit and request
+//! tracing cost is measured by kvbench's `serve-put` / `serve-mixed`
+//! workloads (`kvserver.mean_batch_ops`, `fences_per_put`,
+//! `media_write_bytes_per_put`, `rmw_blocks_per_put`,
+//! `chameleon-obs.traced_ops_share`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use chameleon_obs::{ServerObs, TraceConfig};
 use chameleondb::{ChameleonConfig, ChameleonDb};
 use kvclient::openloop::{self, OpenLoopConfig, OpenLoopReport};
-use kvclient::Client;
 use kvserver::{KvServer, ServerConfig};
-use pmem_sim::{Histogram, PmemDevice};
+use pmem_sim::PmemDevice;
 use serde::Serialize;
 
-use crate::util::{fmt_bytes, header, write_json, Opts};
+use crate::util::{header, Opts};
 
-/// Store geometry for the service-layer runs: enough MemTable capacity
-/// that the short benchmark never flushes, so the media deltas isolate
-/// the log write path the two commit policies differ on. Observability
-/// is on so the windowed telemetry (and the server-side latency columns)
-/// have per-op histograms to delta.
+/// Store geometry for the service-layer runs (service defaults, not the
+/// paper profile). Observability is on so the windowed telemetry has
+/// per-op histograms to delta.
 fn serve_store_config() -> ChameleonConfig {
     let mut cfg = ChameleonConfig::with_shards(64);
     cfg.obs = chameleon_obs::ObsConfig::on();
@@ -143,278 +139,16 @@ pub fn serve(opts: &Opts) {
     }
 }
 
-/// One measured serve-bench configuration.
-#[derive(Debug, Clone, Serialize)]
-pub struct ServeBenchRow {
-    pub policy: String,
-    pub connections: usize,
-    pub max_batch: usize,
-    pub puts: u64,
-    pub gets: u64,
-    pub retries: u64,
-    pub wall_secs: f64,
-    pub ops_per_sec: f64,
-    /// Client-observed wall-clock put latency (includes the wait in the
-    /// commit queue behind the batch in flight), from the kvclient per-op
-    /// histograms.
-    pub put_p50_us: f64,
-    pub put_p99_us: f64,
-    /// Server-side put latency from the engine's histograms, in
-    /// *simulated* device microseconds — the media cost of the put,
-    /// excluding protocol, queueing, and batching waits. The gap between
-    /// this and the client columns is the service-layer overhead.
-    pub server_put_p50_us: f64,
-    pub server_put_p99_us: f64,
-    /// Media traffic attributed to the run, per put.
-    pub media_blocks_per_put: f64,
-    pub rmw_blocks_per_put: f64,
-    pub fences_per_kput: f64,
-    /// Durable acks per commit fence x1000 (from the server counters).
-    pub acks_per_fence_milli: u64,
-    /// Mean committed batch size (server side).
-    pub mean_batch: f64,
-}
-
-struct ClientTally {
-    latency: Histogram,
-    puts: u64,
-    gets: u64,
-    retries: u64,
-    lost_reads: u64,
-}
-
-/// Closed-loop worker: durable puts of unique keys with a read-back
-/// every 16th op.
-fn client_loop(addr: std::net::SocketAddr, conn_id: u64, ops: u64) -> ClientTally {
-    let mut c = Client::connect(addr).expect("serve-bench: connect");
-    let mut t = ClientTally {
-        latency: Histogram::new(),
-        puts: 0,
-        gets: 0,
-        retries: 0,
-        lost_reads: 0,
-    };
-    let value = [0x5Au8; 64];
-    for n in 0..ops {
-        let key = (conn_id << 40) | n;
-        t.retries += c
-            .put_retrying(key, &value, true)
-            .expect("serve-bench: put failed");
-        t.puts += 1;
-        if n.is_multiple_of(16) {
-            t.gets += 1;
-            match c.get(key) {
-                Ok(Some(v)) if v == value => {}
-                _ => t.lost_reads += 1,
-            }
-        }
-    }
-    // Client-observed latency comes from the kvclient instrumentation
-    // (per blocking round-trip; backoff sleeps between retries excluded).
-    t.latency = c.latencies().put.clone();
-    t
-}
-
-fn run_policy(
-    policy: &str,
-    cfg: ServerConfig,
-    connections: usize,
-    ops_per_conn: u64,
-) -> ServeBenchRow {
-    let dev = PmemDevice::optane(1 << 30);
-    let store = new_store(&dev);
-    let obs = Arc::new(ServerObs::new());
-    let server = KvServer::start(
-        "127.0.0.1:0",
-        Arc::clone(&dev),
-        Arc::clone(&store),
-        Arc::clone(&obs),
-        cfg.clone(),
-    )
-    .expect("serve-bench: bind failed");
-    let addr = server.local_addr();
-
-    let media_before = dev.stats().snapshot();
-    let started = Instant::now();
-    let tallies: Vec<ClientTally> = thread::scope(|s| {
-        let handles: Vec<_> = (0..connections as u64)
-            .map(|cid| s.spawn(move || client_loop(addr, cid, ops_per_conn)))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let wall = started.elapsed();
-    let media = dev.stats().snapshot().delta(&media_before);
-
-    let mut latency = Histogram::new();
-    let (mut puts, mut gets, mut retries, mut lost) = (0u64, 0u64, 0u64, 0u64);
-    for t in &tallies {
-        latency.merge(&t.latency);
-        puts += t.puts;
-        gets += t.gets;
-        retries += t.retries;
-        lost += t.lost_reads;
-    }
-    assert_eq!(lost, 0, "serve-bench: {lost} acked writes unreadable");
-
-    let server_put = store.obs().op_rollup().put;
-    server.shutdown().expect("serve-bench: dirty shutdown");
-    assert_eq!(
-        obs.protocol_errors.load(Ordering::Relaxed),
-        0,
-        "serve-bench: protocol errors on loopback"
-    );
-
-    let batches = obs.batches.load(Ordering::Relaxed).max(1);
-    ServeBenchRow {
-        policy: policy.into(),
-        connections,
-        max_batch: cfg.max_batch,
-        puts,
-        gets,
-        retries,
-        wall_secs: wall.as_secs_f64(),
-        ops_per_sec: (puts + gets) as f64 / wall.as_secs_f64(),
-        put_p50_us: latency.median() as f64 / 1e3,
-        put_p99_us: latency.quantile(0.99) as f64 / 1e3,
-        server_put_p50_us: server_put.median() as f64 / 1e3,
-        server_put_p99_us: server_put.quantile(0.99) as f64 / 1e3,
-        media_blocks_per_put: (media.media_bytes_written / 256) as f64 / puts as f64,
-        rmw_blocks_per_put: media.rmw_blocks as f64 / puts as f64,
-        fences_per_kput: media.fences as f64 * 1e3 / puts as f64,
-        acks_per_fence_milli: obs.acks_per_fence_milli(),
-        mean_batch: obs.batched_ops.load(Ordering::Relaxed) as f64 / batches as f64,
-    }
-}
-
-/// `repro serve-bench`: batch-of-1 vs natural batching over TCP loopback.
+/// `repro serve-bench --conns N [--open-loop]`: connection scaling and
+/// the open-loop load sweep.
 pub fn bench(opts: &Opts) {
-    header("serve-bench: natural group commit vs fence-per-put over TCP loopback");
-    let connections = opts.threads.max(8);
-    // Closed-loop over real TCP: scale the op budget down from the
-    // simulated-store default so the wall-clock stays reasonable.
-    let ops_per_conn = (opts.ops / 10 / connections as u64).clamp(200, 20_000);
-    println!("  {connections} connections x {ops_per_conn} durable puts, one commit queue\n");
-
-    let batch1 = run_policy(
-        "batch-of-1",
-        ServerConfig::batch_of_one(),
-        connections,
-        ops_per_conn,
-    );
-    let group = run_policy(
-        "natural",
-        ServerConfig::default(),
-        connections,
-        ops_per_conn,
-    );
-    // Same config with 1/64 request tracing: measures what the sampling
-    // instrumentation costs on the hot path.
-    let traced = run_policy(
-        "natural+trace64",
-        ServerConfig {
-            trace: TraceConfig::sampled(64),
-            ..ServerConfig::default()
-        },
-        connections,
-        ops_per_conn,
-    );
-
-    println!(
-        "  policy          ops/s      p50       p99       blk/put  rmw/put  fence/kput  acks/fence"
-    );
-    for row in [&batch1, &group, &traced] {
-        println!(
-            "  {:<15} {:>8.0}  {:>7.1}us {:>7.1}us  {:>7.3}  {:>7.3}  {:>9.1}  {:>9.3}",
-            row.policy,
-            row.ops_per_sec,
-            row.put_p50_us,
-            row.put_p99_us,
-            row.media_blocks_per_put,
-            row.rmw_blocks_per_put,
-            row.fences_per_kput,
-            row.acks_per_fence_milli as f64 / 1e3,
+    if opts.conns == 0 && !opts.open_loop {
+        eprintln!(
+            "serve-bench: pass --conns N and/or --open-loop (commit-policy and tracing \
+             costs are kvbench rows now: serve-put / serve-mixed)"
         );
+        std::process::exit(2);
     }
-    println!("\n  client-observed (wall) vs server-side (simulated media) put latency:");
-    for row in [&batch1, &group, &traced] {
-        println!(
-            "  {:<15} client p50 {:>7.1}us / p99 {:>7.1}us   server p50 {:>6.2}us / p99 {:>6.2}us",
-            row.policy,
-            row.put_p50_us,
-            row.put_p99_us,
-            row.server_put_p50_us,
-            row.server_put_p99_us,
-        );
-    }
-    let overhead_pct = 100.0 * (1.0 - traced.ops_per_sec / group.ops_per_sec);
-    println!(
-        "\n  tracing overhead at 1/64 sampling: {overhead_pct:+.1}% throughput vs untraced (target < 5%; wall-clock, noisy on shared machines)"
-    );
-    if let Some(dir) = &opts.out_dir {
-        let d = dir.join("pr6_tracing");
-        std::fs::create_dir_all(&d).expect("create pr6_tracing dir");
-        #[derive(Serialize)]
-        struct TracingOverhead {
-            sample_every: u64,
-            overhead_pct: f64,
-            untraced: ServeBenchRow,
-            traced: ServeBenchRow,
-        }
-        let path = d.join("tracing_overhead.json");
-        let payload = TracingOverhead {
-            sample_every: 64,
-            overhead_pct,
-            untraced: group.clone(),
-            traced: traced.clone(),
-        };
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&payload).expect("serialize overhead"),
-        )
-        .expect("write overhead artifact");
-        println!("  [artifact] {}", path.display());
-    }
-    println!(
-        "\n  natural batching: mean batch {:.1} ops, media per put {} -> {} ({}x), fences per put {:.2} -> {:.2}",
-        group.mean_batch,
-        fmt_bytes((batch1.media_blocks_per_put * 256.0) as u64),
-        fmt_bytes((group.media_blocks_per_put * 256.0) as u64),
-        (batch1.media_blocks_per_put / group.media_blocks_per_put.max(1e-9)).round(),
-        batch1.fences_per_kput / 1e3,
-        group.fences_per_kput / 1e3,
-    );
-
-    // The ROADMAP target, printed rather than asserted (wall clock in CI
-    // is noise): batching must not cost throughput to save media writes.
-    let verdict = |met: bool| if met { "met" } else { "MISSED" };
-    println!(
-        "  target: natural >= batch-of-1 in wall ops/s ({:.0} vs {:.0}: {}) at equal-or-better blocks/put ({:.3} vs {:.3}: {})",
-        group.ops_per_sec,
-        batch1.ops_per_sec,
-        verdict(group.ops_per_sec >= batch1.ops_per_sec),
-        group.media_blocks_per_put,
-        batch1.media_blocks_per_put,
-        verdict(group.media_blocks_per_put <= batch1.media_blocks_per_put),
-    );
-
-    // The acceptance bar: with >= 8 connections, group commit must cut
-    // the media blocks charged per put versus fence-per-put.
-    assert!(
-        group.media_blocks_per_put < batch1.media_blocks_per_put,
-        "group commit failed to reduce media blocks per put ({} vs {})",
-        group.media_blocks_per_put,
-        batch1.media_blocks_per_put
-    );
-    if opts.quick {
-        // CI smoke: the run must also have batched at all.
-        assert!(
-            group.mean_batch > 1.1,
-            "group commit never formed a batch (mean {:.2})",
-            group.mean_batch
-        );
-    }
-    write_json(opts, "serve_bench", &vec![&batch1, &group]);
-
     if opts.conns > 0 {
         connection_scaling(opts);
     }

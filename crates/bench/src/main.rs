@@ -4,17 +4,23 @@
 //! [--out DIR | --no-out] [--quick] [--obs-json PATH] [--progress]`
 //!
 //! Experiments: `fig1 fig2 fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17
-//! table4 ablate-abi ablate-loadfactor ablate-ratio obs bg-maint crash churn
-//! serve serve-bench ycsb-e all`.
+//! table4 ablate-abi ablate-loadfactor ablate-ratio obs crash churn
+//! serve serve-bench ycsb-e trace-dump top replicate all`.
 //! `table2`/`table3` are printed by `fig11`/`fig13`; `fig3` by `table4`.
+//! The figures, tables and ablations all run the paper's engine
+//! (`ChameleonConfig::paper_with_shards`, via `stores::chameleon_config`)
+//! on per-thread simulated clocks; `all` regenerates exactly the
+//! `results/*.json` files. Under `--quick`, `table4` and `fig15` exit
+//! nonzero if the paper's put/DRAM orderings flip (the CI paper smoke).
 //! `obs` exercises the observability layer and honors `--obs-json` /
 //! `--progress`. `crash` runs the crash-matrix fault-injection campaign
 //! (`--quick` for the bounded CI slice) and exits nonzero on any
 //! acknowledged-write violation. `churn` runs the sustained-overwrite GC
 //! survival campaign (footprint bound, flat put tail, restart gap vs
 //! Dram-Hash) and exits nonzero on any violation. `serve` runs the kvserver TCP front-end
-//! on `--port` until SIGINT/SIGTERM; `serve-bench` measures group commit
-//! against fence-per-put over TCP loopback. `ycsb-e` gates the ordered
+//! on `--port` until SIGINT/SIGTERM; `serve-bench --conns N [--open-loop]`
+//! runs the connection-scaling and open-loop phases (commit-policy and
+//! tracing costs are `kvbench` rows). `ycsb-e` gates the ordered
 //! index (point-op p99.9 within 10% of index-off) and audits range
 //! scans racing concurrent writers over TCP. `trace-dump` drives a
 //! force-traced workload against a running server and exports Chrome
@@ -87,9 +93,6 @@ fn main() {
         }
         "obs" => {
             exp::obs::run(&opts);
-        }
-        "bg-maint" => {
-            exp::bg_maint::run(&opts);
         }
         "crash" => {
             exp::crash::run(&opts);

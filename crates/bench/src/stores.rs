@@ -73,16 +73,6 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// The default harness scale: 4M 8B-value records (the paper loads 1B;
-    /// the per-shard geometry below keeps shard fill paper-like).
-    pub fn default_scale() -> Self {
-        Self {
-            keys: 4_000_000,
-            value_size: 8,
-            extra_ops: 4_000_000,
-        }
-    }
-
     /// Shard count keeping ~61k keys per shard — the paper's 1B keys over
     /// 16384 shards — so shards reach the same steady-state level structure
     /// and the ABI covers the same fraction of the index.
@@ -206,12 +196,16 @@ pub fn build_dram_hash(scale: Scale) -> (Arc<PmemDevice>, DramHash) {
     (dev, store)
 }
 
-/// ChameleonDB config at harness scale (Table 1 per-shard geometry).
+/// The paper's engine at harness scale: Table 1 per-shard geometry,
+/// maintenance inline on the caller's simulated clock like every baseline
+/// here, no ordered index, no GC. Every figure, table and ablation builds
+/// from this; an experiment about a post-paper feature (`churn`) turns
+/// that feature on itself.
 pub fn chameleon_config(scale: Scale) -> ChameleonConfig {
     ChameleonConfig {
         log: scale.log_config(),
         manifest_bytes: 16 << 20,
-        ..ChameleonConfig::with_shards(scale.shards())
+        ..ChameleonConfig::paper_with_shards(scale.shards())
     }
 }
 
@@ -262,4 +256,28 @@ pub fn build_matrixkv(scale: Scale) -> (Arc<PmemDevice>, MatrixKv) {
     )
     .expect("create matrixkv");
     (dev, store)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiments::load_store;
+
+    /// The paper engine runs every flush and compaction on the caller's
+    /// clock and has no worker threads, so a one-thread load is a pure
+    /// function of the cost model.
+    #[test]
+    fn one_thread_chameleon_load_is_bit_identical() {
+        let scale = Scale {
+            keys: 20_000,
+            value_size: 8,
+            extra_ops: 0,
+        };
+        let load = || {
+            let built = build(StoreKind::Chameleon, scale);
+            let r = load_store(built.store.as_ref(), &built.dev, scale.keys, 1);
+            (r.elapsed_ns, r.mops().to_bits())
+        };
+        assert_eq!(load(), load());
+    }
 }

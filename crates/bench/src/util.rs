@@ -34,7 +34,8 @@ pub struct Opts {
     pub http_port: Option<u16>,
     /// Connection-scaling target for `repro serve-bench`: run the
     /// server at this many concurrent connections against the same
-    /// server at 16 (0 = skip the scaling phase).
+    /// server at 16 (0 = skip the scaling phase; `serve-bench` needs this
+    /// or `--open-loop`).
     pub conns: usize,
     /// Add the open-loop latency-vs-offered-load sweep to
     /// `repro serve-bench` (coordinated-omission-free; see

@@ -62,8 +62,10 @@ pub enum EventKind {
     /// A put began waiting on background-maintenance backpressure (the
     /// shard's frozen-MemTable queue was at capacity).
     WriteStallEnter { shard: u32 },
-    /// The stalled put resumed after `stalled_ns` of simulated waiting.
-    /// Chrome-trace exports render enter/exit pairs as duration bars.
+    /// The stalled put resumed after `stalled_ns` of *wall-clock* waiting
+    /// (the event timestamp, like every journal timestamp, is simulated;
+    /// the wait is never charged to it). Chrome-trace exports render
+    /// enter/exit pairs as duration bars.
     WriteStallExit { shard: u32, stalled_ns: u64 },
     /// The simulated device crashed; `crashes` is the device's lifetime
     /// crash count. Recorded into the *recovered* store's journal.

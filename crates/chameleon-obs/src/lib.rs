@@ -283,8 +283,9 @@ impl Obs {
         lane.lock().hist_mut(op).record(latency_ns);
     }
 
-    /// Records one write-stall duration (a put that waited for the
-    /// background-maintenance pipeline to retire a frozen MemTable).
+    /// Records one write-stall duration in wall-clock ns (a put that
+    /// waited for the background-maintenance pipeline to retire a frozen
+    /// MemTable).
     #[inline]
     pub fn record_stall(&self, stalled_ns: u64) {
         if !self.cfg.enabled {

@@ -626,12 +626,6 @@ impl StoreInner {
             .snapshot(now, sections, self.dev.stats().snapshot())
     }
 
-    /// Most recent windowed p99 get latency observed by the Get-Protect
-    /// monitor (0 until a full window has elapsed).
-    pub fn observed_p99(&self) -> u64 {
-        self.mode.last_p99()
-    }
-
     /// Flushes every MemTable and folds all upper levels into the last
     /// level (test/maintenance aid; equivalent to a full checkpoint).
     /// Drains the background-maintenance pipeline first, so the result is
@@ -1268,10 +1262,9 @@ impl StoreInner {
                 let start = std::time::Instant::now();
                 self.maint.shard_cvs[shard_idx].wait(&mut shard);
                 let stalled_ns = start.elapsed().as_nanos() as u64;
-                // The stall is real blocking on this op's critical path:
-                // charge it to the op's simulated latency and feed the
-                // dedicated stall histogram.
-                ctx.charge(stalled_ns);
+                // Wall-clock blocking: it feeds the dedicated stall
+                // histogram and the journal pair, never the simulated
+                // clock, which holds modelled costs only.
                 self.obs.record_stall(stalled_ns);
                 episode_stalled_ns = episode_stalled_ns.saturating_add(stalled_ns.max(1));
             }
@@ -2111,6 +2104,80 @@ mod tests {
         assert!(m.flushes > 0);
         // drain_maintenance on a disabled pipeline is a no-op, not a hang.
         db.drain_maintenance().unwrap();
+    }
+
+    /// The paper profile is the inline executor: no worker pool, no
+    /// stalls, and the flush lands on the clock of the put that filled
+    /// the MemTable.
+    #[test]
+    fn paper_profile_pays_for_the_flush_on_the_callers_clock() {
+        let mut cfg = ChameleonConfig::paper_with_shards(8);
+        cfg.obs = chameleon_obs::ObsConfig::on();
+        let db = new_store(cfg);
+        assert!(db.workers.is_empty(), "paper profile spawned workers");
+        let mut c = ctx();
+        let mut k = 0u64;
+        let flushing_put_ns = loop {
+            let before = c.clock.now();
+            db.put(&mut c, k, &value_for(k)).unwrap();
+            k += 1;
+            if db.metrics().flushes == 1 {
+                break c.clock.now() - before;
+            }
+            assert!(k < 8 * 512, "no MemTable ever filled");
+        };
+        let (_, flush) = db
+            .obs()
+            .stage_aggregates()
+            .into_iter()
+            .find(|(stage, _)| *stage == Stage::Flush)
+            .unwrap();
+        assert_eq!(flush.count, 1);
+        assert!(flush.sim_ns > 0);
+        assert!(
+            flushing_put_ns >= flush.sim_ns,
+            "put advanced {flushing_put_ns} sim-ns, its flush cost {}",
+            flush.sim_ns
+        );
+        assert_eq!(db.metrics().write_stalls, 0);
+    }
+
+    /// Wall time never reaches the simulated clock: on a pipeline sized so
+    /// the writer mostly waits for the one worker, the (wall-clock) stall
+    /// time the journal reports exceeds everything the writer's simulated
+    /// clock accumulated. (No run-to-run equality claim: a worker's
+    /// `sync_log` fences the writer's open batch at a timing-dependent
+    /// point.)
+    #[test]
+    fn write_stalls_are_not_charged_to_the_simulated_clock() {
+        let mut cfg = ChameleonConfig::tiny();
+        cfg.memtable_slots = 16;
+        cfg.bg.workers = 1;
+        cfg.bg.frozen_queue_cap = 1;
+        cfg.obs = chameleon_obs::ObsConfig::with_capacity(1 << 16);
+        let db = new_store(cfg);
+        let mut c = ctx();
+        fill(&db, &mut c, 20_000);
+        db.drain_maintenance().unwrap();
+        assert!(
+            db.metrics().write_stalls > 0,
+            "torture config never stalled"
+        );
+        let stalled_wall_ns: u64 = db
+            .obs()
+            .journal()
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::WriteStallExit { stalled_ns, .. } => Some(stalled_ns),
+                _ => None,
+            })
+            .sum();
+        assert!(
+            c.clock.now() < stalled_wall_ns,
+            "writer's simulated clock {} >= journaled wall-clock stall time {stalled_wall_ns}",
+            c.clock.now()
+        );
     }
 
     #[test]

@@ -49,7 +49,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use kvapi::{hash64, KvError, LogSpaceStats, Result};
+use kvapi::{KvError, LogSpaceStats, Result};
 use parking_lot::Mutex;
 use pmem_sim::{PRegion, PmemDevice, ThreadCtx};
 
@@ -1069,29 +1069,6 @@ impl LogWriter {
     }
 }
 
-/// Replays the log to rebuild a latest-wins view, the recovery primitive
-/// shared by Dram-Hash and ChameleonDB's Write-Intensive-Mode restart.
-///
-/// Invokes `apply(key, meta)` for every entry, in arbitrary order; callers
-/// must keep the entry with the highest `seq` per key. The helper verifies
-/// the key hash so corrupt entries surface as errors. Returns the number of
-/// entries visited.
-pub fn replay(
-    log: &StorageLog,
-    ctx: &mut ThreadCtx,
-    mut apply: impl FnMut(u64, EntryMeta),
-) -> Result<u64> {
-    let mut n = 0u64;
-    log.scan(ctx, |meta| {
-        // The hash is bijective over 8-byte keys, so this recomputation is
-        // exactly the placement hash the index used.
-        let _ = hash64(meta.key);
-        apply(meta.key, meta);
-        n += 1;
-    })?;
-    Ok(n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1280,18 +1257,6 @@ mod tests {
         assert_eq!(count, 101);
         assert!(saw_new);
         assert!(meta.seq > seq_before);
-    }
-
-    #[test]
-    fn replay_counts_entries() {
-        let (_dev, log, mut ctx) = setup();
-        let mut w = log.writer();
-        for k in 0..10 {
-            w.append(&mut ctx, k, b"v", false).unwrap();
-        }
-        w.flush(&mut ctx).unwrap();
-        let n = replay(&log, &mut ctx, |_k, _m| {}).unwrap();
-        assert_eq!(n, 10);
     }
 
     #[test]

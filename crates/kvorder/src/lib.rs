@@ -239,11 +239,6 @@ impl OrderedIndex {
         &self.domain
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Inserts `key` into `shard`; returns `false` if already present.
     pub fn insert(&self, shard: usize, key: u64) -> bool {
         self.shards[shard].insert(key, &self.domain)

@@ -149,17 +149,6 @@ impl Default for ServerConfig {
     }
 }
 
-impl ServerConfig {
-    /// Fence-per-op configuration: every write commits alone. The
-    /// baseline group commit is measured against.
-    pub fn batch_of_one() -> Self {
-        Self {
-            max_batch: 1,
-            ..Self::default()
-        }
-    }
-}
-
 /// Encodes a response as a complete wire frame (length prefix included),
 /// ready for a reactor connection queue.
 pub(crate) fn frame_of(resp: &Response) -> Vec<u8> {

@@ -365,12 +365,6 @@ impl TableBuilder {
         Err(KvError::Full("table builder"))
     }
 
-    /// Slots dropped so far (older duplicates and to-be-pruned
-    /// tombstones). See the field doc; exposed for dead-byte crediting.
-    pub fn dropped_slots(&self) -> &[Slot] {
-        &self.dropped
-    }
-
     /// Persists the staged table: header + slots, written sequentially with
     /// non-temporal stores and a single trailing fence.
     pub fn build(

@@ -92,11 +92,6 @@ impl ThreadCtx {
     pub fn charge(&mut self, ns: u64) {
         self.clock.advance(ns);
     }
-
-    /// Number of lines currently awaiting a fence (test/debug aid).
-    pub fn unfenced_lines(&self) -> usize {
-        self.flush_queue.len()
-    }
 }
 
 /// Unwind payload thrown by an armed crash point (see

@@ -24,7 +24,9 @@ fn main() {
         println!("=== crash during {mode} ===");
 
         let dev = PmemDevice::optane(2 << 30);
-        let mut cfg = ChameleonConfig::with_shards(64);
+        // The paper's engine: the restart times below are §2.3's
+        // simulated-time trade-off, not a service-layer measurement.
+        let mut cfg = ChameleonConfig::paper_with_shards(64);
         cfg.write_intensive = wim;
         let db = ChameleonDb::create(dev.clone(), cfg.clone()).expect("create");
         let mut ctx = ThreadCtx::with_default_cost();

@@ -21,7 +21,9 @@ const BURST_PUTS: u64 = 300_000;
 
 fn run_one(gpm_enabled: bool) -> (u64, u64, u64) {
     let dev = PmemDevice::optane(2 << 30);
-    let mut cfg = ChameleonConfig::with_shards(64);
+    // The paper's engine: §2.4 is about the putter's own compactions
+    // competing with gets, so they must run on the putter's clock.
+    let mut cfg = ChameleonConfig::paper_with_shards(64);
     cfg.gpm = GpmConfig {
         enabled: gpm_enabled,
         // Scaled for this small demo: the paper's production threshold is
