@@ -1016,7 +1016,7 @@ impl StoreInner {
     }
 
     /// Range scan: up to `limit` live keys `>= start_key`, ascending
-    /// ([`KvStore::scan`]). A k-way merge over the per-shard skiplist
+    /// ([`KvStore::scan`]). A k-way merge over the per-shard `kvorder`
     /// cursors yields globally sorted candidates (shards partition the
     /// hash space, so a key lives in exactly one cursor); every candidate
     /// is then resolved through the newest-version probe under the same
@@ -1300,7 +1300,7 @@ impl StoreInner {
         // Maintain the ordered key index at the same publish point as the
         // hash index, still under the shard mutex so per-shard order
         // matches log order (a racing put+delete on one key cannot leave
-        // the skiplist disagreeing with the newest version).
+        // the index disagreeing with the newest version).
         if let Some(order) = &self.order {
             if tombstone {
                 order.remove(shard_idx, key);

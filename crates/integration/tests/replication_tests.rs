@@ -82,6 +82,9 @@ fn replica_ships_applies_and_serves_reads() {
     }
     w.delete(42).unwrap();
 
+    // A local-policy ack is sent before its batch reaches the hub; the
+    // SYNC barrier is acked after, so `shipped` covers every write above.
+    w.sync().unwrap();
     let shipped = w.repl_floor().unwrap().shipped;
     assert!(shipped >= 1, "primary shipped nothing");
     assert!(
@@ -202,6 +205,9 @@ fn same_stream_yields_identical_replica_images() {
         }
     }
 
+    // As above: without the barrier `shipped` can miss the last batch, and
+    // one replica compares a write short of the other.
+    w.sync().unwrap();
     let shipped = w.repl_floor().unwrap().shipped;
     for (name, r) in [("a", &ra), ("b", &rb)] {
         assert!(

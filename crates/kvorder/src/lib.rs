@@ -3,212 +3,162 @@
 //! ChameleonDB's persistent structures are hash-keyed — nothing on media
 //! knows key *order* — so range scans need a volatile ordered index
 //! maintained beside the hash index and rebuilt on recovery. This crate
-//! provides that index: one skiplist per store shard, mutated only by the
-//! shard's (externally serialized) write path and traversed lock-free by
-//! readers holding an [`EpochDomain`] pin, the same reclamation domain
-//! the store already uses for its published views.
+//! provides it: per store shard, a three-level copy-on-write tree of
+//! sorted arrays (root directory → inner nodes of up to [`INNER_CAP`]
+//! leaves → leaves of up to [`LEAF_CAP`] keys) whose every node is a
+//! [`ViewCell`] of the store's own [`EpochDomain`], so publication,
+//! retirement and reclamation are `kvsync`'s.
 //!
-//! ## Concurrency contract
+//! A node's **snapshot** is immutable: a leaf's is a sorted `Vec<u64>`, a
+//! directory's a `Vec<(low, cell)>` in which child `i` owns the keys
+//! `low[i] .. low[i + 1]`. A **cell** holds one node's current snapshot,
+//! and its key range is fixed for life: an insert or remove publishes a
+//! new snapshot into one leaf's cell, while anything that moves a range
+//! boundary — a full node splitting, an emptied leaf handing its range to
+//! a neighbour — builds *fresh* cells and publishes a new snapshot of the
+//! parent. Replaced cells are never written again.
 //!
 //! * **Writers** ([`OrderedIndex::insert`] / [`OrderedIndex::remove`])
-//!   serialize per shard on an internal mutex. The store calls them while
-//!   already holding its shard mutex, so the inner lock is uncontended —
-//!   it exists so a misuse cannot corrupt the list.
-//! * **Readers** ([`OrderedIndex::range_from`]) never lock. They traverse
-//!   `next` pointers with `Acquire` loads under a pin from the index's
-//!   domain. A removed node is unlinked from live predecessors but keeps
-//!   its own forward pointers, so an in-flight reader standing on it
-//!   walks off safely; the node's memory is only freed once every pin
-//!   from before its retirement has dropped (`begin_sync`/`try_sync`).
+//!   serialize per shard on an internal mutex, uncontended in the store,
+//!   which calls them under its own shard mutex. It guards against misuse
+//!   and owns the writer's twin of the tree (an `Arc` of every node's
+//!   current snapshot), so the write path never pins or loads a cell.
+//!   Every mutation ends in exactly one `publish`.
+//! * **Readers** ([`OrderedIndex::range_from`]) never lock. A cursor
+//!   loads one root snapshot under the caller's pin and walks it left to
+//!   right, loading each inner and leaf cell once, when it gets there.
 //!
-//! Because a node's forward pointers always reference strictly greater
-//! keys and are never rewritten after the node is published, any single
-//! traversal yields a **strictly ascending** key sequence even while
-//! racing mutations — the store's per-key newest-version probe then
-//! filters out anything that died mid-scan.
-//!
-//! Tower heights are derived deterministically from the key
-//! (`mix64`, p = 1/4 per extra level), so a rebuilt index after recovery
-//! has byte-identical shape to the one that was lost.
+//! Any single traversal yields a **strictly ascending** key sequence even
+//! while racing mutations: the children of one directory snapshot cover
+//! disjoint, ascending, fixed key ranges, and each child is read as one
+//! immutable sorted array. A replaced cell still holds its last snapshot
+//! — stale, never torn — so a key present for the whole scan is yielded
+//! exactly once; the store's per-key newest-version probe filters out
+//! anything that died mid-scan.
 
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+#![forbid(unsafe_code)]
+
+use std::mem::size_of;
+use std::ops::{Deref, Range};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use kvapi::mix64;
-use kvsync::{EpochDomain, Pin};
+use kvsync::{EpochDomain, Pin, ViewCell};
 use parking_lot::Mutex;
 
-/// Maximum skiplist tower height. With p = 1/4 this comfortably covers
-/// billions of keys (expected height log4 n).
-const MAX_HEIGHT: usize = 16;
+/// Keys per leaf: a mutation copies one leaf, at most 512 B.
+const LEAF_CAP: usize = 64;
 
-/// Salt decorrelating tower heights from the store's bucket hashing,
-/// which also feeds keys through `mix64`.
-const HEIGHT_SALT: u64 = 0x9E6C_63D1_B0A5_F19B;
+/// Leaves per inner node: bounds what a leaf split republishes (a flat
+/// per-shard directory would make every split O(leaves)).
+const INNER_CAP: usize = 64;
 
-/// Deterministic tower height for `key`: 1 + (geometric, p = 1/4).
-fn tower_height(key: u64) -> usize {
-    let h = 1 + (mix64(key ^ HEIGHT_SALT).trailing_zeros() / 2) as usize;
-    h.min(MAX_HEIGHT)
+/// The strong and weak counts in front of every `Arc` payload.
+const ARC_HEADER: usize = 2 * size_of::<usize>();
+
+/// A heap value counted toward its shard's DRAM total from construction
+/// to drop — for a retired snapshot, until its `ViewCell` reclaims it.
+struct Counted<T> {
+    val: T,
+    bytes: u64,
+    total: Arc<AtomicU64>,
 }
 
-/// A skiplist node. Fixed-size towers keep allocation simple; at 16
-/// levels a node is ~144 bytes, and the index only holds live user keys.
-struct Node {
-    key: u64,
-    height: usize,
-    next: [AtomicPtr<Node>; MAX_HEIGHT],
-}
+impl<T> Deref for Counted<T> {
+    type Target = T;
 
-impl Node {
-    fn boxed(key: u64, height: usize) -> *mut Node {
-        Box::into_raw(Box::new(Node {
-            key,
-            height,
-            next: std::array::from_fn(|_| AtomicPtr::new(ptr::null_mut())),
-        }))
+    fn deref(&self) -> &T {
+        &self.val
     }
 }
 
-/// One shard's skiplist: a sentinel head plus a writer-side garbage list
-/// of removed nodes awaiting epoch quiescence.
-struct Shard {
-    /// Sentinel; its `key` is never compared.
-    head: *mut Node,
-    /// Serializes mutations (see module docs). Uncontended in the store,
-    /// which already holds its own shard mutex around calls.
-    writer: Mutex<()>,
-    /// Removed nodes tagged with their retire epoch, freed once the
-    /// domain has quiesced past it — the `ViewCell` retired-list pattern.
-    garbage: Mutex<Vec<(u64, *mut Node)>>,
-    /// Live key count (excludes garbage).
-    len: AtomicU64,
+impl<T> Drop for Counted<T> {
+    fn drop(&mut self) {
+        self.total.fetch_sub(self.bytes, Ordering::Relaxed);
+    }
 }
 
-// SAFETY: nodes are only mutated under `writer`, only freed under the
-// epoch protocol, and only ever hold `u64` payloads.
-unsafe impl Send for Shard {}
-unsafe impl Sync for Shard {}
+type Cell<T> = Arc<Counted<ViewCell<T>>>;
+/// A directory entry: the child's lowest admissible key and its cell.
+type Kid<C> = (u64, Cell<C>);
+type Leaf = Counted<Vec<u64>>;
+type Inner = Counted<Vec<Kid<Leaf>>>;
+type Root = Counted<Vec<Kid<Inner>>>;
+
+/// What a shard builds nodes from: its byte counter and the domain its
+/// cells retire into.
+struct Alloc {
+    total: Arc<AtomicU64>,
+    domain: Arc<EpochDomain>,
+}
+
+impl Alloc {
+    /// `val` on the heap, charged for itself plus `heap` bytes behind it.
+    fn counted<T>(&self, heap: usize, val: T) -> Arc<Counted<T>> {
+        let bytes = (ARC_HEADER + size_of::<Counted<T>>() + heap) as u64;
+        self.total.fetch_add(bytes, Ordering::Relaxed);
+        let total = Arc::clone(&self.total);
+        Arc::new(Counted { val, bytes, total })
+    }
+
+    /// An immutable snapshot of `items`, charged at its allocated capacity.
+    fn snap<T>(&self, items: Vec<T>) -> Arc<Counted<Vec<T>>> {
+        self.counted(items.capacity() * size_of::<T>(), items)
+    }
+
+    /// A fresh cell holding `now`.
+    fn cell<T>(&self, now: &Arc<T>) -> Cell<T> {
+        self.counted(0, ViewCell::new(Arc::clone(&self.domain), Arc::clone(now)))
+    }
+}
+
+/// Index of the child whose range holds `key`. `kids[0].0` is the
+/// directory's own lower bound, so there is always one.
+fn child_of<C>(kids: &[Kid<C>], key: u64) -> usize {
+    kids.partition_point(|kid| kid.0 <= key) - 1
+}
+
+/// A copy of `old` with the items at `at` replaced by `with`, allocated
+/// at exactly its length.
+fn spliced<T: Clone>(old: &[T], at: Range<usize>, with: &[T]) -> Vec<T> {
+    [&old[..at.start], with, &old[at.end..]].concat()
+}
+
+/// The writer's twin of one inner node: the snapshot now in its cell and,
+/// index for index with that snapshot's children, the one in each leaf's.
+struct Twin {
+    inner: Arc<Inner>,
+    leaves: Vec<Arc<Leaf>>,
+}
+
+/// The writer's twin of a shard's tree: `inners[i]` mirrors child `i` of
+/// `root`.
+struct Writer {
+    root: Arc<Root>,
+    inners: Vec<Twin>,
+}
+
+/// One shard's tree: the root cell readers descend from, and the mutex
+/// that serializes mutations (see module docs) around the writer's twin.
+struct Shard {
+    root: ViewCell<Root>,
+    writer: Mutex<Writer>,
+    alloc: Alloc,
+}
 
 impl Shard {
-    fn new() -> Self {
+    fn new(domain: Arc<EpochDomain>) -> Self {
+        let total = Arc::default();
+        let alloc = Alloc { total, domain };
+        let leaf = alloc.snap(Vec::new());
+        let inner = alloc.snap(vec![(0, alloc.cell(&leaf))]);
+        let root = alloc.snap(vec![(0, alloc.cell(&inner))]);
+        let leaves = vec![leaf];
+        let inners = vec![Twin { inner, leaves }];
         Self {
-            head: Node::boxed(0, MAX_HEIGHT),
-            writer: Mutex::new(()),
-            garbage: Mutex::new(Vec::new()),
-            len: AtomicU64::new(0),
-        }
-    }
-
-    /// Finds, per level, the last node with key `< key` (the head counts
-    /// as `-inf`). Returns the predecessor array and the level-0
-    /// candidate (first node with key `>= key`, possibly null).
-    ///
-    /// Called by writers under `self.writer`; all loads are `Acquire` so
-    /// the same walk is safe for pinned readers too.
-    fn find_preds(&self, key: u64) -> ([*mut Node; MAX_HEIGHT], *mut Node) {
-        let mut preds = [self.head; MAX_HEIGHT];
-        let mut cur = self.head;
-        for level in (0..MAX_HEIGHT).rev() {
-            loop {
-                // SAFETY: `cur` is the head or a node reached through
-                // published pointers; writers are serialized and readers
-                // keep removed nodes alive via the epoch domain.
-                let nxt = unsafe { (*cur).next[level].load(Ordering::Acquire) };
-                if !nxt.is_null() && unsafe { (*nxt).key } < key {
-                    cur = nxt;
-                } else {
-                    break;
-                }
-            }
-            preds[level] = cur;
-        }
-        let candidate = unsafe { (*preds[0]).next[0].load(Ordering::Acquire) };
-        (preds, candidate)
-    }
-
-    /// Inserts `key`; returns `false` if it was already present.
-    fn insert(&self, key: u64, domain: &EpochDomain) -> bool {
-        let _g = self.writer.lock();
-        let (preds, candidate) = self.find_preds(key);
-        if !candidate.is_null() && unsafe { (*candidate).key } == key {
-            return false;
-        }
-        let height = tower_height(key);
-        let node = Node::boxed(key, height);
-        for (level, pred) in preds.iter().enumerate().take(height) {
-            // SAFETY: node is private until the publishing store below.
-            let succ = unsafe { (**pred).next[level].load(Ordering::Acquire) };
-            unsafe { (*node).next[level].store(succ, Ordering::Relaxed) };
-        }
-        // Publish bottom-up: a reader that sees the node at any level
-        // sees its fully-initialized fields via the Release store.
-        for (level, pred) in preds.iter().enumerate().take(height) {
-            unsafe { (**pred).next[level].store(node, Ordering::Release) };
-        }
-        self.len.fetch_add(1, Ordering::Relaxed);
-        self.collect_garbage(domain);
-        true
-    }
-
-    /// Removes `key`; returns `false` if it was absent. The node is
-    /// retired, not freed: readers pinned before the removal may still
-    /// be standing on it.
-    fn remove(&self, key: u64, domain: &EpochDomain) -> bool {
-        let _g = self.writer.lock();
-        let (preds, candidate) = self.find_preds(key);
-        if candidate.is_null() || unsafe { (*candidate).key } != key {
-            return false;
-        }
-        let height = unsafe { (*candidate).height };
-        // Unlink top-down so a concurrent reader descending the towers
-        // cannot step onto the victim at a high level after it vanished
-        // from a lower one. The victim's own forward pointers are left
-        // intact for readers already standing on it.
-        for level in (0..height).rev() {
-            // SAFETY: single writer — preds are exactly the nodes linking
-            // to the victim at each of its levels.
-            let succ = unsafe { (*candidate).next[level].load(Ordering::Acquire) };
-            unsafe { (*preds[level]).next[level].store(succ, Ordering::Release) };
-        }
-        self.len.fetch_sub(1, Ordering::Relaxed);
-        let retire_epoch = domain.begin_sync();
-        self.garbage.lock().push((retire_epoch, candidate));
-        self.collect_garbage(domain);
-        true
-    }
-
-    /// Frees retired nodes whose grace period has expired.
-    fn collect_garbage(&self, domain: &EpochDomain) {
-        let mut garbage = self.garbage.lock();
-        garbage.retain(|&(epoch, node)| {
-            if domain.try_sync(epoch) {
-                // SAFETY: no pin from before the retirement remains, so
-                // no reader can still reach or stand on this node.
-                drop(unsafe { Box::from_raw(node) });
-                false
-            } else {
-                true
-            }
-        });
-    }
-}
-
-impl Drop for Shard {
-    fn drop(&mut self) {
-        // Exclusive access: free the live chain, the garbage, the head.
-        unsafe {
-            let mut cur = (*self.head).next[0].load(Ordering::Relaxed);
-            while !cur.is_null() {
-                let nxt = (*cur).next[0].load(Ordering::Relaxed);
-                drop(Box::from_raw(cur));
-                cur = nxt;
-            }
-            for (_, node) in self.garbage.get_mut().drain(..) {
-                drop(Box::from_raw(node));
-            }
-            drop(Box::from_raw(self.head));
+            root: ViewCell::new(Arc::clone(&alloc.domain), Arc::clone(&root)),
+            writer: Mutex::new(Writer { root, inners }),
+            alloc,
         }
     }
 }
@@ -219,7 +169,6 @@ impl Drop for Shard {
 /// write path maintains exactly its own slice of the key space; a scan
 /// merges the per-shard ascending cursors.
 pub struct OrderedIndex {
-    domain: Arc<EpochDomain>,
     shards: Vec<Shard>,
 }
 
@@ -228,30 +177,90 @@ impl OrderedIndex {
     /// `domain` — normally the same domain guarding the store's views,
     /// so one pin covers both the scan cursor and the version probes.
     pub fn new(shards: usize, domain: Arc<EpochDomain>) -> Self {
-        Self {
-            domain,
-            shards: (0..shards.max(1)).map(|_| Shard::new()).collect(),
-        }
-    }
-
-    /// The reclamation domain scans must pin.
-    pub fn domain(&self) -> &Arc<EpochDomain> {
-        &self.domain
+        let shards = (0..shards.max(1))
+            .map(|_| Shard::new(Arc::clone(&domain)))
+            .collect();
+        Self { shards }
     }
 
     /// Inserts `key` into `shard`; returns `false` if already present.
     pub fn insert(&self, shard: usize, key: u64) -> bool {
-        self.shards[shard].insert(key, &self.domain)
+        let Shard { writer, alloc, .. } = &self.shards[shard];
+        let w = &mut *writer.lock();
+        let i = child_of(&w.root, key);
+        let twin = &mut w.inners[i];
+        let j = child_of(&twin.inner, key);
+        let Err(pos) = twin.leaves[j].binary_search(&key) else {
+            return false;
+        };
+        let keys = spliced(&twin.leaves[j], pos..pos, &[key]);
+        if keys.len() <= LEAF_CAP {
+            twin.leaves[j] = alloc.snap(keys);
+            twin.inner[j].1.publish(Arc::clone(&twin.leaves[j]));
+            return true;
+        }
+
+        // Full leaf: two fresh cells take its range. A key past the end
+        // starts the upper one alone, so ascending appends leave full
+        // leaves behind them, not half-full ones.
+        let at = if pos == LEAF_CAP { pos } else { keys.len() / 2 };
+        let lo = alloc.snap(keys[..at].to_vec());
+        let hi = alloc.snap(keys[at..].to_vec());
+        let halves = [(twin.inner[j].0, alloc.cell(&lo)), (hi[0], alloc.cell(&hi))];
+        let mut kids = spliced(&twin.inner, j..j + 1, &halves);
+        twin.leaves.splice(j..j + 1, [lo, hi]);
+        if kids.len() <= INNER_CAP {
+            twin.inner = alloc.snap(kids);
+            w.root[i].1.publish(Arc::clone(&twin.inner));
+            return true;
+        }
+
+        // Full inner node: the same one level up, `twin` keeping the
+        // lower half.
+        let at = kids.len() / 2;
+        let hi = Twin {
+            inner: alloc.snap(kids.split_off(at)),
+            leaves: twin.leaves.split_off(at),
+        };
+        kids.shrink_to_fit();
+        twin.inner = alloc.snap(kids);
+        let halves = [
+            (w.root[i].0, alloc.cell(&twin.inner)),
+            (hi.inner[0].0, alloc.cell(&hi.inner)),
+        ];
+        w.root = alloc.snap(spliced(&w.root, i..i + 1, &halves));
+        w.inners.insert(i + 1, hi);
+        self.shards[shard].root.publish(Arc::clone(&w.root));
+        true
     }
 
     /// Removes `key` from `shard`; returns `false` if absent.
     pub fn remove(&self, shard: usize, key: u64) -> bool {
-        self.shards[shard].remove(key, &self.domain)
-    }
+        let Shard { writer, alloc, .. } = &self.shards[shard];
+        let w = &mut *writer.lock();
+        let i = child_of(&w.root, key);
+        let twin = &mut w.inners[i];
+        let j = child_of(&twin.inner, key);
+        let Ok(pos) = twin.leaves[j].binary_search(&key) else {
+            return false;
+        };
+        // An inner node keeps its last leaf even when empty: dropping the
+        // node would widen a *leaf* cell of its neighbour.
+        if twin.leaves[j].len() > 1 || twin.leaves.len() == 1 {
+            twin.leaves[j] = alloc.snap(spliced(&twin.leaves[j], pos..pos + 1, &[]));
+            twin.inner[j].1.publish(Arc::clone(&twin.leaves[j]));
+            return true;
+        }
 
-    /// Whether `key` is currently present in `shard`.
-    pub fn contains(&self, shard: usize, key: u64, pin: &Pin<'_>) -> bool {
-        self.range_from(shard, key, pin).next() == Some(key)
+        // Emptied leaf: a neighbour inherits its range, in a fresh cell
+        // because a cell's range never changes.
+        let heir = if j == 0 { 1 } else { j - 1 };
+        let at = j.min(heir);
+        let merged = (twin.inner[at].0, alloc.cell(&twin.leaves[heir]));
+        twin.inner = alloc.snap(spliced(&twin.inner, at..at + 2, &[merged]));
+        twin.leaves.remove(j);
+        w.root[i].1.publish(Arc::clone(&twin.inner));
+        true
     }
 
     /// Ascending cursor over `shard`'s keys `>= start`, valid while
@@ -261,37 +270,28 @@ impl OrderedIndex {
     ///
     /// Panics if `pin` is from a different [`EpochDomain`].
     pub fn range_from<'p>(&'p self, shard: usize, start: u64, pin: &'p Pin<'_>) -> RangeIter<'p> {
-        assert!(
-            ptr::eq(pin.domain(), &*self.domain),
-            "pin is from a different EpochDomain"
-        );
-        let sh = &self.shards[shard];
-        let mut cur = sh.head as *const Node;
-        for level in (0..MAX_HEIGHT).rev() {
-            loop {
-                // SAFETY: reachable nodes stay allocated while the pin
-                // (taken before this walk) is held — see module docs.
-                let nxt = unsafe { (*cur).next[level].load(Ordering::Acquire) };
-                if !nxt.is_null() && unsafe { (*nxt).key } < start {
-                    cur = nxt;
-                } else {
-                    break;
-                }
-            }
-        }
-        let first = unsafe { (*cur).next[0].load(Ordering::Acquire) };
+        let root = self.shards[shard].root.load(pin);
+        let i = child_of(root, start);
+        let inner = root[i].1.load(pin);
+        let j = child_of(inner, start);
+        let keys = inner[j].1.load(pin);
         RangeIter {
-            cur: first,
-            _pin: std::marker::PhantomData,
+            pin,
+            inners: &root[i + 1..],
+            leaves: &inner[j + 1..],
+            keys: keys[keys.partition_point(|&k| k < start)..].iter(),
         }
     }
 
     /// Live keys across all shards.
     pub fn len(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.len.load(Ordering::Relaxed))
-            .sum()
+        let mut keys = 0;
+        for shard in &self.shards {
+            for twin in &shard.writer.lock().inners {
+                keys += twin.leaves.iter().map(|l| l.len() as u64).sum::<u64>();
+            }
+        }
+        keys
     }
 
     /// Whether the index holds no keys.
@@ -299,70 +299,101 @@ impl OrderedIndex {
         self.len() == 0
     }
 
-    /// Approximate DRAM held by nodes (live + not-yet-reclaimed).
+    /// DRAM allocated by the index, exactly: every snapshot and cell alive
+    /// — current, or retired and not yet reclaimed — at its capacity with
+    /// its `Arc` header, the writers' twins and the shard table. Not in
+    /// it: allocator rounding, and the heap behind each `ViewCell`'s
+    /// private retired list (64 B from a cell's first publish on).
     pub fn dram_bytes(&self) -> u64 {
-        let nodes: u64 = self.len() + self.garbage_len() as u64;
-        let per = std::mem::size_of::<Node>() as u64;
-        nodes * per + self.shards.len() as u64 * per
-    }
-
-    /// Retired-but-unreclaimed nodes across shards (diagnostics/tests).
-    pub fn garbage_len(&self) -> usize {
-        self.shards.iter().map(|s| s.garbage.lock().len()).sum()
-    }
-
-    /// Frees whatever retired nodes have quiesced; mutation already does
-    /// this, exposed for idle-time reclamation and tests.
-    pub fn collect(&self) {
-        for sh in &self.shards {
-            sh.collect_garbage(&self.domain);
+        let mut bytes = size_of::<Self>() + self.shards.capacity() * size_of::<Shard>();
+        for shard in &self.shards {
+            let w = shard.writer.lock();
+            bytes += ARC_HEADER + size_of::<AtomicU64>() + w.inners.capacity() * size_of::<Twin>();
+            for twin in &w.inners {
+                bytes += twin.leaves.capacity() * size_of::<Arc<Leaf>>();
+            }
+            bytes += shard.alloc.total.load(Ordering::Relaxed) as usize;
         }
+        bytes as u64
     }
 }
 
-impl std::fmt::Debug for OrderedIndex {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("OrderedIndex")
-            .field("shards", &self.shards.len())
-            .field("len", &self.len())
-            .field("garbage", &self.garbage_len())
-            .finish()
-    }
-}
-
-/// Ascending key cursor returned by [`OrderedIndex::range_from`].
+/// Ascending key cursor returned by [`OrderedIndex::range_from`]: the
+/// rest of the current leaf, then the leaves after it in the inner
+/// snapshot it came from, then the inner nodes after that in the root's.
 pub struct RangeIter<'p> {
-    cur: *const Node,
-    _pin: std::marker::PhantomData<&'p ()>,
+    pin: &'p Pin<'p>,
+    inners: &'p [Kid<Inner>],
+    leaves: &'p [Kid<Leaf>],
+    keys: std::slice::Iter<'p, u64>,
 }
 
 impl Iterator for RangeIter<'_> {
     type Item = u64;
 
     fn next(&mut self) -> Option<u64> {
-        if self.cur.is_null() {
-            return None;
+        loop {
+            if let Some(&key) = self.keys.next() {
+                return Some(key);
+            }
+            if let Some(((_, leaf), rest)) = self.leaves.split_first() {
+                self.leaves = rest;
+                self.keys = leaf.load(self.pin).iter();
+            } else if let Some(((_, inner), rest)) = self.inners.split_first() {
+                self.inners = rest;
+                self.leaves = inner.load(self.pin);
+            } else {
+                return None;
+            }
         }
-        // SAFETY: the node is kept alive by the pin this iterator
-        // borrows; forward pointers of published nodes never change
-        // except to splice in strictly greater keys.
-        let key = unsafe { (*self.cur).key };
-        self.cur = unsafe { (*self.cur).next[0].load(Ordering::Acquire) };
-        Some(key)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::test_runner::TestRng;
+    use std::sync::atomic::AtomicBool;
 
     fn index(shards: usize) -> OrderedIndex {
         OrderedIndex::new(shards, Arc::new(EpochDomain::new(8)))
     }
 
+    fn domain(idx: &OrderedIndex) -> &Arc<EpochDomain> {
+        idx.shards[0].root.domain()
+    }
+
     fn scan_all(idx: &OrderedIndex, shard: usize, start: u64) -> Vec<u64> {
-        let pin = idx.domain().pin(0);
+        let pin = domain(idx).pin(0);
         idx.range_from(shard, start, &pin).collect()
+    }
+
+    /// Collects every live cell, then counts what they still hold retired.
+    fn sweep(idx: &OrderedIndex) -> usize {
+        let mut held = 0;
+        for sh in &idx.shards {
+            let w = sh.writer.lock();
+            sh.root.collect();
+            held += sh.root.retired_len();
+            for (twin, (_, inner)) in w.inners.iter().zip(w.root.iter()) {
+                inner.collect();
+                held += inner.retired_len();
+                for (_, leaf) in twin.inner.iter() {
+                    leaf.collect();
+                    held += leaf.retired_len();
+                }
+            }
+        }
+        held
+    }
+
+    /// Key count of every leaf of `shard`, left to right.
+    fn leaf_lens(idx: &OrderedIndex, shard: usize) -> Vec<usize> {
+        let w = idx.shards[shard].writer.lock();
+        w.inners
+            .iter()
+            .flat_map(|t| t.leaves.iter().map(|l| l.len()))
+            .collect()
     }
 
     #[test]
@@ -397,6 +428,17 @@ mod tests {
         idx.insert(0, u64::MAX);
         assert_eq!(scan_all(&idx, 0, 0), vec![0, u64::MAX]);
         assert_eq!(scan_all(&idx, 0, u64::MAX), vec![u64::MAX]);
+        // The same two keys at the far ends of a tree of several leaves.
+        let step = u64::MAX / 1000;
+        for k in 1..1000 {
+            idx.insert(0, k * step);
+        }
+        assert!(leaf_lens(&idx, 0).len() > 2);
+        let all = scan_all(&idx, 0, 0);
+        assert_eq!(all.len(), 1001);
+        assert_eq!((all[0], all[1000]), (0, u64::MAX));
+        assert_eq!(scan_all(&idx, 0, u64::MAX), vec![u64::MAX]);
+        assert_eq!(scan_all(&idx, 0, u64::MAX - 1), vec![u64::MAX]);
     }
 
     #[test]
@@ -411,46 +453,120 @@ mod tests {
     }
 
     #[test]
-    fn tower_heights_are_deterministic_and_geometric() {
-        let mut counts = [0usize; MAX_HEIGHT + 1];
-        for k in 0..100_000u64 {
-            assert_eq!(tower_height(k), tower_height(k));
-            counts[tower_height(k)] += 1;
+    fn full_leaf_splits_on_the_next_key() {
+        let cap = LEAF_CAP as u64;
+        let idx = index(1);
+        for k in 0..cap {
+            idx.insert(0, 10 + 2 * k);
         }
-        // ~3/4 of keys at height 1, ~3/16 at height 2.
-        assert!(counts[1] > 70_000, "height-1 fraction: {}", counts[1]);
-        assert!(counts[2] > 12_000 && counts[2] < 25_000);
+        assert_eq!(leaf_lens(&idx, 0), vec![LEAF_CAP], "exactly at capacity");
+        idx.insert(0, 11);
+        assert_eq!(leaf_lens(&idx, 0), vec![LEAF_CAP / 2, LEAF_CAP / 2 + 1]);
+        let want: Vec<u64> = [10, 11]
+            .into_iter()
+            .chain((1..cap).map(|k| 10 + 2 * k))
+            .collect();
+        assert_eq!(scan_all(&idx, 0, 0), want);
+        // A start below the first leaf's first key, inside the gap between
+        // the two leaves' keys, and past the last key.
+        assert_eq!(scan_all(&idx, 0, 9), want);
+        let second = want[LEAF_CAP / 2];
+        assert_eq!(scan_all(&idx, 0, second - 1), want[LEAF_CAP / 2..]);
+        assert_eq!(scan_all(&idx, 0, want[LEAF_CAP] + 1), Vec::<u64>::new());
     }
 
     #[test]
-    fn pinned_reader_blocks_reclamation() {
+    fn ascending_appends_leave_full_leaves() {
         let idx = index(1);
-        for k in 0..10 {
+        let n = (LEAF_CAP * INNER_CAP * 2) as u64;
+        for k in 0..n {
+            assert!(idx.insert(0, k));
+        }
+        let lens = leaf_lens(&idx, 0);
+        assert!(lens.iter().all(|&l| l == LEAF_CAP), "tail split: {lens:?}");
+        assert!(
+            idx.shards[0].writer.lock().inners.len() > 1,
+            "inner node must have split"
+        );
+        assert_eq!(scan_all(&idx, 0, 0), (0..n).collect::<Vec<u64>>());
+        assert_eq!(scan_all(&idx, 0, n - 3), vec![n - 3, n - 2, n - 1]);
+    }
+
+    #[test]
+    fn remove_all_then_reinsert() {
+        let idx = index(1);
+        let n = (LEAF_CAP * INNER_CAP * 2) as u64;
+        let empty = idx.dram_bytes();
+        for k in 0..n {
             idx.insert(0, k);
         }
-        let pin = idx.domain().pin(0);
+        let inners = idx.shards[0].writer.lock().inners.len();
+        // Front to back for one half, back to front for the other: both
+        // neighbours get to inherit an emptied leaf's range.
+        for k in (0..n / 2).chain((n / 2..n).rev()) {
+            assert!(idx.remove(0, k));
+        }
+        assert!(idx.is_empty());
+        assert_eq!(scan_all(&idx, 0, 0), Vec::<u64>::new());
+        assert_eq!(leaf_lens(&idx, 0), vec![0; inners], "emptied leaves go");
+        assert_eq!(sweep(&idx), 0);
+        assert!(idx.dram_bytes() < empty + 1024 * inners as u64);
+        for k in (0..n).rev() {
+            assert!(idx.insert(0, k));
+        }
+        assert_eq!(scan_all(&idx, 0, 0), (0..n).collect::<Vec<u64>>());
+    }
+
+    /// A cursor parked mid-leaf keeps reading the snapshot it loaded
+    /// while the writer replaces and splits that leaf; what that retires
+    /// is held while the pin is, and freed once it drops.
+    #[test]
+    fn pinned_reader_blocks_reclamation() {
+        let cap = LEAF_CAP as u64;
+        let idx = index(1);
+        for k in 0..cap {
+            idx.insert(0, k);
+        }
+        let pin = domain(&idx).pin(0);
         let mut iter = idx.range_from(0, 0, &pin);
         assert_eq!(iter.next(), Some(0));
-        for k in 0..10 {
+        for k in 1..10 {
             idx.remove(0, k);
         }
-        assert!(idx.garbage_len() > 0, "pre-pin removals must be retired");
-        // The in-flight iterator still walks the retired chain safely.
-        let rest: Vec<u64> = iter.collect();
-        assert_eq!(rest, (1..10).collect::<Vec<u64>>());
+        for k in cap..4 * cap {
+            idx.insert(0, k ^ 1);
+        }
+        assert!(leaf_lens(&idx, 0).len() > 2, "the leaf must have split");
+        assert!(sweep(&idx) > 0, "snapshots retired under a pin are held");
+        let pinned_bytes = idx.dram_bytes();
+        assert_eq!(iter.collect::<Vec<u64>>(), (1..cap).collect::<Vec<u64>>());
         drop(pin);
-        idx.collect();
-        assert_eq!(idx.garbage_len(), 0, "unpinned garbage must free");
+        assert_eq!(sweep(&idx), 0, "unpinned retirees must free");
+        assert!(idx.dram_bytes() < pinned_bytes);
+        let live: Vec<u64> = std::iter::once(0).chain(10..4 * cap).collect();
+        assert_eq!(scan_all(&idx, 0, 0), live);
     }
 
     #[test]
     fn dram_bytes_tracks_population() {
         let idx = index(2);
-        let empty = idx.dram_bytes();
-        for k in 0..1000 {
-            idx.insert((k % 2) as usize, k);
+        let mut rng = TestRng::deterministic("dram_bytes_tracks_population");
+        let (mut keys, mut last) = (0, idx.dram_bytes());
+        for n in [1_000u64, 10_000, 100_000] {
+            while keys < n {
+                let key = rng.next_u64();
+                keys += u64::from(idx.insert((key % 2) as usize, key));
+            }
+            assert_eq!(idx.len(), n);
+            assert_eq!(sweep(&idx), 0);
+            let bytes = idx.dram_bytes();
+            assert!(bytes > last, "{n} keys: {bytes} B after {last} B");
+            last = bytes;
         }
-        assert!(idx.dram_bytes() >= empty + 1000 * 64);
+        let per_key = last as f64 / 100_000.0;
+        assert!(per_key <= 16.0, "{per_key} B/key");
+        // 8 B of it is the key itself.
+        assert!(per_key >= 8.0, "{per_key} B/key");
     }
 
     #[test]
@@ -462,71 +578,103 @@ mod tests {
         let _ = idx.range_from(0, 0, &pin);
     }
 
-    /// Readers continuously range-scan while a writer churns half the
-    /// key space; every observed sequence must be strictly ascending,
-    /// contain every stable key in its window, and contain nothing that
-    /// was never inserted.
-    #[test]
-    fn concurrent_scan_stress() {
-        use std::sync::atomic::AtomicBool;
+    /// Stable keys: the multiples of 4 below `STABLE_END`, inserted up
+    /// front and never removed. Everything else below `KEY_END` is the
+    /// writer's to churn.
+    const STABLE_END: u64 = 8_000;
+    const KEY_END: u64 = 24_000;
 
-        let idx = Arc::new(index(1));
-        // Stable keys: even numbers, inserted up front, never removed.
-        for k in (0..2000u64).step_by(2) {
+    fn is_stable(k: u64) -> bool {
+        k < STABLE_END && k.is_multiple_of(4)
+    }
+
+    /// Readers scan the whole shard in a loop while `churn` mutates it.
+    /// Every observed sequence must be strictly ascending, contain every
+    /// stable key exactly once, and contain nothing never inserted.
+    fn scan_stress(churn: impl FnOnce(&OrderedIndex) + Send) {
+        let idx = index(1);
+        for k in (0..STABLE_END).step_by(4) {
             idx.insert(0, k);
         }
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             for reader in 0..3usize {
-                let idx = Arc::clone(&idx);
-                let stop = Arc::clone(&stop);
+                let (idx, stop) = (&idx, &stop);
                 s.spawn(move || {
                     let mut rounds = 0u32;
-                    while !stop.load(Ordering::Relaxed) || rounds < 50 {
+                    while !stop.load(Ordering::Relaxed) || rounds < 20 {
                         rounds += 1;
-                        let pin = idx.domain().pin(reader);
-                        let keys: Vec<u64> = idx.range_from(0, 0, &pin).take(500).collect();
+                        let pin = domain(idx).pin(reader);
                         let mut prev = None;
-                        let mut evens = 0u64;
-                        for &k in &keys {
-                            assert!(k < 2001, "phantom key {k}");
-                            if let Some(p) = prev {
-                                assert!(k > p, "not ascending: {p} then {k}");
-                            }
+                        let mut stable = 0u64;
+                        for k in idx.range_from(0, 0, &pin) {
+                            assert!(k < KEY_END, "phantom key {k}");
+                            assert!(prev < Some(k), "not ascending: {prev:?} then {k}");
                             prev = Some(k);
-                            if k % 2 == 0 {
-                                // Stable keys must be contiguous: this
-                                // even key is the next expected one.
-                                assert_eq!(k, evens * 2, "missed stable key");
-                                evens += 1;
+                            if is_stable(k) {
+                                assert_eq!(k, stable * 4, "missed stable key");
+                                stable += 1;
                             }
                         }
-                        if rounds >= 50 && stop.load(Ordering::Relaxed) {
-                            break;
-                        }
+                        assert_eq!(stable, STABLE_END / 4, "scan ended early");
                     }
                 });
             }
-            let idx2 = Arc::clone(&idx);
-            let stop2 = Arc::clone(&stop);
+            let (idx, stop) = (&idx, &stop);
             s.spawn(move || {
-                // Churn odd keys in and out.
-                for round in 0..200u64 {
-                    for k in (1..2000u64).step_by(2) {
-                        if round % 2 == 0 {
-                            idx2.insert(0, k);
-                        } else {
-                            idx2.remove(0, k);
-                        }
-                    }
-                }
-                stop2.store(true, Ordering::Relaxed);
+                churn(idx);
+                stop.store(true, Ordering::Relaxed);
             });
         });
-        idx.collect();
-        // All readers gone: everything retired must eventually free.
-        idx.domain().synchronize();
-        idx.collect();
-        assert_eq!(idx.garbage_len(), 0);
+        // All readers gone: everything retired must free.
+        assert_eq!(sweep(&idx), 0);
+        let stable: Vec<u64> = (0..STABLE_END).step_by(4).collect();
+        let left: Vec<u64> = scan_all(&idx, 0, 0);
+        assert!(stable.iter().all(|k| left.binary_search(k).is_ok()));
+    }
+
+    /// Random-order churn between and above the stable keys: leaves
+    /// split, an inner node splits, and the all-churn leaves above
+    /// `STABLE_END` empty out and go, round after round.
+    #[test]
+    fn concurrent_scan_stress() {
+        scan_stress(|idx| {
+            let mut most_inners = 0;
+            let mut rng = TestRng::deterministic("concurrent_scan_stress");
+            for _round in 0..12 {
+                for _ in 0..KEY_END {
+                    let k = rng.next_u64() % KEY_END;
+                    if !is_stable(k) {
+                        idx.insert(0, k);
+                    }
+                }
+                most_inners = most_inners.max(idx.shards[0].writer.lock().inners.len());
+                for k in 0..KEY_END {
+                    if !is_stable(k) {
+                        idx.remove(0, k);
+                    }
+                }
+            }
+            assert!(most_inners > 1, "churn must split an inner node");
+        });
+    }
+
+    /// A queue-shaped writer: ascending appends above the stable keys
+    /// (the tail-split path) chased by removals from the front.
+    #[test]
+    fn concurrent_scan_stress_ascending_appends() {
+        scan_stress(|idx| {
+            for _round in 0..12 {
+                for k in STABLE_END..KEY_END {
+                    idx.insert(0, k);
+                    if k >= STABLE_END + 4_000 {
+                        idx.remove(0, k - 4_000);
+                    }
+                }
+                for k in KEY_END - 4_000..KEY_END {
+                    idx.remove(0, k);
+                }
+            }
+        });
     }
 }
