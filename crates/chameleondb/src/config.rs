@@ -142,9 +142,8 @@ pub struct ChameleonConfig {
     /// false, `scan` returns `KvError::Unsupported` and the write path
     /// pays nothing — the
     /// pre-index baseline the scan-regression experiment compares
-    /// against. Not part of the persisted config blob: when enabled, the
-    /// first scan after a recovery rebuilds the index from the durable
-    /// structures (recovery itself never pays for it).
+    /// against. Not part of the persisted config blob: when enabled,
+    /// recovery rebuilds the index from the durable structures.
     pub ordered_index: bool,
     /// Observability configuration (event journal, maintenance spans,
     /// per-op latency histograms). Off by default — when off, the hot

@@ -16,7 +16,7 @@
 //!   `Arc`s; the region is deallocated when the last holder (writer
 //!   lists or an epoch-retired view) drops.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use chameleon_obs::{EventKind, Obs, Stage};
@@ -164,13 +164,35 @@ impl ShardMut {
         self.table_seq
     }
 
+    /// Every upper-level table, newest first by table seq: the degraded
+    /// get's probe order.
+    pub fn uppers_newest_first(&self) -> Vec<Arc<TableHandle>> {
+        let mut tables: Vec<Arc<TableHandle>> = self.uppers.iter().flatten().cloned().collect();
+        tables.sort_by_key(|t| std::cmp::Reverse(t.table().header().table_seq));
+        tables
+    }
+
+    /// The newest upper-level slot per hash: the ABI's slots when it is
+    /// valid, else the first slot seen over [`Self::uppers_newest_first`]
+    /// — the same set, since table seqs are unique within a shard.
+    pub fn upper_slots(&self, dev: &PmemDevice, ctx: &mut ThreadCtx) -> Vec<Slot> {
+        if self.abi_valid {
+            return self.abi.iter();
+        }
+        let mut seen = HashSet::new();
+        let mut slots = Vec::new();
+        for t in self.uppers_newest_first() {
+            for sl in t.table().iter_entries(dev, ctx) {
+                if seen.insert(sl.hash) {
+                    slots.push(sl);
+                }
+            }
+        }
+        slots
+    }
+
     /// Builds an immutable snapshot of the current readable structures.
     pub fn snapshot_view(&self) -> ShardView {
-        let mut uppers_newest_first: Vec<Arc<TableHandle>> =
-            self.uppers.iter().flatten().cloned().collect();
-        // Degraded-path probe order, established once per view instead of
-        // per get.
-        uppers_newest_first.sort_by_key(|t| std::cmp::Reverse(t.table().header().table_seq));
         // Newest first: the frozen deque is oldest-at-front, and the
         // in-flight table (if any) is older than everything still queued.
         let mut frozen_newest_first: Vec<Arc<SharedTable>> =
@@ -181,7 +203,7 @@ impl ShardMut {
             frozen_newest_first,
             abi: Arc::clone(&self.abi),
             abi_valid: self.abi_valid,
-            uppers_newest_first,
+            uppers_newest_first: self.uppers_newest_first(),
             dumped_newest_first: self.dumped.iter().rev().cloned().collect(),
             last: self.last.clone(),
         }
@@ -286,9 +308,7 @@ impl ShardMut {
         let span = env
             .obs
             .span_start(Stage::AbiRebuild, ctx.clock.now(), env.dev.stats());
-        let mut tables: Vec<Arc<TableHandle>> = self.uppers.iter().flatten().cloned().collect();
-        tables.sort_by_key(|t| std::cmp::Reverse(t.table().header().table_seq));
-        for t in &tables {
+        for t in self.uppers_newest_first() {
             for slot in t.table().iter_entries(env.dev, ctx) {
                 // Newest-first: keep the first version seen per hash.
                 self.abi.insert_if_absent(ctx, slot)?;

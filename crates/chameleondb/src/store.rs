@@ -1,7 +1,7 @@
 //! The ChameleonDB store: shard routing, modes, persistence, recovery.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use chameleon_obs::{CounterSection, EventKind, Obs, ObsSnapshot, OpKind, Stage, TraceSpan};
-use kvapi::{hash64, CrashRecover, KvError, KvStore, LogSpaceStats, Result};
+use kvapi::{hash64, key_of_hash, CrashRecover, KvError, KvStore, LogSpaceStats, Result};
 use kvlog::{EntryMeta, LogWriter, StorageLog, ENTRY_HEADER};
 use kvorder::OrderedIndex;
 use kvsync::{EpochDomain, ViewCell};
@@ -101,21 +101,8 @@ pub struct StoreInner {
     /// `None` when `cfg.ordered_index` is off — scans then return
     /// [`KvError::Unsupported`] and the write path pays nothing. Keyed by
     /// user key, so GC relocation (which only moves log entries) never
-    /// touches it; after a recovery it is rebuilt lazily by the first
-    /// scan (see `order_stale`).
+    /// touches it; recovery rebuilds it (see `rebuild_ordered_index`).
     order: Option<Arc<OrderedIndex>>,
-    /// True after a recovery until the first scan rebuilds the ordered
-    /// index. Rebuilding reads one log-entry header per live key, so
-    /// doing it eagerly would turn the cheap manifest-replay restart
-    /// into a full-dataset walk (Table 4's trade-off, the same reason
-    /// ABI rebuilds are deferred); instead recovery leaves the index
-    /// empty and the first scan pays for it, serialized by
-    /// `order_rebuild`. Point ops maintain the (possibly still partial)
-    /// index as usual in the interim — the rebuild resolves newest
-    /// versions under each shard lock, so post-recovery writes are
-    /// folded in exactly once.
-    order_stale: AtomicBool,
-    order_rebuild: Mutex<()>,
     meta: MetaLog,
     metrics: StoreMetrics,
     mode: ModeController,
@@ -290,8 +277,6 @@ impl ChameleonDb {
             views,
             epochs,
             order,
-            order_stale: AtomicBool::new(false),
-            order_rebuild: Mutex::new(()),
             meta: MetaLog {
                 manifest,
                 registry: Mutex::new(HashMap::new()),
@@ -305,11 +290,12 @@ impl ChameleonDb {
     }
 
     /// Reopens a store after a crash, charging the full restart cost
-    /// (superblock + manifest replay, table-header reads, one log scan, and
-    /// MemTable reconstruction) to `ctx`. ABIs are rebuilt lazily at a
-    /// shard's first structural transition (MemTable-full); until then
-    /// gets on that shard take the degraded upper-level walk (counted in
-    /// `degraded_gets`).
+    /// (superblock + manifest replay, table-header reads, one log scan,
+    /// MemTable reconstruction and, with the ordered index on, one walk of
+    /// every shard's tables to rebuild it) to `ctx`. ABIs are rebuilt
+    /// lazily at a shard's first structural transition (MemTable-full);
+    /// until then gets on that shard take the degraded upper-level walk
+    /// (counted in `degraded_gets`).
     pub fn recover(
         dev: Arc<PmemDevice>,
         cfg: ChameleonConfig,
@@ -448,8 +434,6 @@ impl ChameleonDb {
             views,
             epochs,
             order,
-            order_stale: AtomicBool::new(true),
-            order_rebuild: Mutex::new(()),
             meta: MetaLog {
                 manifest,
                 registry: Mutex::new(registry),
@@ -499,10 +483,7 @@ impl ChameleonDb {
                     .insert(&env, ctx, slot, meta.seq)?;
             }
         }
-        // The ordered key index is volatile but NOT rebuilt here: that
-        // would read one log-entry header per live key and forfeit the
-        // cheap-restart trade-off (Table 4). `order_stale` is already
-        // set; the first scan rebuilds it (see `ensure_ordered_index`).
+        store.rebuild_ordered_index(ctx);
         // Now that recovery is done, install the configured mode and the
         // per-thread writers.
         let base_mode = if store.cfg.write_intensive {
@@ -882,23 +863,11 @@ impl StoreInner {
             {
                 refs.extend(t.iter().into_iter().map(|sl| (sl.hash, sl.loc)));
             }
-            if s.abi_valid {
-                refs.extend(s.abi.iter().into_iter().map(|sl| (sl.hash, sl.loc)));
-            } else {
-                // Degraded shard: the newest upper-level version per hash
-                // is what the ABI would mirror.
-                let mut newest: HashMap<u64, (u64, u64)> = HashMap::new();
-                for t in s.uppers.iter().flatten() {
-                    let seq = t.table().header().table_seq;
-                    for sl in t.table().iter_entries(&self.dev, ctx) {
-                        let e = newest.entry(sl.hash).or_insert((seq, sl.loc));
-                        if seq > e.0 {
-                            *e = (seq, sl.loc);
-                        }
-                    }
-                }
-                refs.extend(newest.into_iter().map(|(hash, (_, loc))| (hash, loc)));
-            }
+            refs.extend(
+                s.upper_slots(&self.dev, ctx)
+                    .into_iter()
+                    .map(|sl| (sl.hash, sl.loc)),
+            );
             for t in &s.dumped {
                 refs.extend(
                     t.table()
@@ -923,96 +892,38 @@ impl StoreInner {
         total
     }
 
-    /// Rebuilds the ordered index if a recovery left it stale, before
-    /// the calling scan walks it. Serialized on `order_rebuild`; the
-    /// double-check means every later scan pays one relaxed load.
-    fn ensure_ordered_index(&self, ctx: &mut ThreadCtx) -> Result<()> {
-        if !self.order_stale.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let _g = self.order_rebuild.lock();
-        if self.order_stale.load(Ordering::Acquire) {
-            self.rebuild_ordered_index(ctx)?;
-            self.order_stale.store(false, Ordering::Release);
-        }
-        Ok(())
-    }
-
-    /// Rebuilds the volatile ordered key index from the live shard
-    /// structures. One precedence walk per shard — the same freshness
-    /// order `get` probes — picks the newest version per hash
-    /// (first-seen-wins), then the log entry header supplies the user
-    /// key, since tables store only hashes and location words. Hashes
-    /// whose newest version is a tombstone are skipped, as are stale
-    /// slots whose log entry no longer matches (reclaimed pre-crash).
-    ///
-    /// The shard lock is held across each shard's walk *and* inserts:
-    /// when the rebuild runs lazily (first scan after recovery) it races
-    /// concurrent put/delete index maintenance, and releasing the lock
-    /// between resolving a key as live and inserting it would let an
-    /// interleaved delete's removal be overwritten — a phantom key.
-    fn rebuild_ordered_index(&self, ctx: &mut ThreadCtx) -> Result<()> {
+    /// Rebuilds the volatile ordered key index at the end of recovery,
+    /// before any writer or worker exists. One walk per shard in `get`'s
+    /// precedence order — MemTable, ABI or uppers, dumped, last; replay
+    /// maintenance is inline, so nothing is frozen — keeps the first slot
+    /// per hash and skips tombstone winners. The user key is the hash's
+    /// preimage ([`kvapi::key_of_hash`]), so no log entry is read. Each
+    /// winner is its key's newest version, which GC repoints before it
+    /// reclaims the old extent (DESIGN §6.2), so none is stale.
+    fn rebuild_ordered_index(&self, ctx: &mut ThreadCtx) {
         let Some(order) = &self.order else {
-            return Ok(());
+            return;
         };
         for (idx, shard) in self.shards.iter().enumerate() {
             let s = shard.lock();
-            let mut newest: HashMap<u64, Slot> = HashMap::new();
-            for t in std::iter::once(&s.memtable)
-                .chain(s.frozen.iter().rev())
-                .chain(s.in_flight.iter())
-            {
-                for sl in t.iter() {
-                    newest.entry(sl.hash).or_insert(sl);
-                }
-            }
-            if s.abi_valid {
-                for sl in s.abi.iter() {
-                    newest.entry(sl.hash).or_insert(sl);
-                }
-            } else {
-                // Degraded shard: resolve the newest upper-level version
-                // per hash by table sequence, as the degraded get would.
-                let mut upper_newest: HashMap<u64, (u64, Slot)> = HashMap::new();
-                for t in s.uppers.iter().flatten() {
-                    let seq = t.table().header().table_seq;
-                    for sl in t.table().iter_entries(&self.dev, ctx) {
-                        let e = upper_newest.entry(sl.hash).or_insert((seq, sl));
-                        if seq > e.0 {
-                            *e = (seq, sl);
-                        }
-                    }
-                }
-                for (hash, (_, sl)) in upper_newest {
-                    newest.entry(hash).or_insert(sl);
-                }
-            }
-            for t in s.dumped.iter().rev() {
-                for sl in t.table().iter_entries(&self.dev, ctx) {
-                    newest.entry(sl.hash).or_insert(sl);
-                }
-            }
-            if let Some(t) = &s.last {
-                for sl in t.table().iter_entries(&self.dev, ctx) {
-                    newest.entry(sl.hash).or_insert(sl);
-                }
-            }
-            for (hash, sl) in newest {
-                if sl.is_tombstone() {
-                    continue;
-                }
-                let (off, _) = kvlog::unpack_loc(sl.location());
-                let Ok(meta) = self.log.entry_meta_at(ctx, off) else {
-                    continue;
-                };
-                if meta.tombstone || hash64(meta.key) != hash {
-                    continue;
-                }
-                order.insert(idx, meta.key);
+            let mut slots = s.memtable.iter();
+            slots.extend(s.upper_slots(&self.dev, ctx));
+            for t in s.dumped.iter().rev().chain(&s.last) {
+                slots.extend(t.table().iter_entries(&self.dev, ctx));
             }
             drop(s);
+            let mut seen = HashSet::with_capacity(slots.len());
+            let mut keys: Vec<u64> = slots
+                .into_iter()
+                .filter(|sl| seen.insert(sl.hash) && !sl.is_tombstone())
+                .map(|sl| key_of_hash(sl.hash))
+                .collect();
+            // Ascending inserts leave full leaves behind them.
+            keys.sort_unstable();
+            for key in keys {
+                order.insert(idx, key);
+            }
         }
-        Ok(())
     }
 
     /// Range scan: up to `limit` live keys `>= start_key`, ascending
@@ -1026,7 +937,6 @@ impl StoreInner {
         let Some(order) = &self.order else {
             return Err(KvError::Unsupported("range scan (ordered_index off)"));
         };
-        self.ensure_ordered_index(ctx)?;
         StoreMetrics::bump(&self.metrics.scans);
         let start = ctx.clock.now();
         ctx.charge(ctx.cost.op_overhead_ns);
@@ -2406,6 +2316,12 @@ mod tests {
             assert!(db.get(&mut c, k, &mut out).unwrap(), "key {k} lost");
             assert_eq!(out, [(rounds - 1) as u8; 64], "key {k} stale");
         }
+        // GC reclaimed the shadowed versions' extents before the crash;
+        // the rebuilt index holds exactly the live keys.
+        assert_eq!(
+            db.scan(&mut c, 0, 1000).unwrap(),
+            (0..keys).collect::<Vec<_>>()
+        );
         // The recycled log keeps working: more churn, another readback.
         for r in 0..40u64 {
             for k in 0..keys {
@@ -2534,6 +2450,8 @@ mod tests {
         let before = db.scan(&mut c, 2900, 700).unwrap();
         let mut db = db;
         db.crash_and_recover(&mut c).unwrap();
+        // Recovery itself rebuilt the index: every live key, before any scan.
+        assert_eq!(db.order.as_ref().unwrap().len(), 7500);
         // Degraded window: ABI not rebuilt yet, scans resolve through the
         // upper-level walk and must already agree with the pre-crash set.
         let degraded = db.scan(&mut c, 2900, 700).unwrap();
@@ -2546,6 +2464,22 @@ mod tests {
         assert_eq!(fresh, before, "post-rebuild scan diverged");
         let expect: Vec<u64> = (2900..3000).chain(3500..4100).collect();
         assert_eq!(fresh, expect);
+    }
+
+    #[test]
+    fn first_scan_after_recovery_costs_what_the_second_does() {
+        let mut db = new_store(ChameleonConfig::tiny());
+        let mut c = ctx();
+        fill(&db, &mut c, 4000);
+        db.sync(&mut c).unwrap();
+        db.crash_and_recover(&mut c).unwrap();
+        let mut scan_ns = || {
+            let start = c.clock.now();
+            assert_eq!(db.scan(&mut c, 100, 500).unwrap().len(), 500);
+            c.clock.now() - start
+        };
+        let first = scan_ns();
+        assert_eq!(first, scan_ns(), "the first scan paid for a rebuild");
     }
 
     #[test]

@@ -19,10 +19,22 @@ pub fn mix64(mut x: u64) -> u64 {
 ///
 /// Bijective, so distinct keys never collide at the full 64-bit level —
 /// collisions only arise from truncation to shard/slot counts, as with a
-/// real hash function over 8-byte keys.
+/// real hash function over 8-byte keys — and [`key_of_hash`] inverts it.
 #[inline]
 pub fn hash64(key: u64) -> u64 {
     mix64(key)
+}
+
+/// The key whose [`hash64`] is `hash`: [`mix64`]'s steps undone in
+/// reverse, each multiplier replaced by its inverse mod 2^64.
+#[inline]
+pub fn key_of_hash(hash: u64) -> u64 {
+    let mut x = hash ^ (hash >> 31) ^ (hash >> 62);
+    x = x.wrapping_mul(0x319642B2D24D8EC3);
+    x ^= (x >> 27) ^ (x >> 54);
+    x = x.wrapping_mul(0x96DE1B173F119089);
+    x ^= (x >> 30) ^ (x >> 60);
+    x.wrapping_sub(0x9E3779B97F4A7C15)
 }
 
 /// Derives the `i`-th independent hash for Bloom filters
@@ -43,6 +55,15 @@ mod tests {
         assert_eq!(mix64(42), mix64(42));
         assert_ne!(mix64(42), 42);
         assert_ne!(mix64(1), mix64(2));
+    }
+
+    #[test]
+    fn key_of_hash_inverts_hash64() {
+        let edges = [0, 1, 1 << 63, u64::MAX - 1, u64::MAX];
+        let mixed = (0..100_000u64).map(|i| mix64(i ^ 0xA5A5));
+        for k in edges.into_iter().chain(mixed) {
+            assert_eq!(key_of_hash(hash64(k)), k);
+        }
     }
 
     #[test]
