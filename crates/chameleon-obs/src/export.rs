@@ -426,7 +426,7 @@ impl ObsSnapshot {
 mod tests {
     use std::sync::atomic::Ordering;
 
-    use pmem_sim::MediaStats;
+    use pmem_sim::{MediaStats, ThreadCtx};
 
     use super::*;
     use crate::span::Stage;
@@ -438,10 +438,11 @@ mod tests {
     fn sample_snapshot() -> ObsSnapshot {
         let obs = Obs::new(ObsConfig::on(), 1);
         let dev = MediaStats::default();
-        dev.logical_bytes_written.fetch_add(100, Ordering::Relaxed);
-        dev.media_bytes_written.fetch_add(300, Ordering::Relaxed);
+        let lane = dev.lane(&ThreadCtx::with_default_cost());
+        lane.logical_bytes_written.fetch_add(100, Ordering::Relaxed);
+        lane.media_bytes_written.fetch_add(300, Ordering::Relaxed);
         let span = obs.span_start(Stage::AbiDump, 10, &dev);
-        dev.media_bytes_written.fetch_add(700, Ordering::Relaxed);
+        lane.media_bytes_written.fetch_add(700, Ordering::Relaxed);
         obs.span_end(span, 60, &dev);
         obs.record_event(
             70,

@@ -384,9 +384,10 @@ mod tests {
         let obs = Obs::new(ObsConfig::on(), 1);
         let dev = MediaStats::default();
         let span = obs.span_start(Stage::Flush, 1000, &dev);
-        dev.logical_bytes_written
+        let lane = dev.lane(&pmem_sim::ThreadCtx::with_default_cost());
+        lane.logical_bytes_written
             .fetch_add(256, std::sync::atomic::Ordering::Relaxed);
-        dev.media_bytes_written
+        lane.media_bytes_written
             .fetch_add(512, std::sync::atomic::Ordering::Relaxed);
         let delta = obs.span_end(span, 1500, &dev).expect("span closed");
         assert_eq!(delta.logical_bytes_written, 256);

@@ -217,16 +217,19 @@ impl ServerObs {
 
 #[cfg(test)]
 mod tests {
+    use pmem_sim::ThreadCtx;
+
     use super::*;
 
     #[test]
     fn batch_span_attributes_media_and_fences() {
         let obs = ServerObs::new();
         let media = MediaStats::default();
+        let lane = media.lane(&ThreadCtx::with_default_cost());
         let span = obs.batch_start(1_000, &media);
-        media.media_bytes_written.fetch_add(512, Ordering::Relaxed);
-        media.fences.fetch_add(1, Ordering::Relaxed);
-        media.rmw_blocks.fetch_add(2, Ordering::Relaxed);
+        lane.media_bytes_written.fetch_add(512, Ordering::Relaxed);
+        lane.fences.fetch_add(1, Ordering::Relaxed);
+        lane.rmw_blocks.fetch_add(2, Ordering::Relaxed);
         let delta = obs.batch_end(span, 1_750, &media, 8, 8, 3);
         assert_eq!(delta.media_bytes_written, 512);
         assert_eq!(delta.fences, 1);
@@ -268,10 +271,11 @@ mod tests {
     fn acks_per_fence_reflects_amortization() {
         let obs = ServerObs::new();
         let media = MediaStats::default();
+        let lane = media.lane(&ThreadCtx::with_default_cost());
         // Four batches of 16 durable ops, one fence each.
         for _ in 0..4 {
             let span = obs.batch_start(0, &media);
-            media.fences.fetch_add(1, Ordering::Relaxed);
+            lane.fences.fetch_add(1, Ordering::Relaxed);
             obs.batch_end(span, 10, &media, 16, 16, 0);
         }
         assert_eq!(obs.acks_per_fence_milli(), 16_000);

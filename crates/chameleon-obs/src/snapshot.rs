@@ -197,7 +197,7 @@ impl ObsSnapshot {
 mod tests {
     use std::sync::atomic::Ordering;
 
-    use pmem_sim::MediaStats;
+    use pmem_sim::{MediaStats, ThreadCtx};
 
     use super::*;
     use crate::{EventKind, ObsConfig};
@@ -205,13 +205,15 @@ mod tests {
     fn sample_obs() -> (Obs, MediaStats) {
         let obs = Obs::new(ObsConfig::on(), 2);
         let dev = MediaStats::default();
+        let lane = dev.lane(&ThreadCtx::with_default_cost());
         // Foreground traffic: 1000 logical / 2000 media.
-        dev.logical_bytes_written.fetch_add(1000, Ordering::Relaxed);
-        dev.media_bytes_written.fetch_add(2000, Ordering::Relaxed);
+        lane.logical_bytes_written
+            .fetch_add(1000, Ordering::Relaxed);
+        lane.media_bytes_written.fetch_add(2000, Ordering::Relaxed);
         // A flush span claiming 500 logical / 1000 media on top.
         let span = obs.span_start(Stage::Flush, 100, &dev);
-        dev.logical_bytes_written.fetch_add(500, Ordering::Relaxed);
-        dev.media_bytes_written.fetch_add(1000, Ordering::Relaxed);
+        lane.logical_bytes_written.fetch_add(500, Ordering::Relaxed);
+        lane.media_bytes_written.fetch_add(1000, Ordering::Relaxed);
         obs.span_end(span, 250, &dev);
         obs.record_event(
             260,

@@ -2,27 +2,45 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use pmem_sim::{ThreadCtx, LANES};
+
 /// Declares every store counter exactly once and generates the live
-/// atomics ([`StoreMetrics`]), their point-in-time copy
-/// ([`StoreMetricsSnapshot`]), `snapshot()`, `counters()` and the
-/// counter-wise `Sub` from that one list — adding a counter is one line
-/// here, and none of the five can miss it.
+/// atomics ([`StoreLane`], one per [`LANES`] lane in [`StoreMetrics`]),
+/// their point-in-time copy ([`StoreMetricsSnapshot`]), `snapshot()`,
+/// `counters()` and the counter-wise `Sub` from that one list — adding a
+/// counter is one line here, and none of them can miss it.
 macro_rules! store_counters {
     ($($(#[$doc:meta])* $f:ident,)+) => {
-        /// Counters describing where gets were served and how much maintenance the
-        /// store performed. The harnesses use these to explain throughput results
-        /// (e.g. ABI hit rate, compaction counts behind Fig. 15/16).
+        /// One counter lane of [`StoreMetrics`]: every counter, bumped by
+        /// the threads whose [`ThreadCtx::lane`] it is, on cache lines of
+        /// its own.
         #[derive(Debug, Default)]
-        pub struct StoreMetrics {
+        #[repr(align(64))]
+        pub(crate) struct StoreLane {
             $($(#[$doc])* pub $f: AtomicU64,)+
         }
 
+        /// Counters describing where gets were served and how much maintenance the
+        /// store performed. The harnesses use these to explain throughput results
+        /// (e.g. ABI hit rate, compaction counts behind Fig. 15/16).
+        ///
+        /// Each thread bumps the lane of its `ThreadCtx` (one of
+        /// [`LANES`]), so threads on different cores do not write-share a
+        /// counter line; [`snapshot`](StoreMetrics::snapshot) sums the
+        /// lanes.
+        #[derive(Debug, Default)]
+        pub struct StoreMetrics {
+            lanes: [StoreLane; LANES],
+        }
+
         impl StoreMetrics {
-            /// Relaxed snapshot of all counters.
+            /// Relaxed snapshot of all counters, summed over the lanes.
             pub fn snapshot(&self) -> StoreMetricsSnapshot {
-                StoreMetricsSnapshot {
-                    $($f: self.$f.load(Ordering::Relaxed),)+
+                let mut s = StoreMetricsSnapshot::default();
+                for l in &self.lanes {
+                    $(s.$f += l.$f.load(Ordering::Relaxed);)+
                 }
+                s
             }
         }
 
@@ -114,6 +132,12 @@ store_counters! {
 }
 
 impl StoreMetrics {
+    /// The lane `ctx`'s operations are counted in.
+    #[inline]
+    pub(crate) fn lane(&self, ctx: &ThreadCtx) -> &StoreLane {
+        &self.lanes[ctx.lane()]
+    }
+
     #[inline]
     pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
@@ -155,9 +179,10 @@ mod tests {
     #[test]
     fn snapshot_copies_counters() {
         let m = StoreMetrics::default();
-        m.puts.store(3, Ordering::Relaxed);
-        m.abi_hits.store(2, Ordering::Relaxed);
-        m.last_hits.store(2, Ordering::Relaxed);
+        let c = ThreadCtx::with_default_cost();
+        m.lane(&c).puts.store(3, Ordering::Relaxed);
+        m.lane(&c).abi_hits.store(2, Ordering::Relaxed);
+        m.lanes[LANES - 1].last_hits.store(2, Ordering::Relaxed);
         let s = m.snapshot();
         assert_eq!(s.puts, 3);
         assert_eq!(s.abi_hits, 2);

@@ -212,9 +212,9 @@ impl ShardMut {
     /// Republishes this shard's read view. Called at every structural
     /// transition, always while still holding the shard mutex (so a
     /// later insert cannot land in a not-yet-published fresh MemTable).
-    fn publish(&self, env: &ShardEnv<'_>) {
+    fn publish(&self, env: &ShardEnv<'_>, ctx: &ThreadCtx) {
         env.views[self.id as usize].publish(Arc::new(self.snapshot_view()));
-        StoreMetrics::bump(&env.metrics.view_publishes);
+        StoreMetrics::bump(&env.metrics.lane(ctx).view_publishes);
     }
 
     /// Inserts one slot into the MemTable (put or delete), running the
@@ -257,13 +257,13 @@ impl ShardMut {
     /// Freezes the live MemTable: pushes it onto the frozen queue, swaps
     /// in a fresh table, and republishes so readers keep seeing the
     /// frozen entries (now via the view's frozen list). No-op when empty.
-    pub fn freeze_memtable(&mut self, env: &ShardEnv<'_>) {
+    pub fn freeze_memtable(&mut self, env: &ShardEnv<'_>, ctx: &ThreadCtx) {
         if self.memtable.is_empty() {
             return;
         }
         self.frozen.push_back(Arc::clone(&self.memtable));
         self.memtable = Arc::new(SharedTable::new_resident(env.cfg.memtable_slots));
-        self.publish(env);
+        self.publish(env, ctx);
     }
 
     /// Pops the oldest frozen MemTable and runs one full maintenance pass
@@ -316,8 +316,8 @@ impl ShardMut {
             }
         }
         self.abi_valid = true;
-        self.publish(env);
-        StoreMetrics::bump(&env.metrics.abi_rebuilds);
+        self.publish(env, ctx);
+        StoreMetrics::bump(&env.metrics.lane(ctx).abi_rebuilds);
         env.obs.span_end(span, ctx.clock.now(), env.dev.stats());
         env.obs.record_event(
             ctx.clock.now(),
@@ -343,7 +343,7 @@ impl ShardMut {
     /// serve gets through the degraded upper-level walk until their first
     /// real flush.
     fn on_memtable_full(&mut self, env: &ShardEnv<'_>, ctx: &mut ThreadCtx) -> Result<()> {
-        self.freeze_memtable(env);
+        self.freeze_memtable(env, ctx);
         self.process_one_frozen(env, ctx)?;
         Ok(())
     }
@@ -389,8 +389,8 @@ impl ShardMut {
         // The merge is committed: retire the in-flight table from the
         // published view (its entries are covered by the ABI now).
         self.in_flight = None;
-        self.publish(env);
-        StoreMetrics::bump(&env.metrics.wim_merges);
+        self.publish(env, ctx);
+        StoreMetrics::bump(&env.metrics.lane(ctx).wim_merges);
         env.obs.span_end(span, ctx.clock.now(), env.dev.stats());
         env.obs.record_event(
             ctx.clock.now(),
@@ -458,8 +458,8 @@ impl ShardMut {
         // old ABI (which covers the dumped table's contents).
         self.abi = Arc::new(SharedTable::new(env.cfg.upper_capacity_slots()));
         self.abi_unpersisted_floor = None;
-        self.publish(env);
-        StoreMetrics::bump(&env.metrics.abi_dumps);
+        self.publish(env, ctx);
+        StoreMetrics::bump(&env.metrics.lane(ctx).abi_dumps);
         let delta = env
             .obs
             .span_end(span, ctx.clock.now(), env.dev.stats())
@@ -541,8 +541,8 @@ impl ShardMut {
         // in-flight table and makes the ABI mirror and the new L0 table
         // visible together.
         self.in_flight = None;
-        self.publish(env);
-        StoreMetrics::bump(&env.metrics.flushes);
+        self.publish(env, ctx);
+        StoreMetrics::bump(&env.metrics.lane(ctx).flushes);
         let delta = env
             .obs
             .span_end(span, ctx.clock.now(), env.dev.stats())
@@ -617,7 +617,7 @@ impl ShardMut {
             inputs.append(level);
         }
         self.merge_tables_to_level(env, ctx, inputs, target)?;
-        StoreMetrics::bump(&env.metrics.mid_compactions);
+        StoreMetrics::bump(&env.metrics.lane(ctx).mid_compactions);
         Ok(())
     }
 
@@ -630,7 +630,7 @@ impl ShardMut {
     ) -> Result<()> {
         let inputs = std::mem::take(&mut self.uppers[j]);
         self.merge_tables_to_level(env, ctx, inputs, j + 1)?;
-        StoreMetrics::bump(&env.metrics.mid_compactions);
+        StoreMetrics::bump(&env.metrics.lane(ctx).mid_compactions);
         Ok(())
     }
 
@@ -676,7 +676,7 @@ impl ShardMut {
         }
         let slots_out = table.num_entries();
         self.uppers[target_level].push(TableHandle::new(table, env.dev));
-        self.publish(env);
+        self.publish(env, ctx);
         let delta = env
             .obs
             .span_end(span, ctx.clock.now(), env.dev.stats())
@@ -777,8 +777,8 @@ impl ShardMut {
         // publish keep the old one, which covers the new last level.
         self.abi = Arc::new(SharedTable::new(env.cfg.upper_capacity_slots()));
         self.abi_unpersisted_floor = None;
-        self.publish(env);
-        StoreMetrics::bump(&env.metrics.last_compactions);
+        self.publish(env, ctx);
+        StoreMetrics::bump(&env.metrics.lane(ctx).last_compactions);
         let delta = env
             .obs
             .span_end(span, ctx.clock.now(), env.dev.stats())
@@ -799,7 +799,7 @@ impl ShardMut {
     /// store drains the worker pool before calling this, but concurrent
     /// puts may refreeze — the loop below clears whatever is pending.
     pub fn force_checkpoint(&mut self, env: &ShardEnv<'_>, ctx: &mut ThreadCtx) -> Result<()> {
-        self.freeze_memtable(env);
+        self.freeze_memtable(env, ctx);
         while self.process_one_frozen(env, ctx)? {}
         if !self.abi.is_empty() || !self.dumped.is_empty() {
             self.compact_last_level(env, ctx)?;

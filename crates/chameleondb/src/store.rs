@@ -703,16 +703,14 @@ impl StoreInner {
         let span = self
             .obs
             .span_start(Stage::Gc, ctx.clock.now(), self.dev.stats());
-        StoreMetrics::bump(&self.metrics.gc_runs);
+        let lane = self.metrics.lane(ctx);
+        StoreMetrics::bump(&lane.gc_runs);
         for idx in cands {
             let (relocated, bytes) = self.gc_extent(ctx, idx)?;
-            self.metrics
-                .gc_relocated_entries
+            lane.gc_relocated_entries
                 .fetch_add(relocated, Ordering::Relaxed);
-            self.metrics
-                .gc_relocated_bytes
-                .fetch_add(bytes, Ordering::Relaxed);
-            StoreMetrics::bump(&self.metrics.gc_reclaimed_extents);
+            lane.gc_relocated_bytes.fetch_add(bytes, Ordering::Relaxed);
+            StoreMetrics::bump(&lane.gc_reclaimed_extents);
         }
         self.obs.span_end(span, ctx.clock.now(), self.dev.stats());
         Ok(())
@@ -827,7 +825,7 @@ impl StoreInner {
             // locations; readers pinned earlier drain in the synchronize
             // below, before the old bytes vanish.
             self.views[shard_idx].publish(Arc::new(view));
-            StoreMetrics::bump(&self.metrics.view_publishes);
+            StoreMetrics::bump(&self.metrics.lane(ctx).view_publishes);
         }
         self.log.finish_gc(ctx, idx);
         self.meta.commit(
@@ -937,7 +935,8 @@ impl StoreInner {
         let Some(order) = &self.order else {
             return Err(KvError::Unsupported("range scan (ordered_index off)"));
         };
-        StoreMetrics::bump(&self.metrics.scans);
+        let lane = self.metrics.lane(ctx);
+        StoreMetrics::bump(&lane.scans);
         let start = ctx.clock.now();
         ctx.charge(ctx.cost.op_overhead_ns);
         let mut keys = Vec::with_capacity(limit.min(1024));
@@ -969,8 +968,7 @@ impl StoreInner {
             }
             drop(pin);
         }
-        self.metrics
-            .scanned_keys
+        lane.scanned_keys
             .fetch_add(keys.len() as u64, Ordering::Relaxed);
         let elapsed = ctx.clock.now().saturating_sub(start);
         // Cross-shard op; attribute the latency to the start key's shard.
@@ -1141,7 +1139,7 @@ impl StoreInner {
             let mut episode_stalled_ns = 0u64;
             while shard.memtable.is_full(shard.load_threshold) {
                 if shard.pending_frozen() < self.cfg.bg.frozen_queue_cap {
-                    shard.freeze_memtable(&env);
+                    shard.freeze_memtable(&env, ctx);
                     self.maint.enqueue(Job::Shard(shard_idx));
                     if self.cfg.bg.synchronous {
                         // Lock-step mode (crash matrix): wait for the
@@ -1160,7 +1158,7 @@ impl StoreInner {
                 if let Some(f) = self.maint.take_failure() {
                     return Err(raise(f));
                 }
-                StoreMetrics::bump(&self.metrics.write_stalls);
+                StoreMetrics::bump(&self.metrics.lane(ctx).write_stalls);
                 if episode_stalled_ns == 0 {
                     self.obs.record_event(
                         ctx.clock.now(),
@@ -1222,7 +1220,7 @@ impl StoreInner {
     }
 
     fn put(&self, ctx: &mut ThreadCtx, key: u64, value: &[u8]) -> Result<()> {
-        StoreMetrics::bump(&self.metrics.puts);
+        StoreMetrics::bump(&self.metrics.lane(ctx).puts);
         let start = ctx.clock.now();
         let shard_idx = self.write_slot(ctx, key, value, false)?;
         self.obs.record_op(
@@ -1244,7 +1242,8 @@ impl StoreInner {
         out: &mut Vec<u8>,
         span: Option<&TraceSpan>,
     ) -> Result<bool> {
-        StoreMetrics::bump(&self.metrics.gets);
+        let lane = self.metrics.lane(ctx);
+        StoreMetrics::bump(&lane.gets);
         let start = ctx.clock.now();
         ctx.charge(ctx.cost.op_overhead_ns + ctx.cost.hash_ns);
         let hash = hash64(key);
@@ -1260,7 +1259,7 @@ impl StoreInner {
         let found = {
             let view = self.views[shard_idx].load(&pin);
             if view.degraded(self.cfg.use_abi_for_get) {
-                StoreMetrics::bump(&self.metrics.degraded_gets);
+                StoreMetrics::bump(&lane.degraded_gets);
             }
             view.get(&self.dev, ctx, hash, self.cfg.use_abi_for_get)
         };
@@ -1277,20 +1276,20 @@ impl StoreInner {
         }
         let result = match found {
             None => {
-                StoreMetrics::bump(&self.metrics.misses);
+                StoreMetrics::bump(&lane.misses);
                 Ok(false)
             }
             Some((slot, source)) => {
                 let counter = match source {
-                    GetSource::MemTable => &self.metrics.memtable_hits,
-                    GetSource::Abi => &self.metrics.abi_hits,
-                    GetSource::Upper => &self.metrics.upper_hits,
-                    GetSource::Dumped => &self.metrics.dumped_hits,
-                    GetSource::Last => &self.metrics.last_hits,
+                    GetSource::MemTable => &lane.memtable_hits,
+                    GetSource::Abi => &lane.abi_hits,
+                    GetSource::Upper => &lane.upper_hits,
+                    GetSource::Dumped => &lane.dumped_hits,
+                    GetSource::Last => &lane.last_hits,
                 };
                 StoreMetrics::bump(counter);
                 if slot.is_tombstone() {
-                    StoreMetrics::bump(&self.metrics.misses);
+                    StoreMetrics::bump(&lane.misses);
                     Ok(false)
                 } else {
                     let meta = self.log.read_entry(ctx, slot.location(), out)?;
@@ -1309,7 +1308,7 @@ impl StoreInner {
         self.obs.record_op(shard_idx, OpKind::Get, elapsed);
         if let Some(change) = self.mode.record_get_latency(elapsed) {
             let trigger = if change.to == Mode::GetProtect {
-                StoreMetrics::bump(&self.metrics.gpm_entries);
+                StoreMetrics::bump(&lane.gpm_entries);
                 "p99_above_enter_threshold"
             } else {
                 "p99_below_exit_threshold"
@@ -1332,7 +1331,7 @@ impl StoreInner {
     }
 
     fn delete(&self, ctx: &mut ThreadCtx, key: u64) -> Result<bool> {
-        StoreMetrics::bump(&self.metrics.deletes);
+        StoreMetrics::bump(&self.metrics.lane(ctx).deletes);
         let start = ctx.clock.now();
         ctx.charge(ctx.cost.op_overhead_ns + ctx.cost.hash_ns);
         let hash = hash64(key);
@@ -1460,7 +1459,7 @@ pub(crate) fn credit_dead_slot(
             let (off, _) = kvlog::unpack_loc(word);
             log.note_dead_at(off, bytes);
         }
-        None => StoreMetrics::bump(&metrics.stale_credit_skips),
+        None => StoreMetrics::bump(&metrics.lane(ctx).stale_credit_skips),
     }
 }
 
@@ -2052,42 +2051,109 @@ mod tests {
         assert_eq!(db.metrics().write_stalls, 0);
     }
 
-    /// Wall time never reaches the simulated clock: on a pipeline sized so
-    /// the writer mostly waits for the one worker, the (wall-clock) stall
-    /// time the journal reports exceeds everything the writer's simulated
-    /// clock accumulated. (No run-to-run equality claim: a worker's
-    /// `sync_log` fences the writer's open batch at a timing-dependent
-    /// point.)
+    /// Wall time never reaches the simulated clock. The stalled run holds
+    /// shard 1's mutex while the lone worker waits on it, so the writer's
+    /// second freeze of shard 0 finds the frozen queue full and stalls for
+    /// at least `HOLD` of wall time on every run. The control is the same
+    /// fill with a queue that never fills. On simulated time the stalled
+    /// writer ends up only noise away from the control, far below the
+    /// wall-clock stall total the journal reports. (No run-to-run equality
+    /// claim: a worker's `sync_log` fences the writer's open batch at a
+    /// timing-dependent point.)
     #[test]
     fn write_stalls_are_not_charged_to_the_simulated_clock() {
-        let mut cfg = ChameleonConfig::tiny();
-        cfg.memtable_slots = 16;
-        cfg.bg.workers = 1;
-        cfg.bg.frozen_queue_cap = 1;
-        cfg.obs = chameleon_obs::ObsConfig::with_capacity(1 << 16);
-        let db = new_store(cfg);
-        let mut c = ctx();
-        fill(&db, &mut c, 20_000);
-        db.drain_maintenance().unwrap();
+        const HOLD: std::time::Duration = std::time::Duration::from_millis(50);
+        // Returns (writer's sim clock, write stalls, journaled stall ns).
+        let run = |frozen_queue_cap: usize, hold: bool| {
+            let mut cfg = ChameleonConfig::tiny();
+            cfg.memtable_slots = 16;
+            cfg.bg.workers = 1;
+            cfg.bg.frozen_queue_cap = frozen_queue_cap;
+            cfg.obs = chameleon_obs::ObsConfig::with_capacity(1 << 16);
+            let db = new_store(cfg);
+            let keys: Vec<u64> = (0..)
+                .filter(|&k| db.shard_of(hash64(k)) == 0)
+                .take(2_000)
+                .collect();
+            let clock = std::thread::scope(|s| {
+                let blocker = hold.then(|| {
+                    let guard = db.shards[1].lock();
+                    assert!(db.maint.enqueue(Job::Shard(1)));
+                    guard
+                });
+                let writer = s.spawn(|| {
+                    let mut c = ctx();
+                    for &k in &keys {
+                        db.put(&mut c, k, &value_for(k)).unwrap();
+                    }
+                    c.clock.now()
+                });
+                if let Some(guard) = blocker {
+                    while db.metrics().write_stalls == 0 && !writer.is_finished() {
+                        std::thread::sleep(std::time::Duration::from_millis(1));
+                    }
+                    std::thread::sleep(HOLD);
+                    drop(guard);
+                }
+                writer.join().unwrap()
+            });
+            db.drain_maintenance().unwrap();
+            let stalled_wall_ns: u64 = db
+                .obs()
+                .journal()
+                .events()
+                .iter()
+                .filter_map(|e| match e.kind {
+                    EventKind::WriteStallExit { stalled_ns, .. } => Some(stalled_ns),
+                    _ => None,
+                })
+                .sum();
+            (clock, db.metrics().write_stalls, stalled_wall_ns)
+        };
+        let (control, control_stalls, _) = run(usize::MAX, false);
+        assert_eq!(control_stalls, 0, "the control run stalled");
+        let (stalled, stalls, stalled_wall_ns) = run(1, true);
+        assert!(stalls > 0, "the held worker never stalled the writer");
+        assert!(stalled_wall_ns >= HOLD.as_nanos() as u64);
+        let extra = stalled.saturating_sub(control);
         assert!(
-            db.metrics().write_stalls > 0,
-            "torture config never stalled"
+            2 * extra < stalled_wall_ns,
+            "stalled writer's clock {stalled} is {extra} sim-ns past the control's {control}, \
+             against {stalled_wall_ns} wall-ns of journaled stalls"
         );
-        let stalled_wall_ns: u64 = db
-            .obs()
-            .journal()
-            .events()
-            .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::WriteStallExit { stalled_ns, .. } => Some(stalled_ns),
-                _ => None,
-            })
-            .sum();
-        assert!(
-            c.clock.now() < stalled_wall_ns,
-            "writer's simulated clock {} >= journaled wall-clock stall time {stalled_wall_ns}",
-            c.clock.now()
-        );
+    }
+
+    /// Threads past `LANES` wrap onto shared counter lanes; the summed
+    /// metrics still count every op exactly.
+    #[test]
+    fn metrics_count_every_op_across_wrapped_lanes() {
+        let db = new_store(ChameleonConfig::tiny());
+        let threads = 2 * pmem_sim::LANES + 1;
+        let k = 300u64;
+        let cost = Arc::new(CostModel::default());
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let (db, cost) = (&db, Arc::clone(&cost));
+                s.spawn(move || {
+                    let mut c = ThreadCtx::for_thread(cost, t);
+                    let base = t as u64 * 1_000_000;
+                    let mut out = Vec::new();
+                    for i in 0..k {
+                        db.put(&mut c, base + i, &value_for(base + i)).unwrap();
+                        // Odd rounds ask for a key nobody wrote.
+                        let hit = i % 2 == 0;
+                        let key = if hit { base + i } else { base + k + i };
+                        assert_eq!(db.get(&mut c, key, &mut out).unwrap(), hit);
+                    }
+                });
+            }
+        });
+        let total = threads as u64 * k;
+        let m = db.metrics();
+        assert_eq!(m.puts, total);
+        assert_eq!(m.gets, total);
+        assert_eq!(m.hits() + m.misses, total);
+        assert_eq!(m.misses, total / 2);
     }
 
     #[test]

@@ -14,16 +14,24 @@
 //!    latency distributions and throughput are deterministic and
 //!    hardware-independent.
 //! 3. **Persistence domain.** Stores are buffered in a pending-line table
-//!    (the simulated CPU cache / write-pending queue) and only reach the
-//!    durable arena on `flush` + `fence`. [`PmemDevice::crash`] discards all
-//!    pending lines; recovery code must rebuild from the arena alone.
+//!    (the simulated CPU cache / write-pending queue) and only reach durable
+//!    media on `flush` + `fence`. [`PmemDevice::crash`] discards all
+//!    pending lines; recovery code must rebuild from media alone. The image
+//!    is split into 64 lock stripes by media block, each holding its
+//!    blocks' media bytes and pending lines under one `RwLock`: a store
+//!    updates a pending line, a fence moves it to media, and a read copies
+//!    it out, each under the block's stripe lock, so two threads storing to
+//!    disjoint bytes of one line never lose either store, and two readers
+//!    of different blocks rarely share a lock. Traffic counters
+//!    ([`MediaStats`]) keep one cache-line-aligned lane per
+//!    [`ThreadCtx::lane`] and sum them when read.
 //!
 //! The same device type also models the SATA and PCIe SSD profiles used by
 //! Fig. 2 of the paper (microsecond latency, 4KB blocks).
 //!
 //! Only *time* is virtual: every byte written through this crate actually
-//! exists in the arena and is read back verbatim, so correctness (including
-//! crash consistency) is testable for real.
+//! exists in the device image and is read back verbatim, so correctness
+//! (including crash consistency) is testable for real.
 
 mod alloc;
 mod clock;
@@ -36,7 +44,7 @@ mod stats;
 pub use alloc::PmemAllocator;
 pub use clock::SimClock;
 pub use cost::CostModel;
-pub use device::{CrashPoint, PRegion, PmemDevice, PmemError, ThreadCtx, CACHE_LINE};
+pub use device::{CrashPoint, PRegion, PmemDevice, PmemError, ThreadCtx, CACHE_LINE, LANES};
 pub use hist::Histogram;
 pub use profile::DeviceProfile;
-pub use stats::{MediaStats, StatsSnapshot};
+pub use stats::{MediaLane, MediaStats, StatsSnapshot};

@@ -2,16 +2,14 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Atomic counters of logical and media-level traffic on one device.
-///
-/// `media_*` counters measure traffic at the device's media-block
-/// granularity (256B for Optane), including read-modify-write inflation of
-/// partial-block writes — exactly what Intel's `ipmwatch` reports and what
-/// the paper uses in Fig. 17(b)/(e). `logical_*` counters measure the bytes
-/// the caller asked for, so `media / logical` is the device-level
-/// write/read amplification.
+use crate::device::{ThreadCtx, LANES};
+
+/// One counter lane of [`MediaStats`]: the per-op counters of the threads
+/// whose [`ThreadCtx::lane`] it is, alone on a cache line so threads on
+/// different cores never write-share one.
 #[derive(Debug, Default)]
-pub struct MediaStats {
+#[repr(align(64))]
+pub struct MediaLane {
     /// Bytes the callers asked to write.
     pub logical_bytes_written: AtomicU64,
     /// Bytes actually written to media (256B-block inflated).
@@ -26,27 +24,55 @@ pub struct MediaStats {
     pub fences: AtomicU64,
     /// Number of individual line flushes / ntstores issued.
     pub line_persists: AtomicU64,
+}
+
+/// Atomic counters of logical and media-level traffic on one device.
+///
+/// `media_*` counters measure traffic at the device's media-block
+/// granularity (256B for Optane), including read-modify-write inflation of
+/// partial-block writes — exactly what Intel's `ipmwatch` reports and what
+/// the paper uses in Fig. 17(b)/(e). `logical_*` counters measure the bytes
+/// the caller asked for, so `media / logical` is the device-level
+/// write/read amplification.
+///
+/// The per-op counters live in [`LANES`] lanes; an operation bumps the
+/// lane of the thread that issued it ([`MediaStats::lane`]) and
+/// [`snapshot`](MediaStats::snapshot) sums them.
+#[derive(Debug, Default)]
+pub struct MediaStats {
+    lanes: [MediaLane; LANES],
     /// Number of simulated crashes injected.
     pub crashes: AtomicU64,
 }
 
 impl MediaStats {
-    /// Takes a consistent-enough snapshot of all counters.
+    /// The lane `ctx`'s operations are counted in.
+    #[inline]
+    pub fn lane(&self, ctx: &ThreadCtx) -> &MediaLane {
+        &self.lanes[ctx.lane()]
+    }
+
+    /// Takes a consistent-enough snapshot of all counters, summed over
+    /// the lanes.
     ///
     /// Counters are read individually with relaxed ordering; in the
     /// harnesses all traffic-generating threads are joined before
     /// snapshotting.
     pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            logical_bytes_written: self.logical_bytes_written.load(Ordering::Relaxed),
-            media_bytes_written: self.media_bytes_written.load(Ordering::Relaxed),
-            rmw_blocks: self.rmw_blocks.load(Ordering::Relaxed),
-            logical_bytes_read: self.logical_bytes_read.load(Ordering::Relaxed),
-            media_bytes_read: self.media_bytes_read.load(Ordering::Relaxed),
-            fences: self.fences.load(Ordering::Relaxed),
-            line_persists: self.line_persists.load(Ordering::Relaxed),
+        let mut s = StatsSnapshot {
             crashes: self.crashes.load(Ordering::Relaxed),
+            ..StatsSnapshot::default()
+        };
+        for l in &self.lanes {
+            s.logical_bytes_written += l.logical_bytes_written.load(Ordering::Relaxed);
+            s.media_bytes_written += l.media_bytes_written.load(Ordering::Relaxed);
+            s.rmw_blocks += l.rmw_blocks.load(Ordering::Relaxed);
+            s.logical_bytes_read += l.logical_bytes_read.load(Ordering::Relaxed);
+            s.media_bytes_read += l.media_bytes_read.load(Ordering::Relaxed);
+            s.fences += l.fences.load(Ordering::Relaxed);
+            s.line_persists += l.line_persists.load(Ordering::Relaxed);
         }
+        s
     }
 
     /// Resets every counter to zero.
@@ -68,13 +94,15 @@ impl MediaStats {
     /// concurrency; the maintenance spans in `chameleon-obs` do exactly
     /// that.
     pub fn reset(&self) {
-        self.logical_bytes_written.store(0, Ordering::Relaxed);
-        self.media_bytes_written.store(0, Ordering::Relaxed);
-        self.rmw_blocks.store(0, Ordering::Relaxed);
-        self.logical_bytes_read.store(0, Ordering::Relaxed);
-        self.media_bytes_read.store(0, Ordering::Relaxed);
-        self.fences.store(0, Ordering::Relaxed);
-        self.line_persists.store(0, Ordering::Relaxed);
+        for l in &self.lanes {
+            l.logical_bytes_written.store(0, Ordering::Relaxed);
+            l.media_bytes_written.store(0, Ordering::Relaxed);
+            l.rmw_blocks.store(0, Ordering::Relaxed);
+            l.logical_bytes_read.store(0, Ordering::Relaxed);
+            l.media_bytes_read.store(0, Ordering::Relaxed);
+            l.fences.store(0, Ordering::Relaxed);
+            l.line_persists.store(0, Ordering::Relaxed);
+        }
         self.crashes.store(0, Ordering::Relaxed);
     }
 }
@@ -179,11 +207,18 @@ mod tests {
         assert_eq!(d.fences, 4);
     }
 
+    fn ctx() -> ThreadCtx {
+        ThreadCtx::with_default_cost()
+    }
+
     #[test]
     fn reset_clears_counters() {
         let m = MediaStats::default();
-        m.fences.store(5, Ordering::Relaxed);
-        m.media_bytes_written.store(1024, Ordering::Relaxed);
+        m.lane(&ctx()).fences.store(5, Ordering::Relaxed);
+        m.lane(&ctx())
+            .media_bytes_written
+            .store(1024, Ordering::Relaxed);
+        m.crashes.store(1, Ordering::Relaxed);
         m.reset();
         let s = m.snapshot();
         assert_eq!(s, StatsSnapshot::default());
@@ -211,16 +246,45 @@ mod tests {
     /// leaves a torn state — media traffic with no logical traffic, an
     /// accounting identity no real phase can produce. Snapshot deltas over
     /// the same interleaving stay self-consistent for everything recorded
-    /// after the phase boundary.
+    /// after the phase boundary. `reset()` itself zeroes every lane.
     #[test]
     fn reset_racing_traffic_tears_snapshots() {
+        let counters = |l: &MediaLane| {
+            [
+                l.logical_bytes_written.load(Ordering::Relaxed),
+                l.media_bytes_written.load(Ordering::Relaxed),
+                l.rmw_blocks.load(Ordering::Relaxed),
+                l.logical_bytes_read.load(Ordering::Relaxed),
+                l.media_bytes_read.load(Ordering::Relaxed),
+                l.fences.load(Ordering::Relaxed),
+                l.line_persists.load(Ordering::Relaxed),
+            ]
+        };
         let m = MediaStats::default();
+        for l in &m.lanes {
+            l.logical_bytes_written.fetch_add(1, Ordering::Relaxed);
+            l.media_bytes_written.fetch_add(1, Ordering::Relaxed);
+            l.rmw_blocks.fetch_add(1, Ordering::Relaxed);
+            l.logical_bytes_read.fetch_add(1, Ordering::Relaxed);
+            l.media_bytes_read.fetch_add(1, Ordering::Relaxed);
+            l.fences.fetch_add(1, Ordering::Relaxed);
+            l.line_persists.fetch_add(1, Ordering::Relaxed);
+            assert_eq!(counters(l), [1; 7]);
+        }
+        let c = ctx();
         // First half of a concurrent 16B write (256B media block):
-        m.logical_bytes_written.fetch_add(16, Ordering::Relaxed);
+        m.lane(&c)
+            .logical_bytes_written
+            .fetch_add(16, Ordering::Relaxed);
         // ... `reset()` runs here, racing the writer ...
         m.reset();
+        for l in &m.lanes {
+            assert_eq!(counters(l), [0; 7], "a lane survived reset()");
+        }
         // ... second half of the same write lands after the reset.
-        m.media_bytes_written.fetch_add(256, Ordering::Relaxed);
+        m.lane(&c)
+            .media_bytes_written
+            .fetch_add(256, Ordering::Relaxed);
 
         let torn = m.snapshot();
         assert_eq!(torn.logical_bytes_written, 0);
@@ -235,10 +299,11 @@ mod tests {
         // snapshot instead of resetting, subtract later. Traffic recorded
         // entirely after the boundary is attributed consistently.
         let m2 = MediaStats::default();
-        m2.logical_bytes_written.fetch_add(16, Ordering::Relaxed);
+        let l2 = m2.lane(&c);
+        l2.logical_bytes_written.fetch_add(16, Ordering::Relaxed);
         let boundary = m2.snapshot();
-        m2.logical_bytes_written.fetch_add(32, Ordering::Relaxed);
-        m2.media_bytes_written.fetch_add(512, Ordering::Relaxed);
+        l2.logical_bytes_written.fetch_add(32, Ordering::Relaxed);
+        l2.media_bytes_written.fetch_add(512, Ordering::Relaxed);
         let phase = m2.snapshot() - boundary;
         assert_eq!(phase.logical_bytes_written, 32);
         assert_eq!(phase.media_bytes_written, 512);
