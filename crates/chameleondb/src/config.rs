@@ -19,40 +19,33 @@ pub enum CompactionScheme {
     Direct,
 }
 
-/// Background maintenance pipeline configuration.
+/// Maintenance executor configuration.
 ///
-/// When enabled, a put that fills a MemTable freezes it (swap + view
-/// republish) and queues a maintenance request to a small worker pool;
-/// the flush / WIM merge / GPM dump / compaction then run off the put
-/// path, under the shard mutex. Like [`ObsConfig`], none of this is part
-/// of the persisted config blob: a store can be recovered with a
-/// different pipeline setting than it was created with.
+/// A write that finds its shard's MemTable at the load threshold freezes
+/// it (swap + view republish) before its own log append; then the flush /
+/// WIM merge / GPM dump / compaction chain runs under the shard mutex.
+/// `workers` picks who runs it: with `0` the writing thread runs it on its
+/// own clock (caller runs, the paper's engine), otherwise a worker pool
+/// does. Like [`ObsConfig`], none of this is part of the persisted config
+/// blob: a store can be recovered with a different executor than it was
+/// created with.
 #[derive(Debug, Clone)]
 pub struct BgConfig {
-    /// Master switch. When false every structural transition runs inline
-    /// on the put that triggered it (the pre-pipeline behaviour).
-    pub enabled: bool,
-    /// Number of maintenance worker threads.
+    /// Number of maintenance worker threads; `0` means the caller runs
+    /// every maintenance job (and every GC pass) itself.
     pub workers: usize,
     /// Maximum frozen MemTables a shard may have pending (queued +
-    /// in-flight). A put that would freeze past this cap waits on the
-    /// shard's condvar instead — counted in the `write_stalls` metric.
+    /// in-flight) on the worker pool. A write that would freeze past this
+    /// cap waits on the shard's condvar instead — counted in the
+    /// `write_stalls` metric.
     pub frozen_queue_cap: usize,
-    /// Lock-step mode: each put drains its own enqueued maintenance
-    /// before returning. Work still runs on the worker pool (exercising
-    /// the freeze/queue/worker/republish path), but never concurrently
-    /// with foreground fences — the crash matrix needs this so fence
-    /// ordinals stay deterministic across dry and armed runs.
-    pub synchronous: bool,
 }
 
 impl Default for BgConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             workers: 2,
             frozen_queue_cap: 2,
-            synchronous: false,
         }
     }
 }
@@ -166,16 +159,17 @@ impl ChameleonConfig {
     }
 
     /// The paper's engine with a custom shard count: Table 1 per-shard
-    /// geometry and none of the three post-paper features. Flushes and
-    /// compactions run inline on the put that triggered them, so their
-    /// modelled cost lands on the caller's simulated clock — the same
-    /// clock every baseline pays its maintenance on — and no ordered
-    /// index or GC state adds to the DRAM footprint the paper reports.
+    /// geometry and none of the three post-paper features. No worker
+    /// pool: the write that finds a MemTable full runs its flush and
+    /// compactions itself, so their modelled cost lands on the caller's
+    /// simulated clock — the same clock every baseline pays its
+    /// maintenance on — and no ordered index or GC state adds to the DRAM
+    /// footprint the paper reports.
     pub fn paper_with_shards(shards: usize) -> Self {
         Self {
             ordered_index: false,
             bg: BgConfig {
-                enabled: false,
+                workers: 0,
                 ..BgConfig::default()
             },
             gc: GcConfig { enabled: false },
@@ -264,13 +258,8 @@ impl ChameleonConfig {
         if self.max_threads == 0 {
             return Err("max_threads must be >= 1".into());
         }
-        if self.bg.enabled {
-            if self.bg.workers == 0 {
-                return Err("bg.workers must be >= 1 when the pipeline is enabled".into());
-            }
-            if self.bg.frozen_queue_cap == 0 {
-                return Err("bg.frozen_queue_cap must be >= 1".into());
-            }
+        if self.bg.workers > 0 && self.bg.frozen_queue_cap == 0 {
+            return Err("bg.frozen_queue_cap must be >= 1 with a worker pool".into());
         }
         Ok(())
     }
@@ -301,7 +290,7 @@ mod tests {
         assert_eq!(c.upper_capacity_slots() * 16, 512 << 10);
         assert!(c.validate().is_ok());
         // None of the post-paper features.
-        assert!(!c.bg.enabled && !c.ordered_index && !c.gc.enabled);
+        assert!(c.bg.workers == 0 && !c.ordered_index && !c.gc.enabled);
     }
 
     #[test]
@@ -322,6 +311,12 @@ mod tests {
         let mut c = ChameleonConfig::tiny();
         c.load_factor = (0.9, 0.2);
         assert!(c.validate().is_err());
+        let mut c = ChameleonConfig::tiny();
+        c.bg.frozen_queue_cap = 0;
+        assert!(c.validate().is_err());
+        // Without a pool the cap bounds nothing.
+        c.bg.workers = 0;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

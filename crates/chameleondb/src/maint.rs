@@ -1,16 +1,14 @@
-//! Shared state of the background maintenance pipeline: the request
-//! queue feeding the worker pool, the drain/idle signal, and the
-//! per-shard backpressure condvars.
+//! Shared state of the maintenance worker pool: the request queue, the
+//! drain/idle signal, and the per-shard backpressure condvars.
 //!
-//! The pipeline takes MemTable flushes, WIM merges, GPM dumps, and
-//! cascading compactions off the put path (the foreground/background
-//! split the paper assumes for its multi-level DRAM index, §2.2–2.4).
-//! A put that fills a MemTable freezes it and enqueues the shard here;
-//! a worker pops the request, reacquires the shard mutex, and runs the
-//! same maintenance chain the inline path would have, republishing the
-//! read view exactly as before. The worker threads themselves live in
-//! `store.rs` (they need the whole store); this module owns only the
-//! coordination state.
+//! A write that finds its shard's MemTable full freezes it before its
+//! log append. With `bg.workers > 0` it then enqueues the shard here, and
+//! a worker pops the request, reacquires the shard mutex and runs the
+//! flush / WIM merge / GPM dump / compaction chain off the put path.
+//! With no pool the writer runs the same chain itself and nothing is
+//! ever queued, so `pending` stays 0 and [`Maint::drain`] returns at
+//! once. The worker threads themselves live in `store.rs` (they need the
+//! whole store); this module owns only the coordination state.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -58,7 +56,6 @@ struct MaintState {
 
 /// Coordination state shared by foreground threads and the worker pool.
 pub(crate) struct Maint {
-    enabled: bool,
     state: Mutex<MaintState>,
     /// Workers wait here for requests.
     work_cv: Condvar,
@@ -71,18 +68,13 @@ pub(crate) struct Maint {
 }
 
 impl Maint {
-    pub fn new(enabled: bool, shards: usize) -> Self {
+    pub fn new(shards: usize) -> Self {
         Self {
-            enabled,
             state: Mutex::new(MaintState::default()),
             work_cv: Condvar::new(),
             idle_cv: Condvar::new(),
             shard_cvs: (0..shards).map(|_| Condvar::new()).collect(),
         }
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Queues a maintenance request and wakes a worker. Dropped silently
@@ -164,9 +156,6 @@ impl Maint {
     /// Waits until every queued and in-flight request has completed,
     /// surfacing any pipeline failure.
     pub fn drain(&self) -> Result<()> {
-        if !self.enabled {
-            return Ok(());
-        }
         let mut st = self.state.lock();
         loop {
             if let Some(f) = Self::take_failure_locked(&mut st) {

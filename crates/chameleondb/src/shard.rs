@@ -217,38 +217,16 @@ impl ShardMut {
         StoreMetrics::bump(&env.metrics.lane(ctx).view_publishes);
     }
 
-    /// Inserts one slot into the MemTable (put or delete), running the
-    /// full maintenance chain inline when the randomized load threshold
-    /// is hit — the path recovery replay and pipeline-disabled stores use.
-    ///
-    /// Returns the previous MemTable location word for dead-byte accounting.
-    pub fn insert(
-        &mut self,
-        env: &ShardEnv<'_>,
-        ctx: &mut ThreadCtx,
-        slot: Slot,
-        seq: u64,
-    ) -> Result<Option<u64>> {
-        let old = self.insert_no_maint(ctx, slot, seq)?;
-        if self.memtable.is_full(self.load_threshold) {
-            self.on_memtable_full(env, ctx)?;
-        }
-        Ok(old)
-    }
-
-    /// Inserts one slot into the MemTable without any maintenance — the
-    /// pipelined put path, which handles a full MemTable by freezing
-    /// *before* the insert and delegating the work to the worker pool.
+    /// Inserts one slot (put or delete) into the MemTable. Never runs
+    /// maintenance: callers freeze a MemTable at its load threshold
+    /// *before* the write that would overfill it (see
+    /// `StoreInner::write_slot_hashed` and `ChameleonDb::recover`).
     ///
     /// In-place insert into the shared MemTable: the published view holds
     /// the same Arc, so the entry is reader-visible the moment this
-    /// returns — acks need no republish.
-    pub fn insert_no_maint(
-        &mut self,
-        ctx: &mut ThreadCtx,
-        slot: Slot,
-        seq: u64,
-    ) -> Result<Option<u64>> {
+    /// returns — acks need no republish. Returns the previous MemTable
+    /// location word for dead-byte accounting.
+    pub fn insert(&mut self, ctx: &mut ThreadCtx, slot: Slot, seq: u64) -> Result<Option<u64>> {
         let old = self.memtable.insert(ctx, slot)?;
         self.memtable.note_seq(seq);
         Ok(old)
@@ -271,8 +249,12 @@ impl ShardMut {
     /// flush, cascade compactions} depending on the mode *at processing
     /// time*. Returns whether there was anything to process.
     ///
-    /// Runs under the shard mutex (callers hold it); the table stays
-    /// published as `in_flight` until the pass commits and republishes.
+    /// Runs under the shard mutex (callers hold it), on a pool worker or
+    /// on the writer that froze the table; the table stays published as
+    /// `in_flight` until the pass commits and republishes. A stale
+    /// post-restart ABI is rebuilt here rather than at the first insert,
+    /// so log replay stays cheap: shards that never fill a MemTable serve
+    /// gets through the degraded upper-level walk until their first flush.
     pub fn process_one_frozen(&mut self, env: &ShardEnv<'_>, ctx: &mut ThreadCtx) -> Result<bool> {
         let Some(table) = self.frozen.pop_front() else {
             return Ok(false);
@@ -326,25 +308,6 @@ impl ShardMut {
                 slots: self.abi.len() as u64,
             },
         );
-        Ok(())
-    }
-
-    /// Inline maintenance (recovery replay and pipeline-disabled stores):
-    /// freeze the just-filled MemTable and process it immediately. The
-    /// frozen queue is always empty here, so the processed table is the
-    /// one this call froze.
-    ///
-    /// A stale post-restart ABI is rebuilt inside `process_one_frozen`
-    /// before the first structural transition: both maintenance branches
-    /// merge or mirror the MemTable into the ABI, which is only
-    /// meaningful if the ABI already covers the upper levels. Deferring
-    /// the rebuild to this point (rather than the first insert) keeps
-    /// log-replay recovery cheap — shards that never fill a MemTable
-    /// serve gets through the degraded upper-level walk until their first
-    /// real flush.
-    fn on_memtable_full(&mut self, env: &ShardEnv<'_>, ctx: &mut ThreadCtx) -> Result<()> {
-        self.freeze_memtable(env, ctx);
-        self.process_one_frozen(env, ctx)?;
         Ok(())
     }
 

@@ -180,22 +180,19 @@ fn worker_loop(inner: &StoreInner, worker: usize) {
 }
 
 impl ChameleonDb {
-    /// Wraps a fully-built inner store and spawns the worker pool.
+    /// Wraps a fully-built inner store and spawns the worker pool (none
+    /// with `bg.workers == 0`).
     fn start(inner: StoreInner) -> Self {
         let inner = Arc::new(inner);
-        let workers = if inner.cfg.bg.enabled {
-            (0..inner.cfg.bg.workers)
-                .map(|i| {
-                    let inner = Arc::clone(&inner);
-                    std::thread::Builder::new()
-                        .name(format!("chameleon-maint-{i}"))
-                        .spawn(move || worker_loop(&inner, i))
-                        .expect("spawn maintenance worker")
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let workers = (0..inner.cfg.bg.workers)
+            .map(|i| {
+                let inner = Arc::clone(&inner);
+                std::thread::Builder::new()
+                    .name(format!("chameleon-maint-{i}"))
+                    .spawn(move || worker_loop(&inner, i))
+                    .expect("spawn maintenance worker")
+            })
+            .collect();
         Self { inner, workers }
     }
 
@@ -263,7 +260,7 @@ impl ChameleonDb {
         };
         let mode = ModeController::new(base_mode, cfg.gpm.clone());
         let obs = Obs::new(cfg.obs, cfg.shards);
-        let maint = Maint::new(cfg.bg.enabled, cfg.shards);
+        let maint = Maint::new(cfg.shards);
         let order = cfg
             .ordered_index
             .then(|| Arc::new(OrderedIndex::new(cfg.shards, Arc::clone(&epochs))));
@@ -417,10 +414,10 @@ impl ChameleonDb {
             .map(|s| ViewCell::new(Arc::clone(&epochs), Arc::new(s.snapshot_view())))
             .collect();
         // No worker pool during replay: recovery maintenance (mid-replay
-        // flushes, compactions, ABI rebuilds) stays inline on this
-        // thread so the ascending-seq replay invariant is untouched. The
-        // pool is spawned at the end, together with the writers.
-        let maint = Maint::new(cfg.bg.enabled, cfg.shards);
+        // flushes, compactions, ABI rebuilds) runs on this thread so the
+        // ascending-seq replay invariant is untouched. The pool is
+        // spawned at the end, together with the writers.
+        let maint = Maint::new(cfg.shards);
         let order = cfg
             .ordered_index
             .then(|| Arc::new(OrderedIndex::new(cfg.shards, Arc::clone(&epochs))));
@@ -445,8 +442,10 @@ impl ChameleonDb {
             gc_pending: AtomicBool::new(false),
         };
         // Re-admit un-checkpointed entries through the normal insert path
-        // (without re-logging them). This may trigger flushes/compactions,
-        // exactly as the paper's Write-Intensive-Mode recovery implies.
+        // (without re-logging them). A MemTable found full is frozen and
+        // processed before the next insert, as on the write path with no
+        // worker pool — so replay may flush and compact, exactly as the
+        // paper's Write-Intensive-Mode recovery implies.
         {
             let commit =
                 |ctx: &mut ThreadCtx, recs: &[ManifestRecord]| store.meta.commit(ctx, recs);
@@ -478,9 +477,12 @@ impl ChameleonDb {
                 } else {
                     Slot::new(hash, meta.loc())
                 };
-                store.shards[shard]
-                    .lock()
-                    .insert(&env, ctx, slot, meta.seq)?;
+                let mut s = store.shards[shard].lock();
+                if s.memtable.is_full(s.load_threshold) {
+                    s.freeze_memtable(&env, ctx);
+                    s.process_one_frozen(&env, ctx)?;
+                }
+                s.insert(ctx, slot, meta.seq)?;
             }
         }
         store.rebuild_ordered_index(ctx);
@@ -634,8 +636,8 @@ impl StoreInner {
     /// One background maintenance pass: process the oldest frozen
     /// MemTable of `shard_idx` (flush or WIM merge, plus any cascading
     /// dump/compaction), republishing the read view as it goes. Runs on a
-    /// worker thread, under the shard mutex — exactly the chain the
-    /// inline path would have run on the put that froze the table.
+    /// worker thread, under the shard mutex — exactly the chain a store
+    /// without a pool runs on the write that froze the table.
     fn maintain_shard(&self, shard_idx: usize, ctx: &mut ThreadCtx) -> Result<()> {
         let commit = |ctx: &mut ThreadCtx, recs: &[ManifestRecord]| self.meta.commit(ctx, recs);
         let sync_log = |ctx: &mut ThreadCtx| self.sync_writers(ctx);
@@ -654,8 +656,8 @@ impl StoreInner {
     /// target, with enough in-use extents for collection to matter — and
     /// schedules at most one pass (deduplicated by `gc_pending`). The
     /// check itself is pure reads: the put path never gains a fence from
-    /// it. The pass runs on the worker pool, inline when the pipeline is
-    /// disabled, and to completion (drain) in synchronous lock-step mode.
+    /// it. The pass runs on the worker pool, or on the caller's ctx when
+    /// there is no pool (`bg.workers == 0`).
     fn maybe_trigger_gc(&self, ctx: &mut ThreadCtx) -> Result<()> {
         if !self.cfg.gc.enabled || self.writers.is_empty() {
             return Ok(());
@@ -670,11 +672,9 @@ impl StoreInner {
         if self.gc_pending.swap(true, Ordering::AcqRel) {
             return Ok(());
         }
-        if self.maint.enabled() {
+        if self.cfg.bg.workers > 0 {
             if !self.maint.enqueue(Job::Gc) {
                 self.gc_pending.store(false, Ordering::Release);
-            } else if self.cfg.bg.synchronous {
-                self.maint.drain()?;
             }
             Ok(())
         } else {
@@ -1097,7 +1097,7 @@ impl StoreInner {
         self.write_slot_hashed(ctx, hash, shard_idx, key, value, tombstone)?;
         // Checked after the shard lock is released: the trigger itself is
         // pure reads (no fence on the put path); an actual pass runs on
-        // the worker pool (or inline when the pipeline is disabled).
+        // the worker pool (or on this thread when there is none).
         self.maybe_trigger_gc(ctx)?;
         Ok(shard_idx)
     }
@@ -1124,67 +1124,57 @@ impl StoreInner {
         let sync_log = |ctx: &mut ThreadCtx| self.sync_writers(ctx);
         let env = self.env(&commit, &sync_log);
         let mut shard = self.shards[shard_idx].lock();
-        let pipelined = self.maint.enabled();
-        if pipelined {
-            // Handle a full MemTable *before* the log append. If the
-            // frozen queue has room, freeze-and-swap (one publish, one
-            // enqueue — constant work) and carry on; otherwise stall on
-            // the shard's condvar until a worker retires a frozen table.
-            // Stalling must happen before the append because the wait
-            // releases the shard mutex, and another writer slipping in
-            // would otherwise break per-shard log/index order.
-            // One stall episode may span several condvar waits; journal
-            // one enter/exit pair around the whole episode so trace dumps
-            // show a single bar with the episode's total duration.
-            let mut episode_stalled_ns = 0u64;
-            while shard.memtable.is_full(shard.load_threshold) {
-                if shard.pending_frozen() < self.cfg.bg.frozen_queue_cap {
-                    shard.freeze_memtable(&env, ctx);
+        // Handle a full MemTable *before* the log append: freeze-and-swap
+        // (one publish), then either run the maintenance pass right here
+        // on the caller's clock (no worker pool) or enqueue it. With a
+        // pool whose frozen queue is at its cap, stall on the shard's
+        // condvar until a worker retires a frozen table. Stalling must
+        // happen before the append because the wait releases the shard
+        // mutex, and another writer slipping in would otherwise break
+        // per-shard log/index order. One stall episode may span several
+        // condvar waits; journal one enter/exit pair around the whole
+        // episode so trace dumps show a single bar with its total duration.
+        let mut episode_stalled_ns = 0u64;
+        let caller_runs = self.cfg.bg.workers == 0;
+        while shard.memtable.is_full(shard.load_threshold) {
+            if caller_runs || shard.pending_frozen() < self.cfg.bg.frozen_queue_cap {
+                shard.freeze_memtable(&env, ctx);
+                if caller_runs {
+                    shard.process_one_frozen(&env, ctx)?;
+                } else {
                     self.maint.enqueue(Job::Shard(shard_idx));
-                    if self.cfg.bg.synchronous {
-                        // Lock-step mode (crash matrix): wait for the
-                        // worker to finish this table *before* our own
-                        // log append, so worker fences never interleave
-                        // with foreground fences and ordinals stay
-                        // deterministic. The worker needs the shard
-                        // mutex, so release it around the drain.
-                        drop(shard);
-                        self.maint.drain()?;
-                        shard = self.shards[shard_idx].lock();
-                        continue;
-                    }
-                    break;
                 }
-                if let Some(f) = self.maint.take_failure() {
-                    return Err(raise(f));
-                }
-                StoreMetrics::bump(&self.metrics.lane(ctx).write_stalls);
-                if episode_stalled_ns == 0 {
-                    self.obs.record_event(
-                        ctx.clock.now(),
-                        EventKind::WriteStallEnter {
-                            shard: shard_idx as u32,
-                        },
-                    );
-                }
-                let start = std::time::Instant::now();
-                self.maint.shard_cvs[shard_idx].wait(&mut shard);
-                let stalled_ns = start.elapsed().as_nanos() as u64;
-                // Wall-clock blocking: it feeds the dedicated stall
-                // histogram and the journal pair, never the simulated
-                // clock, which holds modelled costs only.
-                self.obs.record_stall(stalled_ns);
-                episode_stalled_ns = episode_stalled_ns.saturating_add(stalled_ns.max(1));
+                break;
             }
-            if episode_stalled_ns > 0 {
+            if let Some(f) = self.maint.take_failure() {
+                return Err(raise(f));
+            }
+            StoreMetrics::bump(&self.metrics.lane(ctx).write_stalls);
+            if episode_stalled_ns == 0 {
                 self.obs.record_event(
                     ctx.clock.now(),
-                    EventKind::WriteStallExit {
+                    EventKind::WriteStallEnter {
                         shard: shard_idx as u32,
-                        stalled_ns: episode_stalled_ns,
                     },
                 );
             }
+            let start = std::time::Instant::now();
+            self.maint.shard_cvs[shard_idx].wait(&mut shard);
+            let stalled_ns = start.elapsed().as_nanos() as u64;
+            // Wall-clock blocking: it feeds the dedicated stall histogram
+            // and the journal pair, never the simulated clock, which
+            // holds modelled costs only.
+            self.obs.record_stall(stalled_ns);
+            episode_stalled_ns = episode_stalled_ns.saturating_add(stalled_ns.max(1));
+        }
+        if episode_stalled_ns > 0 {
+            self.obs.record_event(
+                ctx.clock.now(),
+                EventKind::WriteStallExit {
+                    shard: shard_idx as u32,
+                    stalled_ns: episode_stalled_ns,
+                },
+            );
         }
         let meta = self.append_log(ctx, key, value, tombstone)?;
         let slot = if tombstone {
@@ -1192,14 +1182,7 @@ impl StoreInner {
         } else {
             Slot::new(hash, meta.loc())
         };
-        let old = if pipelined {
-            // Pipelined path: pure append — a full MemTable was handled
-            // above, so no flush/merge/compaction can run inline here.
-            shard.insert_no_maint(ctx, slot, meta.seq)?
-        } else {
-            shard.insert(&env, ctx, slot, meta.seq)?
-        };
-        if let Some(old) = old {
+        if let Some(old) = shard.insert(ctx, slot, meta.seq)? {
             // A MemTable overwrite is the only reference the old entry
             // ever had (a loc lives in exactly one read-path structure);
             // credit its extent exactly once.
@@ -2002,22 +1985,69 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_disabled_runs_maintenance_inline() {
+    fn no_worker_pool_runs_maintenance_on_the_caller() {
         let mut cfg = ChameleonConfig::tiny();
-        cfg.bg.enabled = false;
+        cfg.bg.workers = 0;
         let db = new_store(cfg);
+        assert!(db.workers.is_empty());
         let mut c = ctx();
         fill(&db, &mut c, 20_000);
         check_all(&db, &mut c, 20_000);
         let m = db.metrics();
         assert!(m.flushes > 0);
-        // drain_maintenance on a disabled pipeline is a no-op, not a hang.
+        // drain_maintenance without a pool is a no-op, not a hang.
         db.drain_maintenance().unwrap();
     }
 
-    /// The paper profile is the inline executor: no worker pool, no
-    /// stalls, and the flush lands on the clock of the put that filled
-    /// the MemTable.
+    /// A `CrashPoint` raised on a pool worker reaches the foreground
+    /// intact: the next drain re-raises the payload, and the pool stays
+    /// poisoned — the write that needs it next fails.
+    #[test]
+    fn worker_crash_point_is_reraised_on_the_foreground() {
+        let mut cfg = ChameleonConfig::tiny();
+        cfg.bg.workers = 1;
+        cfg.bg.frozen_queue_cap = 1;
+        let db = new_store(cfg);
+        let mut c = ctx();
+        let i = 0;
+        let mut keys = (0..).filter(|&k| db.shard_of(hash64(k)) == i);
+        loop {
+            let s = db.shards[i].lock();
+            if s.memtable.is_full(s.load_threshold) {
+                break;
+            }
+            drop(s);
+            let k = keys.next().unwrap();
+            db.put(&mut c, k, &value_for(k)).unwrap();
+        }
+        {
+            let commit = |ctx: &mut ThreadCtx, recs: &[ManifestRecord]| db.meta.commit(ctx, recs);
+            let sync_log = |ctx: &mut ThreadCtx| db.sync_writers(ctx);
+            let env = db.env(&commit, &sync_log);
+            let mut shard = db.shards[i].lock();
+            shard.freeze_memtable(&env, &c);
+            // Armed under the shard lock and released only to the worker:
+            // the next fence is the flush's log sync, on the worker.
+            db.dev.arm_crash_at_fence(db.dev.fence_count() + 1);
+            assert!(db.maint.enqueue(Job::Shard(i)));
+        }
+        let payload = catch_unwind(AssertUnwindSafe(|| db.drain_maintenance()))
+            .expect_err("the worker's crash point was not re-raised");
+        assert!(payload.downcast_ref::<pmem_sim::CrashPoint>().is_some());
+        // The dead pass still counts against the cap, so the write that
+        // finds the fresh MemTable full again surfaces the sticky error.
+        let err = keys
+            .find_map(|k| db.put(&mut c, k, &value_for(k)).err())
+            .unwrap();
+        assert_eq!(
+            err,
+            KvError::Corrupt("background maintenance failed earlier")
+        );
+    }
+
+    /// The paper profile runs maintenance on the caller: no worker pool,
+    /// no stalls, and the flush lands on the clock of the write that
+    /// found the MemTable full.
     #[test]
     fn paper_profile_pays_for_the_flush_on_the_callers_clock() {
         let mut cfg = ChameleonConfig::paper_with_shards(8);
@@ -2157,24 +2187,6 @@ mod tests {
     }
 
     #[test]
-    fn synchronous_pipeline_still_uses_workers_and_keeps_data() {
-        let mut cfg = ChameleonConfig::tiny();
-        cfg.bg.workers = 1;
-        cfg.bg.synchronous = true;
-        let db = new_store(cfg);
-        let mut c = ctx();
-        fill(&db, &mut c, 10_000);
-        check_all(&db, &mut c, 10_000);
-        // Lock-step: every put drained its own maintenance, so nothing is
-        // pending and the counters are already settled.
-        let m = db.metrics();
-        assert!(m.flushes > 0);
-        for shard in &db.shards {
-            assert_eq!(shard.lock().pending_frozen(), 0);
-        }
-    }
-
-    #[test]
     fn frozen_queue_never_exceeds_cap_under_concurrent_load() {
         let mut cfg = ChameleonConfig::tiny();
         cfg.bg.workers = 1;
@@ -2250,8 +2262,8 @@ mod tests {
         assert!(db.approx_len() >= 4 * 5000);
     }
 
-    /// Small extents + lock-step maintenance so GC passes run (and
-    /// finish) deterministically inside the churn loop.
+    /// Small extents + no worker pool so GC passes run (and finish)
+    /// deterministically on the putting thread inside the churn loop.
     fn gc_cfg() -> ChameleonConfig {
         let mut cfg = ChameleonConfig::tiny();
         cfg.log = kvlog::LogConfig {
@@ -2260,21 +2272,26 @@ mod tests {
             max_value: 8 << 10,
             extent_bytes: 16 << 10,
         };
-        cfg.bg.synchronous = true;
+        cfg.bg.workers = 0;
         cfg
     }
 
-    #[test]
-    fn gc_keeps_footprint_bounded_under_churn() {
+    /// `rounds` overwrites of `keys` 64 B values on a fresh `gc_cfg` store.
+    fn gc_churn(keys: u64, rounds: u64) -> (ChameleonDb, ThreadCtx) {
         let db = new_store(gc_cfg());
         let mut c = ctx();
-        let (keys, rounds) = (200u64, 150u64);
         for r in 0..rounds {
             for k in 0..keys {
                 db.put(&mut c, k, &[r as u8; 64]).unwrap();
             }
         }
-        db.drain_maintenance().unwrap();
+        (db, c)
+    }
+
+    #[test]
+    fn gc_keeps_footprint_bounded_under_churn() {
+        let (keys, rounds) = (200u64, 150u64);
+        let (db, mut c) = gc_churn(keys, rounds);
         let m = db.metrics();
         assert!(m.gc_runs > 0, "GC never ran");
         assert!(m.gc_reclaimed_extents > 0, "GC reclaimed no extents");
@@ -2296,6 +2313,23 @@ mod tests {
             assert!(db.get(&mut c, k, &mut out).unwrap(), "key {k} lost by GC");
             assert_eq!(out, [(rounds - 1) as u8; 64], "key {k} stale after GC");
         }
+    }
+
+    /// With no worker pool, GC is a pure function of the write stream:
+    /// the same churn on two fresh devices relocates the same entries.
+    #[test]
+    fn gc_churn_is_deterministic_without_workers() {
+        let outcome = || {
+            let (db, _) = gc_churn(200, 150);
+            let m = db.metrics();
+            (
+                m.gc_runs,
+                m.gc_relocated_entries,
+                m.gc_relocated_bytes,
+                db.space_stats(),
+            )
+        };
+        assert_eq!(outcome(), outcome());
     }
 
     /// The exactly-once dead-byte crediting invariant: on a store whose
@@ -2351,7 +2385,6 @@ mod tests {
                 }
             }
         }
-        db.drain_maintenance().unwrap();
         assert!(db.metrics().gc_runs > 0, "GC never ran");
         let s = db.space_stats();
         let live = db.audit_live_bytes(&mut c);

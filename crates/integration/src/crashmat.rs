@@ -194,16 +194,14 @@ pub fn store_config(scheme: CompactionScheme) -> ChameleonConfig {
             window_ops: GPM_WINDOW,
         },
         obs: ObsConfig::on(),
-        // Lock-step background maintenance: flushes/compactions still run
-        // on the worker pool (so the matrix exercises the freeze/queue/
-        // worker/republish machinery and worker-thread crash unwinding),
-        // but each put waits for its own enqueued work, keeping fence
-        // ordinals deterministic across the dry and armed runs.
+        // No worker pool: the write that finds a MemTable full freezes it
+        // and runs the flush/compaction chain itself before its own log
+        // append — the paper engine's executor — so one thread issues
+        // every fence and ordinals are deterministic across the dry and
+        // armed runs.
         bg: BgConfig {
-            enabled: true,
-            workers: 1,
-            frozen_queue_cap: 2,
-            synchronous: true,
+            workers: 0,
+            ..BgConfig::default()
         },
         ..ChameleonConfig::with_shards(2)
     }

@@ -207,6 +207,8 @@ fn wim_merged_entries_survive_flush_then_crash() {
 /// acknowledged-write invariant.
 #[test]
 fn double_crash_during_replay_loses_nothing_acknowledged() {
+    // About 100 keys per shard: inside the ≈115-slot ABI headroom.
+    const KEYS: u64 = 200;
     let cfg = crashmat::store_config(CompactionScheme::Direct);
     let fib = [1u64, 2, 3, 5, 8, 13, 21, 34, 55];
     let mut nested_fired = 0;
@@ -215,11 +217,12 @@ fn double_crash_during_replay_loses_nothing_acknowledged() {
         let mut ctx = ThreadCtx::with_default_cost();
         let db = ChameleonDb::create(Arc::clone(&dev), cfg.clone()).unwrap();
         // Write-Intensive Mode keeps everything out of persistent tables
-        // (MemTables merge into the DRAM ABI), so the whole key set stays
-        // above checkpoint_seq: replay must re-admit all of it, overflowing
-        // MemTables and flushing — i.e. fencing — during recovery.
+        // (MemTables merge into the DRAM ABI) while each shard's keys fit
+        // its ABI, so the whole key set stays above checkpoint_seq: replay
+        // must re-admit all of it, overflowing MemTables and flushing —
+        // i.e. fencing — during recovery.
         db.set_mode(chameleondb::Mode::WriteIntensive);
-        for k in 0..300u64 {
+        for k in 0..KEYS {
             db.put(&mut ctx, k, &k.to_le_bytes()).unwrap();
         }
         db.sync(&mut ctx).unwrap();
@@ -249,7 +252,7 @@ fn double_crash_during_replay_loses_nothing_acknowledged() {
             },
         };
         let mut out = Vec::new();
-        for k in 0..300u64 {
+        for k in 0..KEYS {
             assert!(
                 db.get(&mut ctx, k, &mut out).unwrap(),
                 "offset {offset}: acknowledged key {k} lost after double crash"

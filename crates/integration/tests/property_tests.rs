@@ -192,7 +192,7 @@ proptest! {
     }
 
     /// Random put/delete interleavings with value-log GC firing throughout
-    /// (small extents, 256B values, lock-step passes): no live entry is
+    /// (small extents, 256B values, passes run by the writer): no live entry is
     /// ever lost, no deleted key resurrects, every resolvable location
     /// word reads back the right entry, and the dead-byte accounting
     /// reconciles exactly at the end.
@@ -208,7 +208,7 @@ proptest! {
             max_value: 8 << 10,
             extent_bytes: 16 << 10,
         };
-        cfg.bg.synchronous = true;
+        cfg.bg.workers = 0;
         let db = ChameleonDb::create(Arc::clone(&dev), cfg).unwrap();
         let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
         let mut ctx = ThreadCtx::with_default_cost();
@@ -234,7 +234,6 @@ proptest! {
                 }
             }
         }
-        db.drain_maintenance().unwrap();
         // Full sweep over the key space: exactly the model's live keys
         // survive, each at its newest value, through every relocation.
         for k in 0..120u64 {
@@ -289,7 +288,7 @@ fn gc_stale_slot_credits_never_double_count() {
         max_value: 8 << 10,
         extent_bytes: 16 << 10,
     };
-    cfg.bg.synchronous = true;
+    cfg.bg.workers = 0;
     let db = ChameleonDb::create(Arc::clone(&dev), cfg).unwrap();
     let mut ctx = ThreadCtx::with_default_cost();
     let value = |k: u64, round: u64| {
@@ -321,7 +320,6 @@ fn gc_stale_slot_credits_never_double_count() {
             s.appended_bytes
         );
     }
-    db.drain_maintenance().unwrap();
     let m = db.metrics();
     assert!(m.gc_runs > 0, "workload never triggered GC");
     assert!(

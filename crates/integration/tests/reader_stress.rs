@@ -617,10 +617,10 @@ fn get_path_writes_no_media_bytes() {
 fn crash_between_view_publish_and_next_commit_recovers() {
     let dev = PmemDevice::optane(1 << 30);
     let mut cfg = stress_cfg();
-    // Lock-step maintenance: the test steers by watching the flush
-    // counter between individual puts, which needs each put's enqueued
-    // flush to have completed by the time the put returns.
-    cfg.bg.synchronous = true;
+    // No worker pool: the test steers by watching the flush counter
+    // between individual puts, which needs each flush to have completed
+    // by the time the put that ran it returns.
+    cfg.bg.workers = 0;
     let db = ChameleonDb::create(Arc::clone(&dev), cfg.clone()).unwrap();
     let mut ctx = ThreadCtx::with_default_cost();
 
