@@ -1,7 +1,7 @@
 //! The ChameleonDB store: shard routing, modes, persistence, recovery.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -289,7 +289,8 @@ impl ChameleonDb {
     /// Reopens a store after a crash, charging the full restart cost
     /// (superblock + manifest replay, table-header reads, one log scan,
     /// MemTable reconstruction and, with the ordered index on, one walk of
-    /// every shard's tables to rebuild it) to `ctx`. ABIs are rebuilt
+    /// every shard's tables, whose live keys then build the index in one
+    /// pass; replay never touches it) to `ctx`. ABIs are rebuilt
     /// lazily at a shard's first structural transition (MemTable-full);
     /// until then gets on that shard take the degraded upper-level walk
     /// (counted in `degraded_gets`).
@@ -418,9 +419,6 @@ impl ChameleonDb {
         // ascending-seq replay invariant is untouched. The pool is
         // spawned at the end, together with the writers.
         let maint = Maint::new(cfg.shards);
-        let order = cfg
-            .ordered_index
-            .then(|| Arc::new(OrderedIndex::new(cfg.shards, Arc::clone(&epochs))));
         let store = StoreInner {
             shard_shift,
             dev,
@@ -430,7 +428,7 @@ impl ChameleonDb {
             shards: shards.into_iter().map(Mutex::new).collect(),
             views,
             epochs,
-            order,
+            order: None,
             meta: MetaLog {
                 manifest,
                 registry: Mutex::new(registry),
@@ -485,9 +483,12 @@ impl ChameleonDb {
                 s.insert(ctx, slot, meta.seq)?;
             }
         }
-        store.rebuild_ordered_index(ctx);
-        // Now that recovery is done, install the configured mode and the
-        // per-thread writers.
+        // Now that recovery is done, install the ordered index, the
+        // configured mode and the per-thread writers.
+        let order = store.cfg.ordered_index.then(|| {
+            let keys = store.rebuild_ordered_index(ctx);
+            Arc::new(OrderedIndex::from_sorted(Arc::clone(&store.epochs), keys))
+        });
         let base_mode = if store.cfg.write_intensive {
             Mode::WriteIntensive
         } else {
@@ -500,6 +501,7 @@ impl ChameleonDb {
         Ok(ChameleonDb::start(StoreInner {
             mode,
             writers,
+            order,
             ..store
         }))
     }
@@ -890,19 +892,18 @@ impl StoreInner {
         total
     }
 
-    /// Rebuilds the volatile ordered key index at the end of recovery,
-    /// before any writer or worker exists. One walk per shard in `get`'s
-    /// precedence order — MemTable, ABI or uppers, dumped, last; replay
-    /// maintenance is inline, so nothing is frozen — keeps the first slot
-    /// per hash and skips tombstone winners. The user key is the hash's
-    /// preimage ([`kvapi::key_of_hash`]), so no log entry is read. Each
-    /// winner is its key's newest version, which GC repoints before it
-    /// reclaims the old extent (DESIGN §6.2), so none is stale.
-    fn rebuild_ordered_index(&self, ctx: &mut ThreadCtx) {
-        let Some(order) = &self.order else {
-            return;
-        };
-        for (idx, shard) in self.shards.iter().enumerate() {
+    /// Each shard's live user keys, ascending, for the ordered index that
+    /// recovery builds before any writer or worker exists. One walk per
+    /// shard in `get`'s precedence order — MemTable, ABI or uppers,
+    /// dumped, last; replay maintenance is inline, so nothing is frozen —
+    /// then one sort by (user key, place in the walk) puts each key's
+    /// newest version first; tombstone winners are dropped. The user key is the
+    /// hash's preimage ([`kvapi::key_of_hash`]), so no log entry is read.
+    /// No winner is stale: GC repoints a key's newest version before it
+    /// reclaims the old extent (DESIGN §6.2).
+    fn rebuild_ordered_index(&self, ctx: &mut ThreadCtx) -> Vec<Vec<u64>> {
+        let mut keys = Vec::with_capacity(self.shards.len());
+        for shard in &self.shards {
             let s = shard.lock();
             let mut slots = s.memtable.iter();
             slots.extend(s.upper_slots(&self.dev, ctx));
@@ -910,18 +911,16 @@ impl StoreInner {
                 slots.extend(t.table().iter_entries(&self.dev, ctx));
             }
             drop(s);
-            let mut seen = HashSet::with_capacity(slots.len());
-            let mut keys: Vec<u64> = slots
-                .into_iter()
-                .filter(|sl| seen.insert(sl.hash) && !sl.is_tombstone())
-                .map(|sl| key_of_hash(sl.hash))
+            let mut found: Vec<(u64, usize, bool)> = slots
+                .iter()
+                .enumerate()
+                .map(|(at, sl)| (key_of_hash(sl.hash), at, sl.is_tombstone()))
                 .collect();
-            // Ascending inserts leave full leaves behind them.
-            keys.sort_unstable();
-            for key in keys {
-                order.insert(idx, key);
-            }
+            found.sort_unstable(); // places are unique: by (key, place)
+            found.dedup_by_key(|f| f.0);
+            keys.push(found.iter().filter(|f| !f.2).map(|f| f.0).collect());
         }
+        keys
     }
 
     /// Range scan: up to `limit` live keys `>= start_key`, ascending
@@ -2609,5 +2608,62 @@ mod tests {
             .filter(|&k| db.get(&mut c, k, &mut out).unwrap())
             .collect();
         assert_eq!(keys, live, "rebuilt index disagrees with the read path");
+    }
+
+    /// Tombstone flag of each version of `key` in the recovery walk's
+    /// order — MemTable, uppers, dumped, last — so newest first.
+    fn versions(db: &ChameleonDb, c: &mut ThreadCtx, key: u64) -> Vec<bool> {
+        let hash = hash64(key);
+        let s = db.shards[db.shard_of(hash)].lock();
+        let mut slots = s.memtable.iter();
+        slots.extend(s.upper_slots(&db.dev, c));
+        for t in s.dumped.iter().rev().chain(&s.last) {
+            slots.extend(t.table().iter_entries(&db.dev, c));
+        }
+        slots
+            .iter()
+            .filter(|sl| sl.hash == hash)
+            .map(|sl| sl.is_tombstone())
+            .collect()
+    }
+
+    /// The rebuild keeps each key's newest version wherever it sits: a
+    /// tombstone above a put hides the key, a put above a tombstone
+    /// brings it back. Keeping the oldest version instead would bring
+    /// `gone` and `dead` back and lose `reput`.
+    #[test]
+    fn recovery_rebuild_keeps_each_keys_newest_version() {
+        let mut db = new_store(ChameleonConfig::tiny());
+        let mut c = ctx();
+        let [gone, back, reput, dead]: [u64; 4] = std::array::from_fn(|i| (1 << 40) + i as u64);
+        for k in [gone, back, dead] {
+            db.put(&mut c, k, &value_for(k)).unwrap();
+        }
+        db.checkpoint(&mut c).unwrap(); // all three into the last level
+        db.delete(&mut c, gone).unwrap();
+        db.delete(&mut c, back).unwrap();
+        db.put(&mut c, dead, &value_for(dead)).unwrap();
+        db.put(&mut c, reput, &value_for(reput)).unwrap();
+        db.delete(&mut c, reput).unwrap();
+        // ~100 keys a shard: every shard flushes the writes above to L0.
+        fill(&db, &mut c, 800);
+        db.drain_maintenance().unwrap();
+        db.put(&mut c, back, &value_for(back)).unwrap();
+        db.put(&mut c, reput, &value_for(reput)).unwrap();
+        db.delete(&mut c, dead).unwrap();
+        db.sync(&mut c).unwrap();
+        db.crash_and_recover(&mut c).unwrap();
+        assert_eq!(versions(&db, &mut c, gone), [true, false]);
+        assert_eq!(versions(&db, &mut c, reput), [false, true]);
+        assert_eq!(versions(&db, &mut c, back), [false, true, false]);
+        assert_eq!(versions(&db, &mut c, dead), [true, false, false]);
+        let want: Vec<u64> = (0..800).chain([back, reput]).collect();
+        assert_eq!(db.scan(&mut c, 0, 10_000).unwrap(), want);
+        let mut out = Vec::new();
+        let found: Vec<u64> = (0..800)
+            .chain([gone, back, reput, dead])
+            .filter(|&k| db.get(&mut c, k, &mut out).unwrap())
+            .collect();
+        assert_eq!(found, want);
     }
 }

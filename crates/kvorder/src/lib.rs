@@ -18,6 +18,13 @@
 //! a neighbour — builds *fresh* cells and publishes a new snapshot of the
 //! parent. Replaced cells are never written again.
 //!
+//! A shard comes to exist in one of two ways. [`OrderedIndex::new`]
+//! starts it empty and mutations grow it. [`OrderedIndex::from_sorted`]
+//! builds it whole from sorted keys before any reader exists, which is
+//! how recovery installs it: full leaves, as ascending inserts leave
+//! them, in inner nodes at the half fill an inner split leaves, every
+//! cell fresh and nothing published. `new` is that builder given no keys.
+//!
 //! * **Writers** ([`OrderedIndex::insert`] / [`OrderedIndex::remove`])
 //!   serialize per shard on an internal mutex, uncontended in the store,
 //!   which calls them under its own shard mutex. It guards against misuse
@@ -147,14 +154,48 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(domain: Arc<EpochDomain>) -> Self {
-        let total = Arc::default();
-        let alloc = Alloc { total, domain };
-        let leaf = alloc.snap(Vec::new());
-        let inner = alloc.snap(vec![(0, alloc.cell(&leaf))]);
-        let root = alloc.snap(vec![(0, alloc.cell(&inner))]);
-        let leaves = vec![leaf];
-        let inners = vec![Twin { inner, leaves }];
+    /// A shard holding `keys`, built in one pass (see module docs):
+    /// `LEAF_CAP` keys to a leaf and `INNER_CAP / 2` leaves to an inner
+    /// node, so the first leaf split after the build republishes one
+    /// inner node and leaves the root alone.
+    fn build(domain: Arc<EpochDomain>, keys: &[u64]) -> Self {
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "shard keys must be strictly ascending"
+        );
+        let alloc = Alloc {
+            total: Arc::default(),
+            domain,
+        };
+        let mut leaves: Vec<Arc<Leaf>> = keys
+            .chunks(LEAF_CAP)
+            .map(|chunk| alloc.snap(chunk.to_vec()))
+            .collect();
+        if leaves.is_empty() {
+            leaves.push(alloc.snap(Vec::new()));
+        }
+        // A child's low is its first key, except the first leaf's: the
+        // shard's lower bound, 0.
+        let inners: Vec<Twin> = leaves
+            .chunks(INNER_CAP / 2)
+            .enumerate()
+            .map(|(i, group)| {
+                let kids: Vec<Kid<Leaf>> = group
+                    .iter()
+                    .enumerate()
+                    .map(|(j, leaf)| (if i + j == 0 { 0 } else { leaf[0] }, alloc.cell(leaf)))
+                    .collect();
+                Twin {
+                    inner: alloc.snap(kids),
+                    leaves: group.to_vec(),
+                }
+            })
+            .collect();
+        let kids: Vec<Kid<Inner>> = inners
+            .iter()
+            .map(|twin| (twin.inner[0].0, alloc.cell(&twin.inner)))
+            .collect();
+        let root = alloc.snap(kids);
         Self {
             root: ViewCell::new(Arc::clone(&alloc.domain), Arc::clone(&root)),
             writer: Mutex::new(Writer { root, inners }),
@@ -177,8 +218,20 @@ impl OrderedIndex {
     /// `domain` — normally the same domain guarding the store's views,
     /// so one pin covers both the scan cursor and the version probes.
     pub fn new(shards: usize, domain: Arc<EpochDomain>) -> Self {
-        let shards = (0..shards.max(1))
-            .map(|_| Shard::new(Arc::clone(&domain)))
+        Self::from_sorted(domain, vec![Vec::new(); shards.max(1)])
+    }
+
+    /// Builds an index whose shard `i` holds `shards[i]`, each shard in
+    /// one pass and without a `publish`, for a caller that has no readers
+    /// yet (recovery). Readers pin `domain`, as with [`new`](Self::new).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard's keys are not strictly ascending.
+    pub fn from_sorted(domain: Arc<EpochDomain>, shards: Vec<Vec<u64>>) -> Self {
+        let shards = shards
+            .iter()
+            .map(|keys| Shard::build(Arc::clone(&domain), keys))
             .collect();
         Self { shards }
     }
@@ -302,8 +355,9 @@ impl OrderedIndex {
     /// DRAM allocated by the index, exactly: every snapshot and cell alive
     /// — current, or retired and not yet reclaimed — at its capacity with
     /// its `Arc` header, the writers' twins and the shard table. Not in
-    /// it: allocator rounding, and the heap behind each `ViewCell`'s
-    /// private retired list (64 B from a cell's first publish on).
+    /// it: allocator rounding, and the heap behind a `ViewCell`'s private
+    /// retired list, which a cell allocates only when one of its
+    /// publishes races a pinned reader.
     pub fn dram_bytes(&self) -> u64 {
         let mut bytes = size_of::<Self>() + self.shards.capacity() * size_of::<Shard>();
         for shard in &self.shards {
@@ -490,6 +544,51 @@ mod tests {
         );
         assert_eq!(scan_all(&idx, 0, 0), (0..n).collect::<Vec<u64>>());
         assert_eq!(scan_all(&idx, 0, n - 3), vec![n - 3, n - 2, n - 1]);
+    }
+
+    /// The builder leaves what ascending inserts of the same keys leave —
+    /// the same full leaves, the same scans from every start, no more
+    /// DRAM — and its half-full inner nodes take a leaf split without
+    /// splitting themselves.
+    #[test]
+    fn from_sorted_matches_ascending_inserts() {
+        for n in [0, 1, 63, 64, 65, 2 * LEAF_CAP * INNER_CAP + 5] {
+            let keys: Vec<u64> = (0..n as u64).map(|k| 3 * k + 1).collect();
+            let grown = index(1);
+            for &k in &keys {
+                assert!(grown.insert(0, k));
+            }
+            let built = OrderedIndex::from_sorted(Arc::clone(domain(&grown)), vec![keys.clone()]);
+            assert_eq!(leaf_lens(&built, 0), leaf_lens(&grown, 0), "{n} keys");
+            assert_eq!(built.len(), n as u64);
+            assert_eq!(scan_all(&built, 0, 0), keys);
+            let pin = domain(&built).pin(0);
+            for start in (0..3 * n as u64 + 3).step_by(2) {
+                let got: Vec<u64> = built.range_from(0, start, &pin).take(3).collect();
+                let want: Vec<u64> = grown.range_from(0, start, &pin).take(3).collect();
+                assert_eq!(got, want, "{n} keys, start {start}");
+            }
+            drop(pin);
+            assert_eq!(sweep(&grown), 0);
+            let (b, g) = (built.dram_bytes(), grown.dram_bytes());
+            assert!(b <= g, "{n} keys: built {b} B, grown {g} B");
+            let inners = built.shards[0].writer.lock().inners.len();
+            assert!(built.insert(0, 0));
+            assert_eq!(built.shards[0].writer.lock().inners.len(), inners);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn from_sorted_rejects_unsorted_keys() {
+        let _ = OrderedIndex::from_sorted(Arc::new(EpochDomain::new(1)), vec![vec![1, 3, 2]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn from_sorted_rejects_duplicate_keys() {
+        let _ =
+            OrderedIndex::from_sorted(Arc::new(EpochDomain::new(1)), vec![vec![], vec![1, 2, 2]]);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Model check: random runs of `insert` / `remove` / `range_from` over two
 //! shards against a `BTreeSet<u64>` per shard. The key pool is small and
 //! the runs long, so leaves and inner nodes split, leaves empty out and
-//! hand their range on, and the same ranges fill again.
+//! hand their range on, and the same ranges fill again. Shard 0 starts as
+//! a tree built by `from_sorted` from a random subset of the pool, so
+//! splits, removes and leaf drops also run on built nodes.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -17,11 +19,14 @@ proptest! {
 
     #[test]
     fn matches_a_btreeset(
+        seed in proptest::collection::vec(0u64..POOL, 0..3000),
         ops in proptest::collection::vec((0u8..8, 0usize..2, 0u64..POOL, 1u64..512), 1..160),
     ) {
         let domain = Arc::new(EpochDomain::new(2));
-        let idx = OrderedIndex::new(2, Arc::clone(&domain));
-        let mut model = [BTreeSet::new(), BTreeSet::new()];
+        let seed: BTreeSet<u64> = seed.into_iter().collect();
+        let built = vec![seed.iter().copied().collect(), Vec::new()];
+        let idx = OrderedIndex::from_sorted(Arc::clone(&domain), built);
+        let mut model = [seed, BTreeSet::new()];
         for (kind, shard, key, n) in ops {
             let set = &mut model[shard];
             match kind {

@@ -16,8 +16,9 @@
 //!   once every slot is either unpinned or pinned at a *later* epoch.
 //! * [`ViewCell`] — an atomic `Arc<T>` holder. `load` is one
 //!   `AtomicPtr` load (no reference-count traffic at all); `publish`
-//!   swaps the pointer, retires the old snapshot into a writer-side
-//!   garbage list, and collects whatever has quiesced.
+//!   swaps the pointer and frees the old snapshot at once if no reader
+//!   pinned before the swap, else retires it into a writer-side garbage
+//!   list that later publishes collect once it has quiesced.
 //!
 //! This is deliberately simpler than crossbeam-epoch: publications are
 //! rare (memtable freeze, compaction commit, …) and always serialized by
@@ -275,15 +276,27 @@ impl<T> ViewCell<T> {
     }
 
     /// Publishes `new` as the current snapshot, retires the previous one,
-    /// and frees any retired snapshot no reader can still hold.
+    /// and frees any retired snapshot no reader can still hold. With no
+    /// pin from before the swap, the old snapshot is freed on the spot and
+    /// the retired list is never allocated.
     pub fn publish(&self, new: Arc<T>) {
-        let old = self
+        let old: *const T = self
             .ptr
             .swap(Arc::into_raw(new) as *mut T, Ordering::SeqCst);
         let retire_epoch = self.domain.advance();
         let mut retired = self.retired.lock();
-        retired.push((retire_epoch, old));
-        Self::collect_locked(&self.domain, &mut retired);
+        if self.domain.quiesced(retire_epoch) {
+            // Quiescence is monotone in the epoch: everything retired
+            // before `old` carries a smaller epoch, so it has quiesced too.
+            for ptr in retired.drain(..).map(|(_, ptr)| ptr).chain([old]) {
+                // SAFETY: no pin from before this snapshot's retirement
+                // remains, so no reader can hold a borrow into it.
+                drop(unsafe { Arc::from_raw(ptr) });
+            }
+        } else {
+            retired.push((retire_epoch, old));
+            Self::collect_locked(&self.domain, &mut retired);
+        }
     }
 
     /// Frees whatever retired snapshots have quiesced. Publishing already
@@ -376,6 +389,28 @@ mod tests {
         cell.publish(tracked(2, &drops));
         assert_eq!(drops.load(Ordering::SeqCst), 1, "old view freed at publish");
         assert_eq!(cell.retired_len(), 0);
+    }
+
+    /// A publish that no pin predates frees in place: a cell never pinned
+    /// across one never allocates its retired list, and the first such
+    /// publish after a pinned one frees that backlog too.
+    #[test]
+    fn unpinned_publishes_never_allocate_the_retired_list() {
+        let domain = Arc::new(EpochDomain::new(4));
+        let drops = Arc::new(AtomicUsize::new(0));
+        let cell = ViewCell::new(Arc::clone(&domain), tracked(0, &drops));
+        for v in 1..=100 {
+            cell.publish(tracked(v, &drops));
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), 100);
+        assert_eq!(cell.retired.lock().capacity(), 0);
+        let pin = domain.pin(0);
+        cell.publish(tracked(101, &drops));
+        assert_eq!(cell.retired_len(), 1, "a pin predates the swap");
+        drop(pin);
+        cell.publish(tracked(102, &drops));
+        assert_eq!(cell.retired_len(), 0);
+        assert_eq!(drops.load(Ordering::SeqCst), 102);
     }
 
     #[test]
