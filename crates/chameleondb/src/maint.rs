@@ -7,8 +7,8 @@
 //! flush / WIM merge / GPM dump / compaction chain off the put path.
 //! With no pool the writer runs the same chain itself and nothing is
 //! ever queued, so `pending` stays 0 and [`Maint::drain`] returns at
-//! once. The worker threads themselves live in `store.rs` (they need the
-//! whole store); this module owns only the coordination state.
+//! once. The worker threads themselves live in `store/mod.rs` (they
+//! need the whole store); this module owns only the coordination state.
 
 use std::any::Any;
 use std::collections::VecDeque;

@@ -1,0 +1,309 @@
+//! Value-log garbage collection (DESIGN §6): the trigger, copy-forward
+//! relocation of one sealed extent at a time, and the exactly-once
+//! dead-byte crediting that tells GC which extents are worth collecting.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use chameleon_obs::Stage;
+use kvapi::{hash64, Result};
+use kvlog::{EntryMeta, StorageLog, ENTRY_HEADER};
+use pmem_sim::ThreadCtx;
+
+use super::StoreInner;
+use crate::config::GcConfig;
+use crate::maint::Job;
+use crate::manifest::ManifestRecord;
+use crate::metrics::StoreMetrics;
+
+impl StoreInner {
+    /// Checks the GC trigger — space amplification above the configured
+    /// target, with enough in-use extents for collection to matter — and
+    /// schedules at most one pass (deduplicated by `gc_pending`). The
+    /// check itself is pure reads: the put path never gains a fence from
+    /// it. The pass runs on the worker pool, or on the caller's ctx when
+    /// there is no pool (`bg.workers == 0`).
+    pub(super) fn maybe_trigger_gc(&self, ctx: &mut ThreadCtx) -> Result<()> {
+        if !self.cfg.gc.enabled {
+            return Ok(());
+        }
+        if self.log.in_use_extents() < GcConfig::MIN_EXTENTS {
+            return Ok(());
+        }
+        let amp = self.log.space_stats().space_amp_milli();
+        if (amp as f64) < GcConfig::SPACE_AMP_TARGET * 1000.0 {
+            return Ok(());
+        }
+        if self.gc_pending.swap(true, Ordering::AcqRel) {
+            return Ok(());
+        }
+        if self.cfg.bg.workers > 0 {
+            if !self.maint.enqueue(Job::Gc) {
+                self.gc_pending.store(false, Ordering::Release);
+            }
+            Ok(())
+        } else {
+            let res = self.gc_once(ctx);
+            self.gc_pending.store(false, Ordering::Release);
+            res
+        }
+    }
+
+    /// One GC pass: rank sealed extents by dead bytes, take the deadest
+    /// few above the dead-ratio floor, and copy-forward each in turn.
+    pub(super) fn gc_once(&self, ctx: &mut ThreadCtx) -> Result<()> {
+        let cands: Vec<u64> = self
+            .log
+            .gc_candidates(1)
+            .into_iter()
+            .filter(|&(_, dead, appended)| {
+                dead as f64 >= appended as f64 * GcConfig::MIN_DEAD_RATIO
+            })
+            .take(GcConfig::MAX_EXTENTS_PER_PASS)
+            .map(|(idx, _, _)| idx)
+            .collect();
+        if cands.is_empty() {
+            return Ok(());
+        }
+        let span = self
+            .obs
+            .span_start(Stage::Gc, ctx.clock.now(), self.dev.stats());
+        let lane = self.metrics.lane(ctx);
+        StoreMetrics::bump(&lane.gc_runs);
+        for idx in cands {
+            let (relocated, bytes) = self.gc_extent(ctx, idx)?;
+            lane.gc_relocated_entries
+                .fetch_add(relocated, Ordering::Relaxed);
+            lane.gc_relocated_bytes.fetch_add(bytes, Ordering::Relaxed);
+            StoreMetrics::bump(&lane.gc_reclaimed_extents);
+        }
+        self.obs.span_end(span, ctx.clock.now(), self.dev.stats());
+        Ok(())
+    }
+
+    /// Copy-forward GC of one sealed extent.
+    ///
+    /// Per shard (under its mutex): fence every log writer so all
+    /// index-referenced entries are durable, then for each of the
+    /// extent's entries that the read path still resolves, append a
+    /// sequence-preserving copy, fence the copies, and repoint every
+    /// index reference — volatile tables with release stores, persistent
+    /// tables with unfenced 8-byte slot rewrites under one batched fence
+    /// — then republish the shard view.
+    ///
+    /// Entries the read path no longer resolves are superseded by a newer
+    /// version that the writer fence just made durable; their remaining
+    /// stale slots (older upper/dumped levels) are never dereferenced —
+    /// before or after a crash, some newer structure shadows them — so GC
+    /// neither copies nor repoints them.
+    ///
+    /// Commit order for crash safety: relocations are fenced before any
+    /// persistent slot points at them, the Gced state (which recovery
+    /// answers by re-zeroing the extent) is persisted only after every
+    /// repoint is durable, and the manifest's GC record lands after that.
+    /// A crash anywhere leaves each reference pointing at one complete
+    /// copy — old or new, never neither. The emptied extent is then
+    /// quarantined behind the reader epoch (`synchronize`) before its
+    /// bytes are zeroed, because a reader pinned before the repoint may
+    /// still hold the old offset.
+    fn gc_extent(&self, ctx: &mut ThreadCtx, idx: u64) -> Result<(u64, u64)> {
+        let entries = self.log.extent_entries(ctx, idx)?;
+        let mut groups: Vec<Vec<(EntryMeta, Vec<u8>)>> =
+            (0..self.shards.len()).map(|_| Vec::new()).collect();
+        for e in entries {
+            let shard_idx = self.shard_of(hash64(e.0.key));
+            groups[shard_idx].push(e);
+        }
+        let mut relocated = 0u64;
+        let mut moved_bytes = 0u64;
+        for (shard_idx, group) in groups.into_iter().enumerate() {
+            if group.is_empty() {
+                continue;
+            }
+            let shard = self.shards[shard_idx].lock();
+            // With the shard locked no new version of any of its keys can
+            // be appended, so after this fence "the read path resolves a
+            // different location" implies "a newer durable version
+            // exists" — the invariant that makes skipping superseded
+            // entries crash-safe.
+            self.sync_writers(ctx)?;
+            // An entry is live iff the read path still resolves its hash
+            // to exactly this location; probe the same view gets probe.
+            // Repoints below rewrite slots inside these same tables, so
+            // this is also the view republished once they are durable.
+            let view = shard.snapshot_view();
+            let mut moves: Vec<(u64, u64, u64)> = Vec::new();
+            {
+                let mut w = self.writer(ctx).lock();
+                for (meta, value) in &group {
+                    let hash = hash64(meta.key);
+                    let old_loc = meta.loc();
+                    let live = view
+                        .get(&self.dev, ctx, hash, self.cfg.use_abi_for_get)
+                        .is_some_and(|(s, _)| s.location() == old_loc);
+                    if !live {
+                        continue;
+                    }
+                    let new = w.append_copy(ctx, meta, value)?;
+                    relocated += 1;
+                    moved_bytes += new.size();
+                    moves.push((hash, old_loc, new.loc()));
+                }
+                // Relocated copies must be durable before any persistent
+                // slot points at them.
+                w.flush(ctx)?;
+            }
+            if moves.is_empty() {
+                continue;
+            }
+            let mut persisted = false;
+            for &(hash, old_loc, new_loc) in &moves {
+                shard.memtable.repoint(ctx, hash, old_loc, new_loc);
+                for t in &shard.frozen {
+                    t.repoint(ctx, hash, old_loc, new_loc);
+                }
+                if let Some(t) = &shard.in_flight {
+                    t.repoint(ctx, hash, old_loc, new_loc);
+                }
+                shard.abi.repoint(ctx, hash, old_loc, new_loc);
+                for t in shard.uppers.iter().flatten() {
+                    persisted |= t
+                        .table()
+                        .repoint_slot(&self.dev, ctx, hash, old_loc, new_loc);
+                }
+                for t in &shard.dumped {
+                    persisted |= t
+                        .table()
+                        .repoint_slot(&self.dev, ctx, hash, old_loc, new_loc);
+                }
+                if let Some(t) = &shard.last {
+                    persisted |= t
+                        .table()
+                        .repoint_slot(&self.dev, ctx, hash, old_loc, new_loc);
+                }
+            }
+            if persisted {
+                self.dev.fence(ctx);
+            }
+            // Republish so readers arriving from here on resolve the new
+            // locations; readers pinned earlier drain in the synchronize
+            // below, before the old bytes vanish.
+            self.views[shard_idx].publish(Arc::new(view));
+            StoreMetrics::bump(&self.metrics.lane(ctx).view_publishes);
+        }
+        self.log.finish_gc(ctx, idx);
+        self.meta.commit(
+            ctx,
+            &[ManifestRecord::Gc {
+                extent: idx,
+                relocated,
+                bytes: moved_bytes,
+            }],
+        )?;
+        self.epochs.synchronize();
+        self.log.reclaim_extent(ctx, idx);
+        Ok((relocated, moved_bytes))
+    }
+
+    /// Test oracle: walks every shard's read path and sums the on-log
+    /// size of each *resident* referenced entry — slots whose location
+    /// word still names a matching entry in an in-use extent. Slots left
+    /// stale by GC (the shadowed version's extent was reclaimed before a
+    /// merge dropped the slot) are excluded, exactly as dead-byte
+    /// crediting excludes them. On a store whose accounting never crossed
+    /// a crash, `audit_live_bytes + dead == appended` — the exactly-once
+    /// dead-byte crediting invariant.
+    #[doc(hidden)]
+    pub fn audit_live_bytes(&self, ctx: &mut ThreadCtx) -> u64 {
+        let mut total = 0u64;
+        for shard in &self.shards {
+            let slots = shard.lock().slots_in_get_order(&self.dev, ctx);
+            for sl in slots {
+                total += resident_entry_bytes(&self.log, ctx, sl.hash, sl.loc).unwrap_or(0);
+            }
+        }
+        total
+    }
+
+    /// Credits the entry behind a superseded location word as dead, against
+    /// both the global counter and its extent. Call sites are chosen so every
+    /// entry is credited exactly once — at the single moment the last
+    /// read-path reference to it disappears (see DESIGN.md §6).
+    ///
+    /// Only for words that are provably fresh: a MemTable overwrite displaces
+    /// the version that was the newest until this very put, which GC keeps
+    /// repointed (under the same shard lock) for as long as it lives. Words
+    /// read back from persistent tables may be stale — use
+    /// [`Self::credit_dead_slot`] there.
+    pub(super) fn credit_dead_word(&self, ctx: &mut ThreadCtx, word: u64) {
+        let (off, hint) = kvlog::unpack_loc(word);
+        // The hint bits carry the value length for all but oversized
+        // values; a saturated hint falls back to reading the entry header.
+        let bytes = if kvlog::loc_hint_saturated(word) {
+            self.log
+                .entry_size_at(ctx, off)
+                .unwrap_or((ENTRY_HEADER + hint) as u64)
+        } else {
+            (ENTRY_HEADER + hint) as u64
+        };
+        self.log.note_dead_at(off, bytes);
+    }
+
+    /// Credits a superseded slot as dead after verifying its location word
+    /// still names a resident entry.
+    ///
+    /// A version that stopped being the newest keeps its index slot until a
+    /// merge finally drops it (ABI overwrite, last-level compaction). In the
+    /// gap, extent GC — which resolves liveness by the *newest* version —
+    /// may have declared the entry dead, reclaimed its extent, and reused
+    /// the space. The slot then points into an extent whose bytes already
+    /// left the accounting wholesale at reclaim: crediting it again would
+    /// inflate `dead_bytes` past `appended_bytes`, zero the live estimate,
+    /// and drive GC into a thrash loop. So the word is checked against the
+    /// log first; mismatches are dropped and counted in
+    /// `stale_credit_skips`.
+    pub(crate) fn credit_dead_slot(&self, ctx: &mut ThreadCtx, hash: u64, word: u64) {
+        match resident_entry_bytes(&self.log, ctx, hash, word) {
+            Some(bytes) => {
+                let (off, _) = kvlog::unpack_loc(word);
+                self.log.note_dead_at(off, bytes);
+            }
+            None => StoreMetrics::bump(&self.metrics.lane(ctx).stale_credit_skips),
+        }
+    }
+}
+
+/// The on-log size of the entry `word` points at, or `None` when the
+/// word is stale: its extent no longer holds data (Free, or Gced and
+/// fully accounted), or the header at its offset disagrees with the slot
+/// (key hash, tombstone flag, or size hint) because the extent was
+/// reclaimed and the space reused.
+fn resident_entry_bytes(
+    log: &StorageLog,
+    ctx: &mut ThreadCtx,
+    hash: u64,
+    word: u64,
+) -> Option<u64> {
+    let (off, hint) = kvlog::unpack_loc(word);
+    let idx = log.extent_index(off)?;
+    if !matches!(
+        log.extent_state(idx),
+        kvlog::ExtentState::Active | kvlog::ExtentState::Sealed
+    ) {
+        return None;
+    }
+    let meta = log.entry_meta_at(ctx, off).ok()?;
+    if meta.seq == 0
+        || meta.seq > log.last_seq()
+        || hash64(meta.key) != hash
+        || meta.tombstone != (word & kvtables::TOMBSTONE_BIT != 0)
+    {
+        return None;
+    }
+    let hint_ok = if kvlog::loc_hint_saturated(word) {
+        meta.vlen >= hint
+    } else {
+        meta.vlen == hint
+    };
+    hint_ok.then_some((ENTRY_HEADER + meta.vlen) as u64)
+}

@@ -21,9 +21,10 @@
 //! A shard comes to exist in one of two ways. [`OrderedIndex::new`]
 //! starts it empty and mutations grow it. [`OrderedIndex::from_sorted`]
 //! builds it whole from sorted keys before any reader exists, which is
-//! how recovery installs it: full leaves, as ascending inserts leave
-//! them, in inner nodes at the half fill an inner split leaves, every
-//! cell fresh and nothing published. `new` is that builder given no keys.
+//! how the store installs it, fresh or recovered: full leaves, as
+//! ascending inserts leave them, in inner nodes at the half fill an
+//! inner split leaves, every cell fresh and nothing published. `new` is
+//! that builder given no keys.
 //!
 //! * **Writers** ([`OrderedIndex::insert`] / [`OrderedIndex::remove`])
 //!   serialize per shard on an internal mutex, uncontended in the store,
@@ -223,7 +224,8 @@ impl OrderedIndex {
 
     /// Builds an index whose shard `i` holds `shards[i]`, each shard in
     /// one pass and without a `publish`, for a caller that has no readers
-    /// yet (recovery). Readers pin `domain`, as with [`new`](Self::new).
+    /// yet (a store being opened). Readers pin `domain`, as with
+    /// [`new`](Self::new).
     ///
     /// # Panics
     ///
