@@ -1,9 +1,7 @@
 //! The read path: the lock-free get probe over a shard's published view,
-//! and range scans that merge the per-shard ordered-index cursors and
+//! and range scans that walk the ordered index with one cursor and
 //! resolve every candidate through the same probe.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering;
 
 use chameleon_obs::{EventKind, OpKind, TraceSpan};
@@ -17,10 +15,9 @@ use crate::view::GetSource;
 
 impl StoreInner {
     /// Range scan: up to `limit` live keys `>= start_key`, ascending
-    /// ([`kvapi::KvStore::scan`]). A k-way merge over the per-shard
-    /// `kvorder` cursors yields globally sorted candidates (shards
-    /// partition the hash space, so a key lives in exactly one cursor);
-    /// every candidate is then resolved through the newest-version probe
+    /// ([`kvapi::KvStore::scan`]). One `kvorder` cursor over the store's
+    /// single tree yields the candidates in key order; every candidate
+    /// is then resolved through its shard's newest-version probe
     /// under the same epoch pin, so results never include tombstoned or
     /// shadowed versions, and dead candidates do not count toward `limit`.
     pub fn scan(&self, ctx: &mut ThreadCtx, start_key: u64, limit: usize) -> Result<Vec<u64>> {
@@ -34,31 +31,15 @@ impl StoreInner {
         let mut keys = Vec::with_capacity(limit.min(1024));
         if limit > 0 {
             let pin = self.epochs.pin(ctx.thread_id);
-            let mut cursors: Vec<_> = (0..self.shards.len())
-                .map(|i| order.range_from(i, start_key, &pin))
-                .collect();
-            let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-            for (i, c) in cursors.iter_mut().enumerate() {
-                if let Some(k) = c.next() {
-                    heap.push(Reverse((k, i)));
-                }
-            }
-            while keys.len() < limit {
-                let Some(Reverse((key, i))) = heap.pop() else {
-                    break;
-                };
-                if let Some(k) = cursors[i].next() {
-                    heap.push(Reverse((k, i)));
-                }
+            let live = order.range_from(0, start_key, &pin).filter(|&key| {
                 let hash = hash64(key);
-                let shard_idx = self.shard_of(hash);
-                let view = self.views[shard_idx].load(&pin);
-                match view.get(&self.dev, ctx, hash, self.cfg.use_abi_for_get) {
-                    Some((slot, _)) if !slot.is_tombstone() => keys.push(key),
-                    _ => {}
-                }
-            }
-            drop(pin);
+                let view = self.views[self.shard_of(hash)].load(&pin);
+                matches!(
+                    view.get(&self.dev, ctx, hash, self.cfg.use_abi_for_get),
+                    Some((slot, _)) if !slot.is_tombstone()
+                )
+            });
+            keys.extend(live.take(limit));
         }
         lane.scanned_keys
             .fetch_add(keys.len() as u64, Ordering::Relaxed);

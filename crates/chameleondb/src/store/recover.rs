@@ -188,7 +188,7 @@ impl ChameleonDb {
             let keys = store.live_keys(ctx);
             store.order = Some(Arc::new(OrderedIndex::from_sorted(
                 Arc::clone(&store.epochs),
-                keys,
+                vec![keys],
             )));
         }
         let base_mode = if store.cfg.write_intensive {
@@ -281,28 +281,33 @@ impl StoreInner {
         Ok(())
     }
 
-    /// Each shard's live user keys, ascending, for the ordered index
-    /// `open` builds before any writer or worker exists. One walk per
-    /// shard in `get`'s precedence order, then one sort by (user key,
-    /// place in the walk) puts each key's newest version first;
-    /// tombstone winners are dropped. The user key is the hash's
-    /// preimage ([`kvapi::key_of_hash`]), so no log entry is read. No
-    /// winner is stale: GC repoints a key's newest version before it
-    /// reclaims the old extent (DESIGN §6.2).
-    fn live_keys(&self, ctx: &mut ThreadCtx) -> Vec<Vec<u64>> {
-        let mut keys = Vec::with_capacity(self.shards.len());
+    /// The store's live user keys, ascending, for the one-tree ordered
+    /// index `open` builds before any writer or worker exists. Every
+    /// shard is walked in `get`'s precedence order, each slot packed as
+    /// (user key, place in the walks, tombstone) into one `u128`; one
+    /// sort of them all puts each key's newest version first (a key's
+    /// versions all come from its own shard's walk), and tombstone
+    /// winners are dropped. The user key is the hash's preimage
+    /// ([`kvapi::key_of_hash`]), so no log entry is read. No winner is
+    /// stale: GC repoints a key's newest version before it reclaims the
+    /// old extent (DESIGN §6.2).
+    fn live_keys(&self, ctx: &mut ThreadCtx) -> Vec<u64> {
+        let mut found: Vec<u128> = Vec::new();
         for shard in &self.shards {
             let slots = shard.lock().slots_in_get_order(&self.dev, ctx);
-            let mut found: Vec<(u64, usize, bool)> = slots
-                .iter()
-                .enumerate()
-                .map(|(at, sl)| (key_of_hash(sl.hash), at, sl.is_tombstone()))
-                .collect();
-            found.sort_unstable(); // places are unique: by (key, place)
-            found.dedup_by_key(|f| f.0);
-            keys.push(found.iter().filter(|f| !f.2).map(|f| f.0).collect());
+            let base = found.len();
+            found.extend(slots.iter().enumerate().map(|(at, sl)| {
+                let place = ((base + at) as u128) << 1 | u128::from(sl.is_tombstone());
+                u128::from(key_of_hash(sl.hash)) << 64 | place
+            }));
         }
-        keys
+        found.sort_unstable(); // places are unique: by (key, place)
+        found.dedup_by_key(|f| (*f >> 64) as u64);
+        found
+            .iter()
+            .filter(|&f| f & 1 == 0)
+            .map(|f| (f >> 64) as u64)
+            .collect()
     }
 }
 

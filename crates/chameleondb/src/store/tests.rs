@@ -1019,6 +1019,45 @@ fn ordered_index_counts_toward_dram_footprint() {
     );
 }
 
+/// The ordered index is one tree at any shard count: the same puts and
+/// deletes scan alike at 4 and 64 shards, and an empty index costs the
+/// same DRAM at 1 and 64.
+#[test]
+fn ordered_index_is_one_tree_at_any_shard_count() {
+    let with_shards = |shards| ChameleonConfig {
+        shards,
+        ..ChameleonConfig::tiny()
+    };
+    let starts = [(0, 10), (1, 100), (2_600, 1_000), (64_000, 40), (65_000, 5)];
+    let scans = |shards| {
+        let db = new_store(with_shards(shards));
+        let mut c = ctx();
+        for k in 0..5_000u64 {
+            db.put(&mut c, k * 13, &value_for(k)).unwrap();
+        }
+        for k in (0..5_000u64).step_by(3) {
+            db.delete(&mut c, k * 13).unwrap();
+        }
+        starts.map(|(start, limit)| db.scan(&mut c, start, limit).unwrap())
+    };
+    let (four, sixty_four) = (scans(4), scans(64));
+    assert_eq!(four, sixty_four);
+    for ((start, limit), got) in starts.into_iter().zip(four) {
+        let want: Vec<u64> = (0..5_000u64)
+            .filter(|k| k % 3 != 0)
+            .map(|k| k * 13)
+            .filter(|&k| k >= start)
+            .take(limit)
+            .collect();
+        assert_eq!(got, want, "scan from {start}, limit {limit}");
+    }
+    let empty = |shards| {
+        let db = new_store(with_shards(shards));
+        db.order.as_ref().unwrap().dram_bytes()
+    };
+    assert_eq!(empty(1), empty(64));
+}
+
 #[test]
 fn recovery_rebuilds_ordered_index() {
     let db = new_store(ChameleonConfig::tiny());

@@ -188,14 +188,15 @@ impl StoreInner {
             self.credit_dead_word(ctx, old);
         }
         // Maintain the ordered key index at the same publish point as the
-        // hash index, still under the shard mutex so per-shard order
-        // matches log order (a racing put+delete on one key cannot leave
+        // hash index. The index is one tree shared by every shard, but a
+        // key's mutations reach it only under its shard's mutex, so they
+        // apply in log order (a racing put+delete on one key cannot leave
         // the index disagreeing with the newest version).
         if let Some(order) = &self.order {
             if tombstone {
-                order.remove(shard_idx, key);
+                order.remove(0, key);
             } else {
-                order.insert(shard_idx, key);
+                order.insert(0, key);
             }
         }
         Ok(())

@@ -1,16 +1,18 @@
-//! Sharded, epoch-safe ordered DRAM index over live user keys.
+//! Epoch-safe ordered DRAM index over live user keys.
 //!
 //! ChameleonDB's persistent structures are hash-keyed — nothing on media
 //! knows key *order* — so range scans need a volatile ordered index
 //! maintained beside the hash index and rebuilt on recovery. This crate
-//! provides it: per store shard, a three-level copy-on-write tree of
-//! sorted arrays (root directory → inner nodes of up to [`INNER_CAP`]
-//! leaves → leaves of up to [`LEAF_CAP`] keys) whose every node is a
-//! [`ViewCell`] of the store's own [`EpochDomain`], so publication,
-//! retirement and reclamation are `kvsync`'s.
+//! provides it: a three-level copy-on-write tree of sorted arrays (root
+//! directory → inner nodes of up to [`INNER_CAP`] leaves → leaves of up
+//! to [`LEAF_CAP`] keys) whose every node is a [`ViewCell`] of the
+//! store's own [`EpochDomain`], so publication, retirement and
+//! reclamation are `kvsync`'s. An index holds one or more independent
+//! trees, each addressed by a `shard` number; the store keeps every key
+//! in one tree, so a scan is one cursor.
 //!
 //! A node's **snapshot** is immutable: a leaf's is a sorted `Vec<u64>`, a
-//! directory's a `Vec<(low, cell)>` in which child `i` owns the keys
+//! directory's a `Vec<(low, child)>` in which child `i` owns the keys
 //! `low[i] .. low[i + 1]`. A **cell** holds one node's current snapshot,
 //! and its key range is fixed for life: an insert or remove publishes a
 //! new snapshot into one leaf's cell, while anything that moves a range
@@ -18,7 +20,7 @@
 //! a neighbour — builds *fresh* cells and publishes a new snapshot of the
 //! parent. Replaced cells are never written again.
 //!
-//! A shard comes to exist in one of two ways. [`OrderedIndex::new`]
+//! A tree comes to exist in one of two ways. [`OrderedIndex::new`]
 //! starts it empty and mutations grow it. [`OrderedIndex::from_sorted`]
 //! builds it whole from sorted keys before any reader exists, which is
 //! how the store installs it, fresh or recovered: full leaves, as
@@ -27,11 +29,26 @@
 //! that builder given no keys.
 //!
 //! * **Writers** ([`OrderedIndex::insert`] / [`OrderedIndex::remove`])
-//!   serialize per shard on an internal mutex, uncontended in the store,
-//!   which calls them under its own shard mutex. It guards against misuse
-//!   and owns the writer's twin of the tree (an `Arc` of every node's
-//!   current snapshot), so the write path never pins or loads a cell.
-//!   Every mutation ends in exactly one `publish`.
+//!   lock one inner node, not the tree. Behind its own mutex each inner
+//!   node keeps the writer's twin of itself (an `Arc` of its current
+//!   snapshot and of each of its leaves'), so the write path never pins
+//!   or loads a cell. A writer routes under the tree's short root lock —
+//!   one binary search of the root's twin and one `Arc` clone — drops
+//!   it, then locks the node; if an inner split replaced the node in the
+//!   meantime, it routes again. Leaf inserts and removes, leaf splits and
+//!   emptied-leaf merges all stay inside that node. Only an inner split
+//!   takes the root lock while still holding its node: it builds two
+//!   fresh nodes, marks the old one gone and republishes the root. Every
+//!   mutation ends in exactly one `publish`. Mutations of different keys
+//!   run concurrently; those of one key apply in the order they lock its
+//!   node (the store orders them under its shard mutex first).
+//! * **Lock order** is node → root. The root lock is taken alone to route
+//!   or to read the root's twin, and under a node lock only inside an
+//!   inner split; nothing locks a node while holding the root lock.
+//!   [`OrderedIndex::len`] and [`OrderedIndex::dram_bytes`] read the
+//!   root's twin, then lock its nodes one at a time, and restart the walk
+//!   when one has been split away since, so a range is never counted
+//!   twice or skipped.
 //! * **Readers** ([`OrderedIndex::range_from`]) never lock. A cursor
 //!   loads one root snapshot under the caller's pin and walks it left to
 //!   right, loading each inner and leaf cell once, when it gets there.
@@ -64,7 +81,7 @@ const INNER_CAP: usize = 64;
 /// The strong and weak counts in front of every `Arc` payload.
 const ARC_HEADER: usize = 2 * size_of::<usize>();
 
-/// A heap value counted toward its shard's DRAM total from construction
+/// A heap value counted toward its tree's DRAM total from construction
 /// to drop — for a retired snapshot, until its `ViewCell` reclaims it.
 struct Counted<T> {
     val: T,
@@ -87,13 +104,14 @@ impl<T> Drop for Counted<T> {
 }
 
 type Cell<T> = Arc<Counted<ViewCell<T>>>;
-/// A directory entry: the child's lowest admissible key and its cell.
-type Kid<C> = (u64, Cell<C>);
+/// A directory entry: the child's lowest admissible key and the child.
+type Kid<C> = (u64, C);
 type Leaf = Counted<Vec<u64>>;
-type Inner = Counted<Vec<Kid<Leaf>>>;
-type Root = Counted<Vec<Kid<Inner>>>;
+type Inner = Counted<Vec<Kid<Cell<Leaf>>>>;
+type NodeRef = Arc<Counted<Node>>;
+type Root = Counted<Vec<Kid<NodeRef>>>;
 
-/// What a shard builds nodes from: its byte counter and the domain its
+/// What a tree builds nodes from: its byte counter and the domain its
 /// cells retire into.
 struct Alloc {
     total: Arc<AtomicU64>,
@@ -118,6 +136,18 @@ impl Alloc {
     fn cell<T>(&self, now: &Arc<T>) -> Cell<T> {
         self.counted(0, ViewCell::new(Arc::clone(&self.domain), Arc::clone(now)))
     }
+
+    /// A fresh inner node over `kids`, whose leaves now hold `leaves`.
+    fn node(&self, kids: Vec<Kid<Cell<Leaf>>>, leaves: Vec<Arc<Leaf>>) -> NodeRef {
+        let inner = self.snap(kids);
+        let cell = ViewCell::new(Arc::clone(&self.domain), Arc::clone(&inner));
+        let twin = Mutex::new(Twin {
+            inner,
+            leaves,
+            gone: false,
+        });
+        self.counted(0, Node { cell, twin })
+    }
 }
 
 /// Index of the child whose range holds `key`. `kids[0].0` is the
@@ -132,30 +162,33 @@ fn spliced<T: Clone>(old: &[T], at: Range<usize>, with: &[T]) -> Vec<T> {
     [&old[..at.start], with, &old[at.end..]].concat()
 }
 
+/// One inner node: the cell readers load and, behind its own lock (see
+/// module docs), the writer's twin of it.
+struct Node {
+    cell: ViewCell<Inner>,
+    twin: Mutex<Twin>,
+}
+
 /// The writer's twin of one inner node: the snapshot now in its cell and,
 /// index for index with that snapshot's children, the one in each leaf's.
 struct Twin {
     inner: Arc<Inner>,
     leaves: Vec<Arc<Leaf>>,
+    /// Set by the inner split that hands the node's range to two fresh
+    /// nodes; a writer that finds it set routes again.
+    gone: bool,
 }
 
-/// The writer's twin of a shard's tree: `inners[i]` mirrors child `i` of
-/// `root`.
-struct Writer {
-    root: Arc<Root>,
-    inners: Vec<Twin>,
-}
-
-/// One shard's tree: the root cell readers descend from, and the mutex
-/// that serializes mutations (see module docs) around the writer's twin.
-struct Shard {
+/// One tree: the root cell readers descend from and, behind the root
+/// lock, the writer's twin of its snapshot.
+struct Tree {
     root: ViewCell<Root>,
-    writer: Mutex<Writer>,
+    top: Mutex<Arc<Root>>,
     alloc: Alloc,
 }
 
-impl Shard {
-    /// A shard holding `keys`, built in one pass (see module docs):
+impl Tree {
+    /// A tree holding `keys`, built in one pass (see module docs):
     /// `LEAF_CAP` keys to a leaf and `INNER_CAP / 2` leaves to an inner
     /// node, so the first leaf split after the build republishes one
     /// inner node and leaves the root alone.
@@ -176,149 +209,176 @@ impl Shard {
             leaves.push(alloc.snap(Vec::new()));
         }
         // A child's low is its first key, except the first leaf's: the
-        // shard's lower bound, 0.
-        let inners: Vec<Twin> = leaves
+        // tree's lower bound, 0.
+        let nodes: Vec<Kid<NodeRef>> = leaves
             .chunks(INNER_CAP / 2)
             .enumerate()
             .map(|(i, group)| {
-                let kids: Vec<Kid<Leaf>> = group
+                let kids: Vec<Kid<Cell<Leaf>>> = group
                     .iter()
                     .enumerate()
                     .map(|(j, leaf)| (if i + j == 0 { 0 } else { leaf[0] }, alloc.cell(leaf)))
                     .collect();
-                Twin {
-                    inner: alloc.snap(kids),
-                    leaves: group.to_vec(),
-                }
+                (kids[0].0, alloc.node(kids, group.to_vec()))
             })
             .collect();
-        let kids: Vec<Kid<Inner>> = inners
-            .iter()
-            .map(|twin| (twin.inner[0].0, alloc.cell(&twin.inner)))
-            .collect();
-        let root = alloc.snap(kids);
+        let root = alloc.snap(nodes);
         Self {
             root: ViewCell::new(Arc::clone(&alloc.domain), Arc::clone(&root)),
-            writer: Mutex::new(Writer { root, inners }),
+            top: Mutex::new(root),
             alloc,
         }
     }
+
+    /// Runs `f` under the lock of the inner node whose range holds `key`,
+    /// routing again if that node is split away before its lock is won.
+    fn with_node<R>(&self, key: u64, f: impl FnOnce(&Node, &mut Twin) -> R) -> R {
+        loop {
+            let node = {
+                let top = self.top.lock();
+                Arc::clone(&top[child_of(&top, key)].1)
+            };
+            let mut twin = node.twin.lock();
+            if !twin.gone {
+                return f(&node, &mut twin);
+            }
+        }
+    }
+
+    /// `count` summed over every node's twin, the nodes locked one at a
+    /// time; the walk restarts when it meets a node split away since it
+    /// read the root's twin.
+    fn sum_nodes(&self, count: impl Fn(&Twin) -> usize) -> usize {
+        'walk: loop {
+            let top = Arc::clone(&self.top.lock());
+            let mut sum = 0;
+            for (_, node) in top.iter() {
+                let twin = node.twin.lock();
+                if twin.gone {
+                    continue 'walk;
+                }
+                sum += count(&twin);
+            }
+            return sum;
+        }
+    }
+
+    fn insert(&self, key: u64) -> bool {
+        let alloc = &self.alloc;
+        self.with_node(key, |node, twin| {
+            let j = child_of(&twin.inner, key);
+            let Err(pos) = twin.leaves[j].binary_search(&key) else {
+                return false;
+            };
+            let keys = spliced(&twin.leaves[j], pos..pos, &[key]);
+            if keys.len() <= LEAF_CAP {
+                twin.leaves[j] = alloc.snap(keys);
+                twin.inner[j].1.publish(Arc::clone(&twin.leaves[j]));
+                return true;
+            }
+
+            // Full leaf: two fresh cells take its range. A key past the
+            // end starts the upper one alone, so ascending appends leave
+            // full leaves behind them, not half-full ones.
+            let at = if pos == LEAF_CAP { pos } else { keys.len() / 2 };
+            let lo = alloc.snap(keys[..at].to_vec());
+            let hi = alloc.snap(keys[at..].to_vec());
+            let halves = [(twin.inner[j].0, alloc.cell(&lo)), (hi[0], alloc.cell(&hi))];
+            let mut kids = spliced(&twin.inner, j..j + 1, &halves);
+            twin.leaves.splice(j..j + 1, [lo, hi]);
+            if kids.len() <= INNER_CAP {
+                twin.inner = alloc.snap(kids);
+                node.cell.publish(Arc::clone(&twin.inner));
+                return true;
+            }
+
+            // Full inner node: two fresh nodes take its range. The root
+            // lock is taken here, still holding this node's — the only
+            // place the two nest.
+            let at = kids.len() / 2;
+            let hi_low = kids[at].0;
+            let hi = alloc.node(kids.split_off(at), twin.leaves.split_off(at));
+            kids.shrink_to_fit();
+            let lo = alloc.node(kids, std::mem::take(&mut twin.leaves));
+            twin.gone = true;
+            let mut top = self.top.lock();
+            let i = child_of(&top, key);
+            let halves = [(top[i].0, lo), (hi_low, hi)];
+            *top = alloc.snap(spliced(&top, i..i + 1, &halves));
+            self.root.publish(Arc::clone(&top));
+            true
+        })
+    }
+
+    fn remove(&self, key: u64) -> bool {
+        let alloc = &self.alloc;
+        self.with_node(key, |node, twin| {
+            let j = child_of(&twin.inner, key);
+            let Ok(pos) = twin.leaves[j].binary_search(&key) else {
+                return false;
+            };
+            // An inner node keeps its last leaf even when empty: dropping
+            // the node would widen a *leaf* cell of its neighbour.
+            if twin.leaves[j].len() > 1 || twin.leaves.len() == 1 {
+                twin.leaves[j] = alloc.snap(spliced(&twin.leaves[j], pos..pos + 1, &[]));
+                twin.inner[j].1.publish(Arc::clone(&twin.leaves[j]));
+                return true;
+            }
+
+            // Emptied leaf: a neighbour inherits its range, in a fresh
+            // cell because a cell's range never changes.
+            let heir = if j == 0 { 1 } else { j - 1 };
+            let at = j.min(heir);
+            let merged = (twin.inner[at].0, alloc.cell(&twin.leaves[heir]));
+            twin.inner = alloc.snap(spliced(&twin.inner, at..at + 2, &[merged]));
+            twin.leaves.remove(j);
+            node.cell.publish(Arc::clone(&twin.inner));
+            true
+        })
+    }
 }
 
-/// A sharded ordered index over `u64` user keys (see module docs).
-///
-/// Sharding mirrors the store's own key→shard mapping so each shard's
-/// write path maintains exactly its own slice of the key space; a scan
-/// merges the per-shard ascending cursors.
+/// An ordered index over `u64` user keys: one or more independent trees,
+/// each addressed by its `shard` number (see module docs).
 pub struct OrderedIndex {
-    shards: Vec<Shard>,
+    shards: Vec<Tree>,
 }
 
 impl OrderedIndex {
-    /// Creates an empty index with `shards` shards whose readers pin
+    /// Creates an index of `shards` empty trees whose readers pin
     /// `domain` — normally the same domain guarding the store's views,
     /// so one pin covers both the scan cursor and the version probes.
     pub fn new(shards: usize, domain: Arc<EpochDomain>) -> Self {
         Self::from_sorted(domain, vec![Vec::new(); shards.max(1)])
     }
 
-    /// Builds an index whose shard `i` holds `shards[i]`, each shard in
-    /// one pass and without a `publish`, for a caller that has no readers
-    /// yet (a store being opened). Readers pin `domain`, as with
+    /// Builds an index whose tree `i` holds `shards[i]`, each tree in one
+    /// pass and without a `publish`, for a caller that has no readers yet
+    /// (a store being opened). Readers pin `domain`, as with
     /// [`new`](Self::new).
     ///
     /// # Panics
     ///
-    /// Panics if a shard's keys are not strictly ascending.
+    /// Panics if a tree's keys are not strictly ascending.
     pub fn from_sorted(domain: Arc<EpochDomain>, shards: Vec<Vec<u64>>) -> Self {
         let shards = shards
             .iter()
-            .map(|keys| Shard::build(Arc::clone(&domain), keys))
+            .map(|keys| Tree::build(Arc::clone(&domain), keys))
             .collect();
         Self { shards }
     }
 
-    /// Inserts `key` into `shard`; returns `false` if already present.
+    /// Inserts `key` into tree `shard`; returns `false` if already present.
     pub fn insert(&self, shard: usize, key: u64) -> bool {
-        let Shard { writer, alloc, .. } = &self.shards[shard];
-        let w = &mut *writer.lock();
-        let i = child_of(&w.root, key);
-        let twin = &mut w.inners[i];
-        let j = child_of(&twin.inner, key);
-        let Err(pos) = twin.leaves[j].binary_search(&key) else {
-            return false;
-        };
-        let keys = spliced(&twin.leaves[j], pos..pos, &[key]);
-        if keys.len() <= LEAF_CAP {
-            twin.leaves[j] = alloc.snap(keys);
-            twin.inner[j].1.publish(Arc::clone(&twin.leaves[j]));
-            return true;
-        }
-
-        // Full leaf: two fresh cells take its range. A key past the end
-        // starts the upper one alone, so ascending appends leave full
-        // leaves behind them, not half-full ones.
-        let at = if pos == LEAF_CAP { pos } else { keys.len() / 2 };
-        let lo = alloc.snap(keys[..at].to_vec());
-        let hi = alloc.snap(keys[at..].to_vec());
-        let halves = [(twin.inner[j].0, alloc.cell(&lo)), (hi[0], alloc.cell(&hi))];
-        let mut kids = spliced(&twin.inner, j..j + 1, &halves);
-        twin.leaves.splice(j..j + 1, [lo, hi]);
-        if kids.len() <= INNER_CAP {
-            twin.inner = alloc.snap(kids);
-            w.root[i].1.publish(Arc::clone(&twin.inner));
-            return true;
-        }
-
-        // Full inner node: the same one level up, `twin` keeping the
-        // lower half.
-        let at = kids.len() / 2;
-        let hi = Twin {
-            inner: alloc.snap(kids.split_off(at)),
-            leaves: twin.leaves.split_off(at),
-        };
-        kids.shrink_to_fit();
-        twin.inner = alloc.snap(kids);
-        let halves = [
-            (w.root[i].0, alloc.cell(&twin.inner)),
-            (hi.inner[0].0, alloc.cell(&hi.inner)),
-        ];
-        w.root = alloc.snap(spliced(&w.root, i..i + 1, &halves));
-        w.inners.insert(i + 1, hi);
-        self.shards[shard].root.publish(Arc::clone(&w.root));
-        true
+        self.shards[shard].insert(key)
     }
 
-    /// Removes `key` from `shard`; returns `false` if absent.
+    /// Removes `key` from tree `shard`; returns `false` if absent.
     pub fn remove(&self, shard: usize, key: u64) -> bool {
-        let Shard { writer, alloc, .. } = &self.shards[shard];
-        let w = &mut *writer.lock();
-        let i = child_of(&w.root, key);
-        let twin = &mut w.inners[i];
-        let j = child_of(&twin.inner, key);
-        let Ok(pos) = twin.leaves[j].binary_search(&key) else {
-            return false;
-        };
-        // An inner node keeps its last leaf even when empty: dropping the
-        // node would widen a *leaf* cell of its neighbour.
-        if twin.leaves[j].len() > 1 || twin.leaves.len() == 1 {
-            twin.leaves[j] = alloc.snap(spliced(&twin.leaves[j], pos..pos + 1, &[]));
-            twin.inner[j].1.publish(Arc::clone(&twin.leaves[j]));
-            return true;
-        }
-
-        // Emptied leaf: a neighbour inherits its range, in a fresh cell
-        // because a cell's range never changes.
-        let heir = if j == 0 { 1 } else { j - 1 };
-        let at = j.min(heir);
-        let merged = (twin.inner[at].0, alloc.cell(&twin.leaves[heir]));
-        twin.inner = alloc.snap(spliced(&twin.inner, at..at + 2, &[merged]));
-        twin.leaves.remove(j);
-        w.root[i].1.publish(Arc::clone(&twin.inner));
-        true
+        self.shards[shard].remove(key)
     }
 
-    /// Ascending cursor over `shard`'s keys `>= start`, valid while
+    /// Ascending cursor over tree `shard`'s keys `>= start`, valid while
     /// `pin` is held.
     ///
     /// # Panics
@@ -327,7 +387,7 @@ impl OrderedIndex {
     pub fn range_from<'p>(&'p self, shard: usize, start: u64, pin: &'p Pin<'_>) -> RangeIter<'p> {
         let root = self.shards[shard].root.load(pin);
         let i = child_of(root, start);
-        let inner = root[i].1.load(pin);
+        let inner = root[i].1.cell.load(pin);
         let j = child_of(inner, start);
         let keys = inner[j].1.load(pin);
         RangeIter {
@@ -338,15 +398,14 @@ impl OrderedIndex {
         }
     }
 
-    /// Live keys across all shards.
+    /// Live keys across all trees.
     pub fn len(&self) -> u64 {
-        let mut keys = 0;
-        for shard in &self.shards {
-            for twin in &shard.writer.lock().inners {
-                keys += twin.leaves.iter().map(|l| l.len() as u64).sum::<u64>();
-            }
-        }
-        keys
+        let keys: usize = self
+            .shards
+            .iter()
+            .map(|tree| tree.sum_nodes(|twin| twin.leaves.iter().map(|l| l.len()).sum()))
+            .sum();
+        keys as u64
     }
 
     /// Whether the index holds no keys.
@@ -354,21 +413,18 @@ impl OrderedIndex {
         self.len() == 0
     }
 
-    /// DRAM allocated by the index, exactly: every snapshot and cell alive
-    /// — current, or retired and not yet reclaimed — at its capacity with
-    /// its `Arc` header, the writers' twins and the shard table. Not in
-    /// it: allocator rounding, and the heap behind a `ViewCell`'s private
-    /// retired list, which a cell allocates only when one of its
-    /// publishes races a pinned reader.
+    /// DRAM allocated by the index, exactly: every snapshot, cell and
+    /// inner node alive — current, or retired and not yet reclaimed — at
+    /// its capacity with its `Arc` header, the writers' twins and the
+    /// tree table. Not in it: allocator rounding, and the heap behind a
+    /// `ViewCell`'s private retired list, which a cell allocates only
+    /// when one of its publishes races a pinned reader.
     pub fn dram_bytes(&self) -> u64 {
-        let mut bytes = size_of::<Self>() + self.shards.capacity() * size_of::<Shard>();
-        for shard in &self.shards {
-            let w = shard.writer.lock();
-            bytes += ARC_HEADER + size_of::<AtomicU64>() + w.inners.capacity() * size_of::<Twin>();
-            for twin in &w.inners {
-                bytes += twin.leaves.capacity() * size_of::<Arc<Leaf>>();
-            }
-            bytes += shard.alloc.total.load(Ordering::Relaxed) as usize;
+        let mut bytes = size_of::<Self>() + self.shards.capacity() * size_of::<Tree>();
+        for tree in &self.shards {
+            bytes += ARC_HEADER + size_of::<AtomicU64>();
+            bytes += tree.sum_nodes(|twin| twin.leaves.capacity() * size_of::<Arc<Leaf>>());
+            bytes += tree.alloc.total.load(Ordering::Relaxed) as usize;
         }
         bytes as u64
     }
@@ -379,8 +435,8 @@ impl OrderedIndex {
 /// snapshot it came from, then the inner nodes after that in the root's.
 pub struct RangeIter<'p> {
     pin: &'p Pin<'p>,
-    inners: &'p [Kid<Inner>],
-    leaves: &'p [Kid<Leaf>],
+    inners: &'p [Kid<NodeRef>],
+    leaves: &'p [Kid<Cell<Leaf>>],
     keys: std::slice::Iter<'p, u64>,
 }
 
@@ -395,9 +451,9 @@ impl Iterator for RangeIter<'_> {
             if let Some(((_, leaf), rest)) = self.leaves.split_first() {
                 self.leaves = rest;
                 self.keys = leaf.load(self.pin).iter();
-            } else if let Some(((_, inner), rest)) = self.inners.split_first() {
+            } else if let Some(((_, node), rest)) = self.inners.split_first() {
                 self.inners = rest;
-                self.leaves = inner.load(self.pin);
+                self.leaves = node.cell.load(self.pin);
             } else {
                 return None;
             }
@@ -409,7 +465,8 @@ impl Iterator for RangeIter<'_> {
 mod tests {
     use super::*;
     use proptest::test_runner::TestRng;
-    use std::sync::atomic::AtomicBool;
+    use std::collections::BTreeSet;
+    use std::sync::atomic::AtomicUsize;
 
     fn index(shards: usize) -> OrderedIndex {
         OrderedIndex::new(shards, Arc::new(EpochDomain::new(8)))
@@ -424,17 +481,22 @@ mod tests {
         idx.range_from(shard, start, &pin).collect()
     }
 
+    /// The inner nodes of tree `shard`, left to right.
+    fn nodes(idx: &OrderedIndex, shard: usize) -> Vec<NodeRef> {
+        let top = idx.shards[shard].top.lock();
+        top.iter().map(|(_, node)| Arc::clone(node)).collect()
+    }
+
     /// Collects every live cell, then counts what they still hold retired.
     fn sweep(idx: &OrderedIndex) -> usize {
         let mut held = 0;
-        for sh in &idx.shards {
-            let w = sh.writer.lock();
-            sh.root.collect();
-            held += sh.root.retired_len();
-            for (twin, (_, inner)) in w.inners.iter().zip(w.root.iter()) {
-                inner.collect();
-                held += inner.retired_len();
-                for (_, leaf) in twin.inner.iter() {
+        for (shard, tree) in idx.shards.iter().enumerate() {
+            tree.root.collect();
+            held += tree.root.retired_len();
+            for node in nodes(idx, shard) {
+                node.cell.collect();
+                held += node.cell.retired_len();
+                for (_, leaf) in node.twin.lock().inner.iter() {
                     leaf.collect();
                     held += leaf.retired_len();
                 }
@@ -445,11 +507,11 @@ mod tests {
 
     /// Key count of every leaf of `shard`, left to right.
     fn leaf_lens(idx: &OrderedIndex, shard: usize) -> Vec<usize> {
-        let w = idx.shards[shard].writer.lock();
-        w.inners
-            .iter()
-            .flat_map(|t| t.leaves.iter().map(|l| l.len()))
-            .collect()
+        let mut lens = Vec::new();
+        for node in nodes(idx, shard) {
+            lens.extend(node.twin.lock().leaves.iter().map(|l| l.len()));
+        }
+        lens
     }
 
     #[test]
@@ -540,10 +602,7 @@ mod tests {
         }
         let lens = leaf_lens(&idx, 0);
         assert!(lens.iter().all(|&l| l == LEAF_CAP), "tail split: {lens:?}");
-        assert!(
-            idx.shards[0].writer.lock().inners.len() > 1,
-            "inner node must have split"
-        );
+        assert!(nodes(&idx, 0).len() > 1, "inner node must have split");
         assert_eq!(scan_all(&idx, 0, 0), (0..n).collect::<Vec<u64>>());
         assert_eq!(scan_all(&idx, 0, n - 3), vec![n - 3, n - 2, n - 1]);
     }
@@ -574,9 +633,9 @@ mod tests {
             assert_eq!(sweep(&grown), 0);
             let (b, g) = (built.dram_bytes(), grown.dram_bytes());
             assert!(b <= g, "{n} keys: built {b} B, grown {g} B");
-            let inners = built.shards[0].writer.lock().inners.len();
+            let inners = nodes(&built, 0).len();
             assert!(built.insert(0, 0));
-            assert_eq!(built.shards[0].writer.lock().inners.len(), inners);
+            assert_eq!(nodes(&built, 0).len(), inners);
         }
     }
 
@@ -601,7 +660,7 @@ mod tests {
         for k in 0..n {
             idx.insert(0, k);
         }
-        let inners = idx.shards[0].writer.lock().inners.len();
+        let inners = nodes(&idx, 0).len();
         // Front to back for one half, back to front for the other: both
         // neighbours get to inherit an emptied leaf's range.
         for k in (0..n / 2).chain((n / 2..n).rev()) {
@@ -689,21 +748,33 @@ mod tests {
         k < STABLE_END && k.is_multiple_of(4)
     }
 
-    /// Readers scan the whole shard in a loop while `churn` mutates it.
-    /// Every observed sequence must be strictly ascending, contain every
-    /// stable key exactly once, and contain nothing never inserted.
-    fn scan_stress(churn: impl FnOnce(&OrderedIndex) + Send) {
+    /// Counts a writer out of the running ones when dropped.
+    struct Done<'a>(&'a AtomicUsize);
+
+    impl Drop for Done<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Readers scan the whole tree in a loop while `writers` threads run
+    /// `churn(idx, w)`, and one more reads `len` and `dram_bytes`. Every
+    /// observed sequence must be strictly ascending, contain every stable
+    /// key exactly once, and contain nothing never inserted. Each writer
+    /// returns the churn keys it left in; once all are done, the tree
+    /// must hold exactly those and the stable keys.
+    fn scan_stress(writers: usize, churn: impl Fn(&OrderedIndex, usize) -> BTreeSet<u64> + Sync) {
         let idx = index(1);
         for k in (0..STABLE_END).step_by(4) {
             idx.insert(0, k);
         }
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|s| {
+        let running = AtomicUsize::new(writers);
+        let left = std::thread::scope(|s| {
             for reader in 0..3usize {
-                let (idx, stop) = (&idx, &stop);
+                let (idx, running) = (&idx, &running);
                 s.spawn(move || {
                     let mut rounds = 0u32;
-                    while !stop.load(Ordering::Relaxed) || rounds < 20 {
+                    while running.load(Ordering::Relaxed) > 0 || rounds < 20 {
                         rounds += 1;
                         let pin = domain(idx).pin(reader);
                         let mut prev = None;
@@ -721,17 +792,39 @@ mod tests {
                     }
                 });
             }
-            let (idx, stop) = (&idx, &stop);
+            let (idx, running) = (&idx, &running);
             s.spawn(move || {
-                churn(idx);
-                stop.store(true, Ordering::Relaxed);
+                while running.load(Ordering::Relaxed) > 0 {
+                    // Polls race inner splits, so the walk's restart
+                    // on a `gone` node runs; a count that neither
+                    // repeats nor skips a range stays in these bounds.
+                    let len = idx.len();
+                    assert!((STABLE_END / 4..KEY_END).contains(&len), "len {len}");
+                    assert!(idx.dram_bytes() > 8 * len);
+                }
             });
+            let churn = &churn;
+            let handles: Vec<_> = (0..writers)
+                .map(|w| {
+                    s.spawn(move || {
+                        // Counted down even if `churn` panics, so the
+                        // readers stop and the panic reaches the test.
+                        let _done = Done(running);
+                        churn(idx, w)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect::<Vec<u64>>()
         });
         // All readers gone: everything retired must free.
         assert_eq!(sweep(&idx), 0);
-        let stable: Vec<u64> = (0..STABLE_END).step_by(4).collect();
-        let left: Vec<u64> = scan_all(&idx, 0, 0);
-        assert!(stable.iter().all(|k| left.binary_search(k).is_ok()));
+        let mut want: Vec<u64> = (0..STABLE_END).step_by(4).chain(left).collect();
+        want.sort_unstable();
+        assert_eq!(scan_all(&idx, 0, 0), want);
+        assert_eq!(idx.len(), want.len() as u64);
     }
 
     /// Random-order churn between and above the stable keys: leaves
@@ -739,7 +832,7 @@ mod tests {
     /// `STABLE_END` empty out and go, round after round.
     #[test]
     fn concurrent_scan_stress() {
-        scan_stress(|idx| {
+        scan_stress(1, |idx, _| {
             let mut most_inners = 0;
             let mut rng = TestRng::deterministic("concurrent_scan_stress");
             for _round in 0..12 {
@@ -749,7 +842,7 @@ mod tests {
                         idx.insert(0, k);
                     }
                 }
-                most_inners = most_inners.max(idx.shards[0].writer.lock().inners.len());
+                most_inners = most_inners.max(nodes(idx, 0).len());
                 for k in 0..KEY_END {
                     if !is_stable(k) {
                         idx.remove(0, k);
@@ -757,6 +850,7 @@ mod tests {
                 }
             }
             assert!(most_inners > 1, "churn must split an inner node");
+            BTreeSet::new()
         });
     }
 
@@ -764,7 +858,7 @@ mod tests {
     /// (the tail-split path) chased by removals from the front.
     #[test]
     fn concurrent_scan_stress_ascending_appends() {
-        scan_stress(|idx| {
+        scan_stress(1, |idx, _| {
             for _round in 0..12 {
                 for k in STABLE_END..KEY_END {
                     idx.insert(0, k);
@@ -776,6 +870,43 @@ mod tests {
                     idx.remove(0, k);
                 }
             }
+            BTreeSet::new()
         });
+    }
+
+    /// Three writers on one tree, each owning the churn keys `k % 3 == w`,
+    /// so every leaf and inner node is written by all of them: their
+    /// leaf splits race one another's inside a node, and their inner
+    /// splits race routing and each other on the root. Each writer's
+    /// insert/remove results must match its own model.
+    #[test]
+    fn concurrent_writers_share_inner_nodes() {
+        const WRITERS: usize = 3;
+        let most_inners = AtomicUsize::new(0);
+        scan_stress(WRITERS, |idx, w| {
+            let mine = |k: u64| k % WRITERS as u64 == w as u64 && !is_stable(k);
+            let mut rng = TestRng::deterministic(&format!("concurrent_writers {w}"));
+            let mut live = BTreeSet::new();
+            for _round in 0..8 {
+                for _ in 0..KEY_END {
+                    let k = rng.next_u64() % KEY_END;
+                    if mine(k) {
+                        assert_eq!(idx.insert(0, k), live.insert(k), "insert {k}");
+                    }
+                }
+                most_inners.fetch_max(nodes(idx, 0).len(), Ordering::Relaxed);
+                for _ in 0..KEY_END / 2 {
+                    let k = rng.next_u64() % KEY_END;
+                    if mine(k) {
+                        assert_eq!(idx.remove(0, k), live.remove(&k), "remove {k}");
+                    }
+                }
+            }
+            live
+        });
+        // One inner node holds at most `INNER_CAP` leaves: four nodes mean
+        // three inner splits, each a root republish.
+        let most = most_inners.into_inner();
+        assert!(most >= 4, "only {most} inner nodes");
     }
 }
