@@ -129,9 +129,9 @@ pub struct ChameleonConfig {
     /// levels in Pmem (isolating the ABI's contribution; the ABI is still
     /// maintained for compactions and recovery).
     pub use_abi_for_get: bool,
-    /// Maintain the volatile ordered key index (`kvorder`: one
-    /// copy-on-write tree of sorted leaves for the whole store, ≈ 12 B of
-    /// DRAM per live key, one leaf copy per put/delete) that serves range
+    /// Maintain the volatile ordered key index (`kvorder`: one tree of
+    /// fixed 64-key leaves for the whole store, ≈ 9–11 B of DRAM per live
+    /// key, one in-place leaf shift per put/delete) that serves range
     /// scans. When
     /// false, `scan` returns `KvError::Unsupported` and the write path
     /// pays nothing — the

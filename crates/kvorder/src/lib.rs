@@ -3,45 +3,61 @@
 //! ChameleonDB's persistent structures are hash-keyed — nothing on media
 //! knows key *order* — so range scans need a volatile ordered index
 //! maintained beside the hash index and rebuilt on recovery. This crate
-//! provides it: a three-level copy-on-write tree of sorted arrays (root
-//! directory → inner nodes of up to [`INNER_CAP`] leaves → leaves of up
-//! to [`LEAF_CAP`] keys) whose every node is a [`ViewCell`] of the
-//! store's own [`EpochDomain`], so publication, retirement and
-//! reclamation are `kvsync`'s. An index holds one or more independent
-//! trees, each addressed by a `shard` number; the store keeps every key
-//! in one tree, so a scan is one cursor.
+//! provides it: a three-level tree (root directory → inner nodes of up to
+//! [`INNER_CAP`] leaves → leaves of up to [`LEAF_CAP`] keys). The root
+//! and every inner node are a [`ViewCell`] of the store's own
+//! [`EpochDomain`], so their publication, retirement and reclamation are
+//! `kvsync`'s. A leaf is a fixed array of atomic keys that its writer
+//! changes in place under the leaf's own seqlock. An index holds one or
+//! more independent trees, each addressed by a `shard` number; the store
+//! keeps every key in one tree, so a scan is one cursor.
 //!
-//! A node's **snapshot** is immutable: a leaf's is a sorted `Vec<u64>`, a
-//! directory's a `Vec<(low, child)>` in which child `i` owns the keys
-//! `low[i] .. low[i + 1]`. A **cell** holds one node's current snapshot,
-//! and its key range is fixed for life: an insert or remove publishes a
-//! new snapshot into one leaf's cell, while anything that moves a range
-//! boundary — a full node splitting, an emptied leaf handing its range to
-//! a neighbour — builds *fresh* cells and publishes a new snapshot of the
-//! parent. Replaced cells are never written again.
+//! A directory's **snapshot** is immutable: a `Vec<(low, child)>` in
+//! which child `i` owns the keys `low[i] .. low[i + 1]`. A **leaf** holds
+//! up to `LEAF_CAP` ascending keys and one state word, `version << 8 |
+//! len`, and its key range is fixed for life. An insert or remove that
+//! stays inside one leaf shifts its keys in place: it allocates, copies
+//! and publishes nothing. Anything that moves a range boundary builds
+//! *fresh* leaves and publishes a new snapshot of their inner node:
+//!
+//! * a full leaf **splits** in two. A key past its end starts the upper
+//!   leaf alone, so ascending appends leave full leaves behind them, not
+//!   half-full ones;
+//! * a full leaf whose neighbour in the same inner node has at least
+//!   [`SHARE_MIN_FREE`] free slots **rebalances** instead: two fresh
+//!   leaves split the two leaves' keys evenly. Random inserts then leave
+//!   leaves about 80 % full, not the ~69 % that splits alone leave, which
+//!   keeps a fixed-size leaf near 11 B per key;
+//! * an **emptied** leaf hands its range to a neighbour, which is copied
+//!   into a fresh leaf over both ranges. The emptied leaf keeps its last
+//!   key.
+//!
+//! A full inner node splits into two fresh nodes, which take over its
+//! leaves as they are, and the root is republished. Replaced leaves and
+//! nodes are never written again.
 //!
 //! A tree comes to exist in one of two ways. [`OrderedIndex::new`]
 //! starts it empty and mutations grow it. [`OrderedIndex::from_sorted`]
 //! builds it whole from sorted keys before any reader exists, which is
 //! how the store installs it, fresh or recovered: full leaves, as
-//! ascending inserts leave them, in inner nodes at the half fill an
-//! inner split leaves, every cell fresh and nothing published. `new` is
-//! that builder given no keys.
+//! ascending inserts leave them, spread evenly over as many inner nodes
+//! as ascending inserts leave, nothing published. `new` is that builder
+//! given no keys.
 //!
 //! * **Writers** ([`OrderedIndex::insert`] / [`OrderedIndex::remove`])
 //!   lock one inner node, not the tree. Behind its own mutex each inner
 //!   node keeps the writer's twin of itself (an `Arc` of its current
-//!   snapshot and of each of its leaves'), so the write path never pins
-//!   or loads a cell. A writer routes under the tree's short root lock —
-//!   one binary search of the root's twin and one `Arc` clone — drops
-//!   it, then locks the node; if an inner split replaced the node in the
-//!   meantime, it routes again. Leaf inserts and removes, leaf splits and
-//!   emptied-leaf merges all stay inside that node. Only an inner split
-//!   takes the root lock while still holding its node: it builds two
-//!   fresh nodes, marks the old one gone and republishes the root. Every
-//!   mutation ends in exactly one `publish`. Mutations of different keys
-//!   run concurrently; those of one key apply in the order they lock its
-//!   node (the store orders them under its shard mutex first).
+//!   snapshot), so the write path never pins or loads a cell. A writer
+//!   routes under the tree's short root lock — one binary search of the
+//!   root's twin and one `Arc` clone — drops it, then locks the node; if
+//!   an inner split replaced the node in the meantime, it routes again.
+//!   In-place shifts, leaf splits, rebalances and emptied-leaf merges all
+//!   stay inside that node; each but the shift ends in one `publish` of
+//!   the node's cell. Only an inner split takes the root lock while still
+//!   holding its node: it builds two fresh nodes, marks the old one gone
+//!   and republishes the root. Mutations of different keys run
+//!   concurrently; those of one key apply in the order they lock its node
+//!   (the store orders them under its shard mutex first).
 //! * **Lock order** is node → root. The root lock is taken alone to route
 //!   or to read the root's twin, and under a node lock only inside an
 //!   inner split; nothing locks a node while holding the root lock.
@@ -51,35 +67,162 @@
 //!   twice or skipped.
 //! * **Readers** ([`OrderedIndex::range_from`]) never lock. A cursor
 //!   loads one root snapshot under the caller's pin and walks it left to
-//!   right, loading each inner and leaf cell once, when it gets there.
+//!   right, loading each inner snapshot once, when it gets there. It
+//!   copies each leaf once, when it gets there, under version
+//!   validation: an `Acquire` load of the state word, the key loads, an
+//!   `Acquire` fence, then a re-check of the state word. A copy that
+//!   raced a shift (an odd version, or a version that moved) is retried,
+//!   spinning a bounded number of times and then yielding the core, so a
+//!   writer preempted mid-shift cannot pin a reader's core.
 //!
 //! Any single traversal yields a **strictly ascending** key sequence even
 //! while racing mutations: the children of one directory snapshot cover
-//! disjoint, ascending, fixed key ranges, and each child is read as one
-//! immutable sorted array. A replaced cell still holds its last snapshot
-//! — stale, never torn — so a key present for the whole scan is yielded
+//! disjoint, ascending, fixed key ranges, and each leaf is read as one
+//! validated copy of sorted keys. A leaf is written only while it is in
+//! its node's current snapshot, and a replaced leaf keeps its last keys —
+//! stale, never torn — so a key present for the whole scan is yielded
 //! exactly once; the store's per-key newest-version probe filters out
 //! anything that died mid-scan.
+//!
+//! **Memory ordering** follows Boehm's seqlock argument ("Can seqlocks
+//! get along with programming language memory models?", MSPC 2012). The
+//! writer stores an odd version (`Relaxed`), issues a `Release` fence,
+//! shifts the keys with `Relaxed` stores and stores the next even version
+//! with `Release`. If the reader's first `Acquire` load reads the even
+//! store that ended shift `n`, every key store up to shift `n` happens
+//! before the reader's key loads, so those read shift `n`'s keys or later
+//! ones. If a key load reads a store of a later shift, the writer's
+//! `Release` fence before that store synchronizes with the reader's
+//! `Acquire` fence after the load, so the odd store that opened the shift
+//! happens before the re-check, which then sees a different state word
+//! and the copy is retried. Without the writer's fence the key store
+//! could become visible before the odd version; without the reader's, the
+//! re-check could be satisfied by a state read before the key loads.
 
 #![forbid(unsafe_code)]
 
 use std::mem::size_of;
 use std::ops::{Deref, Range};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use kvsync::{EpochDomain, Pin, ViewCell};
 use parking_lot::Mutex;
 
-/// Keys per leaf: a mutation copies one leaf, at most 512 B.
+/// Keys per leaf: a leaf is one fixed array of this many keys.
 const LEAF_CAP: usize = 64;
 
 /// Leaves per inner node: bounds what a leaf split republishes (a flat
 /// per-shard directory would make every split O(leaves)).
 const INNER_CAP: usize = 64;
 
+/// A full leaf rebalances with a neighbour that has at least this many
+/// free slots; otherwise it splits.
+const SHARE_MIN_FREE: usize = 16;
+
+/// Validation retries a reader spins through before it starts yielding
+/// the core to a writer that may be preempted mid-shift.
+const SPINS: u32 = 64;
+
 /// The strong and weak counts in front of every `Arc` payload.
 const ARC_HEADER: usize = 2 * size_of::<usize>();
+
+/// What one leaf allocates: its `Arc` header and the fixed leaf itself.
+const LEAF_BYTES: u64 = (ARC_HEADER + size_of::<Leaf>()) as u64;
+
+/// The version's lowest bit in a leaf's state word: set while a writer
+/// is shifting keys.
+const SHIFTING: u64 = 1 << 8;
+
+/// One leaf: its first `len` keys, ascending, behind a state word
+/// `version << 8 | len` (see module docs). Only a writer holding the lock
+/// of the inner node whose current snapshot holds the leaf changes it.
+/// The state word comes first, on the cache line of the first keys.
+#[repr(C)]
+struct Leaf {
+    state: AtomicU64,
+    keys: [AtomicU64; LEAF_CAP],
+}
+
+impl Leaf {
+    fn new(keys: &[u64]) -> Self {
+        Self {
+            state: AtomicU64::new(keys.len() as u64),
+            keys: std::array::from_fn(|i| AtomicU64::new(keys.get(i).copied().unwrap_or(0))),
+        }
+    }
+
+    /// Writer side, under the node lock: the keys, which no one else can
+    /// be changing.
+    fn held(&self) -> &[AtomicU64] {
+        let len = self.state.load(Ordering::Relaxed) & 0xff;
+        &self.keys[..len as usize]
+    }
+
+    /// Writer side: the keys copied out.
+    fn to_vec(&self) -> Vec<u64> {
+        self.held()
+            .iter()
+            .map(|k| k.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    /// Writer side: runs `shift` on the keys inside one odd version, then
+    /// stores the next even version with length `len`.
+    fn shift(&self, len: usize, shift: impl FnOnce(&[AtomicU64])) {
+        let state = self.state.load(Ordering::Relaxed);
+        self.state.store(state + SHIFTING, Ordering::Relaxed);
+        fence(Ordering::Release);
+        shift(&self.keys);
+        let version = (state >> 8) + 2;
+        self.state
+            .store(version << 8 | len as u64, Ordering::Release);
+    }
+
+    /// Writer side: puts `key` at `pos` of a leaf of `len < LEAF_CAP` keys.
+    fn insert_at(&self, pos: usize, len: usize, key: u64) {
+        self.shift(len + 1, |keys| {
+            for i in (pos..len).rev() {
+                keys[i + 1].store(keys[i].load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+            keys[pos].store(key, Ordering::Relaxed);
+        });
+    }
+
+    /// Writer side: takes out the key at `pos` of a leaf of `len` keys.
+    fn remove_at(&self, pos: usize, len: usize) {
+        self.shift(len - 1, |keys| {
+            for i in pos + 1..len {
+                keys[i - 1].store(keys[i].load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+        });
+    }
+
+    /// Reader side: copies the keys to the front of `buf` under version
+    /// validation (see module docs) and returns how many.
+    fn read(&self, buf: &mut [u64; LEAF_CAP]) -> usize {
+        let mut tries = 0;
+        loop {
+            let state = self.state.load(Ordering::Acquire);
+            if state & SHIFTING == 0 {
+                let keys = &self.keys[..(state & 0xff) as usize];
+                for (to, key) in buf.iter_mut().zip(keys) {
+                    *to = key.load(Ordering::Relaxed);
+                }
+                fence(Ordering::Acquire);
+                if self.state.load(Ordering::Relaxed) == state {
+                    return keys.len();
+                }
+            }
+            tries += 1;
+            if tries < SPINS {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
 
 /// A heap value counted toward its tree's DRAM total from construction
 /// to drop — for a retired snapshot, until its `ViewCell` reclaims it.
@@ -103,13 +246,45 @@ impl<T> Drop for Counted<T> {
     }
 }
 
-type Cell<T> = Arc<Counted<ViewCell<T>>>;
 /// A directory entry: the child's lowest admissible key and the child.
 type Kid<C> = (u64, C);
-type Leaf = Counted<Vec<u64>>;
-type Inner = Counted<Vec<Kid<Cell<Leaf>>>>;
 type NodeRef = Arc<Counted<Node>>;
 type Root = Counted<Vec<Kid<NodeRef>>>;
+
+/// One inner node's snapshot: its leaves in key order. Only snapshots
+/// hold leaves, so the snapshot that drops a leaf's last reference gives
+/// that leaf's bytes back along with its own.
+struct Inner {
+    kids: Vec<Kid<Arc<Leaf>>>,
+    total: Arc<AtomicU64>,
+}
+
+impl Inner {
+    /// What a snapshot of `kids` leaves allocates, leaves not included.
+    fn bytes(kids: usize) -> u64 {
+        (ARC_HEADER + size_of::<Self>() + kids * size_of::<Kid<Arc<Leaf>>>()) as u64
+    }
+}
+
+impl Deref for Inner {
+    type Target = [Kid<Arc<Leaf>>];
+
+    fn deref(&self) -> &Self::Target {
+        &self.kids
+    }
+}
+
+impl Drop for Inner {
+    fn drop(&mut self) {
+        let mut bytes = Self::bytes(self.kids.capacity());
+        for (_, leaf) in self.kids.drain(..) {
+            if Arc::into_inner(leaf).is_some() {
+                bytes += LEAF_BYTES;
+            }
+        }
+        self.total.fetch_sub(bytes, Ordering::Relaxed);
+    }
+}
 
 /// What a tree builds nodes from: its byte counter and the domain its
 /// cells retire into.
@@ -132,20 +307,25 @@ impl Alloc {
         self.counted(items.capacity() * size_of::<T>(), items)
     }
 
-    /// A fresh cell holding `now`.
-    fn cell<T>(&self, now: &Arc<T>) -> Cell<T> {
-        self.counted(0, ViewCell::new(Arc::clone(&self.domain), Arc::clone(now)))
+    /// A fresh leaf holding `keys`.
+    fn leaf(&self, keys: &[u64]) -> Arc<Leaf> {
+        self.total.fetch_add(LEAF_BYTES, Ordering::Relaxed);
+        Arc::new(Leaf::new(keys))
     }
 
-    /// A fresh inner node over `kids`, whose leaves now hold `leaves`.
-    fn node(&self, kids: Vec<Kid<Cell<Leaf>>>, leaves: Vec<Arc<Leaf>>) -> NodeRef {
-        let inner = self.snap(kids);
+    /// An inner snapshot over `kids`, charged at its allocated capacity.
+    fn inner(&self, kids: Vec<Kid<Arc<Leaf>>>) -> Arc<Inner> {
+        self.total
+            .fetch_add(Inner::bytes(kids.capacity()), Ordering::Relaxed);
+        let total = Arc::clone(&self.total);
+        Arc::new(Inner { kids, total })
+    }
+
+    /// A fresh inner node whose cell and twin hold a snapshot of `kids`.
+    fn node(&self, kids: Vec<Kid<Arc<Leaf>>>) -> NodeRef {
+        let inner = self.inner(kids);
         let cell = ViewCell::new(Arc::clone(&self.domain), Arc::clone(&inner));
-        let twin = Mutex::new(Twin {
-            inner,
-            leaves,
-            gone: false,
-        });
+        let twin = Mutex::new(Twin { inner, gone: false });
         self.counted(0, Node { cell, twin })
     }
 }
@@ -169,11 +349,9 @@ struct Node {
     twin: Mutex<Twin>,
 }
 
-/// The writer's twin of one inner node: the snapshot now in its cell and,
-/// index for index with that snapshot's children, the one in each leaf's.
+/// The writer's twin of one inner node: the snapshot now in its cell.
 struct Twin {
     inner: Arc<Inner>,
-    leaves: Vec<Arc<Leaf>>,
     /// Set by the inner split that hands the node's range to two fresh
     /// nodes; a writer that finds it set routes again.
     gone: bool,
@@ -189,9 +367,11 @@ struct Tree {
 
 impl Tree {
     /// A tree holding `keys`, built in one pass (see module docs):
-    /// `LEAF_CAP` keys to a leaf and `INNER_CAP / 2` leaves to an inner
-    /// node, so the first leaf split after the build republishes one
-    /// inner node and leaves the root alone.
+    /// `LEAF_CAP` keys to a leaf, and as many inner nodes as ascending
+    /// inserts of `keys` leave (one, until an inner split), with the
+    /// leaves spread evenly over them. Past one node, that is at most 48
+    /// leaves to a node, so the first leaf split after the build
+    /// republishes one inner node and leaves the root alone.
     fn build(domain: Arc<EpochDomain>, keys: &[u64]) -> Self {
         assert!(
             keys.windows(2).all(|w| w[0] < w[1]),
@@ -201,28 +381,25 @@ impl Tree {
             total: Arc::default(),
             domain,
         };
-        let mut leaves: Vec<Arc<Leaf>> = keys
+        // A leaf's low is its first key, except the first leaf's: the
+        // tree's lower bound, 0.
+        let mut leaves: Vec<Kid<Arc<Leaf>>> = keys
             .chunks(LEAF_CAP)
-            .map(|chunk| alloc.snap(chunk.to_vec()))
+            .map(|chunk| (chunk[0], alloc.leaf(chunk)))
             .collect();
         if leaves.is_empty() {
-            leaves.push(alloc.snap(Vec::new()));
+            leaves.push((0, alloc.leaf(&[])));
         }
-        // A child's low is its first key, except the first leaf's: the
-        // tree's lower bound, 0.
-        let nodes: Vec<Kid<NodeRef>> = leaves
-            .chunks(INNER_CAP / 2)
-            .enumerate()
-            .map(|(i, group)| {
-                let kids: Vec<Kid<Cell<Leaf>>> = group
-                    .iter()
-                    .enumerate()
-                    .map(|(j, leaf)| (if i + j == 0 { 0 } else { leaf[0] }, alloc.cell(leaf)))
-                    .collect();
-                (kids[0].0, alloc.node(kids, group.to_vec()))
+        leaves[0].0 = 0;
+        let n = leaves.len();
+        let nodes = 1 + n.saturating_sub(INNER_CAP).div_ceil(INNER_CAP / 2);
+        let root: Vec<Kid<NodeRef>> = (0..nodes)
+            .map(|i| {
+                let group = &leaves[i * n / nodes..(i + 1) * n / nodes];
+                (group[0].0, alloc.node(group.to_vec()))
             })
             .collect();
-        let root = alloc.snap(nodes);
+        let root = alloc.snap(root);
         Self {
             root: ViewCell::new(Arc::clone(&alloc.domain), Arc::clone(&root)),
             top: Mutex::new(root),
@@ -264,77 +441,106 @@ impl Tree {
     }
 
     fn insert(&self, key: u64) -> bool {
-        let alloc = &self.alloc;
         self.with_node(key, |node, twin| {
             let j = child_of(&twin.inner, key);
-            let Err(pos) = twin.leaves[j].binary_search(&key) else {
+            let leaf = &twin.inner[j].1;
+            let held = leaf.held();
+            let Err(pos) = held.binary_search_by(|k| k.load(Ordering::Relaxed).cmp(&key)) else {
                 return false;
             };
-            let keys = spliced(&twin.leaves[j], pos..pos, &[key]);
-            if keys.len() <= LEAF_CAP {
-                twin.leaves[j] = alloc.snap(keys);
-                twin.inner[j].1.publish(Arc::clone(&twin.leaves[j]));
+            if held.len() < LEAF_CAP {
+                leaf.insert_at(pos, held.len(), key);
                 return true;
             }
 
-            // Full leaf: two fresh cells take its range. A key past the
-            // end starts the upper one alone, so ascending appends leave
-            // full leaves behind them, not half-full ones.
+            // Full leaf: fresh leaves take over its range and, on a
+            // rebalance, its roomier neighbour's too. A key past the end
+            // starts the upper leaf alone.
+            let mut span = j..j + 1;
+            if pos < LEAF_CAP {
+                let free = |i: usize| LEAF_CAP - twin.inner[i].1.held().len();
+                let roomier = [j.wrapping_sub(1), j + 1]
+                    .into_iter()
+                    .filter(|&i| i < twin.inner.len())
+                    .max_by_key(|&i| free(i));
+                if let Some(i) = roomier.filter(|&i| free(i) >= SHARE_MIN_FREE) {
+                    span = i.min(j)..i.max(j) + 1;
+                }
+            }
+            let mut keys: Vec<u64> = twin.inner[span.clone()]
+                .iter()
+                .flat_map(|(_, leaf)| leaf.to_vec())
+                .collect();
+            keys.insert(keys.partition_point(|&k| k < key), key);
             let at = if pos == LEAF_CAP { pos } else { keys.len() / 2 };
-            let lo = alloc.snap(keys[..at].to_vec());
-            let hi = alloc.snap(keys[at..].to_vec());
-            let halves = [(twin.inner[j].0, alloc.cell(&lo)), (hi[0], alloc.cell(&hi))];
-            let mut kids = spliced(&twin.inner, j..j + 1, &halves);
-            twin.leaves.splice(j..j + 1, [lo, hi]);
-            if kids.len() <= INNER_CAP {
-                twin.inner = alloc.snap(kids);
-                node.cell.publish(Arc::clone(&twin.inner));
-                return true;
-            }
-
-            // Full inner node: two fresh nodes take its range. The root
-            // lock is taken here, still holding this node's — the only
-            // place the two nest.
-            let at = kids.len() / 2;
-            let hi_low = kids[at].0;
-            let hi = alloc.node(kids.split_off(at), twin.leaves.split_off(at));
-            kids.shrink_to_fit();
-            let lo = alloc.node(kids, std::mem::take(&mut twin.leaves));
-            twin.gone = true;
-            let mut top = self.top.lock();
-            let i = child_of(&top, key);
-            let halves = [(top[i].0, lo), (hi_low, hi)];
-            *top = alloc.snap(spliced(&top, i..i + 1, &halves));
-            self.root.publish(Arc::clone(&top));
+            let alloc = &self.alloc;
+            let halves = [
+                (twin.inner[span.start].0, alloc.leaf(&keys[..at])),
+                (keys[at], alloc.leaf(&keys[at..])),
+            ];
+            self.replace(node, twin, span, &halves, key);
             true
         })
     }
 
     fn remove(&self, key: u64) -> bool {
-        let alloc = &self.alloc;
         self.with_node(key, |node, twin| {
             let j = child_of(&twin.inner, key);
-            let Ok(pos) = twin.leaves[j].binary_search(&key) else {
+            let leaf = &twin.inner[j].1;
+            let held = leaf.held();
+            let Ok(pos) = held.binary_search_by(|k| k.load(Ordering::Relaxed).cmp(&key)) else {
                 return false;
             };
             // An inner node keeps its last leaf even when empty: dropping
-            // the node would widen a *leaf* cell of its neighbour.
-            if twin.leaves[j].len() > 1 || twin.leaves.len() == 1 {
-                twin.leaves[j] = alloc.snap(spliced(&twin.leaves[j], pos..pos + 1, &[]));
-                twin.inner[j].1.publish(Arc::clone(&twin.leaves[j]));
+            // the node would widen a leaf of its neighbour.
+            if held.len() > 1 || twin.inner.len() == 1 {
+                leaf.remove_at(pos, held.len());
                 return true;
             }
 
             // Emptied leaf: a neighbour inherits its range, in a fresh
-            // cell because a cell's range never changes.
+            // leaf because a leaf's range never changes.
             let heir = if j == 0 { 1 } else { j - 1 };
             let at = j.min(heir);
-            let merged = (twin.inner[at].0, alloc.cell(&twin.leaves[heir]));
-            twin.inner = alloc.snap(spliced(&twin.inner, at..at + 2, &[merged]));
-            twin.leaves.remove(j);
-            node.cell.publish(Arc::clone(&twin.inner));
+            let merged = (
+                twin.inner[at].0,
+                self.alloc.leaf(&twin.inner[heir].1.to_vec()),
+            );
+            self.replace(node, twin, at..at + 2, &[merged], key);
             true
         })
+    }
+
+    /// Publishes a snapshot of `node` with the leaves at `span` replaced
+    /// by `with`. A node that would hold more than `INNER_CAP` leaves is
+    /// replaced by two fresh nodes instead: the root lock is taken here,
+    /// still holding the node's — the only place the two nest.
+    fn replace(
+        &self,
+        node: &Node,
+        twin: &mut Twin,
+        span: Range<usize>,
+        with: &[Kid<Arc<Leaf>>],
+        key: u64,
+    ) {
+        let alloc = &self.alloc;
+        let mut kids = spliced(&twin.inner, span, with);
+        if kids.len() <= INNER_CAP {
+            twin.inner = alloc.inner(kids);
+            node.cell.publish(Arc::clone(&twin.inner));
+            return;
+        }
+        let at = kids.len() / 2;
+        let hi_low = kids[at].0;
+        let hi = alloc.node(kids.split_off(at));
+        kids.shrink_to_fit();
+        let lo = alloc.node(kids);
+        twin.gone = true;
+        let mut top = self.top.lock();
+        let i = child_of(&top, key);
+        let halves = [(top[i].0, lo), (hi_low, hi)];
+        *top = alloc.snap(spliced(&top, i..i + 1, &halves));
+        self.root.publish(Arc::clone(&top));
     }
 }
 
@@ -389,13 +595,17 @@ impl OrderedIndex {
         let i = child_of(root, start);
         let inner = root[i].1.cell.load(pin);
         let j = child_of(inner, start);
-        let keys = inner[j].1.load(pin);
-        RangeIter {
+        let mut iter = RangeIter {
             pin,
             inners: &root[i + 1..],
             leaves: &inner[j + 1..],
-            keys: keys[keys.partition_point(|&k| k < start)..].iter(),
-        }
+            buf: Box::new([0; LEAF_CAP]),
+            at: 0,
+            len: 0,
+        };
+        iter.len = inner[j].1.read(&mut iter.buf);
+        iter.at = iter.buf[..iter.len].partition_point(|&k| k < start);
+        iter
     }
 
     /// Live keys across all trees.
@@ -403,7 +613,7 @@ impl OrderedIndex {
         let keys: usize = self
             .shards
             .iter()
-            .map(|tree| tree.sum_nodes(|twin| twin.leaves.iter().map(|l| l.len()).sum()))
+            .map(|tree| tree.sum_nodes(|twin| twin.inner.iter().map(|(_, l)| l.held().len()).sum()))
             .sum();
         keys as u64
     }
@@ -413,17 +623,18 @@ impl OrderedIndex {
         self.len() == 0
     }
 
-    /// DRAM allocated by the index, exactly: every snapshot, cell and
-    /// inner node alive — current, or retired and not yet reclaimed — at
-    /// its capacity with its `Arc` header, the writers' twins and the
-    /// tree table. Not in it: allocator rounding, and the heap behind a
-    /// `ViewCell`'s private retired list, which a cell allocates only
-    /// when one of its publishes races a pinned reader.
+    /// DRAM allocated by the index, exactly: every leaf (its fixed key
+    /// array and state word), every inner and root snapshot at its
+    /// allocated capacity and every inner node (its cell and twin), each
+    /// with its `Arc` header and each from construction to drop, so
+    /// retired ones not yet reclaimed are in it; plus each tree's byte
+    /// counter and the tree table. Not in it: allocator rounding, and the
+    /// heap behind a `ViewCell`'s private retired list, which a cell
+    /// allocates only when one of its publishes races a pinned reader.
     pub fn dram_bytes(&self) -> u64 {
         let mut bytes = size_of::<Self>() + self.shards.capacity() * size_of::<Tree>();
         for tree in &self.shards {
             bytes += ARC_HEADER + size_of::<AtomicU64>();
-            bytes += tree.sum_nodes(|twin| twin.leaves.capacity() * size_of::<Arc<Leaf>>());
             bytes += tree.alloc.total.load(Ordering::Relaxed) as usize;
         }
         bytes as u64
@@ -431,26 +642,34 @@ impl OrderedIndex {
 }
 
 /// Ascending key cursor returned by [`OrderedIndex::range_from`]: the
-/// rest of the current leaf, then the leaves after it in the inner
-/// snapshot it came from, then the inner nodes after that in the root's.
+/// rest of its validated copy of the current leaf, then the leaves after
+/// it in the inner snapshot it came from, then the inner nodes after that
+/// in the root's.
 pub struct RangeIter<'p> {
     pin: &'p Pin<'p>,
     inners: &'p [Kid<NodeRef>],
-    leaves: &'p [Kid<Cell<Leaf>>],
-    keys: std::slice::Iter<'p, u64>,
+    leaves: &'p [Kid<Arc<Leaf>>],
+    /// On the heap so the cursor stays small: callers wrap it in
+    /// iterator adapters, and a 512 B copy per move cost more than the
+    /// allocation.
+    buf: Box<[u64; LEAF_CAP]>,
+    at: usize,
+    len: usize,
 }
 
-impl Iterator for RangeIter<'_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
+impl RangeIter<'_> {
+    /// Copies the next non-empty leaf and yields its first key. Kept out
+    /// of line so that `next`'s fast path inlines into the caller's loop.
+    #[inline(never)]
+    fn next_leaf(&mut self) -> Option<u64> {
         loop {
-            if let Some(&key) = self.keys.next() {
-                return Some(key);
-            }
             if let Some(((_, leaf), rest)) = self.leaves.split_first() {
                 self.leaves = rest;
-                self.keys = leaf.load(self.pin).iter();
+                self.len = leaf.read(&mut self.buf);
+                if self.len > 0 {
+                    self.at = 1;
+                    return Some(self.buf[0]);
+                }
             } else if let Some(((_, node), rest)) = self.inners.split_first() {
                 self.inners = rest;
                 self.leaves = node.cell.load(self.pin);
@@ -458,6 +677,19 @@ impl Iterator for RangeIter<'_> {
                 return None;
             }
         }
+    }
+}
+
+impl Iterator for RangeIter<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        if self.at < self.len {
+            self.at += 1;
+            return Some(self.buf[self.at - 1]);
+        }
+        self.next_leaf()
     }
 }
 
@@ -496,10 +728,6 @@ mod tests {
             for node in nodes(idx, shard) {
                 node.cell.collect();
                 held += node.cell.retired_len();
-                for (_, leaf) in node.twin.lock().inner.iter() {
-                    leaf.collect();
-                    held += leaf.retired_len();
-                }
             }
         }
         held
@@ -509,7 +737,7 @@ mod tests {
     fn leaf_lens(idx: &OrderedIndex, shard: usize) -> Vec<usize> {
         let mut lens = Vec::new();
         for node in nodes(idx, shard) {
-            lens.extend(node.twin.lock().leaves.iter().map(|l| l.len()));
+            lens.extend(node.twin.lock().inner.iter().map(|(_, l)| l.held().len()));
         }
         lens
     }
@@ -729,6 +957,95 @@ mod tests {
         assert!(per_key >= 8.0, "{per_key} B/key");
     }
 
+    /// Full leaves share keys with a roomy neighbour before they split, so
+    /// random inserts leave leaves about four-fifths full, not the ~69 %
+    /// that splits alone leave.
+    #[test]
+    fn random_inserts_rebalance_full_leaves() {
+        let idx = index(1);
+        let mut rng = TestRng::deterministic("random_inserts_rebalance_full_leaves");
+        for _ in 0..100_000 {
+            idx.insert(0, rng.next_u64());
+        }
+        let lens = leaf_lens(&idx, 0);
+        let fill = idx.len() as f64 / (lens.len() * LEAF_CAP) as f64;
+        assert!(fill > 0.75, "fill {fill:.3}");
+    }
+
+    /// A tree of three leaves Z, A, B in one inner node, built from
+    /// `keys`, with a cursor parked at the end of Z (A not yet read) and
+    /// one parked in A. `writer` moves a range boundary between A and B;
+    /// neither cursor may then yield a key twice or out of order, and both
+    /// must yield every key in `stays`, which the writer leaves alone.
+    fn parked_cursors(
+        keys: impl Iterator<Item = u64>,
+        drop: impl Iterator<Item = u64>,
+        writer: impl FnOnce(&OrderedIndex),
+        stays: &[u64],
+    ) {
+        let idx = OrderedIndex::from_sorted(Arc::new(EpochDomain::new(2)), vec![keys.collect()]);
+        for k in drop {
+            assert!(idx.remove(0, k));
+        }
+        let pin = domain(&idx).pin(0);
+        let mut in_z = idx.range_from(0, 0, &pin);
+        let z: Vec<u64> = in_z.by_ref().take(LEAF_CAP).collect();
+        let a_low = z[LEAF_CAP - 1] + 1;
+        let mut in_a = idx.range_from(0, a_low, &pin);
+        let first_a = in_a.next().unwrap();
+        let before = leaf_lens(&idx, 0);
+        writer(&idx);
+        assert_ne!(
+            leaf_lens(&idx, 0),
+            before,
+            "the writer must move a boundary"
+        );
+        for (name, first, rest) in [("Z", z[LEAF_CAP - 1], in_z), ("A", first_a, in_a)] {
+            let mut got = vec![first];
+            got.extend(rest);
+            assert!(
+                got.windows(2).all(|w| w[0] < w[1]),
+                "cursor parked in {name}: {got:?}"
+            );
+            for k in stays.iter().filter(|&&k| k >= first) {
+                assert!(got.contains(k), "cursor parked in {name} missed {k}");
+            }
+        }
+    }
+
+    /// Every path that moves a range boundary builds fresh leaves: a
+    /// cursor that loaded the inner snapshot before the move reads the
+    /// replaced leaves as they were, never a leaf the move rewrote.
+    #[test]
+    fn range_moves_build_fresh_leaves() {
+        // (a) B's last key goes, so A inherits B's range; the key comes
+        // back, into A's successor. A cursor that reads A after the move
+        // must not find it there as well as in B.
+        parked_cursors(
+            0..3 * LEAF_CAP as u64,
+            (96..128).chain(129..192),
+            |idx| {
+                assert!(idx.remove(0, 128));
+                assert_eq!(leaf_lens(idx, 0), vec![64, 32]);
+                assert!(idx.insert(0, 128));
+            },
+            &(64..96).collect::<Vec<u64>>(),
+        );
+        // (b) A is full and B has room: an insert into A rebalances the
+        // two. A cursor that read A before the move must not find A's
+        // upper keys again in B.
+        let even = |k: u64| 2 * k;
+        parked_cursors(
+            (0..3 * LEAF_CAP as u64).map(even),
+            (160..192).map(even),
+            |idx| {
+                assert!(idx.insert(0, 129));
+                assert_eq!(leaf_lens(idx, 0), vec![64, 48, 49]);
+            },
+            &(64..160).map(even).collect::<Vec<u64>>(),
+        );
+    }
+
     #[test]
     #[should_panic(expected = "different EpochDomain")]
     fn cross_domain_pin_is_rejected() {
@@ -908,5 +1225,77 @@ mod tests {
         // three inner splits, each a root republish.
         let most = most_inners.into_inner();
         assert!(most >= 4, "only {most} inner nodes");
+    }
+
+    /// Seqlock stress: one writer shifts keys in place, between stable
+    /// keys, while three readers seek at random starts and scan. The
+    /// writer never fills a leaf, so nothing splits or publishes and every
+    /// copy a reader takes can race a shift. A reader must see its stable
+    /// keys exactly once, in strictly ascending order, and no phantom.
+    #[test]
+    fn in_place_shifts_vs_seeking_readers() {
+        // Sixteen leaves of 128-key ranges, 32 stable keys (the multiples
+        // of 4) in each.
+        const END: u64 = 16 * 128;
+        let built = (0..END).step_by(2).collect();
+        let idx = OrderedIndex::from_sorted(Arc::new(EpochDomain::new(4)), vec![built]);
+        for k in (2..END).step_by(4) {
+            assert!(idx.remove(0, k));
+        }
+        let layout = Arc::clone(&nodes(&idx, 0)[0].twin.lock().inner);
+        let running = AtomicUsize::new(1);
+        std::thread::scope(|s| {
+            for reader in 1..4usize {
+                let (idx, running) = (&idx, &running);
+                s.spawn(move || {
+                    let mut rng = TestRng::deterministic(&format!("seeking reader {reader}"));
+                    let mut scans = 0u32;
+                    while running.load(Ordering::Relaxed) > 0 || scans < 200 {
+                        scans += 1;
+                        let start = rng.next_u64() % END;
+                        let pin = domain(idx).pin(reader);
+                        let mut want = start.next_multiple_of(4);
+                        let mut prev = None;
+                        for k in idx.range_from(0, start, &pin) {
+                            assert!((start..END).contains(&k), "phantom key {k}");
+                            assert!(prev < Some(k), "not ascending: {prev:?} then {k}");
+                            prev = Some(k);
+                            if k.is_multiple_of(4) {
+                                assert_eq!(k, want, "missed stable key");
+                                want += 4;
+                            }
+                        }
+                        assert_eq!(want, END, "scan from {start} ended early");
+                    }
+                });
+            }
+            let running = &running;
+            s.spawn(|| {
+                let _done = Done(running);
+                let mut rng = TestRng::deterministic("in-place writer");
+                for _round in 0..100 {
+                    for class in [1, 2, 3] {
+                        // 31 churn keys per leaf: 63 keys at most, in place.
+                        let mut churn: Vec<u64> =
+                            (class..END).step_by(4).filter(|k| k % 128 >= 4).collect();
+                        for i in (1..churn.len()).rev() {
+                            churn.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+                        }
+                        for &k in &churn {
+                            assert!(idx.insert(0, k));
+                        }
+                        for &k in churn.iter().rev() {
+                            assert!(idx.remove(0, k));
+                        }
+                    }
+                }
+            });
+        });
+        let now = Arc::clone(&nodes(&idx, 0)[0].twin.lock().inner);
+        assert!(Arc::ptr_eq(&layout, &now), "a shift must not publish");
+        assert_eq!(
+            scan_all(&idx, 0, 0),
+            (0..END).step_by(4).collect::<Vec<u64>>()
+        );
     }
 }
