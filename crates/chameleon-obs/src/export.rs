@@ -441,9 +441,9 @@ mod tests {
         let lane = dev.lane(&ThreadCtx::with_default_cost());
         lane.logical_bytes_written.fetch_add(100, Ordering::Relaxed);
         lane.media_bytes_written.fetch_add(300, Ordering::Relaxed);
-        let span = obs.span_start(Stage::AbiDump, 10, &dev);
+        let span = obs.span_start(Stage::AbiDump, 10, lane);
         lane.media_bytes_written.fetch_add(700, Ordering::Relaxed);
-        obs.span_end(span, 60, &dev);
+        obs.span_end(span, 60, lane);
         obs.record_event(
             70,
             EventKind::ModeTransition {

@@ -36,7 +36,7 @@ pub mod trace;
 pub mod window;
 
 use parking_lot::Mutex;
-use pmem_sim::{Histogram, MediaStats, StatsSnapshot};
+use pmem_sim::{Histogram, MediaLane, StatsSnapshot};
 
 pub use event::{Event, EventKind, Journal};
 pub use server::{BatchSpan, ServerObs};
@@ -217,16 +217,23 @@ impl Obs {
     }
 
     /// Opens a maintenance span: captures the start timestamp and a
-    /// monotonic [`StatsSnapshot`] of the device. Returns `None` (and
-    /// reads nothing) when disabled — pass the result straight to
-    /// [`Obs::span_end`].
+    /// monotonic [`StatsSnapshot`] of `media`, the counter lane of the
+    /// thread running the span. Returns `None` (and reads nothing) when
+    /// disabled — pass the result straight to [`Obs::span_end`] with the
+    /// same lane.
+    ///
+    /// One lane, not the whole device: maintenance passes run
+    /// concurrently on different workers, and device-wide deltas would
+    /// have each span claim the others' bytes, so the stage shares would
+    /// sum past 1. Threads that share the lane (ids equal modulo
+    /// `pmem_sim::LANES`) still leak their traffic into the span.
     ///
     /// Spans deliberately snapshot-and-subtract rather than calling
-    /// [`MediaStats::reset`]: reset racing concurrent traffic tears the
-    /// counters (see the warning on `MediaStats::reset`), while deltas of
-    /// monotonic snapshots are safe under concurrency.
+    /// `MediaStats::reset`: reset racing concurrent traffic tears the
+    /// counters (see the warning there), while deltas of monotonic
+    /// snapshots are safe under concurrency.
     #[inline]
-    pub fn span_start(&self, stage: Stage, ts: u64, media: &MediaStats) -> Option<SpanStart> {
+    pub fn span_start(&self, stage: Stage, ts: u64, media: &MediaLane) -> Option<SpanStart> {
         if !self.cfg.enabled {
             return None;
         }
@@ -249,7 +256,7 @@ impl Obs {
         &self,
         span: Option<SpanStart>,
         end_ts: u64,
-        media: &MediaStats,
+        media: &MediaLane,
     ) -> Option<StatsSnapshot> {
         let span = span?;
         self.active_stage
@@ -354,10 +361,11 @@ mod tests {
         assert_eq!(obs.op_hists.len(), 0);
         obs.record_op(3, OpKind::Put, 100);
         obs.record_event(5, EventKind::Crash { crashes: 1 });
-        let dev = MediaStats::default();
-        let span = obs.span_start(Stage::Flush, 0, &dev);
+        let dev = pmem_sim::MediaStats::default();
+        let lane = dev.lane(&pmem_sim::ThreadCtx::with_default_cost());
+        let span = obs.span_start(Stage::Flush, 0, lane);
         assert!(span.is_none());
-        assert!(obs.span_end(span, 10, &dev).is_none());
+        assert!(obs.span_end(span, 10, lane).is_none());
         assert_eq!(obs.journal().total(), 0);
         assert_eq!(obs.op_rollup().put.count(), 0);
         assert!(obs.stage_aggregates().iter().all(|(_, a)| a.count == 0));
@@ -382,14 +390,22 @@ mod tests {
     #[test]
     fn spans_attribute_media_deltas_per_stage() {
         let obs = Obs::new(ObsConfig::on(), 1);
-        let dev = MediaStats::default();
-        let span = obs.span_start(Stage::Flush, 1000, &dev);
+        let dev = pmem_sim::MediaStats::default();
         let lane = dev.lane(&pmem_sim::ThreadCtx::with_default_cost());
+        let span = obs.span_start(Stage::Flush, 1000, lane);
         lane.logical_bytes_written
             .fetch_add(256, std::sync::atomic::Ordering::Relaxed);
         lane.media_bytes_written
             .fetch_add(512, std::sync::atomic::Ordering::Relaxed);
-        let delta = obs.span_end(span, 1500, &dev).expect("span closed");
+        // Another thread's traffic meanwhile is not the span's.
+        let other = dev.lane(&pmem_sim::ThreadCtx::for_thread(
+            std::sync::Arc::new(pmem_sim::CostModel::default()),
+            1,
+        ));
+        other
+            .media_bytes_written
+            .fetch_add(4096, std::sync::atomic::Ordering::Relaxed);
+        let delta = obs.span_end(span, 1500, lane).expect("span closed");
         assert_eq!(delta.logical_bytes_written, 256);
         assert_eq!(delta.media_bytes_written, 512);
         let aggs = obs.stage_aggregates();

@@ -211,10 +211,10 @@ mod tests {
             .fetch_add(1000, Ordering::Relaxed);
         lane.media_bytes_written.fetch_add(2000, Ordering::Relaxed);
         // A flush span claiming 500 logical / 1000 media on top.
-        let span = obs.span_start(Stage::Flush, 100, &dev);
+        let span = obs.span_start(Stage::Flush, 100, lane);
         lane.logical_bytes_written.fetch_add(500, Ordering::Relaxed);
         lane.media_bytes_written.fetch_add(1000, Ordering::Relaxed);
-        obs.span_end(span, 250, &dev);
+        obs.span_end(span, 250, lane);
         obs.record_event(
             260,
             EventKind::MemtableFlush {

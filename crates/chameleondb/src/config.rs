@@ -23,7 +23,8 @@ pub enum CompactionScheme {
 ///
 /// A write that finds its shard's MemTable at the load threshold freezes
 /// it (swap + view republish) before its own log append; then the flush /
-/// WIM merge / GPM dump / compaction chain runs under the shard mutex.
+/// WIM merge / GPM dump / compaction chain runs under the shard's
+/// `levels` lock, which puts never take (they take only `mem`).
 /// `workers` picks who runs it: with `0` the writing thread runs it on its
 /// own clock (caller runs, the paper's engine), otherwise a worker pool
 /// does. Like [`ObsConfig`], none of this is part of the persisted config

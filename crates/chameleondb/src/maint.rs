@@ -3,8 +3,9 @@
 //!
 //! A write that finds its shard's MemTable full freezes it before its
 //! log append. With `bg.workers > 0` it then enqueues the shard here, and
-//! a worker pops the request, reacquires the shard mutex and runs the
-//! flush / WIM merge / GPM dump / compaction chain off the put path.
+//! a worker pops the request, takes the shard's `levels` lock and runs
+//! the flush / WIM merge / GPM dump / compaction chain off the put path:
+//! puts to the shard keep going under its `mem` lock meanwhile.
 //! With no pool the writer runs the same chain itself and nothing is
 //! ever queued, so `pending` stays 0 and [`Maint::drain`] returns at
 //! once. The worker threads themselves live in `store/mod.rs` (they
@@ -61,8 +62,8 @@ pub(crate) struct Maint {
     work_cv: Condvar,
     /// Drainers wait here for `pending == 0` (or a failure).
     idle_cv: Condvar,
-    /// `shard_cvs[i]` is signalled — always under shard `i`'s mutex, so
-    /// a stalled put's check-then-wait cannot miss it — when a
+    /// `shard_cvs[i]` is signalled — always under shard `i`'s `mem` lock,
+    /// so a stalled put's check-then-wait cannot miss it — when a
     /// maintenance pass for shard `i` completes (or the pipeline dies).
     pub(crate) shard_cvs: Vec<Condvar>,
 }

@@ -31,9 +31,7 @@ impl ShardMut {
         self.make_abi_room(store, ctx, table.len())?;
         // Span starts *after* make_abi_room so any dump/last-compaction it
         // triggered is attributed to its own stage, not to the merge.
-        let span = store
-            .obs
-            .span_start(Stage::WimMerge, ctx.clock.now(), store.dev.stats());
+        let span = store.span_start(Stage::WimMerge, ctx);
         let max_seq = table.max_seq();
         let slots = table.iter();
         let merged = slots.len() as u64;
@@ -59,10 +57,9 @@ impl ShardMut {
             .get_or_insert(self.checkpoint_seq + 1);
         // The merge is committed: retire the in-flight table from the
         // published view (its entries are covered by the ABI now).
-        self.in_flight = None;
-        self.publish(store, ctx);
+        self.publish(store, ctx, true);
         StoreMetrics::bump(&store.metrics.lane(ctx).wim_merges);
-        store.obs.span_end(span, ctx.clock.now(), store.dev.stats());
+        store.span_end(span, ctx);
         store.obs.record_event(
             ctx.clock.now(),
             EventKind::WimMerge {
@@ -102,11 +99,9 @@ impl ShardMut {
         // The ABI holds WIM-merged MemTable entries whose log appends may
         // still be unfenced; the dumped table will cover their seqs.
         store.sync_writers(ctx)?;
-        let span = store
-            .obs
-            .span_start(Stage::AbiDump, ctx.clock.now(), store.dev.stats());
+        let span = store.span_start(Stage::AbiDump, ctx);
         let dumped_slots = self.abi.len() as u64;
-        let threshold = self.load_threshold;
+        let threshold = self.load_threshold(store);
         let mut b = TableBuilder::sized_for(self.abi.len(), threshold);
         b.note_seq(self.abi.max_seq());
         for slot in self.abi.iter() {
@@ -129,12 +124,9 @@ impl ShardMut {
         // old ABI (which covers the dumped table's contents).
         self.abi = Arc::new(SharedTable::new(store.cfg.upper_capacity_slots()));
         self.abi_unpersisted_floor = None;
-        self.publish(store, ctx);
+        self.publish(store, ctx, false);
         StoreMetrics::bump(&store.metrics.lane(ctx).abi_dumps);
-        let delta = store
-            .obs
-            .span_end(span, ctx.clock.now(), store.dev.stats())
-            .unwrap_or_default();
+        let delta = store.span_end(span, ctx).unwrap_or_default();
         store.obs.record_event(
             ctx.clock.now(),
             EventKind::AbiDump {
@@ -155,7 +147,7 @@ impl ShardMut {
         table_in: &Arc<SharedTable>,
     ) -> Result<()> {
         if table_in.is_empty() {
-            self.in_flight = None;
+            store.shards[self.id as usize].mem.lock().in_flight = None;
             return Ok(());
         }
         // The frozen entries' log appends may still be unfenced; the L0
@@ -164,9 +156,7 @@ impl ShardMut {
         self.make_abi_room(store, ctx, table_in.len())?;
         // Span starts *after* make_abi_room: an ABI dump or last-level
         // compaction it triggered is billed to its own stage.
-        let span = store
-            .obs
-            .span_start(Stage::Flush, ctx.clock.now(), store.dev.stats());
+        let span = store.span_start(Stage::Flush, ctx);
         let mut b = TableBuilder::new(store.cfg.memtable_slots);
         // The table covers exactly this frozen MemTable. If the ABI still
         // holds older WIM/GPM-merged entries that live in no table, claiming
@@ -211,13 +201,9 @@ impl ShardMut {
         // The flush is committed: the single publish below retires the
         // in-flight table and makes the ABI mirror and the new L0 table
         // visible together.
-        self.in_flight = None;
-        self.publish(store, ctx);
+        self.publish(store, ctx, true);
         StoreMetrics::bump(&store.metrics.lane(ctx).flushes);
-        let delta = store
-            .obs
-            .span_end(span, ctx.clock.now(), store.dev.stats())
-            .unwrap_or_default();
+        let delta = store.span_end(span, ctx).unwrap_or_default();
         store.obs.record_event(
             ctx.clock.now(),
             EventKind::MemtableFlush {
@@ -315,13 +301,11 @@ impl ShardMut {
         target_level: usize,
     ) -> Result<()> {
         debug_assert!(!inputs.is_empty());
-        let span = store
-            .obs
-            .span_start(Stage::MidCompaction, ctx.clock.now(), store.dev.stats());
+        let span = store.span_start(Stage::MidCompaction, ctx);
         let tables_in = inputs.len() as u64;
         inputs.sort_by_key(|t| std::cmp::Reverse(t.table().header().table_seq));
         let total: u64 = inputs.iter().map(|t| t.table().num_entries()).sum();
-        let mut b = TableBuilder::sized_for(total as usize, self.load_threshold);
+        let mut b = TableBuilder::sized_for(total as usize, self.load_threshold(store));
         for t in &inputs {
             b.note_seq(t.table().header().max_log_seq);
             for slot in t.table().iter_entries(&store.dev, ctx) {
@@ -347,11 +331,8 @@ impl ShardMut {
         }
         let slots_out = table.num_entries();
         self.uppers[target_level].push(TableHandle::new(table, &store.dev));
-        self.publish(store, ctx);
-        let delta = store
-            .obs
-            .span_end(span, ctx.clock.now(), store.dev.stats())
-            .unwrap_or_default();
+        self.publish(store, ctx, false);
+        let delta = store.span_end(span, ctx).unwrap_or_default();
         store.obs.record_event(
             ctx.clock.now(),
             EventKind::MidCompaction {
@@ -387,10 +368,8 @@ impl ShardMut {
         store.sync_writers(ctx)?;
         // Span starts *after* ensure_abi so a post-restart rebuild is billed
         // to the abi_rebuild stage rather than to this compaction.
-        let span = store
-            .obs
-            .span_start(Stage::LastCompaction, ctx.clock.now(), store.dev.stats());
-        let mut b = TableBuilder::sized_for(total as usize, self.load_threshold);
+        let span = store.span_start(Stage::LastCompaction, ctx);
+        let mut b = TableBuilder::sized_for(total as usize, self.load_threshold(store));
         // Newest first: ABI (DRAM reads — the Fig. 8 optimisation), then
         // dumped tables newest-first, then the old last level.
         b.note_seq(self.abi.max_seq());
@@ -452,12 +431,9 @@ impl ShardMut {
         // publish keep the old one, which covers the new last level.
         self.abi = Arc::new(SharedTable::new(store.cfg.upper_capacity_slots()));
         self.abi_unpersisted_floor = None;
-        self.publish(store, ctx);
+        self.publish(store, ctx, false);
         StoreMetrics::bump(&store.metrics.lane(ctx).last_compactions);
-        let delta = store
-            .obs
-            .span_end(span, ctx.clock.now(), store.dev.stats())
-            .unwrap_or_default();
+        let delta = store.span_end(span, ctx).unwrap_or_default();
         store.obs.record_event(
             ctx.clock.now(),
             EventKind::LastCompaction {

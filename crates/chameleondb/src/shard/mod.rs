@@ -1,12 +1,20 @@
 //! The write side of a shard: MemTable + ABI + multi-level table
-//! structure (§2.1–§2.2), behind the per-shard mutex. The level
+//! structure (§2.1–§2.2), behind two per-shard locks. The level
 //! transitions — flush, WIM merge, ABI dump and both compactions — are
 //! in `compaction.rs`.
 //!
+//! A [`Shard`] splits its state in two. [`MemState`] (the `mem` lock)
+//! is what a put touches: the live MemTable, the frozen queue and the
+//! in-flight table. [`ShardMut`] (the `levels` lock) is what a
+//! maintenance pass touches: the ABI and the Pmem tables. A put takes
+//! only `mem`; a pass holds `levels` throughout and takes `mem` only to
+//! pop its frozen table and to publish. Whoever needs both takes
+//! `levels` first.
+//!
 //! Reads never come here. Every structural transition republishes an
 //! immutable [`ShardView`] (see `view.rs`) through the shard's
-//! `ViewCell`; `ChameleonDb::get` probes that snapshot lock-free. Two
-//! rules keep concurrent readers sound:
+//! `ViewCell`, always under `mem`; `ChameleonDb::get` probes that
+//! snapshot lock-free. Two rules keep concurrent readers sound:
 //!
 //! * **In-place mutation of a shared table is additive only** (inserts /
 //!   overwrites into the live MemTable or ABI). Anything that would
@@ -26,6 +34,7 @@ use std::sync::Arc;
 use chameleon_obs::{EventKind, Stage};
 use kvapi::Result;
 use kvtables::{SharedTable, Slot};
+use parking_lot::{Mutex, MutexGuard};
 use pmem_sim::{PmemDevice, ThreadCtx};
 
 use crate::config::ChameleonConfig;
@@ -33,14 +42,78 @@ use crate::metrics::StoreMetrics;
 use crate::store::StoreInner;
 use crate::view::{ShardView, TableHandle};
 
-/// One shard's writer-owned state: the live MemTable, the Auxiliary
-/// Bypass Index over all upper levels, the upper-level tables on Pmem,
-/// any GPM-dumped ABI tables, and the single last-level table.
-pub(crate) struct ShardMut {
-    pub id: u32,
+/// One shard: the put half behind `mem`, the level half behind
+/// `levels`. Lock order: `levels` before `mem`.
+pub(crate) struct Shard {
+    pub mem: Mutex<MemState>,
+    pub levels: Mutex<ShardMut>,
+}
+
+impl Shard {
+    pub fn new(levels: ShardMut, cfg: &ChameleonConfig) -> Self {
+        Self {
+            mem: Mutex::new(MemState::new(levels.id, cfg)),
+            levels: Mutex::new(levels),
+        }
+    }
+
+    /// Freezes the MemTable behind `mem` and runs its maintenance pass on
+    /// the calling thread, exactly as a pool worker would: `mem` is
+    /// released for the pass (lock order: `levels` before `mem`) and
+    /// returned retaken, so the caller re-checks the MemTable.
+    pub fn freeze_and_process<'a>(
+        &'a self,
+        mut mem: MutexGuard<'a, MemState>,
+        store: &StoreInner,
+        ctx: &mut ThreadCtx,
+        shard: usize,
+    ) -> Result<MutexGuard<'a, MemState>> {
+        mem.freeze(store, ctx, shard);
+        drop(mem);
+        self.levels.lock().process_one_frozen(store, ctx)?;
+        Ok(self.mem.lock())
+    }
+
+    /// DRAM bytes held by this shard's volatile structures.
+    pub fn dram_bytes(&self) -> u64 {
+        let levels = self.levels.lock();
+        let mem = self.mem.lock();
+        mem.unflushed().map(|t| t.dram_bytes()).sum::<u64>() + levels.abi.dram_bytes()
+    }
+
+    /// Approximate live entries (slots across all structures; duplicates
+    /// across levels counted once via the ABI where possible).
+    pub fn approx_len(&self) -> u64 {
+        let levels = self.levels.lock();
+        let mem = self.mem.lock();
+        mem.unflushed().map(|t| t.len() as u64).sum::<u64>() + levels.approx_len()
+    }
+
+    /// Every slot a get can reach, in `get`'s precedence order: the
+    /// MemTable, frozen MemTables newest-first, the in-flight table,
+    /// [`ShardMut::upper_slots`], dumped tables newest-first, then the
+    /// last level. A hash's first slot is its newest version.
+    pub fn slots_in_get_order(&self, dev: &PmemDevice, ctx: &mut ThreadCtx) -> Vec<Slot> {
+        let levels = self.levels.lock();
+        let mem = self.mem.lock();
+        let mut slots = Vec::new();
+        for t in mem.unflushed() {
+            slots.extend(t.iter());
+        }
+        slots.extend(levels.upper_slots(dev, ctx));
+        for t in levels.dumped.iter().rev().chain(&levels.last) {
+            slots.extend(t.table().iter_entries(dev, ctx));
+        }
+        slots
+    }
+}
+
+/// The put half of a shard: the live MemTable and the frozen tables
+/// awaiting maintenance.
+pub(crate) struct MemState {
     pub memtable: Arc<SharedTable>,
     /// Frozen MemTables awaiting background maintenance, oldest at the
-    /// front. Filled by [`ShardMut::freeze_memtable`], drained FIFO by
+    /// front. Filled by [`MemState::freeze`], drained FIFO by
     /// [`ShardMut::process_one_frozen`] — FIFO keeps per-shard seq order:
     /// every entry in a later frozen table outranks every entry in an
     /// earlier one, which the checkpoint-claim logic relies on.
@@ -49,6 +122,102 @@ pub(crate) struct ShardMut {
     /// Stays in published views until the pass commits and republishes;
     /// counts against the frozen-queue cap for backpressure.
     pub in_flight: Option<Arc<SharedTable>>,
+    /// This shard's randomized MemTable load-factor threshold (§2.5).
+    pub load_threshold: f64,
+}
+
+impl MemState {
+    fn new(id: u32, cfg: &ChameleonConfig) -> Self {
+        Self {
+            memtable: Arc::new(SharedTable::new_resident(cfg.memtable_slots)),
+            frozen: VecDeque::new(),
+            in_flight: None,
+            load_threshold: shard_load_threshold(cfg, id),
+        }
+    }
+
+    /// Frozen MemTables pending maintenance (queued + in-flight); the
+    /// quantity the backpressure cap bounds.
+    pub fn pending_frozen(&self) -> usize {
+        self.frozen.len() + usize::from(self.in_flight.is_some())
+    }
+
+    /// The DRAM tables no level holds yet, newest first: the MemTable,
+    /// the frozen queue newest-first, then the in-flight table (older
+    /// than everything still queued).
+    fn unflushed(&self) -> impl Iterator<Item = &Arc<SharedTable>> {
+        std::iter::once(&self.memtable)
+            .chain(self.frozen.iter().rev())
+            .chain(&self.in_flight)
+    }
+
+    /// Frozen and in-flight tables, newest first: the view's frozen list.
+    fn frozen_newest_first(&self) -> Vec<Arc<SharedTable>> {
+        self.unflushed().skip(1).cloned().collect()
+    }
+
+    /// Builds the view of this half over `levels`.
+    pub fn view(&self, levels: &ShardMut) -> ShardView {
+        ShardView {
+            mem: Arc::clone(&self.memtable),
+            frozen_newest_first: self.frozen_newest_first(),
+            abi: Arc::clone(&levels.abi),
+            abi_valid: levels.abi_valid,
+            uppers_newest_first: levels.uppers_newest_first(),
+            dumped_newest_first: levels.dumped.iter().rev().cloned().collect(),
+            last: levels.last.clone(),
+        }
+    }
+
+    /// Inserts one slot (put or delete) into the MemTable. Never runs
+    /// maintenance: callers freeze a MemTable at its load threshold
+    /// *before* the write that would overfill it (see
+    /// `StoreInner::write_slot_hashed` and `StoreInner::replay`).
+    ///
+    /// In-place insert into the shared MemTable: the published view holds
+    /// the same Arc, so the entry is reader-visible the moment this
+    /// returns — acks need no republish. Returns the previous MemTable
+    /// location word for dead-byte accounting.
+    pub fn insert(&mut self, ctx: &mut ThreadCtx, slot: Slot, seq: u64) -> Result<Option<u64>> {
+        let old = self.memtable.insert(ctx, slot)?;
+        self.memtable.note_seq(seq);
+        Ok(old)
+    }
+
+    /// Freezes shard `shard`'s live MemTable: pushes it onto the frozen
+    /// queue, swaps in a fresh table, and republishes so readers keep
+    /// seeing the frozen entries (now via the view's frozen list). No-op
+    /// when empty.
+    ///
+    /// Takes no `levels` lock — a put must never wait for a maintenance
+    /// pass — so the level half of the new view is copied from the
+    /// published one. Every publish happens under `mem`, which the caller
+    /// holds, so that is the latest committed level state.
+    pub fn freeze(&mut self, store: &StoreInner, ctx: &ThreadCtx, shard: usize) {
+        if self.memtable.is_empty() {
+            return;
+        }
+        self.frozen.push_back(Arc::clone(&self.memtable));
+        self.memtable = Arc::new(SharedTable::new_resident(store.cfg.memtable_slots));
+        let view = {
+            let pin = store.epochs.pin(ctx.thread_id);
+            let cur = store.views[shard].load(&pin);
+            ShardView {
+                mem: Arc::clone(&self.memtable),
+                frozen_newest_first: self.frozen_newest_first(),
+                ..cur.clone()
+            }
+        };
+        store.views[shard].publish(Arc::new(view));
+        StoreMetrics::bump(&store.metrics.lane(ctx).view_publishes);
+    }
+}
+
+/// The level half of a shard: the Auxiliary Bypass Index over all upper
+/// levels, the upper-level tables on Pmem, any GPM-dumped ABI tables,
+/// and the single last-level table.
+pub(crate) struct ShardMut {
+    pub id: u32,
     pub abi: Arc<SharedTable>,
     /// False right after a restart until this shard's ABI has been rebuilt
     /// from its upper-level tables ("recovered along with serving front-end
@@ -61,8 +230,6 @@ pub(crate) struct ShardMut {
     pub dumped: Vec<Arc<TableHandle>>,
     /// The last-level table.
     pub last: Option<Arc<TableHandle>>,
-    /// This shard's randomized MemTable load-factor threshold (§2.5).
-    pub load_threshold: f64,
     /// Monotonic table numbering within the shard.
     pub table_seq: u64,
     /// Highest log sequence number persisted in this shard's tables; log
@@ -79,42 +246,24 @@ pub(crate) struct ShardMut {
 }
 
 impl ShardMut {
-    /// Creates shard `id`, empty, with its randomized load threshold.
+    /// Creates shard `id`'s level half, empty.
     pub fn new(id: u32, cfg: &ChameleonConfig) -> Self {
         Self {
             id,
-            memtable: Arc::new(SharedTable::new_resident(cfg.memtable_slots)),
-            frozen: VecDeque::new(),
-            in_flight: None,
             abi: Arc::new(SharedTable::new(cfg.upper_capacity_slots())),
             abi_valid: true,
             uppers: vec![Vec::new(); cfg.levels - 1],
             dumped: Vec::new(),
             last: None,
-            load_threshold: shard_load_threshold(cfg, id),
             table_seq: 0,
             checkpoint_seq: 0,
             abi_unpersisted_floor: None,
         }
     }
 
-    /// DRAM bytes held by this shard's volatile structures.
-    pub fn dram_bytes(&self) -> u64 {
-        self.memtable.dram_bytes()
-            + self.abi.dram_bytes()
-            + self.frozen.iter().map(|t| t.dram_bytes()).sum::<u64>()
-            + self.in_flight.as_ref().map_or(0, |t| t.dram_bytes())
-    }
-
-    /// Frozen MemTables pending maintenance (queued + in-flight); the
-    /// quantity the backpressure cap bounds.
-    pub fn pending_frozen(&self) -> usize {
-        self.frozen.len() + usize::from(self.in_flight.is_some())
-    }
-
-    /// Approximate live entries (slots across all structures; duplicates
-    /// across levels counted once via the ABI where possible).
-    pub fn approx_len(&self) -> u64 {
+    /// Approximate entries in the levels (upper levels counted once via
+    /// the ABI where possible).
+    fn approx_len(&self) -> u64 {
         let upper = if self.abi_valid {
             self.abi.len() as u64
         } else {
@@ -124,10 +273,7 @@ impl ShardMut {
                 .map(|t| t.table().num_entries())
                 .sum::<u64>()
         };
-        self.memtable.len() as u64
-            + self.frozen.iter().map(|t| t.len() as u64).sum::<u64>()
-            + self.in_flight.as_ref().map_or(0, |t| t.len() as u64)
-            + upper
+        upper
             + self
                 .dumped
                 .iter()
@@ -139,6 +285,11 @@ impl ShardMut {
     fn next_table_seq(&mut self) -> u64 {
         self.table_seq += 1;
         self.table_seq
+    }
+
+    /// This shard's load threshold, which also sizes its merged tables.
+    fn load_threshold(&self, store: &StoreInner) -> f64 {
+        shard_load_threshold(&store.cfg, self.id)
     }
 
     /// Every upper-level table, newest first by table seq: the degraded
@@ -168,73 +319,17 @@ impl ShardMut {
         slots
     }
 
-    /// Every slot a get can reach, in `get`'s precedence order: the
-    /// MemTable, frozen MemTables newest-first, the in-flight table,
-    /// [`Self::upper_slots`], dumped tables newest-first, then the last
-    /// level. A hash's first slot is its newest version.
-    pub fn slots_in_get_order(&self, dev: &PmemDevice, ctx: &mut ThreadCtx) -> Vec<Slot> {
-        let mut slots = self.memtable.iter();
-        for t in self.frozen.iter().rev().chain(&self.in_flight) {
-            slots.extend(t.iter());
+    /// Republishes this shard's read view: locks `mem` (the caller holds
+    /// `levels`), retires the in-flight table first when `retire` is
+    /// set, and publishes. Holding `mem` orders the publish with
+    /// freezes, which copy the level half from the published view.
+    fn publish(&self, store: &StoreInner, ctx: &ThreadCtx, retire: bool) {
+        let mut mem = store.shards[self.id as usize].mem.lock();
+        if retire {
+            mem.in_flight = None;
         }
-        slots.extend(self.upper_slots(dev, ctx));
-        for t in self.dumped.iter().rev().chain(&self.last) {
-            slots.extend(t.table().iter_entries(dev, ctx));
-        }
-        slots
-    }
-
-    /// Builds an immutable snapshot of the current readable structures.
-    pub fn snapshot_view(&self) -> ShardView {
-        // Newest first: the frozen deque is oldest-at-front, and the
-        // in-flight table (if any) is older than everything still queued.
-        let mut frozen_newest_first: Vec<Arc<SharedTable>> =
-            self.frozen.iter().rev().cloned().collect();
-        frozen_newest_first.extend(self.in_flight.iter().cloned());
-        ShardView {
-            mem: Arc::clone(&self.memtable),
-            frozen_newest_first,
-            abi: Arc::clone(&self.abi),
-            abi_valid: self.abi_valid,
-            uppers_newest_first: self.uppers_newest_first(),
-            dumped_newest_first: self.dumped.iter().rev().cloned().collect(),
-            last: self.last.clone(),
-        }
-    }
-
-    /// Republishes this shard's read view. Called at every structural
-    /// transition, always while still holding the shard mutex (so a
-    /// later insert cannot land in a not-yet-published fresh MemTable).
-    fn publish(&self, store: &StoreInner, ctx: &ThreadCtx) {
-        store.views[self.id as usize].publish(Arc::new(self.snapshot_view()));
+        store.views[self.id as usize].publish(Arc::new(mem.view(self)));
         StoreMetrics::bump(&store.metrics.lane(ctx).view_publishes);
-    }
-
-    /// Inserts one slot (put or delete) into the MemTable. Never runs
-    /// maintenance: callers freeze a MemTable at its load threshold
-    /// *before* the write that would overfill it (see
-    /// `StoreInner::write_slot_hashed` and `StoreInner::replay`).
-    ///
-    /// In-place insert into the shared MemTable: the published view holds
-    /// the same Arc, so the entry is reader-visible the moment this
-    /// returns — acks need no republish. Returns the previous MemTable
-    /// location word for dead-byte accounting.
-    pub fn insert(&mut self, ctx: &mut ThreadCtx, slot: Slot, seq: u64) -> Result<Option<u64>> {
-        let old = self.memtable.insert(ctx, slot)?;
-        self.memtable.note_seq(seq);
-        Ok(old)
-    }
-
-    /// Freezes the live MemTable: pushes it onto the frozen queue, swaps
-    /// in a fresh table, and republishes so readers keep seeing the
-    /// frozen entries (now via the view's frozen list). No-op when empty.
-    pub fn freeze_memtable(&mut self, store: &StoreInner, ctx: &ThreadCtx) {
-        if self.memtable.is_empty() {
-            return;
-        }
-        self.frozen.push_back(Arc::clone(&self.memtable));
-        self.memtable = Arc::new(SharedTable::new_resident(store.cfg.memtable_slots));
-        self.publish(store, ctx);
     }
 
     /// Pops the oldest frozen MemTable and runs one full maintenance pass
@@ -242,17 +337,25 @@ impl ShardMut {
     /// flush, cascade compactions} depending on the mode *at processing
     /// time*. Returns whether there was anything to process.
     ///
-    /// Runs under the shard mutex (callers hold it), on a pool worker or
-    /// on the writer that froze the table; the table stays published as
-    /// `in_flight` until the pass commits and republishes. A stale
-    /// post-restart ABI is rebuilt here rather than at the first insert,
-    /// so log replay stays cheap: shards that never fill a MemTable serve
-    /// gets through the degraded upper-level walk until their first flush.
+    /// Runs under the `levels` lock (callers hold it), on a pool worker
+    /// or on the writer that froze the table, and takes `mem` only to pop
+    /// the table into `in_flight` and at each publish — puts keep going
+    /// meanwhile. The table stays published as `in_flight` until the
+    /// pass commits and republishes. A stale post-restart ABI is rebuilt
+    /// here rather than at the first insert, so log replay stays cheap:
+    /// shards that never fill a MemTable serve gets through the degraded
+    /// upper-level walk until their first flush.
     pub fn process_one_frozen(&mut self, store: &StoreInner, ctx: &mut ThreadCtx) -> Result<bool> {
-        let Some(table) = self.frozen.pop_front() else {
-            return Ok(false);
+        let table = {
+            let mut mem = store.shards[self.id as usize].mem.lock();
+            let Some(table) = mem.frozen.pop_front() else {
+                return Ok(false);
+            };
+            // The view lists in-flight and queued tables alike, so moving
+            // one between them needs no publish.
+            mem.in_flight = Some(Arc::clone(&table));
+            table
         };
-        self.in_flight = Some(Arc::clone(&table));
         self.ensure_abi(store, ctx)?;
         if store.mode.suspend_upper_maintenance() {
             self.merge_table_into_abi(store, ctx, &table)?;
@@ -280,9 +383,7 @@ impl ShardMut {
         if self.abi_valid {
             return Ok(());
         }
-        let span = store
-            .obs
-            .span_start(Stage::AbiRebuild, ctx.clock.now(), store.dev.stats());
+        let span = store.span_start(Stage::AbiRebuild, ctx);
         for t in self.uppers_newest_first() {
             for slot in t.table().iter_entries(&store.dev, ctx) {
                 // Newest-first: keep the first version seen per hash.
@@ -291,9 +392,9 @@ impl ShardMut {
             }
         }
         self.abi_valid = true;
-        self.publish(store, ctx);
+        self.publish(store, ctx, false);
         StoreMetrics::bump(&store.metrics.lane(ctx).abi_rebuilds);
-        store.obs.span_end(span, ctx.clock.now(), store.dev.stats());
+        store.span_end(span, ctx);
         store.obs.record_event(
             ctx.clock.now(),
             EventKind::AbiRebuild {
@@ -309,7 +410,8 @@ impl ShardMut {
     /// store drains the worker pool before calling this, but concurrent
     /// puts may refreeze — the loop below clears whatever is pending.
     pub fn force_checkpoint(&mut self, store: &StoreInner, ctx: &mut ThreadCtx) -> Result<()> {
-        self.freeze_memtable(store, ctx);
+        let id = self.id as usize;
+        store.shards[id].mem.lock().freeze(store, ctx, id);
         while self.process_one_frozen(store, ctx)? {}
         if !self.abi.is_empty() || !self.dumped.is_empty() {
             self.compact_last_level(store, ctx)?;

@@ -65,9 +65,7 @@ impl StoreInner {
         if cands.is_empty() {
             return Ok(());
         }
-        let span = self
-            .obs
-            .span_start(Stage::Gc, ctx.clock.now(), self.dev.stats());
+        let span = self.span_start(Stage::Gc, ctx);
         let lane = self.metrics.lane(ctx);
         StoreMetrics::bump(&lane.gc_runs);
         for idx in cands {
@@ -77,13 +75,13 @@ impl StoreInner {
             lane.gc_relocated_bytes.fetch_add(bytes, Ordering::Relaxed);
             StoreMetrics::bump(&lane.gc_reclaimed_extents);
         }
-        self.obs.span_end(span, ctx.clock.now(), self.dev.stats());
+        self.span_end(span, ctx);
         Ok(())
     }
 
     /// Copy-forward GC of one sealed extent.
     ///
-    /// Per shard (under its mutex): fence every log writer so all
+    /// Per shard (under both its locks): fence every log writer so all
     /// index-referenced entries are durable, then for each of the
     /// extent's entries that the read path still resolves, append a
     /// sequence-preserving copy, fence the copies, and repoint every
@@ -120,18 +118,20 @@ impl StoreInner {
             if group.is_empty() {
                 continue;
             }
-            let shard = self.shards[shard_idx].lock();
-            // With the shard locked no new version of any of its keys can
-            // be appended, so after this fence "the read path resolves a
-            // different location" implies "a newer durable version
-            // exists" — the invariant that makes skipping superseded
-            // entries crash-safe.
+            // `levels` for the level tables the repoints rewrite, then
+            // `mem`: with it held no new version of any of the shard's
+            // keys can be appended, so after this fence "the read path
+            // resolves a different location" implies "a newer durable
+            // version exists" — the invariant that makes skipping
+            // superseded entries crash-safe.
+            let levels = self.shards[shard_idx].levels.lock();
+            let mem = self.shards[shard_idx].mem.lock();
             self.sync_writers(ctx)?;
             // An entry is live iff the read path still resolves its hash
             // to exactly this location; probe the same view gets probe.
             // Repoints below rewrite slots inside these same tables, so
             // this is also the view republished once they are durable.
-            let view = shard.snapshot_view();
+            let view = mem.view(&levels);
             let mut moves: Vec<(u64, u64, u64)> = Vec::new();
             {
                 let mut w = self.writer(ctx).lock();
@@ -158,25 +158,25 @@ impl StoreInner {
             }
             let mut persisted = false;
             for &(hash, old_loc, new_loc) in &moves {
-                shard.memtable.repoint(ctx, hash, old_loc, new_loc);
-                for t in &shard.frozen {
+                mem.memtable.repoint(ctx, hash, old_loc, new_loc);
+                for t in &mem.frozen {
                     t.repoint(ctx, hash, old_loc, new_loc);
                 }
-                if let Some(t) = &shard.in_flight {
+                if let Some(t) = &mem.in_flight {
                     t.repoint(ctx, hash, old_loc, new_loc);
                 }
-                shard.abi.repoint(ctx, hash, old_loc, new_loc);
-                for t in shard.uppers.iter().flatten() {
+                levels.abi.repoint(ctx, hash, old_loc, new_loc);
+                for t in levels.uppers.iter().flatten() {
                     persisted |= t
                         .table()
                         .repoint_slot(&self.dev, ctx, hash, old_loc, new_loc);
                 }
-                for t in &shard.dumped {
+                for t in &levels.dumped {
                     persisted |= t
                         .table()
                         .repoint_slot(&self.dev, ctx, hash, old_loc, new_loc);
                 }
-                if let Some(t) = &shard.last {
+                if let Some(t) = &levels.last {
                     persisted |= t
                         .table()
                         .repoint_slot(&self.dev, ctx, hash, old_loc, new_loc);
@@ -217,8 +217,7 @@ impl StoreInner {
     pub fn audit_live_bytes(&self, ctx: &mut ThreadCtx) -> u64 {
         let mut total = 0u64;
         for shard in &self.shards {
-            let slots = shard.lock().slots_in_get_order(&self.dev, ctx);
-            for sl in slots {
+            for sl in shard.slots_in_get_order(&self.dev, ctx) {
                 total += resident_entry_bytes(&self.log, ctx, sl.hash, sl.loc).unwrap_or(0);
             }
         }
@@ -232,7 +231,7 @@ impl StoreInner {
     ///
     /// Only for words that are provably fresh: a MemTable overwrite displaces
     /// the version that was the newest until this very put, which GC keeps
-    /// repointed (under the same shard lock) for as long as it lives. Words
+    /// repointed (under the same `mem` lock) for as long as it lives. Words
     /// read back from persistent tables may be stale — use
     /// [`Self::credit_dead_slot`] there.
     pub(super) fn credit_dead_word(&self, ctx: &mut ThreadCtx, word: u64) {

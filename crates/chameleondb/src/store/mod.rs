@@ -21,20 +21,21 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use chameleon_obs::{CounterSection, EventKind, Obs, ObsSnapshot};
+use chameleon_obs::span::SpanStart;
+use chameleon_obs::{CounterSection, EventKind, Obs, ObsSnapshot, Stage};
 use kvapi::{CrashRecover, KvStore, LogSpaceStats, Result};
 use kvlog::{LogWriter, StorageLog};
 use kvorder::OrderedIndex;
 use kvsync::{EpochDomain, ViewCell};
 use parking_lot::Mutex;
-use pmem_sim::{CostModel, PmemDevice, ThreadCtx};
+use pmem_sim::{CostModel, PmemDevice, StatsSnapshot, ThreadCtx};
 
 use crate::config::ChameleonConfig;
 use crate::maint::{Job, Maint, MaintFailure};
 use crate::manifest::{Manifest, ManifestRecord};
 use crate::metrics::{StoreMetrics, StoreMetricsSnapshot};
 use crate::mode::{Mode, ModeController};
-use crate::shard::ShardMut;
+use crate::shard::Shard;
 use crate::view::ShardView;
 
 pub use write::BatchOp;
@@ -92,12 +93,15 @@ pub struct StoreInner {
     /// installed by `open`; empty while recovery replays entries that
     /// are already in the log.
     writers: Vec<Mutex<LogWriter>>,
-    shards: Vec<Mutex<ShardMut>>,
+    /// Per-shard state behind two locks: `mem` for puts, `levels` for
+    /// maintenance passes (see `shard/mod.rs`).
+    pub(crate) shards: Vec<Shard>,
     /// Per-shard immutable read views; `get` loads one with a single
-    /// atomic load under an epoch pin and never touches the shard mutex.
+    /// atomic load under an epoch pin and never takes a shard lock.
+    /// Every publish happens under the shard's `mem` lock.
     pub(crate) views: Vec<ViewCell<ShardView>>,
     /// Reader-pin domain for view reclamation (sized to `max_threads`).
-    epochs: Arc<EpochDomain>,
+    pub(crate) epochs: Arc<EpochDomain>,
     /// Ordered DRAM index over live *user keys* (range-scan support).
     /// `None` when `cfg.ordered_index` is off — scans then return
     /// [`kvapi::KvError::Unsupported`] and the write path pays nothing.
@@ -145,8 +149,11 @@ fn route(shards: usize, hash: u64) -> usize {
 /// the payload is re-raised on the next foreground thread that drains or
 /// stalls.
 fn worker_loop(inner: &StoreInner, worker: usize) {
-    // Workers get thread ids above the foreground range so their epoch
-    // pins and log-writer choices never collide with client threads.
+    // Worker ids sit above the foreground range, but every per-thread
+    // table is indexed modulo `max_threads`, so worker i still shares
+    // log writer i, epoch pin slot i and counter lane i with foreground
+    // thread i (ROADMAP 4(b)). Giving workers writers of their own would
+    // move where GC relocations land.
     let mut ctx = ThreadCtx::for_thread(
         Arc::new(CostModel::default()),
         inner.cfg.max_threads + worker,
@@ -168,18 +175,18 @@ fn worker_loop(inner: &StoreInner, worker: usize) {
         };
         let failed = failure.is_some();
         inner.maint.job_done(failure);
-        // Notify while holding the shard mutex: a stalled put checks for
-        // failures and queue room under that mutex before waiting, so
+        // Notify while holding the shard's `mem` lock: a stalled put
+        // checks for failures and queue room under it before waiting, so
         // signalling under it closes the lost-wakeup window. On failure,
         // wake every shard — the pipeline is dead and all stalled puts
         // must surface the error rather than wait forever.
         if failed {
             for (i, cv) in inner.maint.shard_cvs.iter().enumerate() {
-                let _guard = inner.shards[i].lock();
+                let _guard = inner.shards[i].mem.lock();
                 cv.notify_all();
             }
         } else if let Job::Shard(shard_idx) = job {
-            let _guard = inner.shards[shard_idx].lock();
+            let _guard = inner.shards[shard_idx].mem.lock();
             inner.maint.shard_cvs[shard_idx].notify_all();
         }
     }
@@ -317,7 +324,7 @@ impl StoreInner {
         self.maint.drain()?;
         self.sync_writers(ctx)?;
         for shard in &self.shards {
-            shard.lock().force_checkpoint(self, ctx)?;
+            shard.levels.lock().force_checkpoint(self, ctx)?;
         }
         Ok(())
     }
@@ -333,13 +340,34 @@ impl StoreInner {
     /// One background maintenance pass: process the oldest frozen
     /// MemTable of `shard_idx` (flush or WIM merge, plus any cascading
     /// dump/compaction), republishing the read view as it goes. Runs on a
-    /// worker thread, under the shard mutex — exactly the chain a store
-    /// without a pool runs on the write that froze the table.
+    /// worker thread under the shard's `levels` lock, so puts to the
+    /// shard keep going — exactly the chain a store without a pool runs
+    /// on the write that froze the table.
     fn maintain_shard(&self, shard_idx: usize, ctx: &mut ThreadCtx) -> Result<()> {
         self.shards[shard_idx]
+            .levels
             .lock()
             .process_one_frozen(self, ctx)?;
         Ok(())
+    }
+
+    /// Opens a maintenance span on `ctx`'s clock and media-counter lane:
+    /// passes run concurrently on different workers, so a span claims
+    /// only its own thread's traffic.
+    pub(crate) fn span_start(&self, stage: Stage, ctx: &ThreadCtx) -> Option<SpanStart> {
+        self.obs
+            .span_start(stage, ctx.clock.now(), self.dev.stats().lane(ctx))
+    }
+
+    /// Closes a span opened by [`Self::span_start`] on the same thread;
+    /// returns its media delta.
+    pub(crate) fn span_end(
+        &self,
+        span: Option<SpanStart>,
+        ctx: &ThreadCtx,
+    ) -> Option<StatsSnapshot> {
+        self.obs
+            .span_end(span, ctx.clock.now(), self.dev.stats().lane(ctx))
     }
 
     /// Value-log space accounting (appended / live / dead / footprint).
@@ -406,15 +434,11 @@ impl KvStore for ChameleonDb {
 
     fn dram_footprint(&self) -> u64 {
         let order = self.order.as_ref().map_or(0, |o| o.dram_bytes());
-        self.shards
-            .iter()
-            .map(|s| s.lock().dram_bytes())
-            .sum::<u64>()
-            + order
+        self.shards.iter().map(Shard::dram_bytes).sum::<u64>() + order
     }
 
     fn approx_len(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().approx_len()).sum()
+        self.shards.iter().map(Shard::approx_len).sum()
     }
 }
 

@@ -69,7 +69,7 @@ impl StoreInner {
         let hash = hash64(key);
         let shard_idx = self.shard_of(hash);
         // Lock-free hit path: one epoch pin plus one atomic view load — no
-        // per-shard mutex, so readers never serialize against each other or
+        // shard lock, so readers never serialize against each other or
         // against an in-progress flush/compaction on the same shard. The
         // pin must stay held across the log read below, not just the view
         // walk: GC quarantines an emptied extent until every pre-repoint

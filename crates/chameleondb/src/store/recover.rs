@@ -22,7 +22,7 @@ use crate::maint::Maint;
 use crate::manifest::{Manifest, ManifestRecord, Superblock, LEVEL_DUMPED};
 use crate::metrics::StoreMetrics;
 use crate::mode::{Mode, ModeController};
-use crate::shard::ShardMut;
+use crate::shard::{Shard, ShardMut};
 use crate::view::TableHandle;
 
 /// Fixed offset of the superblock: the store must be the first allocator
@@ -228,9 +228,17 @@ impl StoreInner {
         log: Arc<StorageLog>,
     ) -> Self {
         let epochs = Arc::new(EpochDomain::new(cfg.max_threads));
+        let shards: Vec<Shard> = shards
+            .into_iter()
+            .map(|levels| Shard::new(levels, &cfg))
+            .collect();
         let views = shards
             .iter()
-            .map(|s| ViewCell::new(Arc::clone(&epochs), Arc::new(s.snapshot_view())))
+            .map(|s| {
+                let levels = s.levels.lock();
+                let view = s.mem.lock().view(&levels);
+                ViewCell::new(Arc::clone(&epochs), Arc::new(view))
+            })
             .collect();
         Self {
             obs: Obs::new(cfg.obs, cfg.shards),
@@ -239,7 +247,7 @@ impl StoreInner {
             cfg,
             log,
             writers: Vec::new(),
-            shards: shards.into_iter().map(Mutex::new).collect(),
+            shards,
             views,
             epochs,
             order: None,
@@ -271,12 +279,13 @@ impl StoreInner {
             } else {
                 Slot::new(hash, meta.loc())
             };
-            let mut s = self.shards[self.shard_of(hash)].lock();
-            if s.memtable.is_full(s.load_threshold) {
-                s.freeze_memtable(self, ctx);
-                s.process_one_frozen(self, ctx)?;
+            let shard_idx = self.shard_of(hash);
+            let shard = &self.shards[shard_idx];
+            let mut mem = shard.mem.lock();
+            if mem.memtable.is_full(mem.load_threshold) {
+                mem = shard.freeze_and_process(mem, self, ctx, shard_idx)?;
             }
-            s.insert(ctx, slot, meta.seq)?;
+            mem.insert(ctx, slot, meta.seq)?;
         }
         Ok(())
     }
@@ -294,7 +303,7 @@ impl StoreInner {
     fn live_keys(&self, ctx: &mut ThreadCtx) -> Vec<u64> {
         let mut found: Vec<u128> = Vec::new();
         for shard in &self.shards {
-            let slots = shard.lock().slots_in_get_order(&self.dev, ctx);
+            let slots = shard.slots_in_get_order(&self.dev, ctx);
             let base = found.len();
             found.extend(slots.iter().enumerate().map(|(at, sl)| {
                 let place = ((base + at) as u128) << 1 | u128::from(sl.is_tombstone());

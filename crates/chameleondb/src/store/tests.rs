@@ -501,7 +501,7 @@ fn worker_crash_point_is_reraised_on_the_foreground() {
     let i = 0;
     let mut keys = (0..).filter(|&k| db.shard_of(hash64(k)) == i);
     loop {
-        let s = db.shards[i].lock();
+        let s = db.shards[i].mem.lock();
         if s.memtable.is_full(s.load_threshold) {
             break;
         }
@@ -510,9 +510,9 @@ fn worker_crash_point_is_reraised_on_the_foreground() {
         db.put(&mut c, k, &value_for(k)).unwrap();
     }
     {
-        let mut shard = db.shards[i].lock();
-        shard.freeze_memtable(&db, &c);
-        // Armed under the shard lock and released only to the worker:
+        let _levels = db.shards[i].levels.lock();
+        db.shards[i].mem.lock().freeze(&db, &c, i);
+        // Armed under the `levels` lock and released only to the worker:
         // the next fence is the flush's log sync, on the worker.
         db.dev.arm_crash_at_fence(db.dev.fence_count() + 1);
         assert!(db.maint.enqueue(Job::Shard(i)));
@@ -568,7 +568,7 @@ fn paper_profile_pays_for_the_flush_on_the_callers_clock() {
 }
 
 /// Wall time never reaches the simulated clock. The stalled run holds
-/// shard 1's mutex while the lone worker waits on it, so the writer's
+/// shard 1's `levels` lock while the lone worker waits on it, so the writer's
 /// second freeze of shard 0 finds the frozen queue full and stalls for
 /// at least `HOLD` of wall time on every run. The control is the same
 /// fill with a queue that never fills. On simulated time the stalled
@@ -593,7 +593,7 @@ fn write_stalls_are_not_charged_to_the_simulated_clock() {
             .collect();
         let clock = std::thread::scope(|s| {
             let blocker = hold.then(|| {
-                let guard = db.shards[1].lock();
+                let guard = db.shards[1].levels.lock();
                 assert!(db.maint.enqueue(Job::Shard(1)));
                 guard
             });
@@ -637,6 +637,49 @@ fn write_stalls_are_not_charged_to_the_simulated_clock() {
         "stalled writer's clock {stalled} is {extra} sim-ns past the control's {control}, \
          against {stalled_wall_ns} wall-ns of journaled stalls"
     );
+}
+
+/// A put takes only its shard's `mem` lock: with the worker parked
+/// on shard 0's `levels` lock mid-pass, a writer still fills and
+/// freezes shard 0's MemTables up to the queue cap without stalling.
+#[test]
+fn puts_do_not_wait_for_their_shards_maintenance_pass() {
+    let mut cfg = ChameleonConfig::tiny();
+    cfg.bg.workers = 1;
+    cfg.bg.frozen_queue_cap = 2;
+    let db = new_store(cfg);
+    let keys: Vec<u64> = (0..)
+        .filter(|&k| db.shard_of(hash64(k)) == 0)
+        .take(100)
+        .collect();
+    std::thread::scope(|s| {
+        let levels = db.shards[0].levels.lock();
+        assert!(db.maint.enqueue(Job::Shard(0)));
+        let writer = s.spawn(|| {
+            let mut c = ctx();
+            for &k in &keys {
+                db.put(&mut c, k, &value_for(k)).unwrap();
+            }
+        });
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+        while !writer.is_finished() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "puts waited on the shard's maintenance pass"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        drop(levels);
+        writer.join().unwrap();
+    });
+    assert_eq!(db.metrics().write_stalls, 0);
+    db.drain_maintenance().unwrap();
+    let mut c = ctx();
+    let mut out = Vec::new();
+    for &k in &keys {
+        assert!(db.get(&mut c, k, &mut out).unwrap(), "key {k} missing");
+        assert_eq!(out, value_for(k));
+    }
 }
 
 /// Threads past `LANES` wrap onto shared counter lanes; the summed
@@ -698,7 +741,7 @@ fn frozen_queue_never_exceeds_cap_under_concurrent_load() {
         s.spawn(move |_| {
             for _ in 0..200 {
                 for shard in &db2.shards {
-                    assert!(shard.lock().pending_frozen() <= 1);
+                    assert!(shard.mem.lock().pending_frozen() <= 1);
                 }
                 std::thread::yield_now();
             }
@@ -875,6 +918,49 @@ fn dead_byte_accounting_reconciles_across_gc() {
         s.appended_bytes,
         "accounting drifted across GC: audited live {live}, {s:?}"
     );
+}
+
+/// The same reconciliation with GC passes on the worker pool, racing
+/// the flushes of the shards they repoint: GC takes `levels` then
+/// `mem`, as a maintenance pass does.
+#[test]
+fn dead_byte_accounting_reconciles_across_gc_on_the_worker_pool() {
+    let mut cfg = gc_cfg();
+    cfg.bg.workers = 2;
+    let db = new_store(cfg);
+    let rounds = 60u64;
+    std::thread::scope(|s| {
+        for t in 0..2u64 {
+            let db = &db;
+            s.spawn(move || {
+                let mut c = ThreadCtx::for_thread(Arc::new(CostModel::default()), t as usize);
+                for r in 0..rounds {
+                    for k in 0..150u64 {
+                        let key = t * 1_000 + k;
+                        db.put(&mut c, key, &[r as u8; 48]).unwrap();
+                    }
+                }
+            });
+        }
+    });
+    db.drain_maintenance().unwrap();
+    assert!(db.metrics().gc_runs > 0, "GC never ran");
+    let mut c = ctx();
+    let s = db.space_stats();
+    let live = db.audit_live_bytes(&mut c);
+    assert_eq!(
+        live + s.dead_bytes,
+        s.appended_bytes,
+        "accounting drifted across pool GC: audited live {live}, {s:?}"
+    );
+    let mut out = Vec::new();
+    for t in 0..2u64 {
+        for k in 0..150u64 {
+            let key = t * 1_000 + k;
+            assert!(db.get(&mut c, key, &mut out).unwrap(), "key {key} lost");
+            assert_eq!(out, [(rounds - 1) as u8; 48], "key {key} stale");
+        }
+    }
 }
 
 #[test]
@@ -1137,7 +1223,6 @@ fn recovery_rebuild_reflects_unsynced_tail_loss() {
 fn versions(db: &ChameleonDb, c: &mut ThreadCtx, key: u64) -> Vec<bool> {
     let hash = hash64(key);
     db.shards[db.shard_of(hash)]
-        .lock()
         .slots_in_get_order(&db.dev, c)
         .iter()
         .filter(|sl| sl.hash == hash)

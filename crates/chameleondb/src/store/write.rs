@@ -107,12 +107,13 @@ impl StoreInner {
     /// The shared put/delete critical section (hash and routing already
     /// charged by the caller).
     ///
-    /// The log append deliberately stays *inside* the shard lock: recovery
-    /// replays each shard's pending entries in ascending sequence order,
-    /// which is only meaningful if index-insert order matches log order
-    /// per shard. Appending before the lock would let two writers to the
-    /// same shard insert their slots in the opposite order of their log
-    /// seqs, and a post-crash replay could then resurrect the older value.
+    /// The log append deliberately stays *inside* the shard's `mem` lock:
+    /// recovery replays each shard's pending entries in ascending
+    /// sequence order, which is only meaningful if index-insert order
+    /// matches log order per shard. Appending before the lock would let
+    /// two writers to the same shard insert their slots in the opposite
+    /// order of their log seqs, and a post-crash replay could then
+    /// resurrect the older value.
     fn write_slot_hashed(
         &self,
         ctx: &mut ThreadCtx,
@@ -122,27 +123,31 @@ impl StoreInner {
         value: &[u8],
         tombstone: bool,
     ) -> Result<()> {
-        let mut shard = self.shards[shard_idx].lock();
+        let shard = &self.shards[shard_idx];
+        let mut mem = shard.mem.lock();
         // Handle a full MemTable *before* the log append: freeze-and-swap
-        // (one publish), then either run the maintenance pass right here
-        // on the caller's clock (no worker pool) or enqueue it. With a
-        // pool whose frozen queue is at its cap, stall on the shard's
-        // condvar until a worker retires a frozen table. Stalling must
-        // happen before the append because the wait releases the shard
-        // mutex, and another writer slipping in would otherwise break
-        // per-shard log/index order. One stall episode may span several
-        // condvar waits; journal one enter/exit pair around the whole
-        // episode so trace dumps show a single bar with its total duration.
+        // (one publish), then either run the maintenance pass on the
+        // caller's clock (no worker pool) or enqueue it. The caller runs
+        // it with `mem` released and `levels` held, exactly as a worker
+        // does, then retakes `mem` and checks again — nothing has been
+        // appended yet, so per-shard log order still holds. With a pool
+        // whose frozen queue is at its cap, stall on the shard's condvar
+        // until a worker retires a frozen table. Stalling must happen
+        // before the append because the wait releases `mem`, and another
+        // writer slipping in would otherwise break per-shard log/index
+        // order. One stall episode may span several condvar waits;
+        // journal one enter/exit pair around the whole episode so trace
+        // dumps show a single bar with its total duration.
         let mut episode_stalled_ns = 0u64;
         let caller_runs = self.cfg.bg.workers == 0;
-        while shard.memtable.is_full(shard.load_threshold) {
-            if caller_runs || shard.pending_frozen() < self.cfg.bg.frozen_queue_cap {
-                shard.freeze_memtable(self, ctx);
-                if caller_runs {
-                    shard.process_one_frozen(self, ctx)?;
-                } else {
-                    self.maint.enqueue(Job::Shard(shard_idx));
-                }
+        while mem.memtable.is_full(mem.load_threshold) {
+            if caller_runs {
+                mem = shard.freeze_and_process(mem, self, ctx, shard_idx)?;
+                continue;
+            }
+            if mem.pending_frozen() < self.cfg.bg.frozen_queue_cap {
+                mem.freeze(self, ctx, shard_idx);
+                self.maint.enqueue(Job::Shard(shard_idx));
                 break;
             }
             if let Some(f) = self.maint.take_failure() {
@@ -158,7 +163,7 @@ impl StoreInner {
                 );
             }
             let start = std::time::Instant::now();
-            self.maint.shard_cvs[shard_idx].wait(&mut shard);
+            self.maint.shard_cvs[shard_idx].wait(&mut mem);
             let stalled_ns = start.elapsed().as_nanos() as u64;
             // Wall-clock blocking: it feeds the dedicated stall histogram
             // and the journal pair, never the simulated clock, which
@@ -181,7 +186,7 @@ impl StoreInner {
         } else {
             Slot::new(hash, meta.loc())
         };
-        if let Some(old) = shard.insert(ctx, slot, meta.seq)? {
+        if let Some(old) = mem.insert(ctx, slot, meta.seq)? {
             // A MemTable overwrite is the only reference the old entry
             // ever had (a loc lives in exactly one read-path structure);
             // credit its extent exactly once.
@@ -189,9 +194,9 @@ impl StoreInner {
         }
         // Maintain the ordered key index at the same publish point as the
         // hash index. The index is one tree shared by every shard, but a
-        // key's mutations reach it only under its shard's mutex, so they
-        // apply in log order (a racing put+delete on one key cannot leave
-        // the index disagreeing with the newest version).
+        // key's mutations reach it only under its shard's `mem` lock, so
+        // they apply in log order (a racing put+delete on one key cannot
+        // leave the index disagreeing with the newest version).
         if let Some(order) = &self.order {
             if tombstone {
                 order.remove(0, key);
@@ -222,7 +227,7 @@ impl StoreInner {
         let shard_idx = self.shard_of(hash);
         // Existence probe on the lock-free read view (the return value
         // linearizes here), then the same narrow critical section as put —
-        // the mutex is no longer held across a full index walk.
+        // the `mem` lock is not held across a full index walk.
         let existed = {
             let pin = self.epochs.pin(ctx.thread_id);
             let view = self.views[shard_idx].load(&pin);

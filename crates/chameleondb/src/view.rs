@@ -1,6 +1,6 @@
 //! The immutable, epoch-published read side of a shard.
 //!
-//! `ChameleonDb::get` never takes the per-shard mutex: it loads the
+//! `ChameleonDb::get` never takes a shard lock: it loads the
 //! shard's current [`ShardView`] with one atomic pointer load (under a
 //! `kvsync` epoch pin) and probes the structures directly. Writers
 //! republish a fresh view at every structural transition — memtable
@@ -96,7 +96,7 @@ impl std::fmt::Debug for TableHandle {
 /// acknowledged put is visible without a republish). The table lists are
 /// frozen at snapshot time; structural changes (freeze, dump, compaction
 /// commit) swap in fresh tables / new lists and republish.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct ShardView {
     pub mem: Arc<SharedTable>,
     /// Frozen MemTables awaiting background maintenance, newest first

@@ -57,7 +57,7 @@
 //!   holding its node: it builds two fresh nodes, marks the old one gone
 //!   and republishes the root. Mutations of different keys run
 //!   concurrently; those of one key apply in the order they lock its node
-//!   (the store orders them under its shard mutex first).
+//!   (the store orders them under its shard's `mem` lock first).
 //! * **Lock order** is node → root. The root lock is taken alone to route
 //!   or to read the root's twin, and under a node lock only inside an
 //!   inner split; nothing locks a node while holding the root lock.

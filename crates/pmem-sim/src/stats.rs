@@ -26,6 +26,22 @@ pub struct MediaLane {
     pub line_persists: AtomicU64,
 }
 
+impl MediaLane {
+    /// This lane's counters. `crashes` is device-wide, so it reads 0.
+    pub fn snapshot(&self) -> StatsSnapshot {
+        StatsSnapshot {
+            logical_bytes_written: self.logical_bytes_written.load(Ordering::Relaxed),
+            media_bytes_written: self.media_bytes_written.load(Ordering::Relaxed),
+            rmw_blocks: self.rmw_blocks.load(Ordering::Relaxed),
+            logical_bytes_read: self.logical_bytes_read.load(Ordering::Relaxed),
+            media_bytes_read: self.media_bytes_read.load(Ordering::Relaxed),
+            fences: self.fences.load(Ordering::Relaxed),
+            line_persists: self.line_persists.load(Ordering::Relaxed),
+            crashes: 0,
+        }
+    }
+}
+
 /// Atomic counters of logical and media-level traffic on one device.
 ///
 /// `media_*` counters measure traffic at the device's media-block
@@ -63,14 +79,14 @@ impl MediaStats {
             crashes: self.crashes.load(Ordering::Relaxed),
             ..StatsSnapshot::default()
         };
-        for l in &self.lanes {
-            s.logical_bytes_written += l.logical_bytes_written.load(Ordering::Relaxed);
-            s.media_bytes_written += l.media_bytes_written.load(Ordering::Relaxed);
-            s.rmw_blocks += l.rmw_blocks.load(Ordering::Relaxed);
-            s.logical_bytes_read += l.logical_bytes_read.load(Ordering::Relaxed);
-            s.media_bytes_read += l.media_bytes_read.load(Ordering::Relaxed);
-            s.fences += l.fences.load(Ordering::Relaxed);
-            s.line_persists += l.line_persists.load(Ordering::Relaxed);
+        for l in self.lanes.iter().map(MediaLane::snapshot) {
+            s.logical_bytes_written += l.logical_bytes_written;
+            s.media_bytes_written += l.media_bytes_written;
+            s.rmw_blocks += l.rmw_blocks;
+            s.logical_bytes_read += l.logical_bytes_read;
+            s.media_bytes_read += l.media_bytes_read;
+            s.fences += l.fences;
+            s.line_persists += l.line_persists;
         }
         s
     }
