@@ -32,7 +32,7 @@ use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 use chameleon_obs::{EventKind, Stage};
-use kvapi::Result;
+use kvapi::{PreHashed, Result};
 use kvtables::{SharedTable, Slot};
 use parking_lot::{Mutex, MutexGuard};
 use pmem_sim::{PmemDevice, ThreadCtx};
@@ -89,22 +89,41 @@ impl Shard {
         mem.unflushed().map(|t| t.len() as u64).sum::<u64>() + levels.approx_len()
     }
 
-    /// Every slot a get can reach, in `get`'s precedence order: the
-    /// MemTable, frozen MemTables newest-first, the in-flight table,
-    /// [`ShardMut::upper_slots`], dumped tables newest-first, then the
-    /// last level. A hash's first slot is its newest version.
-    pub fn slots_in_get_order(&self, dev: &PmemDevice, ctx: &mut ThreadCtx) -> Vec<Slot> {
+    /// Hands `f` every slot a get can reach, in `get`'s precedence order:
+    /// the MemTable, frozen MemTables newest-first, the in-flight table,
+    /// the upper levels, dumped tables newest-first, then the last level.
+    /// A hash's first slot is its newest version.
+    ///
+    /// The upper levels give what the ABI holds: its slots when it is
+    /// valid, else the first slot per hash over
+    /// [`ShardMut::uppers_newest_first`] — the same set, since table seqs
+    /// are unique within a shard.
+    pub fn slots_in_get_order(
+        &self,
+        dev: &PmemDevice,
+        ctx: &mut ThreadCtx,
+        mut f: impl FnMut(Slot),
+    ) {
         let levels = self.levels.lock();
         let mem = self.mem.lock();
-        let mut slots = Vec::new();
         for t in mem.unflushed() {
-            slots.extend(t.iter());
+            t.iter().into_iter().for_each(&mut f);
         }
-        slots.extend(levels.upper_slots(dev, ctx));
+        if levels.abi_valid {
+            levels.abi.iter().into_iter().for_each(&mut f);
+        } else {
+            let mut seen = HashSet::with_hasher(PreHashed::default());
+            for t in levels.uppers_newest_first() {
+                t.table().for_each_entry(dev, ctx, |sl| {
+                    if seen.insert(sl.hash) {
+                        f(sl);
+                    }
+                });
+            }
+        }
         for t in levels.dumped.iter().rev().chain(&levels.last) {
-            slots.extend(t.table().iter_entries(dev, ctx));
+            t.table().for_each_entry(dev, ctx, &mut f);
         }
-        slots
     }
 }
 
@@ -298,25 +317,6 @@ impl ShardMut {
         let mut tables: Vec<Arc<TableHandle>> = self.uppers.iter().flatten().cloned().collect();
         tables.sort_by_key(|t| std::cmp::Reverse(t.table().header().table_seq));
         tables
-    }
-
-    /// The newest upper-level slot per hash: the ABI's slots when it is
-    /// valid, else the first slot seen over [`Self::uppers_newest_first`]
-    /// — the same set, since table seqs are unique within a shard.
-    pub fn upper_slots(&self, dev: &PmemDevice, ctx: &mut ThreadCtx) -> Vec<Slot> {
-        if self.abi_valid {
-            return self.abi.iter();
-        }
-        let mut seen = HashSet::new();
-        let mut slots = Vec::new();
-        for t in self.uppers_newest_first() {
-            for sl in t.table().iter_entries(dev, ctx) {
-                if seen.insert(sl.hash) {
-                    slots.push(sl);
-                }
-            }
-        }
-        slots
     }
 
     /// Republishes this shard's read view: locks `mem` (the caller holds

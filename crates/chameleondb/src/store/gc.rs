@@ -217,7 +217,9 @@ impl StoreInner {
     pub fn audit_live_bytes(&self, ctx: &mut ThreadCtx) -> u64 {
         let mut total = 0u64;
         for shard in &self.shards {
-            for sl in shard.slots_in_get_order(&self.dev, ctx) {
+            let mut slots = Vec::new();
+            shard.slots_in_get_order(&self.dev, ctx, |sl| slots.push(sl));
+            for sl in slots {
                 total += resident_entry_bytes(&self.log, ctx, sl.hash, sl.loc).unwrap_or(0);
             }
         }

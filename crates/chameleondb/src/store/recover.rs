@@ -3,12 +3,12 @@
 //! tables plus one log scan and replay — then both assemble the same
 //! [`StoreInner`] and start serving through the same `open` step.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use chameleon_obs::Obs;
-use kvapi::{hash64, key_of_hash, KvError, Result};
+use kvapi::{hash64, key_of_hash, KvError, PreHashed, Result};
 use kvlog::{EntryMeta, StorageLog};
 use kvorder::OrderedIndex;
 use kvsync::{EpochDomain, ViewCell};
@@ -28,6 +28,9 @@ use crate::view::TableHandle;
 /// Fixed offset of the superblock: the store must be the first allocator
 /// client on its device (all harnesses construct stores that way).
 const SUPERBLOCK_OFF: u64 = 256;
+
+/// The newest un-checkpointed log entry per key hash, for replay.
+type Pending = HashMap<u64, EntryMeta, PreHashed>;
 
 impl ChameleonDb {
     /// Creates a fresh store on `dev`. The store must be the device's first
@@ -65,8 +68,9 @@ impl ChameleonDb {
 
     /// Reopens a store after a crash, charging the full restart cost
     /// (superblock + manifest replay, table-header reads, one log scan,
-    /// MemTable reconstruction and, with the ordered index on, one walk of
-    /// every shard's tables, whose live keys then build the index in one
+    /// MemTable reconstruction and, with the ordered index on, one
+    /// streamed walk of every shard's tables, which pushes each live key
+    /// into one array that is sorted once and builds the index in one
     /// pass; replay never touches it) to `ctx`. ABIs are rebuilt
     /// lazily at a shard's first structural transition (MemTable-full);
     /// until then gets on that shard take the degraded upper-level walk
@@ -157,7 +161,7 @@ impl ChameleonDb {
             .map(|s| s.checkpoint_seq)
             .min()
             .unwrap_or_default();
-        let mut pending: HashMap<u64, EntryMeta> = HashMap::new();
+        let mut pending = Pending::default();
         let log = StorageLog::reopen_scan(
             Arc::clone(&dev),
             sb.log_region,
@@ -270,7 +274,7 @@ impl StoreInner {
     /// frozen and processed before the next insert, as on the write path
     /// with no worker pool — so replay may flush and compact, exactly as
     /// the paper's Write-Intensive-Mode recovery implies.
-    fn replay(&self, ctx: &mut ThreadCtx, pending: HashMap<u64, EntryMeta>) -> Result<()> {
+    fn replay(&self, ctx: &mut ThreadCtx, pending: Pending) -> Result<()> {
         let mut ordered: Vec<(u64, EntryMeta)> = pending.into_iter().collect();
         ordered.sort_by_key(|(_, m)| m.seq);
         for (hash, meta) in ordered {
@@ -291,32 +295,31 @@ impl StoreInner {
     }
 
     /// The store's live user keys, ascending, for the one-tree ordered
-    /// index `open` builds before any writer or worker exists. Every
-    /// shard is walked in `get`'s precedence order, each slot packed as
-    /// (user key, place in the walks, tombstone) into one `u128`; one
-    /// sort of them all puts each key's newest version first (a key's
-    /// versions all come from its own shard's walk), and tombstone
-    /// winners are dropped. The user key is the hash's preimage
-    /// ([`kvapi::key_of_hash`]), so no log entry is read. No winner is
-    /// stale: GC repoints a key's newest version before it reclaims the
-    /// old extent (DESIGN §6.2).
+    /// index `open` builds before any writer or worker exists. Each
+    /// shard's walk meets a hash's versions newest first, so it pushes
+    /// the key of every put no earlier tombstone shadowed into one array,
+    /// reserved once from the shards' entry counts, then sorted and
+    /// deduplicated (older puts of a live key push it again). The user
+    /// key is the hash's preimage ([`kvapi::key_of_hash`]), so no log
+    /// entry is read. No live key's newest version is stale: GC repoints
+    /// it before it reclaims the old extent (DESIGN §6.2).
     fn live_keys(&self, ctx: &mut ThreadCtx) -> Vec<u64> {
-        let mut found: Vec<u128> = Vec::new();
+        let entries: u64 = self.shards.iter().map(Shard::approx_len).sum();
+        let mut keys = Vec::with_capacity(entries as usize);
+        let mut shadowed = HashSet::with_hasher(PreHashed::default());
         for shard in &self.shards {
-            let slots = shard.slots_in_get_order(&self.dev, ctx);
-            let base = found.len();
-            found.extend(slots.iter().enumerate().map(|(at, sl)| {
-                let place = ((base + at) as u128) << 1 | u128::from(sl.is_tombstone());
-                u128::from(key_of_hash(sl.hash)) << 64 | place
-            }));
+            shadowed.clear();
+            shard.slots_in_get_order(&self.dev, ctx, |sl| {
+                if sl.is_tombstone() {
+                    shadowed.insert(sl.hash);
+                } else if !shadowed.contains(&sl.hash) {
+                    keys.push(key_of_hash(sl.hash));
+                }
+            });
         }
-        found.sort_unstable(); // places are unique: by (key, place)
-        found.dedup_by_key(|f| (*f >> 64) as u64);
-        found
-            .iter()
-            .filter(|&f| f & 1 == 0)
-            .map(|f| (f >> 64) as u64)
-            .collect()
+        keys.sort_unstable();
+        keys.dedup();
+        keys
     }
 }
 

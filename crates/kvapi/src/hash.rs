@@ -6,6 +6,8 @@
 //! what the paper's "keys are distributed evenly across these shards
 //! according to their hash values" relies on.
 
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// SplitMix64 finalizer: a bijective 64-bit mixer with full avalanche.
 #[inline]
 pub fn mix64(mut x: u64) -> u64 {
@@ -46,6 +48,28 @@ pub fn bloom_hash(key_hash: u64, i: u32) -> u64 {
     h1.wrapping_add((i as u64).wrapping_mul(h2 | 1))
 }
 
+/// A [`BuildHasher`](std::hash::BuildHasher) for maps and sets keyed by
+/// [`hash64`] outputs, which are uniform already: no second hash, just a
+/// swap of halves, since a sharded store routes on a hash's top bits and
+/// `std`'s tables take their probe tags from the top seven. No defence
+/// against crafted keys, like the store's own tables over these hashes.
+pub type PreHashed = BuildHasherDefault<PreHashedHasher>;
+
+/// The [`Hasher`] behind [`PreHashed`]; it takes only `u64` keys.
+#[derive(Debug, Default)]
+pub struct PreHashedHasher(u64);
+
+impl Hasher for PreHashedHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let hash = u64::from_ne_bytes(bytes.try_into().expect("PreHashed keys are u64 hashes"));
+        self.0 = hash.rotate_left(32);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,6 +106,16 @@ mod tests {
                 "shard {i} got {c}, expected ~{expect}"
             );
         }
+    }
+
+    #[test]
+    fn pre_hashed_sets_keep_distinct_hashes_apart() {
+        let mut set = std::collections::HashSet::with_hasher(PreHashed::default());
+        for k in 0..10_000u64 {
+            assert!(set.insert(hash64(k)));
+        }
+        assert!(!set.insert(hash64(7)));
+        assert_eq!(set.len(), 10_000);
     }
 
     #[test]

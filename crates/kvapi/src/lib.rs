@@ -9,7 +9,7 @@ use pmem_sim::{PmemError, ThreadCtx};
 
 pub mod hash;
 
-pub use hash::{bloom_hash, hash64, key_of_hash, mix64};
+pub use hash::{bloom_hash, hash64, key_of_hash, mix64, PreHashed};
 
 /// Errors surfaced by store operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

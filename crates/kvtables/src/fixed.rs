@@ -155,15 +155,22 @@ impl FixedHashTable {
         None
     }
 
-    /// Streams every occupied slot (sequential read of the whole table).
+    /// Every occupied slot, collected by [`Self::for_each_entry`].
     ///
     /// Used by compactions that cannot be served from the ABI, by
     /// Pmem-LSM-PinK to build its DRAM copies, and by ChameleonDB's
     /// post-restart ABI rebuild.
     pub fn iter_entries(&self, dev: &PmemDevice, ctx: &mut ThreadCtx) -> Vec<Slot> {
+        let mut out = Vec::with_capacity(self.header.num_entries as usize);
+        self.for_each_entry(dev, ctx, |slot| out.push(slot));
+        out
+    }
+
+    /// Streams every occupied slot to `f` in slot order: one sequential
+    /// read of the whole table, in 64 KiB chunks, and no slot array.
+    pub fn for_each_entry(&self, dev: &PmemDevice, ctx: &mut ThreadCtx, mut f: impl FnMut(Slot)) {
         let total = (self.header.num_slots * SLOT_BYTES as u64) as usize;
         let base = self.region.off + TABLE_HEADER_BYTES as u64;
-        let mut out = Vec::with_capacity(self.header.num_entries as usize);
         let mut buf = vec![0u8; 64 << 10];
         let mut pos = 0usize;
         let mut first = true;
@@ -178,12 +185,11 @@ impl FixedHashTable {
             for chunk in buf[..take].chunks_exact(SLOT_BYTES) {
                 let slot = Slot::decode(chunk);
                 if !slot.is_empty() {
-                    out.push(slot);
+                    f(slot);
                 }
             }
             pos += take;
         }
-        out
     }
 
     /// Frees the table's persistent region.

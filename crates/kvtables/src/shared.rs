@@ -265,8 +265,13 @@ impl SharedTable {
     }
 
     /// Snapshot of every occupied slot in probe order. Writer-side use
-    /// (flush/merge under the shard lock); safe against readers.
+    /// (flush/merge under the shard lock); safe against readers. An
+    /// empty table returns at once: `len` counts every claim the caller
+    /// can see, since it holds the lock that serializes the inserts.
     pub fn iter(&self) -> Vec<Slot> {
+        if self.is_empty() {
+            return Vec::new();
+        }
         self.slots
             .iter()
             .filter_map(|s| {
