@@ -47,7 +47,7 @@ impl ShardMut {
                 // already shadowed by a newer MemTable entry may have had
                 // its extent garbage-collected while its ABI slot waited
                 // for this overwrite.
-                store.credit_dead_slot(ctx, slot.hash, old);
+                store.credit_dead_slot(ctx, old);
             }
         }
         self.abi.note_seq(max_seq);
@@ -192,9 +192,9 @@ impl ShardMut {
             if let Some(old) = self.abi.insert_bulk(ctx, slot)? {
                 // See merge_table_into_abi: an ABI overwrite retires the
                 // overwritten version's only read-path reference —
-                // validated against the log in case GC reclaimed the
+                // validated by extent generation in case GC reclaimed the
                 // shadowed version's extent first.
-                store.credit_dead_slot(ctx, slot.hash, old);
+                store.credit_dead_slot(ctx, old);
             }
         }
         self.abi.note_seq(max_seq);
@@ -423,7 +423,7 @@ impl ShardMut {
         // passes, and GC (which resolves by the newest version) may have
         // reclaimed its extent long before this merge dropped its slot.
         for old in drops {
-            store.credit_dead_slot(ctx, old.hash, old.loc);
+            store.credit_dead_slot(ctx, old.loc);
         }
         self.checkpoint_seq = self.checkpoint_seq.max(table.header().max_log_seq);
         self.last = Some(TableHandle::new(table, &store.dev));

@@ -104,7 +104,7 @@ impl StoreInner {
     /// quarantined behind the reader epoch (`synchronize`) before its
     /// bytes are zeroed, because a reader pinned before the repoint may
     /// still hold the old offset.
-    fn gc_extent(&self, ctx: &mut ThreadCtx, idx: u64) -> Result<(u64, u64)> {
+    pub(super) fn gc_extent(&self, ctx: &mut ThreadCtx, idx: u64) -> Result<(u64, u64)> {
         let entries = self.log.extent_entries(ctx, idx)?;
         let mut groups: Vec<Vec<(EntryMeta, Vec<u8>)>> =
             (0..self.shards.len()).map(|_| Vec::new()).collect();
@@ -213,6 +213,10 @@ impl StoreInner {
     /// crediting excludes them. On a store whose accounting never crossed
     /// a crash, `audit_live_bytes + dead == appended` — the exactly-once
     /// dead-byte crediting invariant.
+    ///
+    /// Crediting decides residency from the extent generation alone; this
+    /// oracle also reads each entry's header back, so the two agree only
+    /// if the generation check is sound.
     #[doc(hidden)]
     pub fn audit_live_bytes(&self, ctx: &mut ThreadCtx) -> u64 {
         let mut total = 0u64;
@@ -250,8 +254,8 @@ impl StoreInner {
         self.log.note_dead_at(off, bytes);
     }
 
-    /// Credits a superseded slot as dead after verifying its location word
-    /// still names a resident entry.
+    /// Credits a superseded slot as dead if its location word still names
+    /// a resident entry — decided in DRAM, without touching the log.
     ///
     /// A version that stopped being the newest keeps its index slot until a
     /// merge finally drops it (ABI overwrite, last-level compaction). In the
@@ -260,39 +264,47 @@ impl StoreInner {
     /// the space. The slot then points into an extent whose bytes already
     /// left the accounting wholesale at reclaim: crediting it again would
     /// inflate `dead_bytes` past `appended_bytes`, zero the live estimate,
-    /// and drive GC into a thrash loop. So the word is checked against the
-    /// log first; mismatches are dropped and counted in
-    /// `stale_credit_skips`.
-    pub(crate) fn credit_dead_slot(&self, ctx: &mut ThreadCtx, hash: u64, word: u64) {
-        match resident_entry_bytes(&self.log, ctx, hash, word) {
-            Some(bytes) => {
-                let (off, _) = kvlog::unpack_loc(word);
-                self.log.note_dead_at(off, bytes);
-            }
-            None => StoreMetrics::bump(&self.metrics.lane(ctx).stale_credit_skips),
+    /// and drive GC into a thrash loop. Such a word names an extent that is
+    /// no longer Active or Sealed, or one claimed again since, in a newer
+    /// generation than the word carries (DESIGN §6.3); it is dropped and
+    /// counted in `stale_credit_skips`.
+    pub(crate) fn credit_dead_slot(&self, ctx: &mut ThreadCtx, word: u64) {
+        if in_resident_generation(&self.log, word) {
+            self.credit_dead_word(ctx, word);
+        } else {
+            StoreMetrics::bump(&self.metrics.lane(ctx).stale_credit_skips);
         }
     }
 }
 
+/// Whether `word` points into an extent that still holds data (Active or
+/// Sealed) in the generation the word was written in. `(generation,
+/// offset)` names one entry for 64 reuses of an extent (DESIGN §6.3).
+pub(super) fn in_resident_generation(log: &StorageLog, word: u64) -> bool {
+    let (off, _) = kvlog::unpack_loc(word);
+    log.extent_index(off).is_some_and(|idx| {
+        let (state, gen) = log.extent_state_gen(idx);
+        matches!(
+            state,
+            kvlog::ExtentState::Active | kvlog::ExtentState::Sealed
+        ) && gen == kvlog::loc_gen(word)
+    })
+}
+
 /// The on-log size of the entry `word` points at, or `None` when the
-/// word is stale: its extent no longer holds data (Free, or Gced and
-/// fully accounted), or the header at its offset disagrees with the slot
-/// (key hash, tombstone flag, or size hint) because the extent was
-/// reclaimed and the space reused.
+/// word is stale: it fails [`in_resident_generation`], or the header at
+/// its offset disagrees with the slot (key hash, tombstone flag, or size
+/// hint).
 fn resident_entry_bytes(
     log: &StorageLog,
     ctx: &mut ThreadCtx,
     hash: u64,
     word: u64,
 ) -> Option<u64> {
-    let (off, hint) = kvlog::unpack_loc(word);
-    let idx = log.extent_index(off)?;
-    if !matches!(
-        log.extent_state(idx),
-        kvlog::ExtentState::Active | kvlog::ExtentState::Sealed
-    ) {
+    if !in_resident_generation(log, word) {
         return None;
     }
+    let (off, hint) = kvlog::unpack_loc(word);
     let meta = log.entry_meta_at(ctx, off).ok()?;
     if meta.seq == 0
         || meta.seq > log.last_seq()

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use chameleondb::{ChameleonConfig, ChameleonDb};
 use kvapi::{hash64, KvStore};
-use kvlog::{pack_loc, unpack_loc, LogConfig, StorageLog};
+use kvlog::{loc_gen, pack_loc, unpack_loc, LogConfig, StorageLog};
 use kvtables::{DramTable, RobinHoodMap, Slot, TableBuilder};
 use pmem_sim::{Histogram, PmemDevice, ThreadCtx};
 use proptest::prelude::*;
@@ -14,18 +14,20 @@ use proptest::prelude::*;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// loc packing is lossless for every offset/hint within range.
+    /// loc packing is lossless for every offset/generation/hint within range.
     #[test]
-    fn loc_roundtrip(off in 0u64..(1 << 46), vlen in 0usize..(1 << 17)) {
-        let (o, h) = unpack_loc(pack_loc(off, vlen));
+    fn loc_roundtrip(off in 0u64..(1 << 40), gen in 0u8..64, vlen in 0usize..(1 << 17)) {
+        let loc = pack_loc(off, gen, vlen);
+        let (o, h) = unpack_loc(loc);
         prop_assert_eq!(o, off);
         prop_assert_eq!(h, vlen);
+        prop_assert_eq!(loc_gen(loc), gen);
     }
 
     /// The tombstone bit never collides with packed locations.
     #[test]
-    fn loc_never_sets_bit63(off in 0u64..(1 << 46), vlen in 0usize..(1 << 20)) {
-        prop_assert_eq!(pack_loc(off, vlen) >> 63, 0);
+    fn loc_never_sets_bit63(off in 0u64..(1 << 40), gen in 0u8..64, vlen in 0usize..(1 << 20)) {
+        prop_assert_eq!(pack_loc(off, gen, vlen) >> 63, 0);
     }
 
     /// Slot encoding is a bijection.

@@ -55,12 +55,12 @@ pub type Result<T> = std::result::Result<T, KvError>;
 
 /// Space accounting of a value log with extent-lifecycle management.
 ///
-/// Index *location words* (packed `{offset, size-hint}`; see `kvlog`) are
-/// **repointable**: garbage collection may relocate an entry and rewrite
-/// every index word referencing it, so a location word is only stable
-/// while its reader holds an epoch pin. The entry a word points at is
-/// always readable — GC quarantines emptied extents until every pinned
-/// reader that could hold the old word has drained.
+/// Index *location words* (packed `{offset, generation, size-hint}`; see
+/// `kvlog`) are **repointable**: garbage collection may relocate an entry
+/// and rewrite every index word referencing it, so a location word is
+/// only stable while its reader holds an epoch pin. The entry a word
+/// points at is always readable — GC quarantines emptied extents until
+/// every pinned reader that could hold the old word has drained.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LogSpaceStats {
     /// Bytes of entries appended and not yet reclaimed (live + dead).

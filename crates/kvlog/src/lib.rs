@@ -22,7 +22,7 @@
 //! The log is no longer a pure bump cursor: extents move through
 //! `Free → Active → Sealed → Gced → Free`. The first extent of the region
 //! holds a persistent 32-byte state record per data extent
-//! (`{state, max_seq, used_bytes}`); data extent `i` starts at
+//! (`{state, max_seq, used_bytes, generation}`); data extent `i` starts at
 //! `region.off + (i+1) * extent_bytes`.
 //!
 //! * A writer claiming an extent records `Active` with an unfenced
@@ -39,6 +39,14 @@
 //!   hold the old offsets — zeroes the extent and persists `Free` in a
 //!   single fence, so the extent is reusable. A crash between `Gced` and
 //!   `Free` re-zeroes the extent during recovery.
+//! * Every extent carries a 6-bit *generation*, bumped each time a
+//!   reclaimed extent is claimed again and stamped into the location
+//!   word of every entry appended under it. `(generation, offset)` then
+//!   names one entry even after the space is reused: an index slot left
+//!   behind by an older occupant compares unequal in DRAM, without
+//!   reading the log (see [`loc_gen`] and [`StorageLog::extent_state_gen`]).
+//!   The generation rides in the state record's last 8 bytes, which every
+//!   state change writes anyway.
 //!
 //! Sealed-extent `max_seq` summaries also let a checkpointed store skip
 //! fully-persisted extents during the recovery scan (DESIGN.md §6.4):
@@ -67,16 +75,31 @@ const FLAG_TOMBSTONE: u64 = 1 << 56;
 /// Mask of the value-length bits.
 const VLEN_MASK: u64 = (1 << 48) - 1;
 
+// Layout of an index location word:
+//
+//   bits  0..40  absolute entry offset (1 TiB of device)
+//   bits 40..46  generation of the entry's extent
+//   bits 46..63  saturating value-size hint
+//   bit  63      reserved, always zero here (tombstone marker in index slots)
+
 /// Bits of `loc` used for the absolute entry offset.
-const LOC_OFF_BITS: u32 = 46;
+const LOC_OFF_BITS: u32 = 40;
 const LOC_OFF_MASK: u64 = (1 << LOC_OFF_BITS) - 1;
+/// Bits of `loc` (40..46) holding the generation of the entry's extent:
+/// a slot whose extent was reclaimed and reused since the entry was
+/// appended carries an older generation than the extent's current one.
+const GEN_BITS: u32 = 6;
+const GEN_MASK: u64 = (1 << GEN_BITS) - 1;
 /// Saturating size hint stored in bits 46..63 of `loc`, letting a get fetch
 /// header+value in a single device read (the "one Pmem read per get"
 /// property of the Dram-Hash design in §1.3). Bit 63 is reserved (always
 /// zero) so index structures can overlay a tombstone marker on a slot's
 /// location word.
+const LOC_HINT_SHIFT: u32 = LOC_OFF_BITS + GEN_BITS;
 const LOC_HINT_BITS: u32 = 17;
 const LOC_HINT_MAX: u64 = (1 << LOC_HINT_BITS) - 1;
+/// The volatile extent state word keeps the generation above the state.
+const STATE_GEN_SHIFT: u32 = 8;
 
 /// Lifecycle state of one data extent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,12 +127,14 @@ impl ExtentState {
     }
 }
 
-/// Packs an entry offset and value-size hint into an index location word.
+/// Packs an entry offset, its extent's generation and a value-size hint
+/// into an index location word (layout above).
 #[inline]
-pub fn pack_loc(off: u64, vlen: usize) -> u64 {
-    debug_assert!(off <= LOC_OFF_MASK, "log offset exceeds 46 bits");
+pub fn pack_loc(off: u64, gen: u8, vlen: usize) -> u64 {
+    debug_assert!(off <= LOC_OFF_MASK, "log offset exceeds 40 bits");
+    debug_assert!(u64::from(gen) <= GEN_MASK, "generation exceeds 6 bits");
     let hint = (vlen as u64).min(LOC_HINT_MAX);
-    off | (hint << LOC_OFF_BITS)
+    off | (u64::from(gen) << LOC_OFF_BITS) | (hint << LOC_HINT_SHIFT)
 }
 
 /// Unpacks an index location word into `(offset, size_hint)`.
@@ -119,15 +144,21 @@ pub fn pack_loc(off: u64, vlen: usize) -> u64 {
 pub fn unpack_loc(loc: u64) -> (u64, usize) {
     (
         loc & LOC_OFF_MASK,
-        ((loc >> LOC_OFF_BITS) & LOC_HINT_MAX) as usize,
+        ((loc >> LOC_HINT_SHIFT) & LOC_HINT_MAX) as usize,
     )
+}
+
+/// The extent generation packed in `loc`.
+#[inline]
+pub fn loc_gen(loc: u64) -> u8 {
+    ((loc >> LOC_OFF_BITS) & GEN_MASK) as u8
 }
 
 /// True when the size hint in `loc` saturated (the entry may be larger than
 /// the hint says; consult the header for the exact size).
 #[inline]
 pub fn loc_hint_saturated(loc: u64) -> bool {
-    ((loc >> LOC_OFF_BITS) & LOC_HINT_MAX) == LOC_HINT_MAX
+    ((loc >> LOC_HINT_SHIFT) & LOC_HINT_MAX) == LOC_HINT_MAX
 }
 
 /// Configuration of a [`StorageLog`].
@@ -179,6 +210,16 @@ impl LogConfig {
     fn data_extents(&self) -> u64 {
         self.capacity / self.extent_bytes - 1
     }
+
+    /// Location words carry 40 offset bits: every byte of the region
+    /// must be addressable by one.
+    fn validate_region(&self, region: PRegion) -> Result<()> {
+        self.validate()?;
+        if region.off + self.capacity > 1 << LOC_OFF_BITS {
+            return Err(KvError::Corrupt("log region exceeds 40-bit offsets"));
+        }
+        Ok(())
+    }
 }
 
 /// Metadata of one decoded log entry.
@@ -194,12 +235,14 @@ pub struct EntryMeta {
     pub tombstone: bool,
     /// Absolute offset of the entry header.
     pub off: u64,
+    /// Generation of the entry's extent (see [`loc_gen`]).
+    pub gen: u8,
 }
 
 impl EntryMeta {
     /// The index location word for this entry.
     pub fn loc(&self) -> u64 {
-        pack_loc(self.off, self.vlen)
+        pack_loc(self.off, self.gen, self.vlen)
     }
 
     /// Total on-media size of the entry.
@@ -210,6 +253,8 @@ impl EntryMeta {
 
 /// Volatile mirror of one extent's state and accounting.
 struct ExtentSlot {
+    /// `ExtentState` in the low byte, generation above it: one `Acquire`
+    /// load answers "is this extent resident, and in which generation".
     state: AtomicU64,
     /// Bytes of entries appended into this extent.
     appended: AtomicU64,
@@ -229,8 +274,33 @@ impl ExtentSlot {
         }
     }
 
+    fn load(&self) -> (ExtentState, u8) {
+        let w = self.state.load(Ordering::Acquire);
+        let state = ExtentState::from_word(w & ((1 << STATE_GEN_SHIFT) - 1))
+            .expect("volatile extent state");
+        (state, (w >> STATE_GEN_SHIFT) as u8)
+    }
+
     fn state(&self) -> ExtentState {
-        ExtentState::from_word(self.state.load(Ordering::Acquire)).expect("volatile extent state")
+        self.load().0
+    }
+
+    fn gen(&self) -> u8 {
+        self.load().1
+    }
+
+    fn store(&self, state: ExtentState, gen: u8) {
+        self.state.store(
+            state as u64 | (u64::from(gen) << STATE_GEN_SHIFT),
+            Ordering::Release,
+        );
+    }
+
+    /// Moves to `state` within the current generation. Each extent's
+    /// transitions have one owner at a time (its writer, then GC), so the
+    /// load/store pair does not race.
+    fn set_state(&self, state: ExtentState) {
+        self.store(state, self.gen());
     }
 }
 
@@ -291,6 +361,10 @@ impl StorageLog {
     pub fn create(dev: Arc<PmemDevice>, cfg: LogConfig) -> Result<Arc<Self>> {
         cfg.validate()?;
         let region = dev.alloc_region(cfg.capacity)?;
+        if let Err(e) = cfg.validate_region(region) {
+            dev.dealloc(region.off, region.len);
+            return Err(e);
+        }
         // The arena (and therefore the extent-state table) is zeroed:
         // every extent starts Free.
         Ok(Arc::new(Self::empty(dev, region, cfg)))
@@ -334,7 +408,7 @@ impl StorageLog {
         skip_seq_floor: u64,
         mut on_entry: impl FnMut(EntryMeta),
     ) -> Result<Arc<Self>> {
-        cfg.validate()?;
+        cfg.validate_region(region)?;
         let log = Self::empty(dev, region, cfg);
         let n = log.cfg.data_extents();
 
@@ -354,6 +428,15 @@ impl StorageLog {
             ))?;
             let rec_max_seq = u64::from_le_bytes(rec[8..16].try_into().expect("meta slice"));
             let rec_used = u64::from_le_bytes(rec[16..24].try_into().expect("meta slice"));
+            let rec_gen = u64::from_le_bytes(rec[24..32].try_into().expect("meta slice"));
+            if rec_gen > GEN_MASK {
+                return Err(KvError::Corrupt("extent generation"));
+            }
+            // Every path below keeps the recorded generation, so slots
+            // persisted before the crash still compare equal to the
+            // extent they point into (and stale ones still do not).
+            let slot = &log.slots[i as usize];
+            slot.store(ExtentState::Free, rec_gen as u8);
             match state {
                 ExtentState::Free => {}
                 ExtentState::Gced => {
@@ -371,9 +454,7 @@ impl StorageLog {
                 {
                     // Every entry is at or below the checkpoint floor:
                     // trust the seal summary, skip the content scan.
-                    let slot = &log.slots[i as usize];
-                    slot.state
-                        .store(ExtentState::Sealed as u64, Ordering::Release);
+                    slot.set_state(ExtentState::Sealed);
                     slot.appended.store(rec_used, Ordering::Relaxed);
                     slot.max_seq.store(rec_max_seq, Ordering::Relaxed);
                     log.appended_bytes.fetch_add(rec_used, Ordering::Relaxed);
@@ -394,9 +475,7 @@ impl StorageLog {
                         highest_used = Some(i);
                         continue;
                     }
-                    let slot = &log.slots[i as usize];
-                    slot.state
-                        .store(ExtentState::Sealed as u64, Ordering::Release);
+                    slot.set_state(ExtentState::Sealed);
                     slot.appended.store(used, Ordering::Relaxed);
                     slot.max_seq.store(ext_max, Ordering::Relaxed);
                     log.appended_bytes.fetch_add(used, Ordering::Relaxed);
@@ -497,6 +576,13 @@ impl StorageLog {
         self.slots[idx as usize].state()
     }
 
+    /// The lifecycle state and current generation of data extent `idx`,
+    /// from one load. A location word names a resident entry iff its
+    /// extent is Active or Sealed and [`loc_gen`] equals this generation.
+    pub fn extent_state_gen(&self, idx: u64) -> (ExtentState, u8) {
+        self.slots[idx as usize].load()
+    }
+
     /// `(appended, dead, max_seq)` accounting of data extent `idx`.
     pub fn extent_accounting(&self, idx: u64) -> (u64, u64, u64) {
         let s = &self.slots[idx as usize];
@@ -548,6 +634,7 @@ impl StorageLog {
             end: 0,
             batch_start: 0,
             ext_idx: u64::MAX,
+            ext_gen: 0,
             ext_max_seq: 0,
             claim_unfenced: false,
         }
@@ -586,14 +673,16 @@ impl StorageLog {
             vlen,
             tombstone,
             off,
+            gen: loc_gen(loc),
         })
     }
 
     /// Reads only the header at absolute offset `off`, returning the
-    /// entry's metadata without fetching its value. Dead-byte crediting
-    /// uses this to resolve saturated size hints and to verify that an
-    /// index location word still names a resident entry (GC may have
-    /// reclaimed — and the allocator reused — the extent it points into).
+    /// entry's metadata (with its extent's current generation) without
+    /// fetching its value. Dead-byte crediting uses this to resolve
+    /// saturated size hints; the store's live-bytes audit uses it to
+    /// check a location word against the log independently of the
+    /// generation check.
     pub fn entry_meta_at(&self, ctx: &mut ThreadCtx, off: u64) -> Result<EntryMeta> {
         let mut buf = [0u8; ENTRY_HEADER];
         self.dev.read(ctx, off, &mut buf);
@@ -604,6 +693,9 @@ impl StorageLog {
             vlen,
             tombstone,
             off,
+            gen: self
+                .extent_index(off)
+                .map_or(0, |i| self.slots[i as usize].gen()),
         })
     }
 
@@ -632,6 +724,7 @@ impl StorageLog {
         }
         let mut ebuf = vec![0u8; ext];
         self.dev.read_seq(ctx, abs, &mut ebuf);
+        let gen = self.slots[idx as usize].gen();
         let mut out = Vec::new();
         let mut pos = 0usize;
         while pos + ENTRY_HEADER <= ext {
@@ -648,6 +741,7 @@ impl StorageLog {
                 vlen,
                 tombstone,
                 off: abs + pos as u64,
+                gen,
             };
             out.push((
                 meta,
@@ -718,8 +812,7 @@ impl StorageLog {
         let dead = slot.dead.swap(appended, Ordering::Relaxed);
         self.dead_bytes
             .fetch_add(appended.saturating_sub(dead), Ordering::Relaxed);
-        slot.state
-            .store(ExtentState::Gced as u64, Ordering::Release);
+        slot.set_state(ExtentState::Gced);
         self.write_meta(
             ctx,
             idx,
@@ -744,8 +837,7 @@ impl StorageLog {
         let appended = slot.appended.swap(0, Ordering::Relaxed);
         let dead = slot.dead.swap(0, Ordering::Relaxed);
         slot.max_seq.store(0, Ordering::Relaxed);
-        slot.state
-            .store(ExtentState::Free as u64, Ordering::Release);
+        slot.set_state(ExtentState::Free);
         self.appended_bytes.fetch_sub(appended, Ordering::Relaxed);
         self.dead_bytes.fetch_sub(dead, Ordering::Relaxed);
         self.in_use.fetch_sub(1, Ordering::Relaxed);
@@ -799,6 +891,7 @@ impl StorageLog {
         }
         let mut ebuf = vec![0u8; ext];
         self.dev.read_seq(ctx, abs, &mut ebuf);
+        let gen = self.slots[idx as usize].gen();
         let mut pos = 0usize;
         let mut max_seq = 0u64;
         while pos + ENTRY_HEADER <= ext {
@@ -819,6 +912,7 @@ impl StorageLog {
                 vlen,
                 tombstone,
                 off: abs + pos as u64,
+                gen,
             });
             max_seq = max_seq.max(seq);
             pos += ENTRY_HEADER + vlen;
@@ -839,9 +933,10 @@ impl StorageLog {
     }
 
     /// Writes (without fencing) the persistent state record of extent
-    /// `idx`. Callers pick the fence point: claim records ride the
-    /// writer's next data fence (per-thread order makes them durable
-    /// before any durable data), GC records fence explicitly.
+    /// `idx`, stamped with the extent's current generation. Callers pick
+    /// the fence point: claim records ride the writer's next data fence
+    /// (per-thread order makes them durable before any durable data), GC
+    /// records fence explicitly.
     fn write_meta(
         &self,
         ctx: &mut ThreadCtx,
@@ -854,6 +949,8 @@ impl StorageLog {
         rec[0..8].copy_from_slice(&(state as u64).to_le_bytes());
         rec[8..16].copy_from_slice(&max_seq.to_le_bytes());
         rec[16..24].copy_from_slice(&used.to_le_bytes());
+        let gen = u64::from(self.slots[idx as usize].gen());
+        rec[24..32].copy_from_slice(&gen.to_le_bytes());
         self.dev
             .write_nt(ctx, self.region.off + idx * META_RECORD, &rec);
     }
@@ -873,9 +970,14 @@ impl StorageLog {
     }
 
     /// Claims a fresh extent for a writer: reclaimed extents are reused
-    /// before the region grows. Returns `(idx, start, end)` with relative
-    /// offsets.
-    fn claim_extent(&self, ctx: &mut ThreadCtx) -> Result<(u64, u64, u64)> {
+    /// before the region grows. Every claim starts the extent's next
+    /// generation, so a first claim is generation 1. Bumping on every
+    /// claim, not only on free-list reuse, matters after a restart: a
+    /// reclaimed extent above the highest one in use is claimed again by
+    /// growing the region, and its `Free` record looks like that of an
+    /// extent never claimed. Returns `(idx, start, end, gen)` with
+    /// relative offsets.
+    fn claim_extent(&self, ctx: &mut ThreadCtx) -> Result<(u64, u64, u64, u8)> {
         let idx = if let Some(i) = self.free.lock().pop() {
             i
         } else {
@@ -886,18 +988,19 @@ impl StorageLog {
             i
         };
         let slot = &self.slots[idx as usize];
-        debug_assert_eq!(slot.state(), ExtentState::Free);
+        let (state, old_gen) = slot.load();
+        debug_assert_eq!(state, ExtentState::Free);
+        let gen = ((u64::from(old_gen) + 1) & GEN_MASK) as u8;
         slot.appended.store(0, Ordering::Relaxed);
         slot.dead.store(0, Ordering::Relaxed);
         slot.max_seq.store(0, Ordering::Relaxed);
-        slot.state
-            .store(ExtentState::Active as u64, Ordering::Release);
+        slot.store(ExtentState::Active, gen);
         self.in_use.fetch_add(1, Ordering::Relaxed);
         // Unfenced Active record: the writer's first data fence makes it
         // durable before (or with) any data in the extent.
         self.write_meta(ctx, idx, ExtentState::Active, 0, 0);
         let ext = self.cfg.extent_bytes;
-        Ok((idx, (idx + 1) * ext, (idx + 2) * ext))
+        Ok((idx, (idx + 1) * ext, (idx + 2) * ext, gen))
     }
 
     /// Seals a full extent: records its max sequence and used bytes.
@@ -906,8 +1009,7 @@ impl StorageLog {
     fn seal_extent(&self, ctx: &mut ThreadCtx, idx: u64, max_seq: u64, used: u64) {
         let slot = &self.slots[idx as usize];
         slot.max_seq.store(max_seq, Ordering::Relaxed);
-        slot.state
-            .store(ExtentState::Sealed as u64, Ordering::Release);
+        slot.set_state(ExtentState::Sealed);
         self.write_meta(ctx, idx, ExtentState::Sealed, max_seq, used);
     }
 }
@@ -926,6 +1028,8 @@ pub struct LogWriter {
     batch_start: u64,
     /// Index of the current extent (`u64::MAX` before the first claim).
     ext_idx: u64,
+    /// Generation the current extent was claimed in.
+    ext_gen: u8,
     /// Highest sequence number appended into the current extent.
     ext_max_seq: u64,
     /// The current extent's claim record has not been through one of this
@@ -987,8 +1091,9 @@ impl LogWriter {
                 self.log
                     .seal_extent(ctx, self.ext_idx, self.ext_max_seq, used);
             }
-            let (idx, start, end) = self.log.claim_extent(ctx)?;
+            let (idx, start, end, gen) = self.log.claim_extent(ctx)?;
             self.ext_idx = idx;
+            self.ext_gen = gen;
             self.ext_max_seq = 0;
             self.claim_unfenced = true;
             self.pos = start;
@@ -1026,6 +1131,7 @@ impl LogWriter {
             vlen: value.len(),
             tombstone,
             off: abs,
+            gen: self.ext_gen,
         })
     }
 
@@ -1117,14 +1223,19 @@ mod tests {
 
     #[test]
     fn loc_packs_offset_and_hint() {
-        let (off, hint) = unpack_loc(pack_loc(12345, 88));
-        assert_eq!(off, 12345);
-        assert_eq!(hint, 88);
+        let loc = pack_loc(12345, 37, 88);
+        assert_eq!(unpack_loc(loc), (12345, 88));
+        assert_eq!(loc_gen(loc), 37);
+        // The widest offset and generation leave the hint and bit 63 alone.
+        let loc = pack_loc(LOC_OFF_MASK, GEN_MASK as u8, 88);
+        assert_eq!(unpack_loc(loc), (LOC_OFF_MASK, 88));
+        assert_eq!(loc_gen(loc), GEN_MASK as u8);
+        assert_eq!(loc >> 63, 0);
         // Hint saturates for huge values.
-        let (_, hint) = unpack_loc(pack_loc(1, 10 << 20));
+        let (_, hint) = unpack_loc(pack_loc(1, 0, 10 << 20));
         assert_eq!(hint as u64, LOC_HINT_MAX);
-        assert!(loc_hint_saturated(pack_loc(1, 10 << 20)));
-        assert!(!loc_hint_saturated(pack_loc(1, 88)));
+        assert!(loc_hint_saturated(pack_loc(1, 63, 10 << 20)));
+        assert!(!loc_hint_saturated(pack_loc(1, 63, 88)));
     }
 
     #[test]
@@ -1546,6 +1657,116 @@ mod tests {
         // Space accounting still counts the skipped extents' bytes.
         let total: u64 = (0..3).map(|i| log2.extent_accounting(i).0).sum();
         assert_eq!(log2.space_stats().appended_bytes, total);
+    }
+
+    /// Collects sealed extent `idx` wholesale and returns it to the free
+    /// list.
+    fn reclaim(log: &Arc<StorageLog>, ctx: &mut ThreadCtx, idx: u64) {
+        let (appended, _, _) = log.extent_accounting(idx);
+        log.note_dead_at(log.region().off + (idx + 1) * log.extent_bytes(), appended);
+        log.finish_gc(ctx, idx);
+        log.reclaim_extent(ctx, idx);
+    }
+
+    #[test]
+    fn reused_extent_advances_generation_and_reopen_keeps_it() {
+        let (dev, log, mut ctx) = setup_small();
+        let region = log.region();
+        let value = vec![7u8; 1000];
+        let mut w = log.writer();
+        let first: Vec<EntryMeta> = (0..16u64)
+            .map(|k| w.append(&mut ctx, k, &value, false).unwrap())
+            .collect();
+        assert!(first.iter().all(|m| m.gen == 1));
+        // Roll past extent 0 so it seals, then collect and reuse it.
+        w.append(&mut ctx, 99, &value, false).unwrap();
+        w.flush(&mut ctx).unwrap();
+        assert_eq!(log.extent_state_gen(0), (ExtentState::Sealed, 1));
+        reclaim(&log, &mut ctx, 0);
+        assert_eq!(log.extent_state_gen(0), (ExtentState::Free, 1));
+        let mut w2 = log.writer();
+        let again = w2.append(&mut ctx, 0, &value, false).unwrap();
+        w2.flush(&mut ctx).unwrap();
+        // Same key, same size, same offset: only the generation differs.
+        assert_eq!((again.off, again.vlen), (first[0].off, first[0].vlen));
+        assert_eq!(again.gen, 2);
+        assert_ne!(again.loc(), first[0].loc());
+        assert_eq!(loc_gen(again.loc()), 2);
+        // Restart restores the generation from the state record, and the
+        // replayed entries carry it.
+        dev.crash();
+        let mut gens = Vec::new();
+        let log2 =
+            StorageLog::reopen_scan(Arc::clone(&dev), region, small_cfg(), &mut ctx, 0, |m| {
+                if log.extent_index(m.off) == Some(0) {
+                    gens.push(m.gen);
+                }
+            })
+            .unwrap();
+        assert_eq!(gens, vec![2]);
+        assert_eq!(log2.extent_state_gen(0), (ExtentState::Sealed, 2));
+        assert_eq!(log2.extent_state_gen(1).1, 1);
+        assert_eq!(log2.extent_state_gen(2).1, 0, "never claimed");
+    }
+
+    /// A reclaimed extent above every extent still in use is not on the
+    /// free list after a restart: the region grows back into it. That
+    /// claim must start a new generation too, or a slot left behind by the
+    /// extent's previous occupant would name the entry now at its offset.
+    #[test]
+    fn regrown_extent_after_restart_starts_a_new_generation() {
+        let (dev, log, mut ctx) = setup_small();
+        let region = log.region();
+        let value = vec![7u8; 1000];
+        let mut w = log.writer();
+        for k in 0..16u64 {
+            w.append(&mut ctx, k, &value, false).unwrap();
+        }
+        let old = w.append(&mut ctx, 16, &value, false).unwrap();
+        w.flush(&mut ctx).unwrap();
+        assert_eq!(log.extent_index(old.off), Some(1));
+        log.seal_extent(&mut ctx, 1, old.seq, old.size());
+        reclaim(&log, &mut ctx, 1);
+        dev.crash();
+        let log2 = StorageLog::reopen(Arc::clone(&dev), region, small_cfg(), &mut ctx).unwrap();
+        assert_eq!(log2.extent_state(1), ExtentState::Free);
+        let mut w2 = log2.writer();
+        let again = w2.append(&mut ctx, 16, &value, false).unwrap();
+        assert_eq!((again.off, again.vlen), (old.off, old.vlen));
+        assert_ne!(again.gen, old.gen);
+        assert_ne!(again.loc(), old.loc());
+    }
+
+    #[test]
+    fn generation_wraps_after_sixty_four_reuses() {
+        let (_dev, log, mut ctx) = setup_small();
+        for round in 0..=64u64 {
+            let mut w = log.writer();
+            let m = w.append(&mut ctx, round, b"v", false).unwrap();
+            w.flush(&mut ctx).unwrap();
+            assert_eq!(log.extent_index(m.off), Some(0));
+            assert_eq!(u64::from(m.gen), (round + 1) % 64);
+            log.seal_extent(&mut ctx, 0, m.seq, m.size());
+            reclaim(&log, &mut ctx, 0);
+        }
+    }
+
+    #[test]
+    fn regions_beyond_forty_bit_offsets_are_rejected() {
+        let dev = PmemDevice::optane(8 << 20);
+        let mut ctx = ThreadCtx::with_default_cost();
+        let cfg = small_cfg();
+        let region = PRegion {
+            off: (1 << 40) - cfg.capacity / 2,
+            len: cfg.capacity,
+        };
+        let err = StorageLog::reopen(Arc::clone(&dev), region, cfg.clone(), &mut ctx).unwrap_err();
+        assert!(matches!(err, KvError::Corrupt(_)), "{err:?}");
+        let fits = PRegion {
+            off: (1 << 40) - cfg.capacity,
+            len: cfg.capacity,
+        };
+        assert!(cfg.validate_region(fits).is_ok());
     }
 
     #[test]
