@@ -161,8 +161,8 @@ pub fn bench(opts: &Opts) {
 #[derive(Debug, Clone, Serialize)]
 pub struct ConnScaleRow {
     pub conns: usize,
-    /// Total service threads the server ran (acceptor + I/O + committers
-    /// + sampler) — constant in the connection count.
+    /// Total service threads the server ran (acceptor + I/O workers +
+    /// sampler) — constant in the connection count.
     pub server_threads: usize,
     pub offered_per_sec: u64,
     pub offered: u64,

@@ -2,13 +2,14 @@
 //! torn frames reassembled on the wire, connection scaling far past the
 //! thread count, acked-durability under an injected crash at 1k
 //! connections, slow-consumer shedding with bounded memory, lossless
-//! RETRY backpressure, near-zero idle wakeups, idle-peer reaping, and
-//! graceful shutdown draining in-flight work.
+//! RETRY backpressure, near-zero idle wakeups, coalesced wakeups that
+//! lose none, idle-peer reaping, and graceful shutdown draining in-flight
+//! work (also while commits led by another worker are under way).
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -384,6 +385,98 @@ fn backpressure_retry_is_lossless_under_reactor() {
     server.shutdown().unwrap();
 }
 
+/// Coalesced wakeups lose none. Four connections, one per worker, keep
+/// eight durable puts and gets each in flight through `max_batch: 1`
+/// commits, so a worker keeps going to sleep while other workers' commits
+/// post its acks. A lost wakeup strands a reply, and the client's read
+/// timeout turns that into a failure instead of a hang. The wake pipe is
+/// written far less often than once per request.
+#[test]
+fn coalesced_wakeups_lose_none_under_cross_worker_acks() {
+    const CONNS: u64 = 4;
+    const REQS: u64 = 20_000;
+    const WINDOW: u64 = 8;
+    let dev = PmemDevice::optane(256 << 20);
+    let store = Arc::new(ChameleonDb::create(Arc::clone(&dev), test_store_config()).unwrap());
+    let (server, addr) = start_server(
+        &dev,
+        &store,
+        ServerConfig {
+            max_batch: 1,
+            window_cap: 0,
+            // No idle sweep, so `poll` never times out: a lost wakeup
+            // stays lost rather than healing at the next tick.
+            idle_timeout: None,
+            ..ServerConfig::default()
+        },
+    );
+
+    // Connection ids 0..4: one connection per worker.
+    let clients: Vec<_> = (0..CONNS)
+        .map(|cid| {
+            let mut c = Client::connect(addr).unwrap();
+            c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            thread::spawn(move || {
+                // req id → (key, the value a GET must return).
+                let mut inflight: HashMap<u64, (u64, Option<Vec<u8>>)> = HashMap::new();
+                let mut last_acked: Option<u64> = None;
+                let mut sent = 0u64;
+                while sent < REQS || !inflight.is_empty() {
+                    // Bursts of WINDOW, each answered in full before the
+                    // next: nothing later arrives to wake a worker that
+                    // slept through the post of a burst's last reply.
+                    while sent < REQS && (inflight.is_empty() || !sent.is_multiple_of(WINDOW)) {
+                        if sent.is_multiple_of(2) {
+                            let key = (cid << 32) | (sent / 2);
+                            let id = c.send_put(key, &value_for(key), true).unwrap();
+                            inflight.insert(id, (key, None));
+                        } else {
+                            // The newest acked key, or one never written.
+                            let key = last_acked.unwrap_or(u64::MAX - cid);
+                            let id = c.send(Request::Get { req_id: 0, key }).unwrap();
+                            inflight.insert(id, (key, last_acked.map(value_for)));
+                        }
+                        sent += 1;
+                    }
+                    let resp = c
+                        .recv_any()
+                        .unwrap_or_else(|e| panic!("conn {cid}: reply lost ({e})"));
+                    let (key, want) = inflight
+                        .remove(&resp.req_id())
+                        .expect("answer to a request in flight");
+                    match resp {
+                        Response::Ok { .. } => {
+                            last_acked = Some(last_acked.map_or(key, |k| k.max(key)));
+                        }
+                        Response::Value { value, .. } => {
+                            assert_eq!(Some(value), want, "conn {cid}: stale get {key:#x}")
+                        }
+                        Response::NotFound { .. } => {
+                            assert_eq!(want, None, "conn {cid}: acked {key:#x} not found")
+                        }
+                        other => panic!("conn {cid}: unexpected {other:?}"),
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in clients {
+        h.join().unwrap();
+    }
+
+    let mut control = Client::connect(addr).unwrap();
+    let wakeups = gauge(
+        &control.stats(StatsFormat::Prometheus).unwrap(),
+        "chameleon_reactor_wakeups",
+    );
+    let requests = CONNS * REQS;
+    assert!(
+        wakeups < requests / 2,
+        "{wakeups} wake-pipe writes for {requests} requests: wakeups not coalesced"
+    );
+    server.shutdown().unwrap();
+}
+
 /// Satellite regression (busy-poll removal): an idle reactor barely
 /// wakes. With one silent connection parked for half a second, each
 /// worker's poll loop should tick a handful of times (timeout-driven),
@@ -518,6 +611,100 @@ fn idle_connection_times_out_and_is_reaped() {
     server.shutdown().unwrap();
 }
 
+/// Graceful shutdown while two connections, on two workers, stream
+/// pipelined durable puts: whichever worker is leading a commit when the
+/// stop lands, every put written before the stop is answered — `Ok`,
+/// RETRY or "shutting down" — and none sees a bare EOF. One way to break
+/// this is to release the workers while a leader is still posting acks
+/// to the *other* worker; that window is too narrow to hit reliably from
+/// here, so the engine unit test
+/// `shutdown_waits_for_a_leader_while_the_queue_is_empty` pins it.
+#[test]
+fn shutdown_answers_every_put_streamed_from_two_workers() {
+    for round in 0..8u64 {
+        let dev = PmemDevice::optane(256 << 20);
+        let store = Arc::new(ChameleonDb::create(Arc::clone(&dev), test_store_config()).unwrap());
+        let (server, addr) = start_server(&dev, &store, ServerConfig::default());
+        let stop = Arc::new(AtomicBool::new(false));
+        let bursts = Arc::new(AtomicU64::new(0));
+        // Connection ids 0 and 1: one connection on each of two workers.
+        let clients: Vec<_> = (0..2u64)
+            .map(|cid| {
+                let c = Client::connect(addr).unwrap();
+                let (stop, bursts) = (Arc::clone(&stop), Arc::clone(&bursts));
+                thread::spawn(move || stream_until_stop(c, cid, &stop, &bursts))
+            })
+            .collect();
+        while bursts.load(Ordering::SeqCst) < 20 {
+            thread::sleep(Duration::from_millis(1));
+        }
+        stop.store(true, Ordering::SeqCst);
+        server.shutdown().expect("graceful shutdown");
+        for h in clients {
+            let (oks, lost) = h.join().unwrap();
+            assert!(oks > 0, "round {round}: no put was acked");
+            assert!(
+                lost.is_empty(),
+                "round {round}: EOF instead of an answer for {lost:?}"
+            );
+        }
+    }
+}
+
+/// Sends bursts of 16 durable puts, reading each burst's answers only
+/// after the next burst is on the wire, until `stop` is set. Returns the
+/// `Ok` count and the puts written before the stop that got EOF.
+fn stream_until_stop(
+    mut c: Client,
+    cid: u64,
+    stop: &AtomicBool,
+    bursts: &AtomicU64,
+) -> (u64, Vec<u64>) {
+    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut inflight: Vec<(Vec<u64>, bool)> = Vec::new();
+    let (mut oks, mut lost, mut n) = (0u64, Vec::new(), 0u64);
+    loop {
+        let stopped = stop.load(Ordering::SeqCst);
+        if !stopped {
+            let mut ids = Vec::with_capacity(16);
+            let sent = (0..16).all(|_| {
+                n += 1;
+                let key = (cid << 32) | n;
+                c.send_put(key, &value_for(key), true)
+                    .map(|id| ids.push(id))
+                    .is_ok()
+            }) && c.flush().is_ok();
+            // Fully written while `stop` was still clear, so before the
+            // shutdown began: these must be answered.
+            let must = sent && !stop.load(Ordering::SeqCst);
+            inflight.push((ids, must));
+            bursts.fetch_add(1, Ordering::SeqCst);
+        }
+        if !stopped && inflight.len() < 2 {
+            continue;
+        }
+        if inflight.is_empty() {
+            return (oks, lost);
+        }
+        let (ids, must) = inflight.remove(0);
+        for id in ids {
+            match c.recv_for(id) {
+                Ok(Response::Ok { .. }) => oks += 1,
+                Ok(Response::Retry { .. }) => {}
+                Ok(Response::Err { message, .. }) => {
+                    assert!(message.contains("shutting down"), "{message}")
+                }
+                Ok(other) => panic!("unexpected response {other:?}"),
+                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                    panic!("no answer and no EOF within the read timeout")
+                }
+                Err(_) if must => lost.push(id),
+                Err(_) => {}
+            }
+        }
+    }
+}
+
 /// Satellite: graceful shutdown drains — durable work accepted before
 /// the stop is committed and its acks are flushed to the wire, not
 /// dropped on the floor.
@@ -542,7 +729,7 @@ fn graceful_shutdown_drains_inflight_acks() {
     c.flush().unwrap();
 
     // Shut down with all 256 acks potentially still in flight. The
-    // committer must drain its queue and the workers must flush the
+    // commit queue must be drained and the workers must flush the
     // resulting acks before the sockets close.
     // Wait for the first ack so the stop provably lands with work both
     // accepted (in the commit queue) and still unread (in socket buffers).

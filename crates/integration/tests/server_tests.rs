@@ -1,13 +1,14 @@
 //! End-to-end tests of the kvserver service layer over real TCP
 //! loopback: protocol round-trips, group-commit durability under an
-//! injected device crash, the natural-batching commit policy (bursts
-//! share a fence, a lone put waits for nobody, SYNC is a barrier over
-//! every connection), STATS export, backpressure, and graceful shutdown.
+//! injected device crash (also one inside a commit leader), the
+//! natural-batching commit policy (bursts share a fence, a lone put waits
+//! for nobody, SYNC is a barrier over every connection), STATS export,
+//! backpressure, and graceful shutdown.
 
 use std::collections::{HashMap, HashSet};
 use std::io::ErrorKind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -189,8 +190,8 @@ fn every_acked_durable_write_survives_crash() {
 
 /// Commit policy, burst half: writes that arrive together commit
 /// together. One connection pipelines 64 durable puts in a single
-/// socket write; they all land in the one commit queue, so the committer
-/// finds company behind whichever op it wakes on and the burst shares
+/// socket write; they all land in the one commit queue, so the worker
+/// that leads the commit finds them together and the burst shares
 /// fences — with no timer telling it to wait.
 #[test]
 fn pipelined_burst_shares_commit_fences() {
@@ -373,6 +374,137 @@ fn crash_at_commit_fence_withholds_acks_and_recovers_prefix() {
     for k in 100..108u64 {
         if recovered.get(&mut ctx, k, &mut out).unwrap() {
             assert_eq!(out, value_for(k), "doomed key {k} recovered torn");
+        }
+    }
+}
+
+/// What one connection of the server-level crash test saw, per key.
+#[derive(Default)]
+struct PutLog {
+    acked: Vec<u64>,
+    /// Sent, then no answer within the read timeout.
+    unanswered: Vec<u64>,
+    /// Answered `Err`.
+    refused: Vec<u64>,
+    /// The server closed the connection (its worker died).
+    closed: bool,
+}
+
+/// Server half of the regression: a crash injected at the next fence,
+/// while two connections stream durable puts, unwinds inside whichever
+/// I/O worker is leading the commit. No put of the doomed batch is acked,
+/// the commit stage stays dead (every later write is answered `Err` and
+/// none reaches the device), new connections skip the dead worker and
+/// are served reads, shutdown names the panicked worker, and recovery
+/// returns every acked key.
+#[test]
+fn crash_in_a_commit_leader_fails_later_writes_and_keeps_acked_ones() {
+    let dev = PmemDevice::optane(256 << 20);
+    let cfg = test_store_config();
+    let store = Arc::new(ChameleonDb::create(Arc::clone(&dev), cfg.clone()).unwrap());
+    let (server, addr) = start_server(&dev, &store, ServerConfig::default());
+
+    let acks = Arc::new(AtomicUsize::new(0));
+    // Connection ids 0 and 1: one connection on each of two workers.
+    let clients: Vec<_> = (0..2u64)
+        .map(|cid| {
+            let acks = Arc::clone(&acks);
+            thread::spawn(move || {
+                let mut c = Client::connect(addr).unwrap();
+                // A put whose batch died is never answered; the timeout
+                // records it instead of hanging the test.
+                c.set_read_timeout(Some(Duration::from_millis(500)))
+                    .unwrap();
+                let mut log = PutLog::default();
+                // Bounded, so a commit stage that outlived the crash fails
+                // the refusal assertions below instead of looping forever.
+                for n in 0..20_000 {
+                    let key = (cid << 32) | n;
+                    match c.put(key, &value_for(key), true) {
+                        Ok(WriteOutcome::Done { .. }) => {
+                            log.acked.push(key);
+                            acks.fetch_add(1, Ordering::SeqCst);
+                        }
+                        Ok(WriteOutcome::Retry) => thread::yield_now(),
+                        Err(e) if e.kind() == ErrorKind::Other => {
+                            log.refused.push(key);
+                            if log.refused.len() == 8 {
+                                break;
+                            }
+                        }
+                        Err(e)
+                            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+                        {
+                            log.unanswered.push(key)
+                        }
+                        Err(_) => {
+                            log.closed = true;
+                            break;
+                        }
+                    }
+                }
+                log
+            })
+        })
+        .collect();
+
+    while acks.load(Ordering::SeqCst) < 64 {
+        thread::sleep(Duration::from_millis(1));
+    }
+    dev.arm_crash_at_fence(dev.fence_count() + 1);
+    let logs: Vec<PutLog> = clients.into_iter().map(|h| h.join().unwrap()).collect();
+
+    // One new connection per worker slot: the acceptor skips the dead
+    // worker, so every one of them still answers a read.
+    let acked = logs.iter().find_map(|l| l.acked.first()).copied().unwrap();
+    for _ in 0..4 {
+        let mut c = Client::connect(addr).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let got = c
+            .get(acked)
+            .expect("a connection after the crash went unserved");
+        assert_eq!(got, Some(value_for(acked)));
+    }
+
+    let err = server.shutdown().expect_err("a commit leader panicked");
+    assert!(
+        err.contains("io worker"),
+        "shutdown must name the worker: {err}"
+    );
+    assert!(
+        logs.iter().filter(|l| l.closed).count() <= 1,
+        "only the leader's worker dies"
+    );
+    for log in logs.iter().filter(|l| !l.closed) {
+        // A live connection's worker delivers every ack that exists, so
+        // its puts read: acked, then at most its one put of the doomed
+        // batch (unanswered), then refusals — never an ack after that.
+        assert_eq!(log.refused.len(), 8, "later writes must be refused");
+        assert!(log.unanswered.len() <= 1, "{:?}", log.unanswered);
+        let after_acks = |k: &u64| log.acked.last().is_none_or(|a| k > a);
+        assert!(log.unanswered.iter().all(after_acks));
+        assert!(log.refused.iter().all(after_acks));
+    }
+
+    // Power fails too: whatever was not fenced is gone.
+    dev.crash();
+    drop(store);
+    let mut ctx = ThreadCtx::with_default_cost();
+    let recovered = ChameleonDb::recover(Arc::clone(&dev), cfg, &mut ctx).unwrap();
+    let mut out = Vec::new();
+    for log in &logs {
+        for &key in &log.acked {
+            assert!(
+                recovered.get(&mut ctx, key, &mut out).unwrap(),
+                "acked key {key:#x} lost by crash"
+            );
+            assert_eq!(out, value_for(key), "acked key {key:#x} has wrong value");
+        }
+        for &key in &log.refused {
+            assert!(
+                !recovered.get(&mut ctx, key, &mut out).unwrap(),
+                "refused key {key:#x} was committed"
+            );
         }
     }
 }

@@ -1,5 +1,5 @@
-//! The server engine: poll(2)-driven acceptor, reactor I/O workers, one
-//! bounded submission queue, and the single group-commit committer.
+//! The server engine: poll(2)-driven acceptor, reactor I/O workers, and
+//! one bounded commit queue that the workers themselves commit.
 //!
 //! # Threading model
 //!
@@ -9,11 +9,13 @@
 //! I/O worker (×N) ──poll over owned conns + wake pipe──┐
 //!   │ reads → frame reassembly → decode                │
 //!   │ GET/STATS/MODE/TRACE served inline               │
-//!   │ PUT/DELETE/SYNC ──try_send──▶ commit queue ──▶ committer
+//!   │ PUT/DELETE/SYNC ──push──▶ commit queue           │
+//!   │ after each dispatch pass: queue non-empty?       │
+//!   │   ──▶ take the commit lock, commit until empty ──┤
 //!   │                                                  │
 //!   └── flush bounded per-conn outq ◀── encoded acks ──┘
-//!                        (committer posts to the owning worker's
-//!                         inbox + wake pipe, after the fence)
+//!                        (the leader posts each ack to its owning
+//!                         worker's inbox, after the fence)
 //!
 //! sampler ── condvar, one tick per telemetry_interval ──▶ ring
 //! http sidecar ── poll([listener, wake]) ──▶ /metrics, /snapshot.json
@@ -30,17 +32,17 @@
 //!   writability. A client that stops reading its replies overflows the
 //!   bound and is disconnected (`slow_consumer_disconnects`); a client
 //!   that goes silent past `idle_timeout` is swept (`idle_disconnects`).
-//! * The **committer** is the one commit stage, and it batches
-//!   *naturally*: it blocks only on an empty queue, then takes whatever
-//!   accumulated while the previous batch was committing (at most
-//!   `max_batch` ops), appends it via [`ChameleonDb::apply_batch`] — one
-//!   persist fence at the tail — and only then releases the durable acks,
-//!   encoded and posted back to the owning worker through its wake pipe.
-//!   It never sleeps holding a non-empty batch: the simulated fence costs
-//!   no wall time, so a hold timer would buy latency and nothing else.
-//!   Batches exist to fill 256 B XPLines, which is also why every
-//!   in-flight write meets in one queue — splitting arrivals over several
-//!   committers only makes each fence's batch smaller.
+//! * **Group commit has no thread of its own.** After each dispatch pass
+//!   a worker that finds the commit queue non-empty takes the *commit
+//!   lock* (blocking) and, as leader, commits batches of at most
+//!   `max_batch` submissions until the queue is empty. Each batch goes
+//!   through [`ChameleonDb::apply_batch`] — one persist fence at the
+//!   tail — and only then are its durable acks encoded and posted to
+//!   the workers owning their connections. Batches form *naturally* from whatever
+//!   queued while the previous one committed; nothing waits on a timer.
+//!   Batches exist to fill 256 B XPLines, which is why every in-flight
+//!   write meets in one queue. The lock guards the commit [`ThreadCtx`]
+//!   (simulated thread 0): one commit clock, whichever worker leads.
 //! * The **sampler** waits on a condvar with `telemetry_interval`
 //!   timeout (no sleep-polling) and ticks a [`DeltaTracker`] window into
 //!   the [`WindowedSeries`] ring.
@@ -49,7 +51,7 @@
 //!
 //! `decode` → `lane_enqueue` → `batch_seal` →
 //! `engine_append`/`engine_fence` → `fence_complete` → `ack_write`.
-//! (`lane_enqueue` is the hand-off into the commit queue; the stage keeps
+//! (`lane_enqueue` is the push onto the commit queue; the stage keeps
 //! the name the trace consumers already key on.) The final `ack_write`
 //! stamp lands when the owning worker has fully written the response
 //! frame to the socket — the span seals exactly when the bytes hit the
@@ -61,14 +63,17 @@
 //! which is strictly after the fence covering its log entry. If the
 //! device crashes at that fence, `apply_batch` never returns and the acks
 //! are structurally unreachable — there is no code path that acks first.
-//! SYNC is a barrier entry in the same queue: it is acked after the
-//! commit of everything submitted before it, from any connection.
+//! The unwind kills the leading worker (the acceptor skips it from then
+//! on) and poisons the commit lock; from then on every queued and new
+//! write is answered `Err`. SYNC is a
+//! barrier entry in the same queue: it is acked after the commit of
+//! everything submitted before it, from any connection.
 
+use std::collections::VecDeque;
 use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, TrySendError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -83,12 +88,12 @@ use parking_lot::{Condvar, Mutex};
 use pmem_sim::{CostModel, PmemDevice, ThreadCtx};
 
 use crate::proto::{encode_response, ModeArg, Request, Response, StatsFormat};
-use crate::reactor::{self, WakePipe, WorkerShared};
+use crate::reactor::{self, Completion, WakePipe, WorkerShared};
 use crate::repl::{self, AckPolicy, ReplHub, ReplicaFloors};
 
 /// Reactor I/O worker threads (see [`crate::reactor`]). Total service
-/// threads are `IO_WORKERS + committer + acceptor (+ sampler + sidecar)`
-/// regardless of connection count.
+/// threads are `IO_WORKERS + acceptor (+ sampler + sidecar)` regardless
+/// of connection count.
 pub(crate) const IO_WORKERS: usize = 4;
 
 /// Tuning knobs for the service layer.
@@ -174,8 +179,11 @@ impl ReplyTx {
     /// posted to the owning worker's inbox, which sheds the connection
     /// as a slow consumer if its bounded response queue would overflow.
     pub(crate) fn send(&self, resp: &Response, span: Option<Arc<TraceSpan>>) {
-        self.worker
-            .post_completion(self.conn_id, frame_of(resp), span);
+        self.worker.post(Completion {
+            conn_id: self.conn_id,
+            frame: frame_of(resp),
+            span,
+        });
     }
 }
 
@@ -186,7 +194,7 @@ enum Submission {
         /// Ack after the fence (`true`) or already acked at enqueue.
         durable: bool,
         resp: ReplyTx,
-        /// Sampled requests carry their span to the committer for the
+        /// Sampled requests carry their span to the commit stage for the
         /// batch-seal / engine / fence-complete stamps.
         trace: Option<Arc<TraceSpan>>,
     },
@@ -194,31 +202,39 @@ enum Submission {
     Barrier { req_id: u64, resp: ReplyTx },
 }
 
+/// The one queue every write and SYNC goes through.
+struct CommitQueue {
+    subs: VecDeque<Submission>,
+    /// Set at shutdown, or when the commit stage dies, to the `Err` text
+    /// every later push is answered with.
+    closed: Option<&'static str>,
+}
+
+const SHUTTING_DOWN: &str = "server shutting down";
+const STAGE_CRASHED: &str = "commit stage crashed";
+
 pub(crate) struct Shared {
     pub(crate) store: Arc<ChameleonDb>,
     dev: Arc<PmemDevice>,
     pub(crate) obs: Arc<ServerObs>,
     pub(crate) tracer: Arc<Tracer>,
     windows: Arc<WindowedSeries>,
-    /// Sending half of the one commit queue every write and SYNC goes
-    /// through. Taken (dropped) at shutdown so the committer sees
-    /// disconnect after draining the queue.
-    queue_tx: Mutex<Option<mpsc::SyncSender<Submission>>>,
-    /// Approximate queued submissions (sampled into the queue-depth
-    /// histogram at each batch drain).
-    queue_depth: AtomicUsize,
+    queue: Mutex<CommitQueue>,
+    /// The commit lock over the commit stage's context (thread id 0). A
+    /// `std` mutex for its poisoning: a leader that unwinds mid-commit
+    /// leaves it poisoned, and the stage stays dead.
+    commit: std::sync::Mutex<ThreadCtx>,
     pub(crate) cfg: ServerConfig,
     stop: AtomicBool,
-    /// Set by [`KvServer::abort`]: the committer drops queued work
-    /// unapplied.
+    /// Set by [`KvServer::abort`]: leaders drop queued work unapplied.
     pub(crate) discard: AtomicBool,
-    /// Final shutdown phase: the committer has drained, reactor workers
-    /// flush what they hold and exit.
+    /// Final shutdown phase: the queue is closed and committed, reactor
+    /// workers flush what they hold and exit.
     pub(crate) drained: AtomicBool,
     /// Reactor I/O workers.
     pub(crate) workers: Vec<Arc<WorkerShared>>,
-    /// Replication hub: the committer publishes fenced batches, subscribers
-    /// and their acks register through [`handle_request`].
+    /// Replication hub: the commit stage publishes fenced batches,
+    /// subscribers and their acks register through [`handle_request`].
     pub(crate) repl: ReplHub,
     accept_wake: WakePipe,
     pub(crate) http_wake: WakePipe,
@@ -234,12 +250,28 @@ impl Shared {
         self.stop.load(Ordering::SeqCst)
     }
 
-    /// A simulation context with a thread id neither the committer (0)
-    /// nor a reactor worker (`1 + idx`) will reuse (allocated from the
-    /// same sequence as connection ids).
+    /// A simulation context with a thread id neither the commit stage
+    /// (0) nor a reactor worker (`1 + idx`) will reuse (allocated from
+    /// the same sequence as connection ids).
     pub(crate) fn sidecar_ctx(&self) -> ThreadCtx {
         let id = 1 + IO_WORKERS + self.conn_seq.fetch_add(1, Ordering::Relaxed);
         ThreadCtx::for_thread(Arc::clone(&self.cfg.cost), id)
+    }
+
+    /// Queues one submission for the commit stage, or returns the answer
+    /// refusing it: RETRY for a write once `queue_cap` submissions are
+    /// queued (a barrier is never refused for room), `Err` once closed.
+    fn push(&self, req_id: u64, sub: Submission) -> Result<(), Response> {
+        let mut q = self.queue.lock();
+        if let Some(message) = q.closed {
+            let message = message.to_owned();
+            return Err(Response::Err { req_id, message });
+        }
+        if matches!(sub, Submission::Write { .. }) && q.subs.len() >= self.cfg.queue_cap {
+            return Err(Response::Retry { req_id });
+        }
+        q.subs.push_back(sub);
+        Ok(())
     }
 
     /// The full observability snapshot served by STATS and the HTTP
@@ -268,7 +300,6 @@ pub struct KvServer {
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    committer: Option<JoinHandle<()>>,
     sampler: Option<JoinHandle<()>>,
     http: Option<JoinHandle<()>>,
     http_addr: Option<SocketAddr>,
@@ -277,8 +308,8 @@ pub struct KvServer {
 
 impl KvServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// acceptor, the reactor I/O workers, the committer, the telemetry
-    /// sampler, and (if configured) the HTTP metrics sidecar.
+    /// acceptor, the reactor I/O workers (which also commit), the
+    /// telemetry sampler, and (if configured) the HTTP metrics sidecar.
     pub fn start(
         addr: &str,
         dev: Arc<PmemDevice>,
@@ -299,7 +330,6 @@ impl KvServer {
             libc::listen(listener.as_raw_fd(), 4096);
         }
 
-        let (tx, rx) = mpsc::sync_channel(cfg.queue_cap);
         let workers = (0..IO_WORKERS)
             .map(|i| WorkerShared::new(i).map(Arc::new))
             .collect::<io::Result<Vec<_>>>()?;
@@ -312,8 +342,11 @@ impl KvServer {
             obs,
             tracer,
             windows,
-            queue_tx: Mutex::new(Some(tx)),
-            queue_depth: AtomicUsize::new(0),
+            queue: Mutex::new(CommitQueue {
+                subs: VecDeque::with_capacity(cfg.queue_cap),
+                closed: None,
+            }),
+            commit: std::sync::Mutex::new(ThreadCtx::for_thread(Arc::clone(&cfg.cost), 0)),
             cfg,
             stop: AtomicBool::new(false),
             discard: AtomicBool::new(false),
@@ -326,13 +359,6 @@ impl KvServer {
             stop_cv: Condvar::new(),
             conn_seq: AtomicUsize::new(0),
         });
-
-        let committer = {
-            let sh = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("kvs-commit".to_owned())
-                .spawn(move || committer_loop(&sh, rx))?
-        };
 
         let worker_handles = shared
             .workers
@@ -377,7 +403,6 @@ impl KvServer {
             shared,
             acceptor: Some(acceptor),
             workers: worker_handles,
-            committer: Some(committer),
             sampler,
             http,
             http_addr,
@@ -406,12 +431,11 @@ impl KvServer {
         Arc::clone(&self.shared.windows)
     }
 
-    /// Total service threads this server runs (acceptor + I/O workers +
-    /// committer + sampler + sidecar) — constant in the connection
-    /// count.
+    /// Total service threads this server runs (acceptor + I/O workers,
+    /// which also commit + sampler + sidecar) — constant in the
+    /// connection count.
     pub fn thread_count(&self) -> usize {
         1 + self.workers.len()
-            + usize::from(self.committer.is_some())
             + usize::from(self.sampler.is_some())
             + usize::from(self.http.is_some())
     }
@@ -419,16 +443,18 @@ impl KvServer {
     /// Graceful shutdown: stop accepting, drain the commit queue
     /// (committing what was accepted), flush the final acks to their
     /// connections, then take a final checkpoint. Returns an error
-    /// listing any panicked threads.
+    /// listing any panicked threads; a server with a panicked thread
+    /// takes no checkpoint, because its in-DRAM state may be torn.
     pub fn shutdown(mut self) -> Result<(), String> {
         let panics = self.stop_threads();
-        let mut ctx = ThreadCtx::for_thread(Arc::clone(&self.shared.cfg.cost), 0);
-        let ckpt = self.shared.store.checkpoint(&mut ctx);
-        match (panics.is_empty(), ckpt) {
-            (true, Ok(())) => Ok(()),
-            (true, Err(e)) => Err(format!("final checkpoint failed: {e:?}")),
-            (false, _) => Err(format!("server threads panicked: {panics:?}")),
+        if !panics.is_empty() {
+            return Err(format!("server threads panicked: {panics:?}"));
         }
+        let mut ctx = ThreadCtx::for_thread(Arc::clone(&self.shared.cfg.cost), 0);
+        self.shared
+            .store
+            .checkpoint(&mut ctx)
+            .map_err(|e| format!("final checkpoint failed: {e:?}"))
     }
 
     /// Hard stop for crash tests: queued-but-uncommitted work is dropped
@@ -464,13 +490,13 @@ impl KvServer {
         if let Some(h) = self.http.take() {
             join(h, "http sidecar", &mut panics);
         }
-        // The committer drains the queue (posting final acks to the
-        // reactor workers, which are still running) and exits on channel
-        // disconnect.
-        drop(sh.queue_tx.lock().take());
-        if let Some(h) = self.committer.take() {
-            join(h, "committer", &mut panics);
-        }
+        // Close the queue and commit what it holds here. `commit_queued`
+        // takes the commit lock before it looks at the queue, so it also
+        // waits out a leader still posting the acks of a batch it already
+        // took off the queue (final acks land in the still-running
+        // workers' inboxes).
+        sh.queue.lock().closed.get_or_insert(SHUTTING_DOWN);
+        commit_queued(sh);
         // Only now may the workers go: every ack that will ever exist is
         // in an inbox. Workers flush best-effort and close their conns.
         sh.drained.store(true, Ordering::SeqCst);
@@ -486,7 +512,7 @@ impl KvServer {
 
 /// Accepts connections with `poll` (listener + wake pipe — zero wakeups
 /// while idle) and hands each socket to the reactor worker that will own
-/// it (round-robin).
+/// it (round-robin, skipping dead workers).
 fn acceptor_loop(sh: &Arc<Shared>, listener: TcpListener) {
     let lfd = listener.as_raw_fd();
     while !sh.stopping() {
@@ -525,7 +551,15 @@ fn accept_one(sh: &Arc<Shared>, stream: TcpStream) {
         ServerObs::bump(&sh.obs.disconnects);
         return;
     }
-    sh.workers[conn_id % sh.workers.len()].post_conn(conn_id as u64, stream);
+    // Round-robin over the live workers: one whose commit crashed is gone.
+    let n = sh.workers.len();
+    let live = (0..n)
+        .map(|i| &sh.workers[(conn_id + i) % n])
+        .find(|w| !w.dead.load(Ordering::SeqCst));
+    match live {
+        Some(w) => w.post_conn(conn_id as u64, stream),
+        None => ServerObs::bump(&sh.obs.disconnects),
+    }
 }
 
 /// Once per telemetry interval: subtract the previous tick's cumulative
@@ -705,7 +739,7 @@ pub(crate) fn handle_request(
                 s.stamp("decode");
             }
             // Served inline like GET: the store scans under its own epoch
-            // pin (merge + per-candidate probe), no committer round-trip.
+            // pin (merge + per-candidate probe), no commit-queue round-trip.
             let resp = match sh.store.scan(ctx, start_key, limit as usize) {
                 Ok(keys) => Response::Keys { req_id, keys },
                 Err(e) => Response::Err {
@@ -784,9 +818,9 @@ pub(crate) fn handle_request(
     }
 }
 
-/// Queues one write for the committer. Non-durable writes are acked
-/// here, at enqueue; durable ones are acked by the committer after the
-/// fence.
+/// Queues one write for the commit stage. Non-durable writes are acked
+/// here, at enqueue; durable ones are acked by the leader that commits
+/// them, after the fence.
 fn submit_write(
     sh: &Arc<Shared>,
     op: BatchOp,
@@ -795,9 +829,9 @@ fn submit_write(
     span: Option<Arc<TraceSpan>>,
     reply: &ReplyTx,
 ) {
-    // Stamp before the send: once the committer can see the submission
-    // it may seal the batch at any moment, and stamps must stay in
-    // pipeline order.
+    // Stamp before the push: once a leader can see the submission it may
+    // seal the batch at any moment, and stamps must stay in pipeline
+    // order.
     if let Some(s) = &span {
         s.stamp("lane_enqueue");
     }
@@ -808,95 +842,119 @@ fn submit_write(
         resp: reply.clone(),
         trace: span.clone(),
     };
-    // Count before sending so the committer's decrement (which follows
-    // its recv, which follows this send) can never underflow.
-    sh.queue_depth.fetch_add(1, Ordering::Relaxed);
-    let sent = match &*sh.queue_tx.lock() {
-        Some(tx) => tx.try_send(sub),
-        None => Err(TrySendError::Disconnected(sub)),
-    };
-    match sent {
+    match sh.push(req_id, sub) {
+        Ok(()) if durable => {}
         Ok(()) => {
-            if !durable {
-                ServerObs::bump(&sh.obs.early_acks);
-                // The span rides with the early ack; the committer's
-                // later stamps land after completion and are dropped.
-                reply.send(&Response::Ok { req_id }, span);
-            }
+            ServerObs::bump(&sh.obs.early_acks);
+            // The span rides with the early ack; the leader's later
+            // stamps land after completion and are dropped.
+            reply.send(&Response::Ok { req_id }, span);
         }
-        Err(TrySendError::Full(_)) => {
-            sh.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            ServerObs::bump(&sh.obs.retries);
-            if let Some(s) = &span {
-                s.annotate("retry");
+        Err(refusal) => {
+            let retry = matches!(refusal, Response::Retry { .. });
+            if retry {
+                ServerObs::bump(&sh.obs.retries);
             }
-            reply.send(&Response::Retry { req_id }, span);
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            sh.queue_depth.fetch_sub(1, Ordering::Relaxed);
             if let Some(s) = &span {
-                s.annotate("shutdown");
+                s.annotate(if retry { "retry" } else { "shutdown" });
             }
-            reply.send(
-                &Response::Err {
-                    req_id,
-                    message: "server shutting down".to_owned(),
-                },
-                span,
-            );
+            reply.send(&refusal, span);
         }
     }
 }
 
 /// Queues a SYNC barrier behind everything already submitted; the
-/// committer acks it after committing the batch it lands in.
+/// leader acks it after committing the batch it lands in.
 fn submit_barrier(sh: &Arc<Shared>, req_id: u64, reply: &ReplyTx) {
-    sh.queue_depth.fetch_add(1, Ordering::Relaxed);
     let barrier = Submission::Barrier {
         req_id,
         resp: reply.clone(),
     };
-    // Blocking send: a barrier must not be dropped for backpressure, and
-    // the committer is always draining, so this cannot wedge.
-    let sent = match sh.queue_tx.lock().as_ref() {
-        Some(tx) => tx.send(barrier).is_ok(),
-        None => false,
-    };
-    if !sent {
-        sh.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        reply.send(
-            &Response::Err {
-                req_id,
-                message: "server shutting down".to_owned(),
-            },
-            None,
-        );
+    if let Err(refusal) = sh.push(req_id, barrier) {
+        reply.send(&refusal, None);
     }
 }
 
-/// The one commit stage. Blocks only while the queue is empty; whatever
-/// piled up behind the first submission (while the previous batch was
-/// committing) joins its batch, and the batch commits at once — a
-/// non-empty batch is never held waiting for company.
-fn committer_loop(sh: &Arc<Shared>, rx: Receiver<Submission>) {
-    let mut ctx = ThreadCtx::for_thread(Arc::clone(&sh.cfg.cost), 0);
-    // Disconnect after drain means shutdown.
-    while let Ok(first) = rx.recv() {
-        let mut batch = vec![first];
-        batch.extend(rx.try_iter().take(sh.cfg.max_batch - 1));
-        sh.queue_depth.fetch_sub(batch.len(), Ordering::Relaxed);
+/// Commits everything queued, as the commit stage: called by every I/O
+/// worker after its dispatch pass. Whoever pushed a submission gets here
+/// afterwards, so each is committed — by the pusher or by the leader it
+/// waits behind.
+pub(crate) fn lead_commits(sh: &Arc<Shared>) {
+    if !sh.queue.lock().subs.is_empty() {
+        commit_queued(sh);
+    }
+}
+
+/// Takes the commit lock, then commits batches until the queue is empty.
+/// Once it holds the lock, no earlier leader is still posting acks.
+fn commit_queued(sh: &Arc<Shared>) {
+    // Blocking, not `try_lock`: a worker that went back to its sockets
+    // while another committed its write would leave that write's ack,
+    // and its other connections' acks, unflushed until its next wakeup.
+    let Ok(mut ctx) = sh.commit.lock() else {
+        fail_queued(sh);
+        return;
+    };
+    loop {
+        let (batch, queue_depth) = {
+            let mut q = sh.queue.lock();
+            if q.subs.is_empty() {
+                return;
+            }
+            let n = q.subs.len().min(sh.cfg.max_batch);
+            let batch: Vec<Submission> = q.subs.drain(..n).collect();
+            (batch, q.subs.len() as u64)
+        };
         if sh.discard.load(Ordering::SeqCst) {
             // Aborting: drop the batch unapplied and unacked (the reply
-            // handles just go away). Keep draining so senders never
-            // block.
+            // handles just go away).
             continue;
         }
-        commit_batch(sh, &mut ctx, batch);
+        commit_batch(sh, &mut ctx, batch, queue_depth);
     }
 }
 
-fn commit_batch(sh: &Arc<Shared>, ctx: &mut ThreadCtx, batch: Vec<Submission>) {
-    let queue_depth = sh.queue_depth.load(Ordering::Relaxed) as u64;
+/// The commit lock is poisoned — a leader unwound mid-commit (an injected
+/// device crash) — so the stage is dead: close the queue and answer what
+/// it holds with `Err`. Nothing commits again.
+fn fail_queued(sh: &Arc<Shared>) {
+    let subs = {
+        let mut q = sh.queue.lock();
+        q.closed = Some(STAGE_CRASHED);
+        std::mem::take(&mut q.subs)
+    };
+    for sub in subs {
+        let (req_id, resp, trace) = match sub {
+            Submission::Write {
+                req_id,
+                durable: true,
+                resp,
+                trace,
+                ..
+            } => (req_id, resp, trace),
+            Submission::Barrier { req_id, resp } => (req_id, resp, None),
+            Submission::Write { .. } => continue, // acked at enqueue
+        };
+        let message = STAGE_CRASHED.to_owned();
+        resp.send(&Response::Err { req_id, message }, trace);
+    }
+}
+
+/// Answers a batch's SYNC barriers: `Ok`, or the batch's error.
+fn answer_barriers(barriers: &[(u64, ReplyTx)], err: Option<&str>) {
+    for (req_id, resp) in barriers {
+        let r = match err {
+            None => Response::Ok { req_id: *req_id },
+            Some(m) => Response::Err {
+                req_id: *req_id,
+                message: m.to_owned(),
+            },
+        };
+        resp.send(&r, None);
+    }
+}
+
+fn commit_batch(sh: &Arc<Shared>, ctx: &mut ThreadCtx, batch: Vec<Submission>, queue_depth: u64) {
     let mut ops = Vec::with_capacity(batch.len());
     let mut writes = Vec::with_capacity(batch.len());
     let mut barriers = Vec::new();
@@ -923,28 +981,15 @@ fn commit_batch(sh: &Arc<Shared>, ctx: &mut ThreadCtx, batch: Vec<Submission>) {
     // SYNC acks go out after the batch's commit, whatever its outcome.
     // They stay local-fence under either ack policy: they assert device
     // durability, not replica propagation.
-    let ack_barriers = |err: Option<&str>| {
-        for (req_id, resp) in &barriers {
-            let r = match err {
-                None => Response::Ok { req_id: *req_id },
-                Some(m) => Response::Err {
-                    req_id: *req_id,
-                    message: m.to_owned(),
-                },
-            };
-            resp.send(&r, None);
-        }
-    };
 
     if ops.is_empty() {
         // Barrier-only batch: everything committed before it is already
         // fenced, but flush the writer anyway so a barrier is a fence
         // even across future refactors.
         let err = sh.store.sync_writer(ctx).err().map(|e| format!("{e:?}"));
-        ack_barriers(err.as_deref());
+        answer_barriers(&barriers, err.as_deref());
         return;
     }
-
     let durable_acks = writes.iter().filter(|(_, durable, _, _)| *durable).count() as u64;
     let span = sh.obs.batch_start(ctx.clock.now(), sh.dev.stats());
     let applied = {
@@ -998,22 +1043,48 @@ fn commit_batch(sh: &Arc<Shared>, ctx: &mut ThreadCtx, batch: Vec<Submission>) {
                 }
             }
             sh.repl.publish(&ops, withheld);
-            ack_barriers(None);
+            answer_barriers(&barriers, None);
         }
         Err(e) => {
             let msg = format!("{e:?}");
             for (req_id, durable, resp, trace) in writes {
                 if durable {
-                    resp.send(
-                        &Response::Err {
-                            req_id,
-                            message: msg.clone(),
-                        },
-                        trace,
-                    );
+                    let message = msg.clone();
+                    resp.send(&Response::Err { req_id, message }, trace);
                 }
             }
-            ack_barriers(Some(&msg));
+            answer_barriers(&barriers, Some(&msg));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chameleondb::ChameleonConfig;
+
+    /// A leader that took the last batch off the queue still holds the
+    /// commit lock while it posts that batch's acks. Shutdown must not
+    /// release the workers until it lets go: a worker that exited first
+    /// would never send the acks posted to it.
+    #[test]
+    fn shutdown_waits_for_a_leader_while_the_queue_is_empty() {
+        let dev = PmemDevice::optane(256 << 20);
+        let cfg = ChameleonConfig::tiny();
+        let store = Arc::new(ChameleonDb::create(Arc::clone(&dev), cfg).unwrap());
+        let obs = Arc::new(ServerObs::new());
+        let server = KvServer::start("127.0.0.1:0", dev, store, obs, ServerConfig::default())
+            .expect("bind loopback");
+        let sh = Arc::clone(&server.shared);
+        let leader = sh.commit.lock().unwrap();
+        let stopper = thread::spawn(move || server.shutdown());
+        thread::sleep(Duration::from_millis(100));
+        assert!(
+            !sh.drained.load(Ordering::SeqCst),
+            "workers released while a leader held the commit lock"
+        );
+        drop(leader);
+        stopper.join().unwrap().expect("graceful shutdown");
+        assert!(sh.drained.load(Ordering::SeqCst));
     }
 }

@@ -11,15 +11,16 @@
 //!   inline lock-free GETs, and bounded per-connection response queues
 //!   with slow-consumer disconnect. Thread count is constant in the
 //!   connection count.
-//! * The **group-commit engine** — one committer drains the one commit
-//!   queue into batches (whatever has accumulated, never a timed hold),
-//!   appends each batch through
-//!   [`chameleondb::ChameleonDb::apply_batch`] under a single persist
-//!   fence, and releases durable acks only after that fence. On the
-//!   simulated Optane device this amortizes both the fence and the
+//! * The **group-commit engine** — one commit queue with no thread of
+//!   its own: after each dispatch pass, an I/O worker that finds it
+//!   non-empty takes the commit lock and drains it into batches
+//!   (whatever has accumulated, never a timed hold), appends each batch
+//!   through [`chameleondb::ChameleonDb::apply_batch`] under a single
+//!   persist fence, and releases durable acks only after that fence. On
+//!   the simulated Optane device this amortizes both the fence and the
 //!   256-byte-block read-modify-write cost across the batch. Acks are
-//!   encoded and posted back to the owning I/O worker via its wake
-//!   pipe.
+//!   encoded and posted to the owning I/O workers; the wake pipe is
+//!   written only for a worker asleep in `poll`.
 //!
 //! # Example
 //!

@@ -7,13 +7,26 @@
 //! reassembly, inline dispatch, and writes all happen on the worker
 //! thread, so per-connection state needs no locking. Cross-thread
 //! traffic arrives only through the worker's **inbox** (new connections
-//! from the acceptor, completed durable acks from the committer), paired
-//! with a [`WakePipe`] so a blocked `poll` learns about it immediately.
+//! from the acceptor, durable acks from whichever worker led the commit),
+//! paired with a [`WakePipe`] so a blocked `poll` learns about it.
 //!
 //! GET/STATS/MODE/TRACE are served inline on the worker through the
 //! lock-free epoch-pinned read path; PUT/DELETE/SYNC go to the commit
-//! queue, and the committer finishes the ack by posting the encoded
-//! response frame back to the owning worker's inbox.
+//! queue, which the workers commit themselves after each dispatch pass
+//! (see [`crate::engine`]), posting each encoded ack to its owner.
+//!
+//! # Wakeups are coalesced
+//!
+//! A worker's `awake` flag is false only while it is in, or about to
+//! enter, `poll`. A post pushes to the inbox, then writes the wake pipe
+//! only if swapping the flag to true saw `false`: a running worker (its
+//! own inline replies included) is never woken, a sleeping one once.
+//! Before `poll` the worker stores `false`, then re-checks its inbox
+//! under the inbox lock. That lock orders the two sides, so no wakeup is
+//! lost: if the re-check locks before a post's push, the `false` store
+//! precedes the post's swap, which then writes the pipe; otherwise the
+//! re-check sees the push. After `poll` the flag is set again, and the
+//! pipe is drained only if `poll` reported it readable.
 //!
 //! A worker's loop never sleeps blind: it blocks in `poll` until a
 //! socket is ready, a wakeup arrives, or the idle-sweep interval passes.
@@ -25,7 +38,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -34,7 +47,7 @@ use parking_lot::Mutex;
 use pmem_sim::ThreadCtx;
 
 use crate::conn::{Conn, ReadOutcome};
-use crate::engine::{frame_of, handle_request, seal_span, ReplyTx, Shared};
+use crate::engine::{frame_of, handle_request, lead_commits, seal_span, ReplyTx, Shared};
 use crate::proto::{decode_request, Request, Response};
 
 /// A nonblocking self-pipe: one byte written to the write end makes the
@@ -113,7 +126,8 @@ pub(crate) struct Completion {
 pub(crate) struct Inbox {
     /// New connections from the acceptor (id, nonblocking stream).
     pub conns: Vec<(u64, TcpStream)>,
-    /// Durable acks / barrier acks from the committer.
+    /// Responses: durable and barrier acks from the commit stage, and
+    /// this worker's own inline replies.
     pub completions: Vec<Completion>,
 }
 
@@ -123,11 +137,16 @@ pub(crate) struct WorkerShared {
     pub idx: usize,
     pub wake: WakePipe,
     pub inbox: Mutex<Inbox>,
+    /// False only while the worker is in, or about to enter, `poll`.
+    awake: AtomicBool,
+    /// Set if the worker's loop unwound (a commit it led crashed); the
+    /// acceptor hands it no more connections.
+    pub dead: AtomicBool,
     /// `poll(2)` calls made — the worker's true wakeup count. Near-zero
     /// on an idle server; the idle-CPU regression test pins this.
     pub polls: AtomicU64,
-    /// Wakeup posts targeted at this worker (acceptor + committer +
-    /// self-posts from inline dispatch).
+    /// Wake-pipe writes by posts to this worker: one per sleep
+    /// interrupted, not one per post.
     pub wakeups: AtomicU64,
     /// Connections currently owned by this worker.
     pub open_conns: AtomicU64,
@@ -149,6 +168,8 @@ impl WorkerShared {
             idx,
             wake: WakePipe::new()?,
             inbox: Mutex::new(Inbox::default()),
+            awake: AtomicBool::new(true),
+            dead: AtomicBool::new(false),
             polls: AtomicU64::new(0),
             wakeups: AtomicU64::new(0),
             open_conns: AtomicU64::new(0),
@@ -163,21 +184,23 @@ impl WorkerShared {
     /// Hands a freshly accepted connection to this worker.
     pub fn post_conn(&self, conn_id: u64, stream: TcpStream) {
         self.inbox.lock().conns.push((conn_id, stream));
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
-        self.wake.wake();
+        self.notify();
     }
 
     /// Posts an encoded response frame for one of this worker's
-    /// connections (from the committer or the worker itself during
+    /// connections (from a commit leader, or the worker itself during
     /// inline dispatch).
-    pub fn post_completion(&self, conn_id: u64, frame: Vec<u8>, span: Option<Arc<TraceSpan>>) {
-        self.inbox.lock().completions.push(Completion {
-            conn_id,
-            frame,
-            span,
-        });
-        self.wakeups.fetch_add(1, Ordering::Relaxed);
-        self.wake.wake();
+    pub fn post(&self, comp: Completion) {
+        self.inbox.lock().completions.push(comp);
+        self.notify();
+    }
+
+    /// Wakes the worker if it is asleep (see the module doc).
+    fn notify(&self) {
+        if !self.awake.swap(true, Ordering::SeqCst) {
+            self.wakeups.fetch_add(1, Ordering::Relaxed);
+            self.wake.wake();
+        }
     }
 }
 
@@ -221,7 +244,7 @@ fn poll_timeout_ms(idle_timeout: Option<Duration>) -> libc::c_int {
 /// responses. Runs until the server signals the drained phase of
 /// shutdown (see `KvServer::stop_threads`).
 pub(crate) fn worker_loop(sh: &Arc<Shared>, w: &Arc<WorkerShared>) {
-    // The committer owns simulated-thread id 0; workers come next.
+    // The commit stage owns simulated-thread id 0; workers come next.
     let mut ctx = ThreadCtx::for_thread(Arc::clone(&sh.cfg.cost), 1 + w.idx);
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut scratch = vec![0u8; 64 * 1024];
@@ -231,35 +254,13 @@ pub(crate) fn worker_loop(sh: &Arc<Shared>, w: &Arc<WorkerShared>) {
     let mut order: Vec<u64> = Vec::new();
     let mut last_sweep = Instant::now();
     let timeout = poll_timeout_ms(sh.cfg.idle_timeout);
+    let _mark = MarkDeadOnUnwind(w);
 
     loop {
-        // 1) Absorb pending wakeups *before* the inbox so a post that
-        //    lands after the inbox drain still has its byte in the pipe
-        //    and the next poll returns immediately (no lost wakeup).
-        w.wake.drain();
+        // 1) Drain the inbox: adopt new connections, route completions.
+        absorb_inbox(sh, w, &mut conns);
 
-        // 2) Drain the inbox: adopt new connections, route completions.
-        {
-            let mut inbox = w.inbox.lock();
-            for (id, stream) in inbox.conns.drain(..) {
-                conns.insert(id, Conn::new(stream, id));
-            }
-            for comp in inbox.completions.drain(..) {
-                // A completion for a connection this worker already
-                // closed is dropped: the client is gone, and its span
-                // (if any) simply never completes.
-                if let Some(c) = conns.get_mut(&comp.conn_id) {
-                    // Saturating: a replication subscription streams many
-                    // responses off one request.
-                    c.inflight = c.inflight.saturating_sub(1);
-                    if !c.enqueue(comp.frame, comp.span, sh.cfg.resp_queue_cap) {
-                        ServerObs::bump(&sh.obs.slow_consumer_disconnects);
-                    }
-                }
-            }
-        }
-
-        // 3) Flush whatever can be written right now; close the dead.
+        // 2) Flush whatever can be written right now; close the dead.
         let mut queued_total = 0u64;
         for c in conns.values_mut() {
             if !c.doomed && c.wants_write() && !c.flush(|span| seal_span(&sh.tracer, &span)) {
@@ -281,9 +282,10 @@ pub(crate) fn worker_loop(sh: &Arc<Shared>, w: &Arc<WorkerShared>) {
         w.queued_bytes.store(queued_total, Ordering::Relaxed);
         w.open_conns.store(conns.len() as u64, Ordering::Relaxed);
 
-        // Shutdown: keep serving until the committer has drained (its
-        // final acks arrive through the inbox above), then exit. `abort`
-        // skips the flush — queued replies are discarded with the conns.
+        // Shutdown: keep serving until the commit queue has been closed
+        // and committed (its final acks arrive through the inbox above),
+        // then exit. `abort` skips the flush — queued replies are
+        // discarded with the conns.
         if sh.drained.load(Ordering::SeqCst) {
             if !sh.discard.load(Ordering::SeqCst) {
                 drain_conns(sh, &mut ctx, &mut conns, w, &mut scratch, &mut valbuf);
@@ -322,6 +324,14 @@ pub(crate) fn worker_loop(sh: &Arc<Shared>, w: &Arc<WorkerShared>) {
             }
         }
 
+        // 3) Going to sleep: clear `awake`, then re-check the inbox (the
+        //    module doc argues why no post is slept on).
+        w.awake.store(false, Ordering::SeqCst);
+        if absorb_inbox(sh, w, &mut conns) {
+            w.awake.store(true, Ordering::SeqCst);
+            continue;
+        }
+
         // 4) Build the poll set and block until something happens.
         pfds.clear();
         order.clear();
@@ -345,10 +355,14 @@ pub(crate) fn worker_loop(sh: &Arc<Shared>, w: &Arc<WorkerShared>) {
             order.push(*id);
         }
         let n = unsafe { libc::poll(pfds.as_mut_ptr(), pfds.len() as libc::nfds_t, timeout) };
+        w.awake.store(true, Ordering::SeqCst);
         w.polls.fetch_add(1, Ordering::Relaxed);
         if n < 0 {
             // EINTR: just go around; state is untouched.
             continue;
+        }
+        if pfds[0].revents & libc::POLLIN != 0 {
+            w.wake.drain();
         }
 
         // 5) Service ready connections: read, reassemble, dispatch.
@@ -383,7 +397,46 @@ pub(crate) fn worker_loop(sh: &Arc<Shared>, w: &Arc<WorkerShared>) {
                 c.doomed = true;
             }
         }
+
+        // 6) Commit what the dispatch queued, leading or waiting behind
+        //    the leader; the acks arrive through the inbox in step 1.
+        lead_commits(sh);
     }
+}
+
+/// Flags its worker dead when the worker's loop unwinds.
+struct MarkDeadOnUnwind<'a>(&'a WorkerShared);
+
+impl Drop for MarkDeadOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.dead.store(true, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Adopts posted connections and routes posted responses onto theirs;
+/// `false` if the inbox was empty.
+fn absorb_inbox(sh: &Shared, w: &WorkerShared, conns: &mut HashMap<u64, Conn>) -> bool {
+    let mut inbox = w.inbox.lock();
+    let posted = !inbox.conns.is_empty() || !inbox.completions.is_empty();
+    for (id, stream) in inbox.conns.drain(..) {
+        conns.insert(id, Conn::new(stream, id));
+    }
+    for comp in inbox.completions.drain(..) {
+        // A completion for a connection this worker already closed is
+        // dropped: the client is gone, and its span (if any) simply never
+        // completes.
+        if let Some(c) = conns.get_mut(&comp.conn_id) {
+            // Saturating: a replication subscription streams many
+            // responses off one request.
+            c.inflight = c.inflight.saturating_sub(1);
+            if !c.enqueue(comp.frame, comp.span, sh.cfg.resp_queue_cap) {
+                ServerObs::bump(&sh.obs.slow_consumer_disconnects);
+            }
+        }
+    }
+    posted
 }
 
 /// Final pass of a graceful shutdown: requests the client flushed
@@ -415,20 +468,11 @@ fn drain_conns(
         }
         dispatch_frames(sh, ctx, c, w, valbuf);
     }
-    // The dispatches above answered inline (the committer is already
-    // joined, so nobody else posts), but every `ReplyTx` send routes
-    // through this worker's own inbox — collect those replies onto
-    // their connections before the final flush.
-    {
-        let mut inbox = w.inbox.lock();
-        for comp in inbox.completions.drain(..) {
-            if let Some(c) = conns.get_mut(&comp.conn_id) {
-                c.inflight = c.inflight.saturating_sub(1);
-                let _ = c.enqueue(comp.frame, comp.span, sh.cfg.resp_queue_cap);
-            }
-        }
-        inbox.conns.clear();
-    }
+    // The dispatches above answered inline (the queue is closed and
+    // committed, so nobody else posts), but every `ReplyTx` send routes
+    // through this worker's own inbox — collect those replies onto their
+    // connections before the final flush.
+    absorb_inbox(sh, w, conns);
     // Nonblocking flush with a short writability wait per retry: a
     // healthy local client absorbs the queue immediately; a wedged one
     // cannot stall shutdown past the deadline.
@@ -452,8 +496,8 @@ fn drain_conns(
 
 /// Pulls every complete frame out of `c`'s read buffer and dispatches
 /// it. Responses come back through [`ReplyTx`] — either
-/// immediately (inline GET/STATS) or later from a committer — and are
-/// routed to the connection on the next inbox drain.
+/// immediately (inline GET/STATS) or later from a commit leader — and
+/// are routed to the connection on the next inbox drain.
 fn dispatch_frames(
     sh: &Arc<Shared>,
     ctx: &mut ThreadCtx,

@@ -7,7 +7,7 @@
 //!
 //! Log sequence numbers are no stream position — the log's sequence is
 //! shared with every other writer of the store, and one batch may need
-//! several frames — but the one committer publishes batches in commit
+//! several frames — but the one commit stage publishes batches in commit
 //! order and each subscriber's frame delivery is FIFO, so the stream is
 //! ordered by a dense 1-based **ship index** assigned per published
 //! chunk under the hub lock. A committed batch that encodes larger than one frame is
@@ -19,7 +19,7 @@
 //! * [`AckPolicy::LocalFence`] (default): durable acks release at the
 //!   local group-commit fence, exactly as before replication existed;
 //!   subscribers trail behind asynchronously.
-//! * [`AckPolicy::ReplicaQuorum`]: the committer hands its durable acks
+//! * [`AckPolicy::ReplicaQuorum`]: the commit leader hands its durable acks
 //!   to the hub at publish time; they release only once `quorum`
 //!   subscribers have acked the batch's last ship index. This only ever
 //!   *delays* an ack past the local fence — the durability contract
@@ -142,7 +142,7 @@ struct HubInner {
 }
 
 /// The primary's replication hub. Owned by the server's `Shared` state;
-/// the committer publishes into it after each fence, reactor workers
+/// the commit stage publishes into it after each fence, reactor workers
 /// subscribe and ack through it.
 pub(crate) struct ReplHub {
     /// Set on first subscribe (or at construction under a quorum
