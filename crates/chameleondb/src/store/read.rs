@@ -1,6 +1,5 @@
 //! The read path: the lock-free get probe over a shard's published view,
-//! and range scans that walk the ordered index with one cursor and
-//! resolve every candidate through the same probe.
+//! and range scans that walk the ordered index with one cursor.
 
 use std::sync::atomic::Ordering;
 
@@ -16,10 +15,14 @@ use crate::view::GetSource;
 impl StoreInner {
     /// Range scan: up to `limit` live keys `>= start_key`, ascending
     /// ([`kvapi::KvStore::scan`]). One `kvorder` cursor over the store's
-    /// single tree yields the candidates in key order; every candidate
-    /// is then resolved through its shard's newest-version probe
-    /// under the same epoch pin, so results never include tombstoned or
-    /// shadowed versions, and dead candidates do not count toward `limit`.
+    /// single tree yields them under one epoch pin. The index changes only
+    /// in a key's put/delete critical section, after its log append, so
+    /// outside that section it holds exactly the keys whose newest version
+    /// is a live put (DESIGN §7.3), and a key it yields needs no probe.
+    ///
+    /// The cursor is charged as the tree walk it is: a dependent DRAM miss
+    /// per level on the seek (root, inner node, leaf), one per further
+    /// leaf entered, and a key compare per key yielded.
     pub fn scan(&self, ctx: &mut ThreadCtx, start_key: u64, limit: usize) -> Result<Vec<u64>> {
         let Some(order) = &self.order else {
             return Err(KvError::Unsupported("range scan (ordered_index off)"));
@@ -31,15 +34,10 @@ impl StoreInner {
         let mut keys = Vec::with_capacity(limit.min(1024));
         if limit > 0 {
             let pin = self.epochs.pin(ctx.thread_id);
-            let live = order.range_from(0, start_key, &pin).filter(|&key| {
-                let hash = hash64(key);
-                let view = self.views[self.shard_of(hash)].load(&pin);
-                matches!(
-                    view.get(&self.dev, ctx, hash, self.cfg.use_abi_for_get),
-                    Some((slot, _)) if !slot.is_tombstone()
-                )
-            });
-            keys.extend(live.take(limit));
+            let mut cursor = order.range_from(0, start_key, &pin);
+            keys.extend(cursor.by_ref().take(limit));
+            let misses = 3 + cursor.leaves_entered() as u64;
+            ctx.charge(misses * ctx.cost.dram_random_ns + keys.len() as u64 * ctx.cost.key_cmp_ns);
         }
         lane.scanned_keys
             .fetch_add(keys.len() as u64, Ordering::Relaxed);

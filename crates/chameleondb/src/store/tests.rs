@@ -1212,8 +1212,8 @@ fn scan_skips_deletes_and_survives_compactions() {
     let keys = db.scan(&mut c, 0, 1000).unwrap();
     let expect: Vec<u64> = (0..2000u64).filter(|k| k % 2 == 1).collect();
     assert_eq!(keys, expect, "scan must skip tombstoned keys");
-    // Limit counts live results, not candidates: the 1000 dead evens
-    // in [0, 2000) did not eat into it.
+    // The 1000 deleted evens in [0, 2000) left the index, so they did not
+    // eat into the limit.
     assert_eq!(keys.len(), 1000);
 }
 
@@ -1301,8 +1301,8 @@ fn recovery_rebuilds_ordered_index() {
     db.crash_and_recover(&mut c).unwrap();
     // Recovery itself rebuilt the index: every live key, before any scan.
     assert_eq!(db.order.as_ref().unwrap().len(), 7500);
-    // Degraded window: ABI not rebuilt yet, scans resolve through the
-    // upper-level walk and must already agree with the pre-crash set.
+    // Degraded window: ABI not rebuilt yet, and the scan must already
+    // agree with the pre-crash set.
     let degraded = db.scan(&mut c, 2900, 700).unwrap();
     assert_eq!(degraded, before, "degraded-window scan diverged");
     // After the ABI rebuild (first structural transition via new
@@ -1478,7 +1478,7 @@ fn assert_index_matches(db: &ChameleonDb, c: &mut ThreadCtx, model: &BTreeSet<u6
 /// rebuilt index must hold exactly the keys `get` finds, with and
 /// without a worker pool, and still after new writes have rebuilt the
 /// ABIs. A rebuild that kept a key whose newest version is a tombstone
-/// fails here, though `scan` alone would filter it.
+/// fails here, and `scan`, which trusts the index, would return it.
 #[test]
 fn recovery_rebuild_matches_a_seeded_oracle() {
     use rand::rngs::StdRng;
@@ -1518,4 +1518,120 @@ fn recovery_rebuild_matches_a_seeded_oracle() {
             assert_index_matches(&db, &mut c, &model, 2 * SPAN);
         }
     }
+}
+
+/// Runtime oracle for the invariant `scan` rests on: outside a key's own
+/// put/delete critical section the ordered index holds exactly the keys
+/// `get` finds. A seeded put/delete/checkpoint script, with no crash, is
+/// checked at several points, caller-runs and with a worker pool, in
+/// Normal and Write-Intensive mode, on a log small enough that GC
+/// relocates live entries under the index.
+#[test]
+fn ordered_index_matches_get_at_runtime() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    const SPAN: u64 = 500;
+    for workers in [0, 2] {
+        for mode in [Mode::Normal, Mode::WriteIntensive] {
+            let mut cfg = gc_cfg();
+            cfg.bg.workers = workers;
+            let db = new_store(cfg);
+            db.set_mode(mode);
+            let mut c = ctx();
+            let mut rng = StdRng::seed_from_u64(workers as u64 + 10 * mode as u64);
+            let mut model = BTreeSet::new();
+            for step in 1..=8000u32 {
+                let k = rng.gen_range(0..SPAN);
+                match rng.gen_range(0..500u32) {
+                    0 => db.checkpoint(&mut c).unwrap(),
+                    1..=150 => {
+                        db.delete(&mut c, k).unwrap();
+                        model.remove(&k);
+                    }
+                    _ => {
+                        db.put(&mut c, k, &[step as u8; 64]).unwrap();
+                        model.insert(k);
+                    }
+                }
+                if step % 2000 == 0 {
+                    assert_index_matches(&db, &mut c, &model, 2 * SPAN);
+                }
+            }
+            db.drain_maintenance().unwrap();
+            assert!(
+                db.metrics().gc_relocated_entries > 0,
+                "GC relocated nothing ({workers} workers, {mode:?})"
+            );
+            assert_index_matches(&db, &mut c, &model, 2 * SPAN);
+        }
+    }
+}
+
+/// A scan's simulated charge is the cursor's tree walk and nothing else.
+/// 2 000 ascending puts leave full 64-key leaves under one inner node, so
+/// a 500-key scan from 100 seeks to leaf `64..128` (root, inner node and
+/// leaf: three dependent misses), enters the eight leaves up to
+/// `576..640` and compares 500 keys. The keys sit in the last level after
+/// the checkpoint, yet the scan reads no media: it probes nothing.
+#[test]
+fn scan_charges_the_cursor_walk_and_moves_no_media() {
+    let mut cfg = ChameleonConfig::tiny();
+    cfg.bg.workers = 0;
+    let db = new_store(cfg);
+    let mut c = ctx();
+    fill(&db, &mut c, 2000);
+    db.checkpoint(&mut c).unwrap();
+    let (t0, s0) = (c.clock.now(), db.dev.stats().snapshot());
+    let keys = db.scan(&mut c, 100, 500).unwrap();
+    let io = db.dev.stats().snapshot() - s0;
+    assert_eq!(keys, (100..600).collect::<Vec<u64>>());
+    let cost = &c.cost;
+    assert_eq!(
+        c.clock.now() - t0,
+        cost.op_overhead_ns + (3 + 8) * cost.dram_random_ns + 500 * cost.key_cmp_ns
+    );
+    assert_eq!((io.media_bytes_read, io.media_bytes_written), (0, 0));
+}
+
+/// The ordered index is off the simulated clock for point ops: a fixed
+/// one-thread script of puts, overwrites, deletes, gets and a checkpoint
+/// whose merges drop superseded versions costs the same sim ns and media
+/// bytes with the index on and off.
+#[test]
+fn ordered_index_costs_nothing_on_point_ops() {
+    let run = |ordered_index| {
+        let mut cfg = ChameleonConfig {
+            ordered_index,
+            ..ChameleonConfig::tiny()
+        };
+        cfg.bg.workers = 0;
+        let db = new_store(cfg);
+        let mut c = ctx();
+        let mut out = Vec::new();
+        let (t0, s0) = (c.clock.now(), db.dev.stats().snapshot());
+        for round in 0..3u64 {
+            for k in 0..3000u64 {
+                db.put(&mut c, k, &(k + round).to_le_bytes()).unwrap();
+            }
+        }
+        for k in (0..3000).step_by(3) {
+            db.delete(&mut c, k).unwrap();
+        }
+        for k in (0..3000).step_by(2) {
+            db.get(&mut c, k, &mut out).unwrap();
+        }
+        db.checkpoint(&mut c).unwrap();
+        for k in (0..3000).step_by(5) {
+            db.get(&mut c, k, &mut out).unwrap();
+        }
+        let io = db.dev.stats().snapshot() - s0;
+        assert!(db.metrics().last_compactions > 0, "no last-level merge");
+        assert!(db.space_stats().dead_bytes > 0, "nothing was superseded");
+        (
+            c.clock.now() - t0,
+            io.media_bytes_read,
+            io.media_bytes_written,
+        )
+    };
+    assert_eq!(run(true), run(false));
 }

@@ -588,6 +588,103 @@ fn scans_vs_concurrent_puts_and_deletes() {
     );
 }
 
+/// Keys per block of the weak-scan test: the first `DOOMED` of each are
+/// deleted for good, the rest stay live throughout.
+const BLOCK: u64 = 256;
+const DOOMED: u64 = 192;
+
+/// Weak-scan guarantees while whole leaves empty and merge under the
+/// cursor. The store is preloaded in ascending order (full 64-key leaves);
+/// then each writer deletes, in ascending order, the first 192 keys of
+/// every block it owns (three whole leaves a block) and after each acked
+/// delete publishes a floor: every doomed key of its blocks below the
+/// floor is gone. Scanners load the floors *before* a full scan from a
+/// random start and hold it to what a cursor over an exact index
+/// guarantees: strictly ascending, no doomed key below its writer's floor
+/// (it was dead for the whole scan), no key that never existed, and every
+/// stable key at or above the start exactly once (live for the whole
+/// scan).
+#[test]
+fn weak_scans_vs_permanent_range_deletes() {
+    let writers = 2usize;
+    let blocks = 96u64;
+    let dev = PmemDevice::optane(1 << 30);
+    let db = ChameleonDb::create(Arc::clone(&dev), stress_cfg()).unwrap();
+    dev.set_active_threads((writers + 2) as u32);
+    let cost = Arc::new(CostModel::default());
+    let mut ctx = ThreadCtx::with_default_cost();
+    for k in 0..blocks * BLOCK {
+        db.put(&mut ctx, k, &value_for(k, 1)).unwrap();
+    }
+    let owner = |k: u64| (k / BLOCK) as usize % writers;
+    let floors: Vec<AtomicU64> = (0..writers).map(|_| AtomicU64::new(0)).collect();
+    let stop = AtomicBool::new(false);
+    let writers_left = AtomicUsize::new(writers);
+
+    crossbeam::thread::scope(|s| {
+        for w in 0..writers {
+            let (db, floors, stop, writers_left) = (&db, &floors, &stop, &writers_left);
+            let cost = Arc::clone(&cost);
+            s.spawn(move |_| {
+                let mut ctx = ThreadCtx::for_thread(cost, w);
+                for b in (w as u64..blocks).step_by(writers) {
+                    for k in b * BLOCK..b * BLOCK + DOOMED {
+                        assert!(db.delete(&mut ctx, k).expect("delete"), "key {k} absent");
+                        floors[w].store(k + 1, Ordering::Release);
+                    }
+                }
+                if writers_left.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    stop.store(true, Ordering::Release);
+                }
+            });
+        }
+        for r in 0..2usize {
+            let (db, floors, stop) = (&db, &floors, &stop);
+            let cost = Arc::clone(&cost);
+            s.spawn(move |_| {
+                let mut ctx = ThreadCtx::for_thread(cost, writers + r);
+                let mut rng = 0x3C3C_C3C3_5A5A_A5A5u64 ^ ((r as u64) << 23);
+                // At least one scan, however the threads are scheduled.
+                let mut done = false;
+                while !done {
+                    done = stop.load(Ordering::Acquire);
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    // Floors BEFORE the scan.
+                    let floor: Vec<u64> =
+                        floors.iter().map(|f| f.load(Ordering::Acquire)).collect();
+                    let start = rng % (blocks * BLOCK);
+                    let keys = db.scan(&mut ctx, start, usize::MAX).expect("scan");
+                    for pair in keys.windows(2) {
+                        assert!(pair[0] < pair[1], "scan not strictly ascending: {pair:?}");
+                    }
+                    let mut stable = (start..blocks * BLOCK).filter(|k| k % BLOCK >= DOOMED);
+                    for &k in &keys {
+                        assert!(k >= start && k < blocks * BLOCK, "phantom key {k}");
+                        if k % BLOCK < DOOMED {
+                            assert!(
+                                k >= floor[owner(k)],
+                                "deleted key {k} came back (floor {})",
+                                floor[owner(k)]
+                            );
+                        } else {
+                            assert_eq!(stable.next(), Some(k), "stable key missed before {k}");
+                        }
+                    }
+                    assert_eq!(stable.next(), None, "scan from {start} missed stable keys");
+                }
+            });
+        }
+    })
+    .expect("scope");
+
+    let live: Vec<u64> = (0..blocks * BLOCK)
+        .filter(|k| k % BLOCK >= DOOMED)
+        .collect();
+    assert_eq!(db.scan(&mut ctx, 0, usize::MAX).unwrap(), live);
+}
+
 /// The get path is read-only on media: a burst of gets (hits and misses)
 /// moves no persistent-memory write traffic at all.
 #[test]

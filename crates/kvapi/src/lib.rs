@@ -126,9 +126,11 @@ pub trait KvStore: Send + Sync {
 
     /// Range scan: up to `limit` live keys `>= start_key`, ascending.
     ///
-    /// Results never include tombstoned or shadowed versions — every
-    /// candidate is resolved through the store's newest-version probe.
-    /// Stores without an ordered index keep this default.
+    /// A scan that races writers guarantees three things: its results
+    /// ascend strictly; every key returned was live at some instant during
+    /// the scan; and every key live for the whole scan is returned once
+    /// (until `limit` is reached). Stores without an ordered index keep
+    /// this default.
     fn scan(&self, _ctx: &mut ThreadCtx, _start_key: u64, _limit: usize) -> Result<Vec<u64>> {
         Err(KvError::Unsupported("range scan"))
     }

@@ -81,8 +81,9 @@
 //! validated copy of sorted keys. A leaf is written only while it is in
 //! its node's current snapshot, and a replaced leaf keeps its last keys —
 //! stale, never torn — so a key present for the whole scan is yielded
-//! exactly once; the store's per-key newest-version probe filters out
-//! anything that died mid-scan.
+//! exactly once, and every key yielded was present at some instant during
+//! the scan: a replaced leaf froze its keys when it was replaced, which
+//! is after the cursor loaded the snapshot that holds it.
 //!
 //! **Memory ordering** follows Boehm's seqlock argument ("Can seqlocks
 //! get along with programming language memory models?", MSPC 2012). The
@@ -553,7 +554,7 @@ pub struct OrderedIndex {
 impl OrderedIndex {
     /// Creates an index of `shards` empty trees whose readers pin
     /// `domain` — normally the same domain guarding the store's views,
-    /// so one pin covers both the scan cursor and the version probes.
+    /// so the store's one epoch protocol covers the scan cursor too.
     pub fn new(shards: usize, domain: Arc<EpochDomain>) -> Self {
         Self::from_sorted(domain, vec![Vec::new(); shards.max(1)])
     }
@@ -602,6 +603,7 @@ impl OrderedIndex {
             buf: Box::new([0; LEAF_CAP]),
             at: 0,
             len: 0,
+            entered: 0,
         };
         iter.len = inner[j].1.read(&mut iter.buf);
         iter.at = iter.buf[..iter.len].partition_point(|&k| k < start);
@@ -655,9 +657,16 @@ pub struct RangeIter<'p> {
     buf: Box<[u64; LEAF_CAP]>,
     at: usize,
     len: usize,
+    entered: usize,
 }
 
 impl RangeIter<'_> {
+    /// Leaves copied after the seek's own leaf, empty ones included: what
+    /// a caller that models the walk's cost charges beyond the seek.
+    pub fn leaves_entered(&self) -> usize {
+        self.entered
+    }
+
     /// Copies the next non-empty leaf and yields its first key. Kept out
     /// of line so that `next`'s fast path inlines into the caller's loop.
     #[inline(never)]
@@ -665,6 +674,7 @@ impl RangeIter<'_> {
         loop {
             if let Some(((_, leaf), rest)) = self.leaves.split_first() {
                 self.leaves = rest;
+                self.entered += 1;
                 self.len = leaf.read(&mut self.buf);
                 if self.len > 0 {
                     self.at = 1;
@@ -756,6 +766,23 @@ mod tests {
         assert!(!idx.remove(0, 5), "double remove is a no-op");
         assert_eq!(scan_all(&idx, 0, 0), vec![1, 3, 7, 9]);
         assert_eq!(idx.len(), 4);
+    }
+
+    #[test]
+    fn cursor_counts_the_leaves_it_enters() {
+        let idx =
+            OrderedIndex::from_sorted(Arc::new(EpochDomain::new(8)), vec![(0..200).collect()]);
+        assert_eq!(leaf_lens(&idx, 0), [64, 64, 64, 8]);
+        let pin = domain(&idx).pin(0);
+        let walk = |start, take| {
+            let mut cursor = idx.range_from(0, start, &pin);
+            let keys = cursor.by_ref().take(take).count();
+            (keys, cursor.leaves_entered())
+        };
+        assert_eq!(walk(0, usize::MAX), (200, 3));
+        assert_eq!(walk(100, 28), (28, 0), "stops inside the seek's leaf");
+        assert_eq!(walk(100, 29), (29, 1));
+        assert_eq!(walk(1000, 10), (0, 0));
     }
 
     #[test]

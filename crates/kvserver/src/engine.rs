@@ -739,7 +739,7 @@ pub(crate) fn handle_request(
                 s.stamp("decode");
             }
             // Served inline like GET: the store scans under its own epoch
-            // pin (merge + per-candidate probe), no commit-queue round-trip.
+            // pin (one ordered-index cursor), no commit-queue round-trip.
             let resp = match sh.store.scan(ctx, start_key, limit as usize) {
                 Ok(keys) => Response::Keys { req_id, keys },
                 Err(e) => Response::Err {
