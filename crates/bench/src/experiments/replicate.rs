@@ -28,6 +28,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use chameleon_obs::export::{parse_prometheus, sample_value, Sample};
 use chameleon_obs::ServerObs;
 use chameleondb::{ChameleonConfig, ChameleonDb};
 use kvclient::{Client, ReplicaReader, StatsFormat};
@@ -79,15 +80,6 @@ fn start_replica(primary: SocketAddr) -> Replica {
     let (dev, store) = node();
     Replica::start(primary, "127.0.0.1:0", dev, store, ServerConfig::default())
         .expect("replicate: start replica")
-}
-
-/// Reads one `chameleon_*` metric out of Prometheus text.
-fn metric(prom: &str, name: &str) -> Option<u64> {
-    prom.lines()
-        .find(|l| l.starts_with(name) && l.as_bytes().get(name.len()) == Some(&b' '))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse::<f64>().ok())
-        .map(|v| v as u64)
 }
 
 #[derive(Serialize)]
@@ -192,12 +184,17 @@ fn serving_phase(
 
     // Lag floors visible everywhere the tentpole promised.
     let mut c = Client::connect(addr).expect("stats connect");
-    let prom = c.stats(StatsFormat::Prometheus).expect("primary stats");
-    let shipped = metric(&prom, "chameleon_repl_shipped").expect("primary must export repl floors");
+    let scrape = |c: &mut Client| -> Vec<Sample> {
+        let text = c.stats(StatsFormat::Prometheus).expect("stats");
+        parse_prometheus(&text).expect("valid Prometheus exposition")
+    };
+    let prom = scrape(&mut c);
+    let shipped = sample_value(&prom, "chameleon_repl_shipped")
+        .expect("primary must export repl floors") as u64;
     assert!(shipped >= 1, "nothing shipped");
     assert_eq!(
-        metric(&prom, "chameleon_repl_subscribers"),
-        Some(replicas as u64)
+        sample_value(&prom, "chameleon_repl_subscribers"),
+        Some(replicas as f64)
     );
     let json = c.stats(StatsFormat::Json).expect("primary snapshot");
     assert!(
@@ -208,8 +205,7 @@ fn serving_phase(
     // the repl pair; `repro top` renders these two.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let prom = c.stats(StatsFormat::Prometheus).expect("primary stats");
-        if metric(&prom, "chameleon_win_repl_shipped").is_some() {
+        if sample_value(&scrape(&mut c), "chameleon_win_repl_shipped").is_some() {
             break;
         }
         assert!(
@@ -222,12 +218,12 @@ fn serving_phase(
     let mut applied_min = u64::MAX;
     for rep in &reps {
         let mut rc = Client::connect(rep.addr()).expect("replica stats connect");
-        let rprom = rc.stats(StatsFormat::Prometheus).expect("replica stats");
-        let applied =
-            metric(&rprom, "chameleon_repl_applied").expect("replica must export repl floors");
-        applied_min = applied_min.min(applied);
+        let rprom = scrape(&mut rc);
+        let applied = sample_value(&rprom, "chameleon_repl_applied")
+            .expect("replica must export repl floors");
+        applied_min = applied_min.min(applied as u64);
         assert!(
-            metric(&rprom, "chameleon_repl_lag").is_some(),
+            sample_value(&rprom, "chameleon_repl_lag").is_some(),
             "replica lag gauge missing"
         );
     }

@@ -9,62 +9,15 @@
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
+use chameleon_obs::export::{parse_prometheus, sample_value, Sample};
+
 use crate::util::{fmt_bytes, fmt_ns, http_get, Opts};
-
-/// One parsed Prometheus sample: `name{labels} value`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sample {
-    pub name: String,
-    pub labels: Vec<(String, String)>,
-    pub value: f64,
-}
-
-/// Parses text exposition into samples, skipping comments and anything
-/// malformed (the dashboard tolerates partial scrapes; strict validation
-/// lives in [`crate::util::validate_prometheus`]).
-pub fn parse_samples(text: &str) -> Vec<Sample> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let Some((name_labels, value)) = line.rsplit_once(' ') else {
-            continue;
-        };
-        let Ok(value) = value.parse::<f64>() else {
-            continue;
-        };
-        let (name, labels) = match name_labels.split_once('{') {
-            Some((name, rest)) => {
-                let Some(rest) = rest.strip_suffix('}') else {
-                    continue;
-                };
-                let mut labels = Vec::new();
-                for pair in rest.split(',').filter(|p| !p.is_empty()) {
-                    let Some((k, v)) = pair.split_once('=') else {
-                        continue;
-                    };
-                    labels.push((k.to_string(), v.trim_matches('"').to_string()));
-                }
-                (name, labels)
-            }
-            None => (name_labels, Vec::new()),
-        };
-        out.push(Sample {
-            name: name.to_string(),
-            labels,
-            value,
-        });
-    }
-    out
-}
 
 struct Metrics(Vec<Sample>);
 
 impl Metrics {
     fn scalar(&self, name: &str) -> Option<f64> {
-        self.0.iter().find(|s| s.name == name).map(|s| s.value)
+        sample_value(&self.0, name)
     }
 
     fn labeled(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
@@ -93,7 +46,16 @@ impl Metrics {
     }
 }
 
-fn render(m: &Metrics, addr: &str, clear: bool) {
+/// One dashboard frame for a scrape body: the rendered metrics, or one
+/// error line when the scrape is malformed (the next poll tries again).
+fn frame(body: &str, addr: &str, clear: bool) -> String {
+    match parse_prometheus(body) {
+        Ok(samples) => render(&Metrics(samples), addr, clear),
+        Err(e) => format!("repro top: malformed scrape from {addr}: {e}\n"),
+    }
+}
+
+fn render(m: &Metrics, addr: &str, clear: bool) -> String {
     let mut out = String::new();
     if clear {
         out.push_str("\x1b[2J\x1b[H");
@@ -222,9 +184,7 @@ fn render(m: &Metrics, addr: &str, clear: bool) {
         counter("early_acks"),
         counter("trace_reqs"),
     ));
-    print!("{out}");
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
+    out
 }
 
 pub fn run(opts: &Opts) {
@@ -239,7 +199,8 @@ pub fn run(opts: &Opts) {
         match http_get(&addr, "/metrics") {
             Ok((200, body)) => {
                 waiting_reported = false;
-                render(&Metrics(parse_samples(&body)), &addr, !opts.quick);
+                print!("{}", frame(&body, &addr, !opts.quick));
+                std::io::Write::flush(&mut std::io::stdout()).ok();
                 frames += 1;
                 if opts.quick && frames >= 3 {
                     break;
@@ -281,12 +242,11 @@ mod tests {
         chameleon_win_seq 7\n\
         chameleon_win_ops_per_sec 123.5\n\
         chameleon_win_op_count{op=\"put\"} 42\n\
-        chameleon_win_op_latency_ns{op=\"put\",quantile=\"0.99\"} 9000\n\
-        garbage line without value-number x\n";
+        chameleon_win_op_latency_ns{op=\"put\",quantile=\"0.99\"} 9000\n";
 
     #[test]
     fn parses_samples_and_labels() {
-        let m = Metrics(parse_samples(EXPO));
+        let m = Metrics(parse_prometheus(EXPO).unwrap());
         assert_eq!(m.scalar("chameleon_win_seq"), Some(7.0));
         assert_eq!(m.scalar("chameleon_win_ops_per_sec"), Some(123.5));
         assert_eq!(
@@ -302,7 +262,16 @@ mod tests {
         );
         assert_eq!(m.labeled("chameleon_win_op_count", &[("op", "get")]), None);
         assert_eq!(m.label_values("chameleon_win_op_count", "op"), vec!["put"]);
-        // Malformed line is skipped, not fatal.
         assert_eq!(m.0.len(), 4);
+        let shown = frame(EXPO, "host:1", false);
+        assert!(shown.contains("window #7"), "{shown}");
+    }
+
+    #[test]
+    fn malformed_scrape_renders_one_error_line() {
+        let body = format!("{EXPO}garbage line without value-number x\n");
+        let shown = frame(&body, "host:1", false);
+        assert!(shown.starts_with("repro top: malformed scrape from host:1: line 6:"));
+        assert_eq!(shown.lines().count(), 1, "{shown}");
     }
 }

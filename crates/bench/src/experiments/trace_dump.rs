@@ -7,10 +7,11 @@
 //! (when `--http-port` is given) that the metrics sidecar serves valid
 //! Prometheus exposition including the trace-stage series.
 
-use chameleon_obs::trace::{chrome_trace_json, decode_trace_payload};
+use chameleon_obs::export::parse_prometheus;
+use chameleon_obs::trace::chrome_trace_json;
 use kvclient::Client;
 
-use crate::util::{header, http_get, validate_prometheus, Opts};
+use crate::util::{header, http_get, Opts};
 
 const WRITE_STAGES: [&str; 5] = [
     "decode",
@@ -45,8 +46,7 @@ pub fn run(opts: &Opts) {
     }
     c.sync().expect("sync");
 
-    let text = c.trace(512).expect("TRACE request");
-    let payload = decode_trace_payload(&text).expect("decode trace payload");
+    let payload = c.trace(512).expect("TRACE request");
     println!(
         "  {} spans, {} journal events in payload",
         payload.spans.len(),
@@ -96,9 +96,6 @@ pub fn run(opts: &Opts) {
     if let Some(dir) = &opts.out_dir {
         let dir = dir.join("pr6_tracing");
         std::fs::create_dir_all(&dir).expect("create results dir");
-        let raw = dir.join("trace_payload.txt");
-        std::fs::write(&raw, &text).expect("write raw payload");
-        println!("  [artifact] {}", raw.display());
         let chrome = dir.join("trace_chrome.json");
         std::fs::write(&chrome, chrome_trace_json(&payload)).expect("write chrome trace");
         println!(
@@ -111,12 +108,17 @@ pub fn run(opts: &Opts) {
         let http = format!("127.0.0.1:{port}");
         let (status, body) = http_get(&http, "/metrics").expect("GET /metrics");
         assert_eq!(status, 200, "/metrics returned {status}");
-        let samples = validate_prometheus(&body).expect("valid Prometheus exposition");
+        let samples = parse_prometheus(&body).expect("valid Prometheus exposition");
         assert!(
-            body.contains("chameleon_trace_stage_count"),
+            samples
+                .iter()
+                .any(|s| s.name == "chameleon_trace_stage_count"),
             "/metrics is missing trace-stage series"
         );
-        println!("  /metrics: {samples} valid samples incl. trace-stage series");
+        println!(
+            "  /metrics: {} valid samples incl. trace-stage series",
+            samples.len()
+        );
     }
 
     println!("trace-dump: OK");

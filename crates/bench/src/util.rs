@@ -208,66 +208,6 @@ pub fn http_get(addr: &str, path: &str) -> std::io::Result<(u16, String)> {
     Ok((status, body.to_string()))
 }
 
-/// Validates Prometheus text exposition format and returns the number of
-/// sample lines. Checks: comment lines are `# TYPE` / `# HELP`, metric
-/// names use the legal charset, labels are `key="value"` pairs, and every
-/// sample value parses as f64.
-pub fn validate_prometheus(text: &str) -> Result<usize, String> {
-    fn name_ok(name: &str) -> bool {
-        !name.is_empty()
-            && name
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
-            && name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-    }
-    let mut samples = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim_end();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('#') {
-            let rest = rest.trim_start();
-            if !(rest.starts_with("TYPE ") || rest.starts_with("HELP ")) {
-                return Err(format!("line {}: bad comment {line:?}", i + 1));
-            }
-            continue;
-        }
-        // name[{labels}] value
-        let (name_labels, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("line {}: no value in {line:?}", i + 1))?;
-        let name = match name_labels.split_once('{') {
-            Some((name, labels)) => {
-                let labels = labels
-                    .strip_suffix('}')
-                    .ok_or_else(|| format!("line {}: unterminated labels", i + 1))?;
-                for pair in labels.split(',').filter(|p| !p.is_empty()) {
-                    let (k, v) = pair
-                        .split_once('=')
-                        .ok_or_else(|| format!("line {}: bad label {pair:?}", i + 1))?;
-                    if !name_ok(k) || !v.starts_with('"') || !v.ends_with('"') || v.len() < 2 {
-                        return Err(format!("line {}: bad label {pair:?}", i + 1));
-                    }
-                }
-                name
-            }
-            None => name_labels,
-        };
-        if !name_ok(name) {
-            return Err(format!("line {}: bad metric name {name:?}", i + 1));
-        }
-        value
-            .parse::<f64>()
-            .map_err(|e| format!("line {}: bad value {value:?}: {e}", i + 1))?;
-        samples += 1;
-    }
-    Ok(samples)
-}
-
 /// Formats bytes human-readably.
 pub fn fmt_bytes(b: u64) -> String {
     if b >= 1 << 30 {
@@ -371,21 +311,6 @@ mod tests {
         let args = vec!["--quick".to_string()];
         let o = Opts::parse(&args).unwrap();
         assert_eq!(o.keys, Opts::default().keys / 10);
-    }
-
-    #[test]
-    fn prometheus_validation() {
-        let good = "# TYPE chameleon_op_count gauge\n\
-                    chameleon_op_count{op=\"put\"} 42\n\
-                    chameleon_win_ops_per_sec 1234.5\n\
-                    chameleon_trace_stage_ns{stage=\"batch_seal\",quantile=\"0.99\"} 9\n";
-        assert_eq!(validate_prometheus(good).unwrap(), 3);
-        assert!(validate_prometheus("bad name! 1\n").is_err());
-        assert!(validate_prometheus("# BOGUS comment\n").is_err());
-        assert!(validate_prometheus("metric{op=put} 1\n").is_err());
-        assert!(validate_prometheus("metric{op=\"x\"} notanumber\n").is_err());
-        assert!(validate_prometheus("metric_no_value\n").is_err());
-        assert_eq!(validate_prometheus("\n\n").unwrap(), 0);
     }
 
     #[test]

@@ -64,8 +64,8 @@ pub enum EventKind {
     WriteStallEnter { shard: u32 },
     /// The stalled put resumed after `stalled_ns` of *wall-clock* waiting
     /// (the event timestamp, like every journal timestamp, is simulated;
-    /// the wait is never charged to it). Chrome-trace exports render
-    /// enter/exit pairs as duration bars.
+    /// the wait is never charged to it). Chrome-trace exports draw it as
+    /// an instant on the simulated-clock track, `stalled_ns` in its args.
     WriteStallExit { shard: u32, stalled_ns: u64 },
     /// The simulated device crashed; `crashes` is the device's lifetime
     /// crash count. Recorded into the *recovered* store's journal.

@@ -1,4 +1,5 @@
-//! Serializers: pretty JSON and Prometheus text exposition.
+//! Serializers: pretty JSON and Prometheus text exposition, plus the one
+//! strict Prometheus reader ([`parse_prometheus`]) every scraper uses.
 //!
 //! Hand-rolled on purpose: the snapshot's shape is fixed, event payloads
 //! are heterogeneous (an enum), and keeping the writers here means the
@@ -31,7 +32,7 @@ fn prom_f64(v: f64) -> String {
     }
 }
 
-fn json_str(s: &str) -> String {
+pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -49,6 +50,82 @@ fn json_str(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// One sample of a Prometheus text exposition: `name{labels} value`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sample {
+    pub name: String,
+    pub labels: Vec<(String, String)>,
+    pub value: f64,
+}
+
+/// The value of the first sample named `name`, whatever its labels.
+pub fn sample_value(samples: &[Sample], name: &str) -> Option<f64> {
+    samples.iter().find(|s| s.name == name).map(|s| s.value)
+}
+
+fn legal_name(name: &str) -> bool {
+    name.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_' || c == ':')
+        && name
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+}
+
+/// Parses Prometheus text exposition strictly, the reader matching
+/// [`ObsSnapshot::to_prometheus`]. Blank lines and `# TYPE` / `# HELP`
+/// comments are skipped. Every other line must be a legal metric name,
+/// optional `{key="value",...}` labels, one space, and a value that
+/// parses as `f64`. The first line that is not is the error.
+pub fn parse_prometheus(text: &str) -> Result<Vec<Sample>, String> {
+    let mut out = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let line = line.trim_end();
+        let bad = |what: &str| format!("line {}: {what}: {line:?}", i + 1);
+        if line.is_empty() {
+            continue;
+        }
+        if let Some(comment) = line.strip_prefix('#') {
+            let comment = comment.trim_start();
+            if comment.starts_with("TYPE ") || comment.starts_with("HELP ") {
+                continue;
+            }
+            return Err(bad("bad comment"));
+        }
+        let (series, value) = line.rsplit_once(' ').ok_or_else(|| bad("no value"))?;
+        let value = value.parse::<f64>().map_err(|_| bad("bad value"))?;
+        let (name, labels) = match series.split_once('{') {
+            None => (series, Vec::new()),
+            Some((name, rest)) => {
+                let body = rest
+                    .strip_suffix('}')
+                    .ok_or_else(|| bad("unterminated labels"))?;
+                let labels = body
+                    .split(',')
+                    .filter(|pair| !pair.is_empty())
+                    .map(|pair| {
+                        let (k, v) = pair.split_once('=').ok_or_else(|| bad("bad label"))?;
+                        let v = v
+                            .strip_prefix('"')
+                            .and_then(|v| v.strip_suffix('"'))
+                            .filter(|v| legal_name(k) && !v.contains('"'))
+                            .ok_or_else(|| bad("bad label"))?;
+                        Ok((k.to_string(), v.to_string()))
+                    })
+                    .collect::<Result<Vec<_>, String>>()?;
+                (name, labels)
+            }
+        };
+        if !legal_name(name) {
+            return Err(bad("bad metric name"));
+        }
+        out.push(Sample {
+            name: name.to_string(),
+            labels,
+            value,
+        });
+    }
+    Ok(out)
 }
 
 impl ObsSnapshot {
@@ -436,9 +513,10 @@ mod tests {
     };
 
     fn sample_snapshot() -> ObsSnapshot {
-        let obs = Obs::new(ObsConfig::on(), 1);
+        let obs = Obs::new(ObsConfig::on());
         let dev = MediaStats::default();
-        let lane = dev.lane(&ThreadCtx::with_default_cost());
+        let ctx = ThreadCtx::with_default_cost();
+        let lane = dev.lane(&ctx);
         lane.logical_bytes_written.fetch_add(100, Ordering::Relaxed);
         lane.media_bytes_written.fetch_add(300, Ordering::Relaxed);
         let span = obs.span_start(Stage::AbiDump, 10, lane);
@@ -461,7 +539,7 @@ mod tests {
                 media_bytes: 700,
             },
         );
-        obs.record_op(0, OpKind::Get, 150);
+        obs.record_op(&ctx, OpKind::Get, 150);
         let mut snap = obs.snapshot(
             100,
             vec![CounterSection {
@@ -502,6 +580,16 @@ mod tests {
         tracer.complete(&s);
         snap.trace_stages = tracer.stage_summaries();
         snap
+    }
+
+    /// The exposition of a fixed snapshot, frozen byte for byte: scrapers
+    /// and the benchmark read these names, labels and number formats.
+    #[test]
+    fn prometheus_exposition_matches_golden() {
+        assert_eq!(
+            sample_snapshot().to_prometheus(),
+            include_str!("../golden/sample_snapshot.prom")
+        );
     }
 
     #[test]
@@ -552,53 +640,108 @@ mod tests {
 
     #[test]
     fn prometheus_lines_parse() {
-        let text = sample_snapshot().to_prometheus();
-        let mut samples = 0;
-        for line in text.lines() {
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            samples += 1;
-            let (name_part, value) = line.rsplit_once(' ').expect("space-separated sample");
-            assert!(value.parse::<f64>().is_ok(), "bad value in {line:?}");
-            let name = match name_part.split_once('{') {
-                Some((n, rest)) => {
-                    assert!(rest.ends_with('}'), "unclosed labels in {line:?}");
-                    for pair in rest.trim_end_matches('}').split(',') {
-                        let (k, v) = pair.split_once('=').expect("label k=v");
-                        assert!(!k.is_empty());
-                        assert!(v.starts_with('"') && v.ends_with('"'), "{line:?}");
-                    }
-                    n
-                }
-                None => name_part,
-            };
-            assert!(
-                name.chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
-                "bad metric name in {line:?}"
-            );
-            assert!(name.starts_with("chameleon_"), "unprefixed {line:?}");
-        }
-        assert!(samples > 30, "only {samples} samples");
-        assert!(text.contains("chameleon_stage_media_bytes_written{stage=\"abi_dump\"} 700"));
-        assert!(text.contains("chameleon_op_latency_ns{op=\"get\",quantile=\"0.99\"}"));
-        assert!(text.contains("chameleon_store_puts 5"));
+        let samples = parse_prometheus(&sample_snapshot().to_prometheus()).expect("strict parse");
+        assert!(samples.len() > 30, "only {} samples", samples.len());
+        assert!(samples.iter().all(|s| s.name.starts_with("chameleon_")));
+        let labeled = |name: &str, labels: &[(&str, &str)]| {
+            samples
+                .iter()
+                .find(|s| {
+                    s.name == name
+                        && s.labels.len() == labels.len()
+                        && labels
+                            .iter()
+                            .zip(&s.labels)
+                            .all(|(&(k, v), (lk, lv))| k == lk && v == lv)
+                })
+                .map(|s| s.value)
+        };
+        assert_eq!(
+            labeled(
+                "chameleon_stage_media_bytes_written",
+                &[("stage", "abi_dump")]
+            ),
+            Some(700.0)
+        );
+        assert!(labeled(
+            "chameleon_op_latency_ns",
+            &[("op", "get"), ("quantile", "0.99")]
+        )
+        .is_some());
+        assert_eq!(sample_value(&samples, "chameleon_store_puts"), Some(5.0));
         // Windowed-series and trace-stage metrics ride the same validated
         // path.
-        assert!(text.contains("chameleon_win_op_count{op=\"put\"} 50"));
-        assert!(text.contains("chameleon_win_op_latency_ns{op=\"put\",quantile=\"0.999\"}"));
-        assert!(text.contains("chameleon_win_batches 2"));
-        assert!(text.contains("chameleon_win_ops_per_sec 51"));
-        assert!(text.contains("chameleon_trace_stage_count{stage=\"decode\"} 1"));
-        assert!(text.contains("chameleon_trace_stage_ns{stage=\"ack_write\",quantile=\"0.99\"}"));
+        assert_eq!(
+            labeled("chameleon_win_op_count", &[("op", "put")]),
+            Some(50.0)
+        );
+        assert!(labeled(
+            "chameleon_win_op_latency_ns",
+            &[("op", "put"), ("quantile", "0.999")]
+        )
+        .is_some());
+        assert_eq!(sample_value(&samples, "chameleon_win_batches"), Some(2.0));
+        assert_eq!(
+            sample_value(&samples, "chameleon_win_ops_per_sec"),
+            Some(51.0)
+        );
+        assert_eq!(
+            labeled("chameleon_trace_stage_count", &[("stage", "decode")]),
+            Some(1.0)
+        );
+        assert!(labeled(
+            "chameleon_trace_stage_ns",
+            &[("stage", "ack_write"), ("quantile", "0.99")]
+        )
+        .is_some());
+        assert_eq!(sample_value(&samples, "chameleon_absent"), None);
+    }
+
+    #[test]
+    fn prometheus_parser_rejects_malformed_lines() {
+        let good = "# TYPE chameleon_op_count gauge\n\
+                    # HELP chameleon_op_count ops\n\
+                    \n\
+                    chameleon_op_count{op=\"put\"} 42\n\
+                    chameleon_win_ops_per_sec 1234.5\n\
+                    chameleon_trace_stage_ns{stage=\"batch_seal\",quantile=\"0.99\"} 9\n";
+        let samples = parse_prometheus(good).unwrap();
+        assert_eq!(samples.len(), 3);
+        assert_eq!(
+            samples[2],
+            Sample {
+                name: "chameleon_trace_stage_ns".into(),
+                labels: vec![
+                    ("stage".into(), "batch_seal".into()),
+                    ("quantile".into(), "0.99".into()),
+                ],
+                value: 9.0,
+            }
+        );
+        assert_eq!(sample_value(&samples, "chameleon_op_count"), Some(42.0));
+        assert_eq!(parse_prometheus("\n\n").unwrap(), Vec::new());
+        for bad in [
+            "bad name! 1\n",
+            "9starts_with_digit 1\n",
+            "# BOGUS comment\n",
+            "metric{op=put} 1\n",
+            "metric{op=\"x\"\"} 1\n",
+            "metric{op=\"x\"} notanumber\n",
+            "metric{op=\"x\" 1\n",
+            "metric_no_value\n",
+            "metric  1\n",
+        ] {
+            assert!(parse_prometheus(bad).is_err(), "accepted {bad:?}");
+        }
+        let err = parse_prometheus("ok 1\nbad name! 1\n").unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
     }
 
     #[test]
     fn prometheus_omits_window_and_trace_blocks_when_absent() {
         // A bare store (no sampler, no tracer) must not emit empty-labeled
         // series or dangling TYPE headers for them.
-        let obs = Obs::new(ObsConfig::on(), 1);
+        let obs = Obs::new(ObsConfig::on());
         let dev = MediaStats::default();
         let text = obs.snapshot(0, Vec::new(), dev.snapshot()).to_prometheus();
         assert!(!text.contains("chameleon_win_"));
@@ -629,14 +772,11 @@ mod tests {
         let mut snap = sample_snapshot();
         snap.trace_stages[0].mean_ns = f64::NAN;
         snap.media_write_amplification = f64::INFINITY;
-        let text = snap.to_prometheus();
-        for line in text.lines() {
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (_, value) = line.rsplit_once(' ').unwrap();
-            assert!(value.parse::<f64>().is_ok(), "bad value in {line:?}");
-        }
-        assert!(text.contains("chameleon_media_write_amplification 0"));
+        let samples = parse_prometheus(&snap.to_prometheus()).expect("strict parse");
+        assert!(samples.iter().all(|s| s.value.is_finite()));
+        assert_eq!(
+            sample_value(&samples, "chameleon_media_write_amplification"),
+            Some(0.0)
+        );
     }
 }

@@ -10,9 +10,10 @@
 //!   around the flush/compaction/dump paths capturing simulated duration
 //!   and a [`StatsSnapshot`] delta, so device write amplification is
 //!   attributed per maintenance stage (Fig. 17(b)/(e) style) from one run;
-//! * **per-op latency histograms** ([`OpHists`]): put/get/delete
-//!   [`Histogram`]s per shard, merged on demand into store-level
-//!   p50/p99/p999;
+//! * **per-op latency histograms** ([`OpHists`]): put/get/delete/scan
+//!   [`Histogram`]s per thread lane (`pmem_sim::LANES` of them, picked by
+//!   the recording context's `lane()`), merged on demand into
+//!   store-level p50/p99/p999;
 //! * **service-layer batch spans** ([`ServerObs`]): front-end counters and
 //!   per-group-commit-batch histograms (batch size, queue depth, commit
 //!   latency, fences and media bytes per batch) recorded by a network
@@ -25,7 +26,7 @@
 //! The layer is strictly below the store: it depends only on `pmem-sim`
 //! types, and the store assembles its own counters into sections. With
 //! [`ObsConfig::off`] every recording entry point returns after one branch
-//! and the constructor allocates nothing per shard.
+//! and the constructor allocates no lanes.
 
 pub mod event;
 pub mod export;
@@ -36,7 +37,7 @@ pub mod trace;
 pub mod window;
 
 use parking_lot::Mutex;
-use pmem_sim::{Histogram, MediaLane, StatsSnapshot};
+use pmem_sim::{Histogram, MediaLane, StatsSnapshot, ThreadCtx, LANES};
 
 pub use event::{Event, EventKind, Journal};
 pub use server::{BatchSpan, ServerObs};
@@ -53,7 +54,7 @@ pub use window::{DeltaTracker, ServerTickCounters, Window, WindowOpStat, Windowe
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Master switch. When false, every recording call is a single branch
-    /// and no per-shard state is allocated.
+    /// and no per-lane state is allocated.
     pub enabled: bool,
     /// Ring-buffer capacity of the event journal, in events. Older events
     /// are overwritten (and counted as dropped) once full.
@@ -113,7 +114,8 @@ impl OpKind {
     }
 }
 
-/// Put/get/delete latency histograms for one shard (or a rollup).
+/// Put/get/delete/scan latency histograms for one thread lane (or a
+/// rollup).
 #[derive(Debug, Clone, Default)]
 pub struct OpHists {
     pub put: Histogram,
@@ -149,14 +151,15 @@ pub struct Obs {
     cfg: ObsConfig,
     journal: Journal,
     stages: span::StageTable,
+    /// One set per thread lane: threads in different lanes never share a
+    /// lock on the op path.
     op_hists: Vec<Mutex<OpHists>>,
     /// Durations puts spent stalled on background-maintenance
     /// backpressure (frozen-MemTable queue at capacity). Store-level, not
     /// per-shard: stalls are rare by design, so one lock suffices.
     stall_hist: Mutex<Histogram>,
     /// Keys returned per range scan. Store-level like the stall
-    /// histogram: scans are cross-shard by nature, so per-shard lanes
-    /// would attribute arbitrarily.
+    /// histogram.
     scan_keys_hist: Mutex<Histogram>,
     /// Stage currently inside an open span (0 = none, else index + 1).
     /// Spans never nest (flush/compaction entry points start theirs after
@@ -166,10 +169,10 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// Builds the hub for a store with `shards` shards.
-    pub fn new(cfg: ObsConfig, shards: usize) -> Self {
+    /// Builds the hub; op histograms get one lane per `pmem_sim::LANES`.
+    pub fn new(cfg: ObsConfig) -> Self {
         let (cap, lanes) = if cfg.enabled {
-            (cfg.journal_capacity, shards)
+            (cfg.journal_capacity, LANES)
         } else {
             (0, 0)
         };
@@ -184,9 +187,9 @@ impl Obs {
         }
     }
 
-    /// A hub that records nothing (equivalent to `new(ObsConfig::off(), _)`).
+    /// A hub that records nothing (equivalent to `new(ObsConfig::off())`).
     pub fn disabled() -> Self {
-        Self::new(ObsConfig::off(), 0)
+        Self::new(ObsConfig::off())
     }
 
     /// Whether recording is on. All recording calls are no-ops when false.
@@ -278,16 +281,17 @@ impl Obs {
         }
     }
 
-    /// Records one operation latency sample against `shard`'s histograms.
+    /// Records one operation latency sample in the histograms of `ctx`'s
+    /// thread lane.
     #[inline]
-    pub fn record_op(&self, shard: usize, op: OpKind, latency_ns: u64) {
+    pub fn record_op(&self, ctx: &ThreadCtx, op: OpKind, latency_ns: u64) {
         if !self.cfg.enabled {
             return;
         }
-        let Some(lane) = self.op_hists.get(shard) else {
-            return;
-        };
-        lane.lock().hist_mut(op).record(latency_ns);
+        self.op_hists[ctx.lane()]
+            .lock()
+            .hist_mut(op)
+            .record(latency_ns);
     }
 
     /// Records one write-stall duration in wall-clock ns (a put that
@@ -320,7 +324,7 @@ impl Obs {
         self.scan_keys_hist.lock().clone()
     }
 
-    /// Merges every shard's histograms into one store-level [`OpHists`].
+    /// Merges every lane's histograms into one store-level [`OpHists`].
     pub fn op_rollup(&self) -> OpHists {
         let mut out = OpHists::default();
         for lane in &self.op_hists {
@@ -354,12 +358,19 @@ impl Obs {
 mod tests {
     use super::*;
 
+    fn ctx_in_lane(thread_id: usize) -> ThreadCtx {
+        ThreadCtx::for_thread(
+            std::sync::Arc::new(pmem_sim::CostModel::default()),
+            thread_id,
+        )
+    }
+
     #[test]
     fn off_config_allocates_no_lanes_and_records_nothing() {
-        let obs = Obs::new(ObsConfig::off(), 64);
+        let obs = Obs::new(ObsConfig::off());
         assert!(!obs.enabled());
         assert_eq!(obs.op_hists.len(), 0);
-        obs.record_op(3, OpKind::Put, 100);
+        obs.record_op(&ctx_in_lane(3), OpKind::Put, 100);
         obs.record_event(5, EventKind::Crash { crashes: 1 });
         let dev = pmem_sim::MediaStats::default();
         let lane = dev.lane(&pmem_sim::ThreadCtx::with_default_cost());
@@ -372,14 +383,14 @@ mod tests {
     }
 
     #[test]
-    fn op_rollup_merges_across_shards() {
-        let obs = Obs::new(ObsConfig::on(), 4);
-        obs.record_op(0, OpKind::Put, 100);
-        obs.record_op(1, OpKind::Put, 300);
-        obs.record_op(2, OpKind::Get, 50);
-        obs.record_op(3, OpKind::Delete, 7);
-        // Out-of-range shard indices are ignored, not a panic.
-        obs.record_op(99, OpKind::Put, 1);
+    fn op_rollup_merges_across_lanes() {
+        let obs = Obs::new(ObsConfig::on());
+        assert_eq!(obs.op_hists.len(), LANES);
+        obs.record_op(&ctx_in_lane(0), OpKind::Put, 100);
+        obs.record_op(&ctx_in_lane(1), OpKind::Put, 300);
+        obs.record_op(&ctx_in_lane(2), OpKind::Get, 50);
+        // Thread ids past the lane count wrap onto a lane, not a panic.
+        obs.record_op(&ctx_in_lane(LANES + 3), OpKind::Delete, 7);
         let roll = obs.op_rollup();
         assert_eq!(roll.put.count(), 2);
         assert_eq!(roll.get.count(), 1);
@@ -388,8 +399,30 @@ mod tests {
     }
 
     #[test]
+    fn threads_in_different_lanes_record_concurrently() {
+        let obs = Obs::new(ObsConfig::on());
+        let per_thread = 10_000u64;
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for thread_id in [1, 2] {
+                let (obs, start) = (&obs, &start);
+                s.spawn(move || {
+                    let ctx = ctx_in_lane(thread_id);
+                    start.wait();
+                    for i in 0..per_thread {
+                        obs.record_op(&ctx, OpKind::Put, 100 + i);
+                    }
+                });
+            }
+        });
+        assert_eq!(obs.op_hists[1].lock().put.count(), per_thread);
+        assert_eq!(obs.op_hists[2].lock().put.count(), per_thread);
+        assert_eq!(obs.op_rollup().put.count(), 2 * per_thread);
+    }
+
+    #[test]
     fn spans_attribute_media_deltas_per_stage() {
-        let obs = Obs::new(ObsConfig::on(), 1);
+        let obs = Obs::new(ObsConfig::on());
         let dev = pmem_sim::MediaStats::default();
         let lane = dev.lane(&pmem_sim::ThreadCtx::with_default_cost());
         let span = obs.span_start(Stage::Flush, 1000, lane);

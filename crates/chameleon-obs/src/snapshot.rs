@@ -203,9 +203,10 @@ mod tests {
     use crate::{EventKind, ObsConfig};
 
     fn sample_obs() -> (Obs, MediaStats) {
-        let obs = Obs::new(ObsConfig::on(), 2);
+        let obs = Obs::new(ObsConfig::on());
         let dev = MediaStats::default();
-        let lane = dev.lane(&ThreadCtx::with_default_cost());
+        let ctx = ThreadCtx::with_default_cost();
+        let lane = dev.lane(&ctx);
         // Foreground traffic: 1000 logical / 2000 media.
         lane.logical_bytes_written
             .fetch_add(1000, Ordering::Relaxed);
@@ -223,9 +224,10 @@ mod tests {
                 media_bytes: 1000,
             },
         );
-        obs.record_op(0, OpKind::Put, 120);
-        obs.record_op(1, OpKind::Put, 480);
-        obs.record_op(0, OpKind::Get, 90);
+        let other = ThreadCtx::for_thread(std::sync::Arc::clone(&ctx.cost), ctx.thread_id + 1);
+        obs.record_op(&ctx, OpKind::Put, 120);
+        obs.record_op(&other, OpKind::Put, 480);
+        obs.record_op(&ctx, OpKind::Get, 90);
         (obs, dev)
     }
 

@@ -11,8 +11,8 @@
 //!   stamps), summarized by [`Tracer::stage_summaries`]; and
 //! * a bounded **ring of [`SpanRecord`]s** — complete per-request
 //!   decompositions, exportable as Chrome `trace_event` JSON via
-//!   [`chrome_trace_json`] or shipped over the wire with
-//!   [`encode_trace_payload`] / [`decode_trace_payload`].
+//!   [`chrome_trace_json`] or shipped over the wire as a [`TracePayload`]
+//!   in the binary TRACE response (`kvserver::proto`).
 //!
 //! Timestamps are **wall-clock nanoseconds** from a process-wide epoch
 //! ([`now_ns`]), not the simulated per-thread clocks: a span crosses
@@ -32,6 +32,7 @@ use parking_lot::Mutex;
 use pmem_sim::Histogram;
 
 use crate::event::Event;
+use crate::export::json_str;
 use crate::snapshot::CounterSection;
 
 /// Wall-clock nanoseconds since the first call in this process.
@@ -164,7 +165,7 @@ impl SpanRecord {
     }
 
     /// Sum of all stage durations (== `total_ns` for locally built
-    /// records; decoders use this to validate foreign ones).
+    /// records; consumers of received spans use this to validate them).
     pub fn stage_sum_ns(&self) -> u64 {
         self.stages.iter().map(|&(_, d)| d).sum()
     }
@@ -341,367 +342,33 @@ pub struct TraceEventRecord {
     pub labels: Vec<(String, String)>,
 }
 
-/// A decoded trace payload: span records plus a journal tail.
+impl From<&Event> for TraceEventRecord {
+    fn from(e: &Event) -> Self {
+        Self {
+            seq: e.seq,
+            ts: e.ts,
+            name: e.kind.name().to_string(),
+            fields: e
+                .kind
+                .fields()
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+            labels: e
+                .kind
+                .labels()
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+        }
+    }
+}
+
+/// A TRACE response's content: span records plus a journal tail.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TracePayload {
     pub spans: Vec<SpanRecord>,
     pub events: Vec<TraceEventRecord>,
-}
-
-fn esc(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-/// Serializes spans plus a journal tail as the TRACE response payload.
-/// The schema is fixed and self-contained so `repro trace-dump` can
-/// decode it with [`decode_trace_payload`] on the other side of the wire.
-pub fn encode_trace_payload(spans: &[SpanRecord], events: &[Event]) -> String {
-    let mut out = String::with_capacity(256 + spans.len() * 192 + events.len() * 96);
-    out.push_str("{\"spans\":[");
-    for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"id\":{},\"op\":\"", s.id));
-        esc(&mut out, &s.op);
-        out.push_str(&format!(
-            "\",\"key\":{},\"start_ns\":{},\"total_ns\":{},\"forced\":{},\"note\":\"",
-            s.key, s.start_ns, s.total_ns, s.forced
-        ));
-        esc(&mut out, &s.note);
-        out.push_str("\",\"stages\":[");
-        for (j, (name, dur)) in s.stages.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str("[\"");
-            esc(&mut out, name);
-            out.push_str(&format!("\",{dur}]"));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("],\"events\":[");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"seq\":{},\"ts\":{},\"name\":\"", e.seq, e.ts));
-        esc(&mut out, e.kind.name());
-        out.push_str("\",\"fields\":[");
-        for (j, (name, v)) in e.kind.fields().iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str("[\"");
-            esc(&mut out, name);
-            out.push_str(&format!("\",{v}]"));
-        }
-        out.push_str("],\"labels\":[");
-        for (j, (name, v)) in e.kind.labels().iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str("[\"");
-            esc(&mut out, name);
-            out.push_str("\",\"");
-            esc(&mut out, v);
-            out.push_str("\"]");
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Minimal recursive-descent JSON reader covering exactly the grammar
-/// [`encode_trace_payload`] emits (objects, arrays, strings, unsigned
-/// integers, booleans). Errors are strings, not panics.
-struct JsonReader<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-type JErr = String;
-
-impl<'a> JsonReader<'a> {
-    fn new(s: &'a str) -> Self {
-        Self {
-            b: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.b.len() && self.b[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, JErr> {
-        self.skip_ws();
-        self.b
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".into())
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), JErr> {
-        let got = self.peek()?;
-        if got != c {
-            return Err(format!(
-                "expected '{}' at byte {}, got '{}'",
-                c as char, self.pos, got as char
-            ));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    /// Consumes `c` if it is next; returns whether it did.
-    fn eat(&mut self, c: u8) -> bool {
-        if self.peek() == Ok(c) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JErr> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self
-                .b
-                .get(self.pos)
-                .ok_or_else(|| JErr::from("unterminated string"))?;
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let e = *self
-                        .b
-                        .get(self.pos)
-                        .ok_or_else(|| JErr::from("unterminated escape"))?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .b
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| JErr::from("short \\u escape"))?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape '\\{}'", other as char)),
-                    }
-                }
-                c if c < 0x20 => return Err("raw control byte in string".into()),
-                c => {
-                    // Re-assemble multi-byte UTF-8 sequences.
-                    if c < 0x80 {
-                        out.push(c as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let len = match c {
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            0xF0..=0xF7 => 4,
-                            _ => return Err("bad UTF-8 lead byte".into()),
-                        };
-                        let bytes = self
-                            .b
-                            .get(start..start + len)
-                            .ok_or_else(|| JErr::from("truncated UTF-8"))?;
-                        let s = std::str::from_utf8(bytes).map_err(|e| e.to_string())?;
-                        out.push_str(s);
-                        self.pos = start + len;
-                    }
-                }
-            }
-        }
-    }
-
-    fn u64(&mut self) -> Result<u64, JErr> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.b.len() && self.b[self.pos].is_ascii_digit() {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected number at byte {start}"));
-        }
-        std::str::from_utf8(&self.b[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e: std::num::ParseIntError| e.to_string())
-    }
-
-    fn bool(&mut self) -> Result<bool, JErr> {
-        self.skip_ws();
-        if self.b[self.pos..].starts_with(b"true") {
-            self.pos += 4;
-            Ok(true)
-        } else if self.b[self.pos..].starts_with(b"false") {
-            self.pos += 5;
-            Ok(false)
-        } else {
-            Err(format!("expected bool at byte {}", self.pos))
-        }
-    }
-
-    /// Parses `[` items `]` with `f` per item.
-    fn array<T>(
-        &mut self,
-        mut f: impl FnMut(&mut Self) -> Result<T, JErr>,
-    ) -> Result<Vec<T>, JErr> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.eat(b']') {
-            return Ok(out);
-        }
-        loop {
-            out.push(f(self)?);
-            if self.eat(b']') {
-                return Ok(out);
-            }
-            self.expect(b',')?;
-        }
-    }
-}
-
-/// Decodes a payload produced by [`encode_trace_payload`]. Strict about
-/// the schema (unknown keys are errors — both ends ship together).
-pub fn decode_trace_payload(text: &str) -> Result<TracePayload, String> {
-    let mut r = JsonReader::new(text);
-    let mut payload = TracePayload::default();
-    r.expect(b'{')?;
-    loop {
-        let key = r.string()?;
-        r.expect(b':')?;
-        match key.as_str() {
-            "spans" => {
-                payload.spans = r.array(|r| {
-                    let mut s = SpanRecord {
-                        id: 0,
-                        op: String::new(),
-                        key: 0,
-                        start_ns: 0,
-                        total_ns: 0,
-                        forced: false,
-                        note: String::new(),
-                        stages: Vec::new(),
-                    };
-                    r.expect(b'{')?;
-                    loop {
-                        let k = r.string()?;
-                        r.expect(b':')?;
-                        match k.as_str() {
-                            "id" => s.id = r.u64()?,
-                            "op" => s.op = r.string()?,
-                            "key" => s.key = r.u64()?,
-                            "start_ns" => s.start_ns = r.u64()?,
-                            "total_ns" => s.total_ns = r.u64()?,
-                            "forced" => s.forced = r.bool()?,
-                            "note" => s.note = r.string()?,
-                            "stages" => {
-                                s.stages = r.array(|r| {
-                                    r.expect(b'[')?;
-                                    let name = r.string()?;
-                                    r.expect(b',')?;
-                                    let dur = r.u64()?;
-                                    r.expect(b']')?;
-                                    Ok((name, dur))
-                                })?;
-                            }
-                            other => return Err(format!("unknown span key {other:?}")),
-                        }
-                        if r.eat(b'}') {
-                            return Ok(s);
-                        }
-                        r.expect(b',')?;
-                    }
-                })?;
-            }
-            "events" => {
-                payload.events = r.array(|r| {
-                    let mut e = TraceEventRecord {
-                        seq: 0,
-                        ts: 0,
-                        name: String::new(),
-                        fields: Vec::new(),
-                        labels: Vec::new(),
-                    };
-                    r.expect(b'{')?;
-                    loop {
-                        let k = r.string()?;
-                        r.expect(b':')?;
-                        match k.as_str() {
-                            "seq" => e.seq = r.u64()?,
-                            "ts" => e.ts = r.u64()?,
-                            "name" => e.name = r.string()?,
-                            "fields" => {
-                                e.fields = r.array(|r| {
-                                    r.expect(b'[')?;
-                                    let name = r.string()?;
-                                    r.expect(b',')?;
-                                    let v = r.u64()?;
-                                    r.expect(b']')?;
-                                    Ok((name, v))
-                                })?;
-                            }
-                            "labels" => {
-                                e.labels = r.array(|r| {
-                                    r.expect(b'[')?;
-                                    let name = r.string()?;
-                                    r.expect(b',')?;
-                                    let v = r.string()?;
-                                    r.expect(b']')?;
-                                    Ok((name, v))
-                                })?;
-                            }
-                            other => return Err(format!("unknown event key {other:?}")),
-                        }
-                        if r.eat(b'}') {
-                            return Ok(e);
-                        }
-                        r.expect(b',')?;
-                    }
-                })?;
-            }
-            other => return Err(format!("unknown payload key {other:?}")),
-        }
-        if r.eat(b'}') {
-            break;
-        }
-        r.expect(b',')?;
-    }
-    r.skip_ws();
-    if r.pos != r.b.len() {
-        return Err(format!("trailing bytes at {}", r.pos));
-    }
-    Ok(payload)
 }
 
 /// Renders a payload as Chrome `trace_event` JSON (load in
@@ -711,122 +378,65 @@ pub fn decode_trace_payload(text: &str) -> Result<TracePayload, String> {
 /// with an enclosing complete event for the whole request plus one
 /// complete event per stage. Journal events live on pid 2 ("engine
 /// simulated clock") — a *different time domain*, kept on a separate
-/// process track rather than pretending the clocks align. Write-stall
-/// exits carry their duration and render as complete events; everything
-/// else is an instant.
+/// process track rather than pretending the clocks align. Every journal
+/// event is an instant: a write stall's `stalled_ns` is wall time, so it
+/// rides in the event's args instead of drawing a bar on the simulated
+/// track.
 pub fn chrome_trace_json(payload: &TracePayload) -> String {
     let us = |ns: u64| ns as f64 / 1000.0;
-    let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |out: &mut String, ev: String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&ev);
-    };
-    push(
-        &mut out,
+    let mut events = vec![
         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
          \"args\":{\"name\":\"server wall clock\"}}"
-            .into(),
-    );
-    push(
-        &mut out,
+            .to_string(),
         "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\
          \"args\":{\"name\":\"engine simulated clock\"}}"
-            .into(),
-    );
+            .to_string(),
+    ];
     for s in &payload.spans {
-        let mut name = String::new();
-        esc(&mut name, &s.op);
-        let mut note = String::new();
-        esc(&mut note, &s.note);
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"{name}\",\"cat\":\"request\",\"ph\":\"X\",\"pid\":1,\
-                 \"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\
-                 \"args\":{{\"key\":{},\"span_id\":{},\"note\":\"{note}\"}}}}",
-                s.id,
-                us(s.start_ns),
-                us(s.total_ns),
-                s.key,
-                s.id,
-            ),
-        );
+        events.push(format!(
+            "{{\"name\":{},\"cat\":\"request\",\"ph\":\"X\",\"pid\":1,\
+             \"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\
+             \"args\":{{\"key\":{},\"span_id\":{},\"note\":{}}}}}",
+            json_str(&s.op),
+            s.id,
+            us(s.start_ns),
+            us(s.total_ns),
+            s.key,
+            s.id,
+            json_str(&s.note),
+        ));
         let mut at = s.start_ns;
         for (stage, dur) in &s.stages {
-            let mut sn = String::new();
-            esc(&mut sn, stage);
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"{sn}\",\"cat\":\"stage\",\"ph\":\"X\",\"pid\":1,\
-                     \"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{}}}}",
-                    s.id,
-                    us(at),
-                    us(*dur),
-                ),
-            );
-            at += dur;
+            events.push(format!(
+                "{{\"name\":{},\"cat\":\"stage\",\"ph\":\"X\",\"pid\":1,\
+                 \"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\"args\":{{}}}}",
+                json_str(stage),
+                s.id,
+                us(at),
+                us(*dur),
+            ));
+            at = at.saturating_add(*dur);
         }
     }
     for e in &payload.events {
-        let mut name = String::new();
-        esc(&mut name, &e.name);
-        let mut args = String::new();
-        for (k, v) in &e.fields {
-            if !args.is_empty() {
-                args.push(',');
-            }
-            args.push('"');
-            esc(&mut args, k);
-            args.push_str(&format!("\":{v}"));
-        }
-        for (k, v) in &e.labels {
-            if !args.is_empty() {
-                args.push(',');
-            }
-            args.push('"');
-            esc(&mut args, k);
-            args.push_str("\":\"");
-            esc(&mut args, v);
-            args.push('"');
-        }
-        let stall = e
-            .name
-            .as_str()
-            .eq("write_stall_exit")
-            .then(|| {
-                e.fields
-                    .iter()
-                    .find(|(k, _)| k == "stalled_ns")
-                    .map(|&(_, v)| v)
-            })
-            .flatten();
-        match stall {
-            Some(dur) => push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"journal\",\"ph\":\"X\",\"pid\":2,\
-                     \"tid\":1,\"ts\":{:.3},\"dur\":{:.3},\"args\":{{{args}}}}}",
-                    us(e.ts.saturating_sub(dur)),
-                    us(dur),
-                ),
-            ),
-            None => push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"{name}\",\"cat\":\"journal\",\"ph\":\"i\",\"pid\":2,\
-                     \"tid\":1,\"ts\":{:.3},\"s\":\"p\",\"args\":{{{args}}}}}",
-                    us(e.ts),
-                ),
-            ),
-        }
+        let fields = e.fields.iter().map(|(k, v)| format!("{}:{v}", json_str(k)));
+        let labels = e
+            .labels
+            .iter()
+            .map(|(k, v)| format!("{}:{}", json_str(k), json_str(v)));
+        let args: Vec<String> = fields.chain(labels).collect();
+        events.push(format!(
+            "{{\"name\":{},\"cat\":\"journal\",\"ph\":\"i\",\"pid\":2,\
+             \"tid\":1,\"ts\":{:.3},\"s\":\"p\",\"args\":{{{}}}}}",
+            json_str(&e.name),
+            us(e.ts),
+            args.join(","),
+        ));
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+    format!(
+        "{{\"traceEvents\":[{}],\"displayTimeUnit\":\"ms\"}}",
+        events.join(",")
+    )
 }
 
 #[cfg(test)]
@@ -932,75 +542,43 @@ mod tests {
     }
 
     #[test]
-    fn payload_round_trips_through_wire_json() {
-        let t = Tracer::new(TraceConfig::sampled(1));
-        let s = t.force("put", u64::MAX);
-        s.stamp_at("decode", s.start_ns + 3);
-        s.stamp_at("ack_write", s.start_ns + 9);
-        s.annotate("weird \"note\"\n\\tab");
-        t.complete(&s);
-        let events = vec![
-            Event {
-                seq: 0,
-                ts: 123,
-                kind: EventKind::ModeTransition {
-                    from: "normal",
-                    to: "write_intensive",
-                    trigger: "set_mode",
-                    p99_ns: 42,
-                },
-            },
-            Event {
+    fn event_records_carry_name_fields_and_labels() {
+        let rec = |kind| {
+            TraceEventRecord::from(&Event {
                 seq: 1,
                 ts: 456,
-                kind: EventKind::MemtableFlush {
-                    shard: 3,
-                    slots: 64,
-                    media_bytes: 4096,
-                },
-            },
-        ];
-        let spans = t.spans(16);
-        let text = encode_trace_payload(&spans, &events);
-        let back = decode_trace_payload(&text).expect("decode");
-        assert_eq!(back.spans, spans);
-        assert_eq!(back.events.len(), 2);
-        assert_eq!(back.events[0].name, "mode_transition");
+                kind,
+            })
+        };
+        let mode = rec(EventKind::ModeTransition {
+            from: "normal",
+            to: "write_intensive",
+            trigger: "set_mode",
+            p99_ns: 42,
+        });
+        assert_eq!((mode.seq, mode.ts), (1, 456));
+        assert_eq!(mode.name, "mode_transition");
         assert_eq!(
-            back.events[0].labels,
+            mode.labels,
             vec![
                 ("from".to_string(), "normal".to_string()),
                 ("to".to_string(), "write_intensive".to_string()),
                 ("trigger".to_string(), "set_mode".to_string()),
             ]
         );
+        let flush = rec(EventKind::MemtableFlush {
+            shard: 3,
+            slots: 64,
+            media_bytes: 4096,
+        });
         assert_eq!(
-            back.events[1].fields,
+            flush.fields,
             vec![
                 ("shard".to_string(), 3),
                 ("slots".to_string(), 64),
                 ("media_bytes".to_string(), 4096),
             ]
         );
-    }
-
-    #[test]
-    fn decode_rejects_garbage_and_truncation() {
-        assert!(decode_trace_payload("").is_err());
-        assert!(decode_trace_payload("not json").is_err());
-        assert!(decode_trace_payload("{\"spans\":[],\"events\":[]} x").is_err());
-        assert!(decode_trace_payload("{\"spans\":[{\"bogus\":1}],\"events\":[]}").is_err());
-        let ok = decode_trace_payload("{\"spans\":[],\"events\":[]}").unwrap();
-        assert!(ok.spans.is_empty() && ok.events.is_empty());
-        // Truncations of a valid payload never decode.
-        let t = Tracer::new(TraceConfig::sampled(1));
-        let s = t.force("get", 5);
-        s.stamp_at("decode", s.start_ns + 1);
-        t.complete(&s);
-        let text = encode_trace_payload(&t.spans(1), &[]);
-        for cut in 0..text.len() {
-            assert!(decode_trace_payload(&text[..cut]).is_err(), "cut {cut}");
-        }
     }
 
     #[test]
@@ -1013,27 +591,50 @@ mod tests {
                 start_ns: 1000,
                 total_ns: 300,
                 forced: true,
-                note: "".into(),
+                note: "weird \"note\"\n\\tab".into(),
                 stages: vec![("decode".into(), 100), ("ack_write".into(), 200)],
             }],
-            events: vec![TraceEventRecord {
-                seq: 0,
-                ts: 9_000,
-                name: "write_stall_exit".into(),
-                fields: vec![("shard".into(), 1), ("stalled_ns".into(), 4_000)],
-                labels: vec![],
-            }],
+            events: vec![
+                TraceEventRecord {
+                    seq: 0,
+                    ts: 9_000,
+                    name: "write_stall_exit".into(),
+                    fields: vec![("shard".into(), 1), ("stalled_ns".into(), 4_000)],
+                    labels: vec![],
+                },
+                TraceEventRecord {
+                    seq: 1,
+                    ts: 9_500,
+                    name: "mode_transition".into(),
+                    fields: vec![("p99_ns".into(), 7)],
+                    labels: vec![("to".into(), "get_protect".into())],
+                },
+            ],
         };
         let json = chrome_trace_json(&payload);
         assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.ends_with("}"));
+        assert!(json.ends_with("],\"displayTimeUnit\":\"ms\"}"));
         assert!(json.contains("\"name\":\"put\""));
         assert!(json.contains("\"name\":\"decode\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        // The stall renders as a complete event starting stalled_ns early.
-        assert!(json.contains("\"name\":\"write_stall_exit\""));
-        assert!(json.contains("\"ts\":5.000,\"dur\":4.000"));
+        assert!(json.contains("\"note\":\"weird \\\"note\\\"\\n\\\\tab\""));
         // Two process-name metadata records keep the clock domains apart.
         assert_eq!(json.matches("process_name").count(), 2);
+        // Every event on the simulated-clock track (pid 2) is an instant:
+        // a stall's wall-clock duration rides in its args, never as a bar.
+        let sim_track: Vec<&str> = json
+            .split("},{")
+            .filter(|ev| ev.contains("\"pid\":2") && !ev.contains("process_name"))
+            .collect();
+        assert_eq!(sim_track.len(), 2, "{json}");
+        for ev in &sim_track {
+            assert!(ev.contains("\"ph\":\"i\""), "not an instant: {ev}");
+            assert!(
+                !ev.contains("\"dur\""),
+                "duration on the simulated track: {ev}"
+            );
+        }
+        assert!(sim_track[0].contains("\"ts\":9.000,"));
+        assert!(sim_track[0].contains("\"args\":{\"shard\":1,\"stalled_ns\":4000}"));
+        assert!(sim_track[1].contains("\"args\":{\"p99_ns\":7,\"to\":\"get_protect\"}"));
     }
 }

@@ -266,7 +266,7 @@ impl StoreInner {
 
     /// Unified observability snapshot at simulated time `now` (callers
     /// pass `ctx.clock.now()`): store counters, mode state, device media
-    /// stats, per-stage write-amplification attribution, merged per-shard
+    /// stats, per-stage write-amplification attribution, merged per-lane
     /// op latency histograms, and the journal tail.
     pub fn obs_snapshot(&self, now: u64) -> ObsSnapshot {
         self.obs_snapshot_with(now, Vec::new())

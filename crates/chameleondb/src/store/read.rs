@@ -42,9 +42,7 @@ impl StoreInner {
         lane.scanned_keys
             .fetch_add(keys.len() as u64, Ordering::Relaxed);
         let elapsed = ctx.clock.now().saturating_sub(start);
-        // Cross-shard op; attribute the latency to the start key's shard.
-        self.obs
-            .record_op(self.shard_of(hash64(start_key)), OpKind::Scan, elapsed);
+        self.obs.record_op(ctx, OpKind::Scan, elapsed);
         self.obs.record_scan_keys(keys.len() as u64);
         Ok(keys)
     }
@@ -123,7 +121,7 @@ impl StoreInner {
         };
         drop(pin);
         let elapsed = ctx.clock.now() - start;
-        self.obs.record_op(shard_idx, OpKind::Get, elapsed);
+        self.obs.record_op(ctx, OpKind::Get, elapsed);
         if let Some(change) = self.mode.record_get_latency(elapsed) {
             let trigger = if change.to == Mode::GetProtect {
                 StoreMetrics::bump(&lane.gpm_entries);

@@ -245,7 +245,7 @@ impl StoreInner {
             })
             .collect();
         Self {
-            obs: Obs::new(cfg.obs, cfg.shards),
+            obs: Obs::new(cfg.obs),
             maint: Maint::new(cfg.shards),
             dev,
             cfg,

@@ -84,15 +84,14 @@ impl StoreInner {
         self.writer(ctx).lock().flush(ctx)
     }
 
-    /// Routes one put/delete to its shard; returns the shard index so
-    /// callers can attribute the op's latency sample.
+    /// Routes one put/delete to its shard.
     fn write_slot(
         &self,
         ctx: &mut ThreadCtx,
         key: u64,
         value: &[u8],
         tombstone: bool,
-    ) -> Result<usize> {
+    ) -> Result<()> {
         ctx.charge(ctx.cost.op_overhead_ns + ctx.cost.hash_ns);
         let hash = hash64(key);
         let shard_idx = self.shard_of(hash);
@@ -100,8 +99,7 @@ impl StoreInner {
         // Checked after the shard lock is released: the trigger itself is
         // pure reads (no fence on the put path); an actual pass runs on
         // the worker pool (or on this thread when there is none).
-        self.maybe_trigger_gc(ctx)?;
-        Ok(shard_idx)
+        self.maybe_trigger_gc(ctx)
     }
 
     /// The shared put/delete critical section (hash and routing already
@@ -210,12 +208,9 @@ impl StoreInner {
     pub(super) fn put(&self, ctx: &mut ThreadCtx, key: u64, value: &[u8]) -> Result<()> {
         StoreMetrics::bump(&self.metrics.lane(ctx).puts);
         let start = ctx.clock.now();
-        let shard_idx = self.write_slot(ctx, key, value, false)?;
-        self.obs.record_op(
-            shard_idx,
-            OpKind::Put,
-            ctx.clock.now().saturating_sub(start),
-        );
+        self.write_slot(ctx, key, value, false)?;
+        self.obs
+            .record_op(ctx, OpKind::Put, ctx.clock.now().saturating_sub(start));
         Ok(())
     }
 
@@ -238,11 +233,8 @@ impl StoreInner {
         };
         self.write_slot_hashed(ctx, hash, shard_idx, key, &[], true)?;
         self.maybe_trigger_gc(ctx)?;
-        self.obs.record_op(
-            shard_idx,
-            OpKind::Delete,
-            ctx.clock.now().saturating_sub(start),
-        );
+        self.obs
+            .record_op(ctx, OpKind::Delete, ctx.clock.now().saturating_sub(start));
         Ok(existed)
     }
 }

@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 
+use chameleon_obs::export::parse_prometheus;
 use chameleon_obs::{EventKind, ObsConfig};
 use chameleondb::{ChameleonConfig, ChameleonDb, GpmConfig, Mode};
 use kvapi::KvStore;
@@ -214,25 +215,22 @@ fn exporters_render_a_live_store() {
     assert!(json.contains("\"stages\""));
     assert!(json.contains("\"memtable_flush\"") || json.contains("\"mid_compaction\""));
 
-    let prom = snap.to_prometheus();
-    let mut samples = 0;
-    for line in prom.lines() {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (name_part, value) = line.rsplit_once(' ').expect("name value");
-        assert!(value.parse::<f64>().is_ok(), "bad value in {line}");
-        let metric = name_part.split('{').next().unwrap();
+    let samples = parse_prometheus(&snap.to_prometheus()).expect("strict parse");
+    for s in &samples {
         assert!(
-            metric.starts_with("chameleon_")
-                && metric
+            s.name.starts_with("chameleon_")
+                && s.name
                     .chars()
                     .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
-            "bad metric name in {line}"
+            "bad metric name {:?}",
+            s.name
         );
-        samples += 1;
     }
-    assert!(samples > 32, "expected a full exposition, got {samples}");
+    assert!(
+        samples.len() > 32,
+        "expected a full exposition, got {}",
+        samples.len()
+    );
 }
 
 #[test]

@@ -14,6 +14,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use chameleon_obs::export::{parse_prometheus, sample_value};
 use chameleon_obs::{ObsConfig, ServerObs};
 use chameleondb::{ChameleonConfig, ChameleonDb};
 use kvapi::KvStore;
@@ -49,15 +50,6 @@ fn start_server(
 
 fn value_for(key: u64) -> Vec<u8> {
     format!("value-{key:016x}").into_bytes()
-}
-
-/// Reads one `chameleon_<section>_<name>` gauge out of Prometheus text.
-fn gauge(prom: &str, metric: &str) -> u64 {
-    prom.lines()
-        .find(|l| l.starts_with(metric) && l.as_bytes().get(metric.len()) == Some(&b' '))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("gauge {metric} missing from STATS"))
 }
 
 fn frame_of_request(req: &Request) -> Vec<u8> {
@@ -316,14 +308,14 @@ fn wedged_client_is_shed_with_bounded_memory() {
 
     // The shed is counted, and no connection holds more than the cap in
     // queued response bytes.
-    let prom = setup.stats(StatsFormat::Prometheus).unwrap();
+    let prom = parse_prometheus(&setup.stats(StatsFormat::Prometheus).unwrap()).unwrap();
     assert!(
-        gauge(&prom, "chameleon_server_slow_consumer_disconnects") >= 1,
+        sample_value(&prom, "chameleon_server_slow_consumer_disconnects").unwrap() >= 1.0,
         "slow-consumer shed not counted"
     );
-    let queued = gauge(&prom, "chameleon_reactor_queued_bytes");
+    let queued = sample_value(&prom, "chameleon_reactor_queued_bytes").unwrap();
     assert!(
-        queued <= cap as u64,
+        queued <= cap as f64,
         "queued_bytes {queued} exceeds per-conn cap {cap} with one live conn"
     );
 
@@ -465,10 +457,8 @@ fn coalesced_wakeups_lose_none_under_cross_worker_acks() {
     }
 
     let mut control = Client::connect(addr).unwrap();
-    let wakeups = gauge(
-        &control.stats(StatsFormat::Prometheus).unwrap(),
-        "chameleon_reactor_wakeups",
-    );
+    let prom = parse_prometheus(&control.stats(StatsFormat::Prometheus).unwrap()).unwrap();
+    let wakeups = sample_value(&prom, "chameleon_reactor_wakeups").unwrap() as u64;
     let requests = CONNS * REQS;
     assert!(
         wakeups < requests / 2,
@@ -496,15 +486,13 @@ fn idle_reactor_polls_near_zero() {
     );
 
     let mut c = Client::connect(addr).unwrap();
-    let before = gauge(
-        &c.stats(StatsFormat::Prometheus).unwrap(),
-        "chameleon_reactor_polls",
-    );
+    let mut polls = || {
+        let prom = parse_prometheus(&c.stats(StatsFormat::Prometheus).unwrap()).unwrap();
+        sample_value(&prom, "chameleon_reactor_polls").unwrap() as u64
+    };
+    let before = polls();
     thread::sleep(Duration::from_millis(500));
-    let after = gauge(
-        &c.stats(StatsFormat::Prometheus).unwrap(),
-        "chameleon_reactor_polls",
-    );
+    let after = polls();
     // 4 workers × 500ms at the clamped 1s idle-poll timeout is ~4
     // timeout ticks plus the two STATS round-trips; a busy-poll loop
     // would show thousands.
@@ -567,10 +555,10 @@ fn slow_reader_with_queued_bytes_is_not_reaped() {
         }
     }
 
-    let prom = c.stats(StatsFormat::Prometheus).unwrap();
+    let prom = parse_prometheus(&c.stats(StatsFormat::Prometheus).unwrap()).unwrap();
     assert_eq!(
-        gauge(&prom, "chameleon_server_idle_disconnects"),
-        0,
+        sample_value(&prom, "chameleon_server_idle_disconnects"),
+        Some(0.0),
         "idle sweep reaped a connection with queued response bytes"
     );
     server.shutdown().unwrap();
@@ -603,9 +591,9 @@ fn idle_connection_times_out_and_is_reaped() {
     }
 
     let mut c = Client::connect(addr).unwrap();
-    let prom = c.stats(StatsFormat::Prometheus).unwrap();
+    let prom = parse_prometheus(&c.stats(StatsFormat::Prometheus).unwrap()).unwrap();
     assert!(
-        gauge(&prom, "chameleon_server_idle_disconnects") >= 1,
+        sample_value(&prom, "chameleon_server_idle_disconnects").unwrap() >= 1.0,
         "idle reap not counted"
     );
     server.shutdown().unwrap();

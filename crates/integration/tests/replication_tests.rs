@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use chameleon_obs::export::{parse_prometheus, sample_value};
 use chameleon_obs::{ObsConfig, ServerObs};
 use chameleondb::{BatchOp, ChameleonConfig, ChameleonDb};
 use kvclient::{Client, ReplicaReader, RetryPolicy, StatsFormat, WriteOutcome, MAX_SCAN_KEYS};
@@ -56,15 +57,6 @@ fn start_replica(primary: std::net::SocketAddr) -> Replica {
 
 fn value_for(key: u64) -> Vec<u8> {
     format!("repl-value-{key:016x}").into_bytes()
-}
-
-/// Reads one `chameleon_*` metric out of Prometheus text.
-fn gauge(prom: &str, metric: &str) -> u64 {
-    prom.lines()
-        .find(|l| l.starts_with(metric) && l.as_bytes().get(metric.len()) == Some(&b' '))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("metric {metric} missing from STATS"))
 }
 
 /// Tentpole: writes shipped from a primary are applied by a replica and
@@ -115,13 +107,16 @@ fn replica_ships_applies_and_serves_reads() {
     let floors = r.repl_floor().unwrap();
     assert_eq!(floors.applied, replica.applied());
     assert!(floors.shipped >= floors.applied);
-    let prom = r.stats(StatsFormat::Prometheus).unwrap();
-    assert_eq!(gauge(&prom, "chameleon_repl_applied"), floors.applied);
-    assert_eq!(gauge(&prom, "chameleon_repl_lag"), 0);
+    let prom = parse_prometheus(&r.stats(StatsFormat::Prometheus).unwrap()).unwrap();
+    assert_eq!(
+        sample_value(&prom, "chameleon_repl_applied"),
+        Some(floors.applied as f64)
+    );
+    assert_eq!(sample_value(&prom, "chameleon_repl_lag"), Some(0.0));
 
     // Primary-side: shipped floor exported through its hub section.
-    let prom = w.stats(StatsFormat::Prometheus).unwrap();
-    assert!(gauge(&prom, "chameleon_repl_shipped") >= shipped);
+    let prom = parse_prometheus(&w.stats(StatsFormat::Prometheus).unwrap()).unwrap();
+    assert!(sample_value(&prom, "chameleon_repl_shipped").unwrap() >= shipped as f64);
 
     replica.stop().unwrap();
     primary.shutdown().unwrap();
@@ -174,10 +169,10 @@ fn quorum_ack_withheld_until_replica_confirms_and_conn_not_reaped() {
     assert_eq!(r.get(9000).unwrap().as_deref(), Some(&b"quorum-gated"[..]));
 
     let mut probe = Client::connect(addr).unwrap();
-    let prom = probe.stats(StatsFormat::Prometheus).unwrap();
+    let prom = parse_prometheus(&probe.stats(StatsFormat::Prometheus).unwrap()).unwrap();
     assert_eq!(
-        gauge(&prom, "chameleon_server_idle_disconnects"),
-        0,
+        sample_value(&prom, "chameleon_server_idle_disconnects"),
+        Some(0.0),
         "idle sweep reaped a connection with a withheld ack"
     );
 

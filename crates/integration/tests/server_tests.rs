@@ -13,6 +13,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
+use chameleon_obs::export::{parse_prometheus, sample_value};
 use chameleon_obs::{ObsConfig, ServerObs};
 use chameleondb::{BatchOp, ChameleonConfig, ChameleonDb};
 use kvapi::KvStore;
@@ -542,13 +543,9 @@ fn stats_command_exports_store_and_server_sections() {
         assert!(json.contains(key), "json snapshot missing {key}");
     }
     // The 32 durable puts above were all acked, hence all batched.
-    let batched: u64 = prom
-        .lines()
-        .find(|l| l.starts_with("chameleon_server_batched_ops "))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .expect("batched_ops gauge present");
-    assert!(batched >= 32, "expected >= 32 batched ops, got {batched}");
+    let samples = parse_prometheus(&prom).expect("valid Prometheus exposition");
+    let batched = sample_value(&samples, "chameleon_server_batched_ops").expect("batched_ops");
+    assert!(batched >= 32.0, "expected >= 32 batched ops, got {batched}");
 
     server.shutdown().unwrap();
 }

@@ -6,7 +6,6 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use chameleon_obs::trace::decode_trace_payload;
 use chameleon_obs::{EventKind, ObsConfig, ServerObs, TraceConfig};
 use chameleondb::{ChameleonConfig, ChameleonDb};
 use kvapi::KvStore;
@@ -87,7 +86,7 @@ fn forced_put_span_stages_account_for_span_total() {
     }
     c.sync().unwrap();
 
-    let payload = decode_trace_payload(&c.trace(64).unwrap()).expect("decode payload");
+    let payload = c.trace(64).unwrap();
     let puts: Vec<_> = payload.spans.iter().filter(|s| s.op == "put").collect();
     assert!(!puts.is_empty(), "forced puts must record spans");
 

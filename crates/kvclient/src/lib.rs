@@ -15,7 +15,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use kvserver::proto::{decode_response, encode_request, read_frame, write_frame};
-pub use kvserver::proto::{ModeArg, Request, Response, StatsFormat, MAX_SCAN_KEYS};
+pub use kvserver::proto::{ModeArg, Request, Response, StatsFormat, TracePayload, MAX_SCAN_KEYS};
 use pmem_sim::Histogram;
 
 pub mod openloop;
@@ -431,13 +431,12 @@ impl Client {
         }
     }
 
-    /// Fetches up to `max` retained trace spans plus the recent journal
-    /// tail as the wire trace payload (JSON text; parse with
-    /// `chameleon_obs::trace::decode_trace_payload`).
-    pub fn trace(&mut self, max: u32) -> io::Result<String> {
+    /// Fetches up to `max` retained trace spans, oldest first, plus the
+    /// recent journal tail, decoded from the binary TRACE response.
+    pub fn trace(&mut self, max: u32) -> io::Result<TracePayload> {
         let id = self.send(Request::Trace { req_id: 0, max })?;
         match self.recv_for(id)? {
-            Response::Trace { text, .. } => Ok(text),
+            Response::Trace { spans, events, .. } => Ok(TracePayload { spans, events }),
             Response::Err { message, .. } => Err(server_err(message)),
             other => Err(bad_data(unexpected(&other))),
         }

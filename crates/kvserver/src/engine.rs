@@ -78,7 +78,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use chameleon_obs::trace::encode_trace_payload;
+use chameleon_obs::trace::TraceEventRecord;
 use chameleon_obs::{
     DeltaTracker, ObsSnapshot, ServerObs, ServerTickCounters, TraceConfig, TraceSpan, Tracer,
     WindowedSeries,
@@ -725,8 +725,15 @@ pub(crate) fn handle_request(
             ServerObs::bump(&obs.trace_reqs);
             let spans = sh.tracer.spans(max as usize);
             let events = sh.store.obs().journal().tail(64);
-            let text = encode_trace_payload(&spans, &events);
-            reply.send(&Response::Trace { req_id, text }, None);
+            let events = events.iter().map(TraceEventRecord::from).collect();
+            reply.send(
+                &Response::Trace {
+                    req_id,
+                    spans,
+                    events,
+                },
+                None,
+            );
         }
         Request::Scan {
             req_id,

@@ -26,17 +26,22 @@
 //!   VALUE     (0x01) := vlen:u32 value[vlen]
 //!   NOT_FOUND (0x02) :=
 //!   DELETED   (0x03) :=
-//!   STATS     (0x04) := len:u32 text[len]
+//!   STATS     (0x04) := text:str
 //!   MODE      (0x05) := mode:u8
 //!   RETRY     (0x06) :=                 (commit queue full; resubmit)
-//!   ERR       (0x07) := len:u32 utf8[len]
-//!   TRACE     (0x08) := len:u32 text[len]   (trace-payload JSON)
+//!   ERR       (0x07) := message:str
+//!   TRACE     (0x08) := count:u32 span * count  count:u32 event * count
+//!     span  := id:u64 op:str key:u64 start_ns:u64 total_ns:u64 forced:u8
+//!              note:str count:u32 (stage:str dur_ns:u64) * count
+//!     event := seq:u64 ts:u64 name:str count:u32 (field:str value:u64) * count
+//!              count:u32 (label:str value:str) * count
 //!   KEYS      (0x09) := count:u32 key:u64 * count   (ascending live keys)
 //!   REPL_BATCH (0x0A) := ship:u64 count:u32 op * count
 //!     op := key:u64 opflags:u8 [vlen:u32 value[vlen]]
 //!                                        (opflags bit 0 = tombstone; no
 //!                                         value field when set)
 //!   REPL_FLOOR (0x0B) := sub_id:u64 shipped:u64 acked:u64 applied:u64
+//! str := len:u32 utf8[len]
 //! ```
 //!
 //! Replication frames ride the same connection machinery: a replica
@@ -61,6 +66,8 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+
+pub use chameleon_obs::trace::{SpanRecord, TraceEventRecord, TracePayload};
 
 /// Largest accepted value, in bytes.
 pub const MAX_VALUE: usize = 1 << 20;
@@ -137,8 +144,8 @@ pub enum Request {
         req_id: u64,
         arg: ModeArg,
     },
-    /// Fetch the newest `max` completed trace spans plus a journal tail,
-    /// as trace-payload JSON (see `chameleon_obs::trace`).
+    /// Fetch the newest `max` completed trace spans plus a journal tail
+    /// (see `chameleon_obs::trace`).
     Trace {
         req_id: u64,
         max: u32,
@@ -215,10 +222,11 @@ pub enum Response {
         req_id: u64,
         message: String,
     },
-    /// Trace-payload JSON (spans + journal tail).
+    /// Completed trace spans plus the journal tail.
     Trace {
         req_id: u64,
-        text: String,
+        spans: Vec<SpanRecord>,
+        events: Vec<TraceEventRecord>,
     },
     /// SCAN result: live keys, ascending.
     Keys {
@@ -349,6 +357,28 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
+    /// A `str` field: `len:u32` then that many bytes of UTF-8.
+    fn str(&mut self) -> Result<String, ProtoError> {
+        let len = self.u32()? as usize;
+        std::str::from_utf8(self.bytes(len)?)
+            .map(str::to_owned)
+            .map_err(|_| ProtoError("text not utf-8"))
+    }
+
+    /// A `count:u32` list of `item`s. Every item takes at least one byte,
+    /// so a count above the bytes left is refused before anything is
+    /// reserved for it.
+    fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, ProtoError>,
+    ) -> Result<Vec<T>, ProtoError> {
+        let count = self.u32()? as usize;
+        if count > self.buf.len() - self.pos {
+            return Err(ProtoError("list longer than frame"));
+        }
+        (0..count).map(|_| item(self)).collect()
+    }
+
     fn finish(self) -> Result<(), ProtoError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -367,6 +397,20 @@ fn decode_flags(flags: u8) -> Result<(bool, bool), ProtoError> {
 
 fn encode_flags(durable: bool, traced: bool) -> u8 {
     (if durable { FLAG_DURABLE } else { 0 }) | (if traced { FLAG_TRACE } else { 0 })
+}
+
+/// Writes a `str` field, the inverse of `Cursor::str`.
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Writes a `count:u32` list, the inverse of `Cursor::list`.
+fn put_list<T>(out: &mut Vec<u8>, items: &[T], mut item: impl FnMut(&mut Vec<u8>, &T)) {
+    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+    for it in items {
+        item(out, it);
+    }
 }
 
 /// Decodes one request payload (the bytes after the length prefix).
@@ -567,16 +611,10 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
         }
         ST_NOT_FOUND => Response::NotFound { req_id },
         ST_DELETED => Response::Deleted { req_id },
-        ST_STATS => {
-            let len = c.u32()? as usize;
-            if len > MAX_FRAME {
-                return Err(ProtoError("stats text too large"));
-            }
-            let text = std::str::from_utf8(c.bytes(len)?)
-                .map_err(|_| ProtoError("stats text not utf-8"))?
-                .to_owned();
-            Response::Stats { req_id, text }
-        }
+        ST_STATS => Response::Stats {
+            req_id,
+            text: c.str()?,
+        },
         ST_MODE => {
             let write_intensive = match c.u8()? {
                 0 => false,
@@ -589,26 +627,38 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
             }
         }
         ST_RETRY => Response::Retry { req_id },
-        ST_ERR => {
-            let len = c.u32()? as usize;
-            if len > MAX_FRAME {
-                return Err(ProtoError("error text too large"));
-            }
-            let message = std::str::from_utf8(c.bytes(len)?)
-                .map_err(|_| ProtoError("error text not utf-8"))?
-                .to_owned();
-            Response::Err { req_id, message }
-        }
-        ST_TRACE => {
-            let len = c.u32()? as usize;
-            if len > MAX_FRAME {
-                return Err(ProtoError("trace text too large"));
-            }
-            let text = std::str::from_utf8(c.bytes(len)?)
-                .map_err(|_| ProtoError("trace text not utf-8"))?
-                .to_owned();
-            Response::Trace { req_id, text }
-        }
+        ST_ERR => Response::Err {
+            req_id,
+            message: c.str()?,
+        },
+        ST_TRACE => Response::Trace {
+            req_id,
+            spans: c.list(|c| {
+                Ok(SpanRecord {
+                    id: c.u64()?,
+                    op: c.str()?,
+                    key: c.u64()?,
+                    start_ns: c.u64()?,
+                    total_ns: c.u64()?,
+                    forced: match c.u8()? {
+                        0 => false,
+                        1 => true,
+                        _ => return Err(ProtoError("bad span forced flag")),
+                    },
+                    note: c.str()?,
+                    stages: c.list(|c| Ok((c.str()?, c.u64()?)))?,
+                })
+            })?,
+            events: c.list(|c| {
+                Ok(TraceEventRecord {
+                    seq: c.u64()?,
+                    ts: c.u64()?,
+                    name: c.str()?,
+                    fields: c.list(|c| Ok((c.str()?, c.u64()?)))?,
+                    labels: c.list(|c| Ok((c.str()?, c.str()?)))?,
+                })
+            })?,
+        },
         ST_KEYS => {
             let count = c.u32()? as usize;
             if count > MAX_SCAN_KEYS {
@@ -684,8 +734,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Stats { req_id, text } => {
             out.push(ST_STATS);
             out.extend_from_slice(&req_id.to_le_bytes());
-            out.extend_from_slice(&(text.len() as u32).to_le_bytes());
-            out.extend_from_slice(text.as_bytes());
+            put_str(&mut out, text);
         }
         Response::Mode {
             req_id,
@@ -702,14 +751,41 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Err { req_id, message } => {
             out.push(ST_ERR);
             out.extend_from_slice(&req_id.to_le_bytes());
-            out.extend_from_slice(&(message.len() as u32).to_le_bytes());
-            out.extend_from_slice(message.as_bytes());
+            put_str(&mut out, message);
         }
-        Response::Trace { req_id, text } => {
+        Response::Trace {
+            req_id,
+            spans,
+            events,
+        } => {
             out.push(ST_TRACE);
             out.extend_from_slice(&req_id.to_le_bytes());
-            out.extend_from_slice(&(text.len() as u32).to_le_bytes());
-            out.extend_from_slice(text.as_bytes());
+            put_list(&mut out, spans, |out, s| {
+                out.extend_from_slice(&s.id.to_le_bytes());
+                put_str(out, &s.op);
+                out.extend_from_slice(&s.key.to_le_bytes());
+                out.extend_from_slice(&s.start_ns.to_le_bytes());
+                out.extend_from_slice(&s.total_ns.to_le_bytes());
+                out.push(u8::from(s.forced));
+                put_str(out, &s.note);
+                put_list(out, &s.stages, |out, (name, dur)| {
+                    put_str(out, name);
+                    out.extend_from_slice(&dur.to_le_bytes());
+                });
+            });
+            put_list(&mut out, events, |out, e| {
+                out.extend_from_slice(&e.seq.to_le_bytes());
+                out.extend_from_slice(&e.ts.to_le_bytes());
+                put_str(out, &e.name);
+                put_list(out, &e.fields, |out, (name, v)| {
+                    put_str(out, name);
+                    out.extend_from_slice(&v.to_le_bytes());
+                });
+                put_list(out, &e.labels, |out, (name, v)| {
+                    put_str(out, name);
+                    put_str(out, v);
+                });
+            });
         }
         Response::Keys { req_id, keys } => {
             debug_assert!(keys.len() <= MAX_SCAN_KEYS);
@@ -879,7 +955,8 @@ mod tests {
             },
             Response::Trace {
                 req_id: 9,
-                text: "{\"spans\":[],\"events\":[]}".to_owned(),
+                spans: Vec::new(),
+                events: Vec::new(),
             },
             Response::Keys {
                 req_id: 10,
@@ -1064,6 +1141,31 @@ mod tests {
         let mut padded = wire.clone();
         padded.push(0);
         assert!(decode_response(&padded).is_err());
+    }
+
+    #[test]
+    fn trace_counts_beyond_the_frame_are_refused_before_reserving() {
+        // A span count of u32::MAX with nothing behind it.
+        let mut wire = vec![ST_TRACE];
+        wire.extend_from_slice(&1u64.to_le_bytes());
+        wire.extend_from_slice(&u32::MAX.to_le_bytes());
+        let refused = Err(ProtoError("list longer than frame"));
+        assert_eq!(decode_response(&wire), refused);
+
+        // One span whose stage count claims far more than the bytes left.
+        let mut wire = vec![ST_TRACE];
+        wire.extend_from_slice(&1u64.to_le_bytes());
+        wire.extend_from_slice(&1u32.to_le_bytes());
+        wire.extend_from_slice(&7u64.to_le_bytes());
+        put_str(&mut wire, "put");
+        wire.extend_from_slice(&[0; 24]);
+        wire.push(1);
+        put_str(&mut wire, "");
+        wire.extend_from_slice(&(u32::MAX - 1).to_le_bytes());
+        put_str(&mut wire, "decode");
+        wire.extend_from_slice(&5u64.to_le_bytes());
+        wire.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(decode_response(&wire), refused);
     }
 
     #[test]

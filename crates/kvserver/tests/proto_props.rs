@@ -5,7 +5,8 @@
 
 use kvserver::proto::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    ModeArg, RepOp, Request, Response, StatsFormat, MAX_FRAME, MAX_SCAN_KEYS,
+    ModeArg, RepOp, Request, Response, SpanRecord, StatsFormat, TraceEventRecord, MAX_FRAME,
+    MAX_SCAN_KEYS,
 };
 use proptest::prelude::*;
 
@@ -91,6 +92,63 @@ fn make_rep_ops(value: &[u8]) -> Vec<RepOp> {
         .collect()
 }
 
+/// A TRACE string: one of the awkward cases (empty, quote, backslash,
+/// control bytes, multi-byte UTF-8), a pair of them, or a lossy slice of
+/// the raw draw, chosen by one byte.
+fn make_str(b: u8, draw: &[u8]) -> String {
+    const AWKWARD: [&str; 6] = ["", "\"", "\\", "\u{0}\u{1f}\n\t\r", "é漢🦀", "put"];
+    let pick = |i: usize| AWKWARD[i % AWKWARD.len()];
+    match b % 8 {
+        i @ 0..=5 => pick(usize::from(i)).to_owned(),
+        6 => String::from_utf8_lossy(&draw[..usize::from(b / 8).min(draw.len())]).into_owned(),
+        _ => format!("{}{}", pick(usize::from(b / 8)), pick(usize::from(b / 48))),
+    }
+}
+
+/// A TRACE response distilled from the raw draw: 0-4 spans of 0-6
+/// stages each, and 0-4 events with 0-3 fields and 0-3 labels, every
+/// count, flag and string read off successive draw bytes.
+fn make_trace(req_id: u64, draw: &[u8]) -> Response {
+    let mut at = 0usize;
+    let mut byte = || {
+        at += 1;
+        draw.get(at % draw.len().max(1)).copied().unwrap_or(0)
+    };
+    let word = |b: u8| u64::from(b).wrapping_mul(0x0101_0101_0101_0101) ^ req_id;
+    let spans = (0..byte() % 5)
+        .map(|_| SpanRecord {
+            id: word(byte()),
+            op: make_str(byte(), draw),
+            key: word(byte()).rotate_left(7),
+            start_ns: word(byte()),
+            total_ns: word(byte()) >> 3,
+            forced: byte() & 1 == 1,
+            note: make_str(byte(), draw),
+            stages: (0..byte() % 7)
+                .map(|_| (make_str(byte(), draw), word(byte())))
+                .collect(),
+        })
+        .collect();
+    let events = (0..byte() % 5)
+        .map(|_| TraceEventRecord {
+            seq: word(byte()),
+            ts: word(byte()).rotate_left(29),
+            name: make_str(byte(), draw),
+            fields: (0..byte() % 4)
+                .map(|_| (make_str(byte(), draw), word(byte())))
+                .collect(),
+            labels: (0..byte() % 4)
+                .map(|_| (make_str(byte(), draw), make_str(byte(), draw)))
+                .collect(),
+        })
+        .collect();
+    Response::Trace {
+        req_id,
+        spans,
+        events,
+    }
+}
+
 fn make_response(disc: u8, req_id: u64, value: Vec<u8>, flag: bool) -> Response {
     let text = || String::from_utf8_lossy(&value).into_owned();
     match disc % 12 {
@@ -111,10 +169,7 @@ fn make_response(disc: u8, req_id: u64, value: Vec<u8>, flag: bool) -> Response 
             req_id,
             message: text(),
         },
-        8 => Response::Trace {
-            req_id,
-            text: text(),
-        },
+        8 => make_trace(req_id, &value),
         // Key list distilled from the value draw: 8-byte LE chunks,
         // naturally bounded far below MAX_SCAN_KEYS by the draw size.
         9 => Response::Keys {
@@ -190,10 +245,11 @@ proptest! {
         prop_assert!(decode_request(&padded).is_err());
     }
 
-    /// Replication frames torn at any byte are rejected, and padding a
-    /// valid REPL_BATCH / REPL_FLOOR is rejected — the batch decoder's
-    /// per-op walk must notice a cut inside a key, a flag byte, a vlen,
-    /// or a value body, never return a shorter batch.
+    /// Replication and TRACE frames torn at any byte are rejected, and
+    /// padding a valid REPL_BATCH / REPL_FLOOR / TRACE is rejected — the
+    /// list decoders' per-item walks must notice a cut inside a key, a
+    /// flag byte, a length, a string or a value body, never return a
+    /// shorter list.
     #[test]
     fn truncated_and_padded_repl_responses_error(
         disc: u8,
@@ -201,7 +257,7 @@ proptest! {
         value in proptest::collection::vec(0u8..255, 0..256),
         pad: u8,
     ) {
-        let resp = make_response(10 + (disc % 2), req_id, value, false);
+        let resp = make_response([8, 10, 11][usize::from(disc % 3)], req_id, value, false);
         let wire = encode_response(&resp);
         for cut in 0..wire.len() {
             prop_assert!(decode_response(&wire[..cut]).is_err());

@@ -139,7 +139,7 @@ impl Histogram {
     /// Merges another histogram into this one. Count, sum, min, max, and
     /// every bucket accumulate, so quantiles of the merged histogram
     /// equal quantiles of the concatenated sample streams (used for
-    /// per-shard → store-level latency rollups). `sum` saturates, same
+    /// per-lane → store-level latency rollups). `sum` saturates, same
     /// as [`Histogram::record`].
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
@@ -322,7 +322,7 @@ mod tests {
     fn merge_preserves_min_max_sum_and_quantiles() {
         // The merged histogram must be indistinguishable from one that
         // recorded both sample streams directly — this is what makes the
-        // per-shard → store-level latency rollup sound.
+        // per-lane → store-level latency rollup sound.
         let mut merged = Histogram::new();
         let mut direct = Histogram::new();
         let mut parts = Vec::new();
