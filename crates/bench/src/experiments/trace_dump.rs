@@ -3,13 +3,15 @@
 //! TRACE request, validates it, and exports Chrome `trace_event` JSON.
 //!
 //! Doubles as the CI trace smoke: it asserts at least one well-formed
-//! span whose stage durations sum to no more than the span total, and
-//! (when `--http-port` is given) that the metrics sidecar serves valid
-//! Prometheus exposition including the trace-stage series.
+//! span whose stage durations sum to no more than the span total, at
+//! least one journal event (a mode round trip guarantees one, so the
+//! Chrome export's engine track is never empty), and (when `--http-port`
+//! is given) that the metrics sidecar serves valid Prometheus exposition
+//! including the trace-stage series.
 
 use chameleon_obs::export::parse_prometheus;
 use chameleon_obs::trace::chrome_trace_json;
-use kvclient::Client;
+use kvclient::{Client, ModeArg};
 
 use crate::util::{header, http_get, Opts};
 
@@ -45,6 +47,11 @@ pub fn run(opts: &Opts) {
         }
     }
     c.sync().expect("sync");
+    // A Write-Intensive round trip journals its mode transitions, so the
+    // payload carries engine events even when the puts flushed nothing.
+    c.mode(ModeArg::WriteIntensive)
+        .expect("MODE write-intensive");
+    c.mode(ModeArg::Normal).expect("MODE normal");
 
     let payload = c.trace(512).expect("TRACE request");
     println!(
@@ -55,6 +62,10 @@ pub fn run(opts: &Opts) {
     assert!(
         !payload.spans.is_empty(),
         "trace-dump: server returned no spans"
+    );
+    assert!(
+        !payload.events.is_empty(),
+        "trace-dump: server returned no journal events after a mode round trip"
     );
 
     let mut full_write_spans = 0usize;
@@ -97,7 +108,12 @@ pub fn run(opts: &Opts) {
         let dir = dir.join("pr6_tracing");
         std::fs::create_dir_all(&dir).expect("create results dir");
         let chrome = dir.join("trace_chrome.json");
-        std::fs::write(&chrome, chrome_trace_json(&payload)).expect("write chrome trace");
+        let json = chrome_trace_json(&payload);
+        assert!(
+            json.contains("\"cat\":\"journal\",\"ph\":\"i\",\"pid\":2"),
+            "Chrome trace has no journal instant on the engine track (pid 2)"
+        );
+        std::fs::write(&chrome, json).expect("write chrome trace");
         println!(
             "  [artifact] {} (load in chrome://tracing)",
             chrome.display()

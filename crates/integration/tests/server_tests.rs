@@ -111,6 +111,127 @@ fn pipelined_requests_on_one_connection_all_complete() {
     server.shutdown().unwrap();
 }
 
+/// The client flushes its write buffer only before a read that could
+/// block. With eight requests in flight over 10 k mixed puts and gets,
+/// a request left unflushed would stall the window; the read timeout
+/// turns that stall into a failure instead of a hang. Every answer is
+/// checked against what the sliding window has already seen acked.
+#[test]
+fn client_pipelining_eight_in_flight_flushes_before_blocking() {
+    const OPS: u64 = 10_000;
+    const WINDOW: usize = 8;
+    let dev = PmemDevice::optane(256 << 20);
+    let store = Arc::new(ChameleonDb::create(Arc::clone(&dev), test_store_config()).unwrap());
+    let (server, addr) = start_server(&dev, &store, ServerConfig::default());
+    let mut c = Client::connect(addr).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+
+    // Op 2j puts key j; op 2j+1 gets key j-4, whose put (op 2j-8) left
+    // the window before this get was sent, so it must be visible.
+    // The first four gets read keys nobody writes.
+    let mut window = std::collections::VecDeque::with_capacity(WINDOW);
+    for op in 0..OPS {
+        if window.len() == WINDOW {
+            let (id, want): (u64, Option<Option<Vec<u8>>>) = window.pop_front().unwrap();
+            check_answer(c.recv_for(id).unwrap(), want);
+        }
+        let j = op / 2;
+        if op % 2 == 0 {
+            window.push_back((c.send_put(j, &value_for(j), true).unwrap(), None));
+        } else {
+            let (key, want) = match j.checked_sub(4) {
+                Some(k) => (k, Some(value_for(k))),
+                None => (u64::MAX - j, None),
+            };
+            window.push_back((
+                c.send(kvclient::Request::Get { req_id: 0, key }).unwrap(),
+                Some(want),
+            ));
+        }
+    }
+    for (id, want) in window {
+        check_answer(c.recv_for(id).unwrap(), want);
+    }
+    server.shutdown().unwrap();
+}
+
+/// `want` is `None` for a put (expects OK) or `Some(value)` for a get.
+fn check_answer(resp: kvclient::Response, want: Option<Option<Vec<u8>>>) {
+    match (resp, want) {
+        (kvclient::Response::Ok { .. }, None) => {}
+        (kvclient::Response::Value { value, .. }, Some(Some(v))) => assert_eq!(value, v),
+        (kvclient::Response::NotFound { .. }, Some(None)) => {}
+        (other, want) => panic!("answer {other:?} does not match {want:?}"),
+    }
+}
+
+/// `recv_for` stashes replies that are already sitting in the read
+/// buffer, and a request sent while they are buffered still reaches the
+/// server before the client blocks on its answer. A blocking `put` after
+/// abandoned request ids skips their replies and still gets its own. The
+/// "server" is a bare socket that answers the first eight gets in one
+/// write, so the client's first read buffers all eight replies.
+#[test]
+fn recv_for_stashes_buffered_replies_and_still_flushes() {
+    use kvserver::proto::{
+        decode_request, encode_response, read_frame, write_frame, Request, Response,
+    };
+
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let scripted = thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let answer = |payload: Vec<u8>| match decode_request(&payload).unwrap() {
+            Request::Get { req_id, key } => Response::Value {
+                req_id,
+                value: value_for(key),
+            },
+            Request::Put { req_id, .. } => Response::Ok { req_id },
+            other => panic!("unexpected request {other:?}"),
+        };
+        let mut burst = Vec::new();
+        for _ in 0..8 {
+            let payload = read_frame(&mut reader).unwrap().unwrap();
+            write_frame(&mut burst, &encode_response(&answer(payload))).unwrap();
+        }
+        std::io::Write::write_all(&mut writer, &burst).unwrap();
+        let mut answered = 8;
+        while let Ok(Some(payload)) = read_frame(&mut reader) {
+            write_frame(&mut writer, &encode_response(&answer(payload))).unwrap();
+            answered += 1;
+        }
+        answered
+    });
+
+    let mut c = Client::connect(addr).unwrap();
+    c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let get = |c: &mut Client, key| c.send(kvclient::Request::Get { req_id: 0, key }).unwrap();
+    let ids: Vec<u64> = (0..8u64).map(|key| get(&mut c, key)).collect();
+    check_answer(c.recv_for(ids[0]).unwrap(), Some(Some(value_for(0))));
+    // The put sits in the write buffer while seven replies are buffered:
+    // recv_for stashes them without a flush, then must flush before the
+    // read that waits for the put's ack.
+    let put_id = c.send_put(100, &value_for(100), true).unwrap();
+    check_answer(c.recv_for(put_id).unwrap(), None);
+    for (key, id) in ids.iter().enumerate().skip(1) {
+        check_answer(c.recv_for(*id).unwrap(), Some(Some(value_for(key as u64))));
+    }
+
+    // Abandoned ids: their replies are stashed and never claimed.
+    for key in 0..5u64 {
+        get(&mut c, key);
+    }
+    assert_eq!(
+        c.put(101, &value_for(101), true).unwrap(),
+        WriteOutcome::Done { existed: true }
+    );
+    assert_eq!(c.get(101).unwrap(), Some(value_for(101)));
+    drop(c);
+    assert_eq!(scripted.join().unwrap(), 16, "every request answered once");
+}
+
 /// Satellite: N concurrent clients issue durable puts; after an
 /// arbitrary ack the device crashes. Every write acked before the crash
 /// snapshot must survive recovery.

@@ -187,14 +187,24 @@ impl Client {
         Ok(id)
     }
 
-    /// Flushes buffered outgoing frames to the socket.
+    /// Flushes buffered outgoing frames to the socket. Requests sent with
+    /// [`Client::send`] sit in the write buffer until this, until the
+    /// buffer fills, or until a receive would have to wait on the socket
+    /// (see [`Client::recv_any`]).
     pub fn flush(&mut self) -> io::Result<()> {
         self.writer.flush()
     }
 
     /// Reads the next response off the wire, whatever its id.
+    ///
+    /// The write buffer is flushed only when the read buffer does not
+    /// already hold a whole response frame, that is, always before the
+    /// read could block. Requests sent while already-buffered replies are
+    /// drained therefore leave together in one write, not one each.
     pub fn recv_any(&mut self) -> io::Result<Response> {
-        self.flush()?;
+        if !holds_whole_frame(self.reader.buffer()) {
+            self.flush()?;
+        }
         let payload = read_frame(&mut self.reader)?
             .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
         decode_response(&payload).map_err(|e| bad_data(e.0))
@@ -569,6 +579,15 @@ impl ReplicaReader {
     /// Direct access to the primary connection.
     pub fn primary(&mut self) -> &mut Client {
         &mut self.primary
+    }
+}
+
+/// Whether `buf` starts with a complete frame: a 4-byte length prefix
+/// and at least that many payload bytes.
+fn holds_whole_frame(buf: &[u8]) -> bool {
+    match buf.split_first_chunk::<4>() {
+        Some((len, rest)) => rest.len() >= u32::from_le_bytes(*len) as usize,
+        None => false,
     }
 }
 

@@ -8,10 +8,18 @@
 //! blocking or copying more than once. [`Conn`] pairs a `FrameBuf` with
 //! the write side: a queue of encoded response frames drained on
 //! `POLLOUT`, bounded in bytes so a slow or wedged reader sheds the
-//! connection instead of growing server memory (ISSUE 7 satellite 1).
+//! connection instead of growing server memory.
+//!
+//! A flush hands up to `MAX_IOVECS` (64) queued frames to one
+//! `write_vectored` (`writev(2)`) call and advances through the queue by
+//! the byte count it returns, so a burst of replies costs one syscall
+//! (and, under `TCP_NODELAY`, as few segments as fit) rather than one per
+//! frame. A frame cut mid-way resumes from its first unsent byte on the
+//! next flush; its trace span is sealed exactly once, when its last byte
+//! has been written.
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,6 +27,10 @@ use std::time::Instant;
 use chameleon_obs::trace::TraceSpan;
 
 use crate::proto::{ProtoError, MAX_FRAME};
+
+/// Most queued frames one flush hands to a single `writev(2)`. Linux's
+/// `IOV_MAX` is 1024; a longer queue takes further calls.
+const MAX_IOVECS: usize = 64;
 
 /// Incremental length-prefixed frame reassembly.
 ///
@@ -86,7 +98,7 @@ impl FrameBuf {
 /// One encoded response frame queued for writing, with the trace span to
 /// seal once its last byte reaches the socket.
 struct OutFrame {
-    /// Length prefix + payload, ready for `write(2)`.
+    /// Length prefix + payload, ready for `writev(2)`.
     bytes: Vec<u8>,
     written: usize,
     span: Option<Arc<TraceSpan>>,
@@ -104,8 +116,10 @@ pub(crate) enum ReadOutcome {
 }
 
 /// A reactor-owned connection: nonblocking stream plus read/write state.
-pub(crate) struct Conn {
-    pub stream: TcpStream,
+/// Generic over the stream only so tests can drive the write path with a
+/// scripted writer; the reactor always uses a `TcpStream`.
+pub(crate) struct Conn<S = TcpStream> {
+    pub stream: S,
     pub id: u64,
     pub framebuf: FrameBuf,
     outq: VecDeque<OutFrame>,
@@ -133,8 +147,8 @@ pub(crate) struct Conn {
     pub doomed: bool,
 }
 
-impl Conn {
-    pub fn new(stream: TcpStream, id: u64) -> Self {
+impl<S> Conn<S> {
+    pub fn new(stream: S, id: u64) -> Self {
         Self {
             stream,
             id,
@@ -146,22 +160,6 @@ impl Conn {
             pinned: false,
             eof: false,
             doomed: false,
-        }
-    }
-
-    /// Drains the socket into `framebuf` until `WouldBlock`/EOF/error.
-    pub fn read_ready(&mut self, scratch: &mut [u8]) -> ReadOutcome {
-        loop {
-            match self.stream.read(scratch) {
-                Ok(0) => return ReadOutcome::Eof,
-                Ok(n) => {
-                    self.last_activity = Instant::now();
-                    self.framebuf.extend(&scratch[..n]);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReadOutcome::Open,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return ReadOutcome::Err,
-            }
         }
     }
 
@@ -187,26 +185,64 @@ impl Conn {
         !self.outq.is_empty()
     }
 
-    /// Writes queued frames until `WouldBlock` or the queue empties.
-    /// Fully-written frames have their trace spans sealed via `seal`.
+    /// Accounts `n` written bytes against the front of the queue, popping
+    /// (and sealing the span of) every frame whose last byte they cover.
+    fn advance(&mut self, mut n: usize, seal: &mut impl FnMut(Arc<TraceSpan>)) {
+        self.queued_bytes -= n;
+        while let Some(front) = self.outq.front_mut() {
+            let left = front.bytes.len() - front.written;
+            if left > n {
+                front.written += n;
+                return;
+            }
+            n -= left;
+            let done = self.outq.pop_front().expect("front exists");
+            if let Some(span) = done.span {
+                seal(span);
+            }
+        }
+        debug_assert_eq!(n, 0, "writer reported more bytes than were queued");
+    }
+}
+
+impl<S: Read> Conn<S> {
+    /// Drains the socket into `framebuf` until `WouldBlock`/EOF/error.
+    pub fn read_ready(&mut self, scratch: &mut [u8]) -> ReadOutcome {
+        loop {
+            match self.stream.read(scratch) {
+                Ok(0) => return ReadOutcome::Eof,
+                Ok(n) => {
+                    self.last_activity = Instant::now();
+                    self.framebuf.extend(&scratch[..n]);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ReadOutcome::Open,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return ReadOutcome::Err,
+            }
+        }
+    }
+}
+
+impl<S: Write> Conn<S> {
+    /// Writes queued frames until `WouldBlock` or the queue empties, up
+    /// to `MAX_IOVECS` frames per `write_vectored` call. Fully-written
+    /// frames have their trace spans sealed via `seal`, in queue order.
     /// Returns `false` on a write error (connection unusable).
     pub fn flush(&mut self, mut seal: impl FnMut(Arc<TraceSpan>)) -> bool {
-        while let Some(front) = self.outq.front_mut() {
-            match self.stream.write(&front.bytes[front.written..]) {
+        while !self.outq.is_empty() {
+            let mut iov = [IoSlice::new(&[]); MAX_IOVECS];
+            for (slot, f) in iov.iter_mut().zip(&self.outq) {
+                *slot = IoSlice::new(&f.bytes[f.written..]);
+            }
+            let n_iov = self.outq.len().min(MAX_IOVECS);
+            match self.stream.write_vectored(&iov[..n_iov]) {
                 Ok(0) => return false,
                 Ok(n) => {
                     // Write progress is activity: a peer slowly draining
                     // a large response is alive, even if it has sent no
                     // request bytes for longer than the idle timeout.
                     self.last_activity = Instant::now();
-                    front.written += n;
-                    self.queued_bytes -= n;
-                    if front.written == front.bytes.len() {
-                        let done = self.outq.pop_front().expect("front exists");
-                        if let Some(span) = done.span {
-                            seal(span);
-                        }
-                    }
+                    self.advance(n, &mut seal);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -220,6 +256,11 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use chameleon_obs::trace::Tracer;
+    use proptest::prelude::*;
 
     fn frame(payload: &[u8]) -> Vec<u8> {
         let mut f = (payload.len() as u32).to_le_bytes().to_vec();
@@ -280,5 +321,148 @@ mod tests {
         assert_eq!(fb.next_frame().unwrap().unwrap().len(), 4096);
         fb.extend(&next[3..]);
         assert_eq!(fb.next_frame().unwrap().unwrap(), b"tail");
+    }
+
+    /// A writer driven by a script of draws, one per call: a small draw
+    /// fails the call with `WouldBlock` or `Interrupted`, a larger one
+    /// accepts that many bytes. An empty script accepts everything.
+    /// Output goes to a shared buffer so a seal callback can see how many
+    /// bytes had been written when it ran.
+    struct ScriptedWriter {
+        out: Rc<RefCell<Vec<u8>>>,
+        script: Vec<u8>,
+        at: usize,
+        vectored_calls: usize,
+    }
+
+    impl ScriptedWriter {
+        fn new(script: Vec<u8>) -> Self {
+            Self {
+                out: Rc::default(),
+                script,
+                at: 0,
+                vectored_calls: 0,
+            }
+        }
+    }
+
+    impl Write for ScriptedWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.vectored_calls += 1;
+            let mut room = if self.script.is_empty() {
+                usize::MAX
+            } else {
+                let draw = self.script[self.at % self.script.len()];
+                self.at += 1;
+                match draw {
+                    0..=31 => return Err(io::ErrorKind::WouldBlock.into()),
+                    32..=47 => return Err(io::ErrorKind::Interrupted.into()),
+                    d => usize::from(d - 47),
+                }
+            };
+            let mut out = self.out.borrow_mut();
+            let mut n = 0;
+            for b in bufs {
+                let take = b.len().min(room);
+                out.extend_from_slice(&b[..take]);
+                n += take;
+                room -= take;
+                if room == 0 {
+                    break;
+                }
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// However the writer splits, refuses or interrupts the calls, the
+        /// bytes on the wire are the frames concatenated, `queued_bytes`
+        /// tracks exactly what is unsent, and every span is sealed once,
+        /// in queue order, only after its frame's last byte is written.
+        #[test]
+        fn flush_writes_frames_in_order_and_seals_each_span_once(
+            payloads in proptest::collection::vec(
+                proptest::collection::vec(0u8..255, 0..300), 1..90),
+            script in proptest::collection::vec(0u8..255, 0..32),
+        ) {
+            let tracer = Tracer::disabled();
+            // A final accepting draw guarantees progress on every pass
+            // through the script.
+            let mut script = script;
+            script.push(255);
+            let w = ScriptedWriter::new(script);
+            let out = Rc::clone(&w.out);
+            let mut conn = Conn::new(w, 7);
+            let mut wire = Vec::new();
+            let mut ends = Vec::new();
+            let mut expect_sealed = Vec::new();
+            for (i, p) in payloads.iter().enumerate() {
+                let f = frame(p);
+                wire.extend_from_slice(&f);
+                ends.push(wire.len());
+                // Every third frame carries no span, like untraced replies.
+                let span = (i % 3 != 2).then(|| tracer.force("put", i as u64));
+                if span.is_some() {
+                    expect_sealed.push(i);
+                }
+                prop_assert!(conn.enqueue(f, span, usize::MAX));
+            }
+            let mut sealed = Vec::new();
+            for _ in 0..100_000 {
+                if !conn.wants_write() {
+                    break;
+                }
+                let ok = conn.flush(|span| {
+                    let i = span.key as usize;
+                    assert!(
+                        out.borrow().len() >= ends[i],
+                        "span {i} sealed before its frame's last byte"
+                    );
+                    sealed.push(i);
+                });
+                prop_assert!(ok);
+                prop_assert_eq!(conn.queued_bytes, wire.len() - out.borrow().len());
+            }
+            prop_assert!(!conn.wants_write());
+            prop_assert_eq!(conn.queued_bytes, 0);
+            prop_assert_eq!(&*out.borrow(), &wire);
+            prop_assert_eq!(sealed, expect_sealed);
+        }
+    }
+
+    /// A burst of queued replies leaves in one `writev`, not one write per
+    /// frame; a queue longer than `MAX_IOVECS` takes one call per slice.
+    #[test]
+    fn queued_frames_leave_in_one_vectored_write() {
+        let mut conn = Conn::new(ScriptedWriter::new(Vec::new()), 1);
+        let mut wire = Vec::new();
+        for i in 0..8u8 {
+            let f = frame(&[i; 13]);
+            wire.extend_from_slice(&f);
+            assert!(conn.enqueue(f, None, usize::MAX));
+        }
+        assert!(conn.flush(|_| {}));
+        assert_eq!(conn.stream.vectored_calls, 1);
+        assert_eq!(*conn.stream.out.borrow(), wire);
+        assert!(!conn.wants_write());
+        assert_eq!(conn.queued_bytes, 0);
+
+        for i in 0..(MAX_IOVECS + 1) {
+            assert!(conn.enqueue(frame(&[i as u8]), None, usize::MAX));
+        }
+        assert!(conn.flush(|_| {}));
+        assert_eq!(conn.stream.vectored_calls, 3);
+        assert!(!conn.wants_write());
     }
 }

@@ -65,7 +65,7 @@
 //! arbitrary bytes (see `tests/proto_props.rs`).
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 pub use chameleon_obs::trace::{SpanRecord, TraceEventRecord, TracePayload};
 
@@ -832,11 +832,28 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     out
 }
 
-/// Writes `payload` as one frame: length prefix, then the bytes.
+/// Writes `payload` as one frame: length prefix, then the bytes, handed
+/// to the writer as one vectored write. On a bare `TcpStream` under
+/// `TCP_NODELAY` that is one syscall and one segment per frame, not one
+/// for the prefix and another for the payload; a partial write finishes
+/// with `write_all`.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)
+    let prefix = (payload.len() as u32).to_le_bytes();
+    let n = loop {
+        match w.write_vectored(&[IoSlice::new(&prefix), IoSlice::new(payload)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => break n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    };
+    if n < prefix.len() {
+        w.write_all(&prefix[n..])?;
+        w.write_all(payload)
+    } else {
+        w.write_all(&payload[n - prefix.len()..])
+    }
 }
 
 /// Reads one frame payload. Returns `Ok(None)` on clean EOF at a frame
@@ -1188,5 +1205,60 @@ mod tests {
         let huge = ((MAX_FRAME + 1) as u32).to_le_bytes();
         let mut r = &huge[..];
         assert!(read_frame(&mut r).is_err());
+    }
+
+    /// Counts write calls of either kind and accepts at most `room` bytes
+    /// per call (`usize::MAX`: everything).
+    struct CountingWriter {
+        out: Vec<u8>,
+        calls: usize,
+        room: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.room;
+            for b in bufs {
+                let take = b.len().min(room);
+                self.out.extend_from_slice(&b[..take]);
+                room -= take;
+            }
+            Ok(self.room - room)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_is_one_write_call() {
+        let mut w = CountingWriter {
+            out: Vec::new(),
+            calls: 0,
+            room: usize::MAX,
+        };
+        write_frame(&mut w, b"one segment").unwrap();
+        assert_eq!(w.calls, 1);
+        let mut expect = 11u32.to_le_bytes().to_vec();
+        expect.extend_from_slice(b"one segment");
+        assert_eq!(w.out, expect);
+
+        // Short writes, tearing the prefix and then the payload, still
+        // put the same bytes on the wire.
+        for room in [1, 3, 4, 5, 9] {
+            let mut w = CountingWriter {
+                out: Vec::new(),
+                calls: 0,
+                room,
+            };
+            write_frame(&mut w, b"one segment").unwrap();
+            assert_eq!(w.out, expect, "room {room}");
+        }
     }
 }
