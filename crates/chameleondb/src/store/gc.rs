@@ -15,6 +15,7 @@ use crate::config::GcConfig;
 use crate::maint::Job;
 use crate::manifest::ManifestRecord;
 use crate::metrics::StoreMetrics;
+use crate::view::{GetSource, TableHandle};
 
 impl StoreInner {
     /// Checks the GC trigger — space amplification above the configured
@@ -84,10 +85,15 @@ impl StoreInner {
     /// Per shard (under both its locks): fence every log writer so all
     /// index-referenced entries are durable, then for each of the
     /// extent's entries that the read path still resolves, append a
-    /// sequence-preserving copy, fence the copies, and repoint every
-    /// index reference — volatile tables with release stores, persistent
-    /// tables with unfenced 8-byte slot rewrites under one batched fence
-    /// — then republish the shard view.
+    /// sequence-preserving copy, fence the copies, and repoint the
+    /// structures that can hold its location word — then republish the
+    /// shard view. A word the read path found in the last level is
+    /// repointed there only; any other word in the volatile tables, the
+    /// upper tables and the dumped tables, and in the last level only if
+    /// it was in the log at the store's latest restart: only replay puts
+    /// a slot in the last level and another structure at once (DESIGN
+    /// §6.2). Volatile tables take release stores, persistent tables
+    /// unfenced 8-byte slot rewrites under one batched fence.
     ///
     /// Entries the read path no longer resolves are superseded by a newer
     /// version that the writer fence just made durable; their remaining
@@ -132,22 +138,22 @@ impl StoreInner {
             // Repoints below rewrite slots inside these same tables, so
             // this is also the view republished once they are durable.
             let view = mem.view(&levels);
-            let mut moves: Vec<(u64, u64, u64)> = Vec::new();
+            let mut moves: Vec<(u64, u64, u64, GetSource, u64)> = Vec::new();
             {
                 let mut w = self.writer(ctx).lock();
                 for (meta, value) in &group {
                     let hash = hash64(meta.key);
                     let old_loc = meta.loc();
-                    let live = view
+                    let Some((_, source)) = view
                         .get(&self.dev, ctx, hash, self.cfg.use_abi_for_get)
-                        .is_some_and(|(s, _)| s.location() == old_loc);
-                    if !live {
+                        .filter(|(s, _)| s.location() == old_loc)
+                    else {
                         continue;
-                    }
+                    };
                     let new = w.append_copy(ctx, meta, value)?;
                     relocated += 1;
                     moved_bytes += new.size();
-                    moves.push((hash, old_loc, new.loc()));
+                    moves.push((hash, old_loc, new.loc(), source, meta.seq));
                 }
                 // Relocated copies must be durable before any persistent
                 // slot points at them.
@@ -157,29 +163,37 @@ impl StoreInner {
                 continue;
             }
             let mut persisted = false;
-            for &(hash, old_loc, new_loc) in &moves {
-                mem.memtable.repoint(ctx, hash, old_loc, new_loc);
-                for t in &mem.frozen {
-                    t.repoint(ctx, hash, old_loc, new_loc);
-                }
-                if let Some(t) = &mem.in_flight {
-                    t.repoint(ctx, hash, old_loc, new_loc);
-                }
-                levels.abi.repoint(ctx, hash, old_loc, new_loc);
-                for t in levels.uppers.iter().flatten() {
-                    persisted |= t
-                        .table()
-                        .repoint_slot(&self.dev, ctx, hash, old_loc, new_loc);
-                }
-                for t in &levels.dumped {
-                    persisted |= t
-                        .table()
-                        .repoint_slot(&self.dev, ctx, hash, old_loc, new_loc);
+            let mut repoint = |t: &TableHandle, ctx: &mut ThreadCtx, hash, old_loc, new_loc| {
+                persisted |= t
+                    .table()
+                    .repoint_slot(&self.dev, ctx, hash, old_loc, new_loc);
+            };
+            for &(hash, old_loc, new_loc, source, seq) in &moves {
+                // Repoint every copy of the word, and only where one can
+                // be (DESIGN §6.2). A word found in the last level is in
+                // no other structure: the probe missed them all. A word
+                // found elsewhere has no last-level copy, unless replay
+                // gave its entry a second slot — a table held it above
+                // its claim, and a last-level compaction absorbed that
+                // table while the replayed copy stayed newer — which only
+                // an entry already in the log at restart can have.
+                if source != GetSource::Last {
+                    mem.memtable.repoint(ctx, hash, old_loc, new_loc);
+                    for t in &mem.frozen {
+                        t.repoint(ctx, hash, old_loc, new_loc);
+                    }
+                    if let Some(t) = &mem.in_flight {
+                        t.repoint(ctx, hash, old_loc, new_loc);
+                    }
+                    levels.abi.repoint(ctx, hash, old_loc, new_loc);
+                    for t in levels.uppers.iter().flatten().chain(&levels.dumped) {
+                        repoint(t, ctx, hash, old_loc, new_loc);
+                    }
                 }
                 if let Some(t) = &levels.last {
-                    persisted |= t
-                        .table()
-                        .repoint_slot(&self.dev, ctx, hash, old_loc, new_loc);
+                    if source == GetSource::Last || seq <= self.restart_seq {
+                        repoint(t, ctx, hash, old_loc, new_loc);
+                    }
                 }
             }
             if persisted {

@@ -118,6 +118,11 @@ pub struct StoreInner {
     /// when the pass finishes), so a burst of puts over the space-amp
     /// target schedules one pass, not one per put.
     gc_pending: AtomicBool,
+    /// The log's last seq when this store was recovered (0 for a fresh
+    /// store). Replay can give an entry at or below it a second index
+    /// slot, so only such an entry can have a last-level copy beside a
+    /// newer structure's (DESIGN §6.2).
+    pub(crate) restart_seq: u64,
 }
 
 impl Deref for ChameleonDb {
@@ -152,8 +157,10 @@ fn worker_loop(inner: &StoreInner, worker: usize) {
     // Worker ids sit above the foreground range, but every per-thread
     // table is indexed modulo `max_threads`, so worker i still shares
     // log writer i, epoch pin slot i and counter lane i with foreground
-    // thread i (ROADMAP 4(b)). Giving workers writers of their own would
-    // move where GC relocations land.
+    // thread i (ROADMAP 16). Giving GC a writer of its own moves where
+    // relocations land: on `embed-update` it cut relocated bytes 7 % but
+    // cost `restart_ms_sim` 8.5 % (6 of 6 pairs) for no wall-clock gain,
+    // so relocations still share writer i.
     let mut ctx = ThreadCtx::for_thread(
         Arc::new(CostModel::default()),
         inner.cfg.max_threads + worker,

@@ -178,7 +178,8 @@ impl ChameleonDb {
                 }
             },
         )?;
-        let store = StoreInner::new(dev, cfg, shards, manifest, registry, log);
+        let mut store = StoreInner::new(dev, cfg, shards, manifest, registry, log);
+        store.restart_seq = store.log.last_seq();
         store.replay(ctx, pending)?;
         Ok(Self::open(store, ctx))
     }
@@ -262,6 +263,7 @@ impl StoreInner {
             metrics: StoreMetrics::default(),
             mode: ModeController::new(Mode::Normal, Default::default()),
             gc_pending: AtomicBool::new(false),
+            restart_seq: 0,
         }
     }
 

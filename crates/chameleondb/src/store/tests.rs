@@ -1,4 +1,4 @@
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use chameleon_obs::Stage;
 use kvapi::{hash64, KvError};
@@ -6,6 +6,9 @@ use kvapi::{hash64, KvError};
 use super::gc::in_resident_generation;
 use super::*;
 use crate::config::CompactionScheme;
+use crate::metrics::StoreMetricsSnapshot;
+use crate::mode::GpmConfig;
+use crate::view::GetSource;
 
 fn new_store(cfg: ChameleonConfig) -> ChameleonDb {
     let dev = PmemDevice::optane(512 << 20);
@@ -1141,6 +1144,390 @@ fn churn_with_gc_survives_crash_and_recovery() {
     for k in 0..keys {
         assert!(db.get(&mut c, k, &mut out).unwrap(), "key {k} lost (2)");
         assert_eq!(out, [139u8; 64], "key {k} stale (2)");
+    }
+}
+
+/// Get-Protect Mode on cue: one-sample windows against a 1 s threshold
+/// no real get reaches, so [`enter_gpm`] enters the mode and the next
+/// get leaves it.
+fn scripted_gpm() -> GpmConfig {
+    GpmConfig {
+        enabled: true,
+        enter_threshold_ns: 1_000_000_000,
+        exit_threshold_ns: 1_000_000_000,
+        window_ops: 1,
+    }
+}
+
+fn enter_gpm(db: &ChameleonDb) {
+    db.mode.record_get_latency(10_000_000_000);
+    assert_eq!(db.mode(), Mode::GetProtect);
+}
+
+/// Where the read path resolves `key` now, probed as GC probes it.
+fn resolved_source(db: &ChameleonDb, c: &mut ThreadCtx, key: u64) -> Option<GetSource> {
+    let hash = hash64(key);
+    let shard = &db.shards[db.shard_of(hash)];
+    let levels = shard.levels.lock();
+    let view = shard.mem.lock().view(&levels);
+    view.get(&db.dev, c, hash, db.cfg.use_abi_for_get)
+        .map(|(_, source)| source)
+}
+
+/// Every key of `model` reads back at its value, no other key below
+/// `span` does, and a scan of the whole key space returns exactly the
+/// keys the gets found.
+fn check_model(db: &ChameleonDb, c: &mut ThreadCtx, model: &BTreeMap<u64, Vec<u8>>, span: u64) {
+    let mut out = Vec::new();
+    for k in 0..span {
+        let found = db.get(c, k, &mut out).unwrap();
+        match model.get(&k) {
+            Some(v) => {
+                assert!(found, "key {k} lost");
+                assert_eq!(&out, v, "key {k} stale");
+            }
+            None => assert!(!found, "key {k} resurrected"),
+        }
+    }
+    assert_eq!(
+        db.scan(c, 0, usize::MAX).unwrap(),
+        model.keys().copied().collect::<Vec<_>>()
+    );
+}
+
+/// GC of words that resolve from a GPM-dumped table. A dump leaves the
+/// ABI's image behind as an unmerged table, so a key flushed before the
+/// episode sits with the same word in an upper table *and* the dumped
+/// table, and a key merged during it sits in the dumped table alone.
+/// Collecting their extents must repoint both: skipping the dumped
+/// tables leaves gets reading reclaimed extents, and skipping the upper
+/// tables shows after the crash, when the degraded walk reads them
+/// first.
+#[test]
+fn gc_repoints_dumped_tables_and_the_uppers_behind_them() {
+    let mut cfg = gc_cfg();
+    cfg.gc.enabled = false; // only the explicit collections below
+    cfg.shards = 1;
+    cfg.memtable_slots = 16; // a 1 024-slot ABI: ~920 keys force a dump
+    cfg.max_abi_dumps = 4;
+    cfg.gpm = scripted_gpm();
+    let mut db = new_store(cfg);
+    let mut c = ctx();
+    let mut model = BTreeMap::new();
+    let put =
+        |db: &ChameleonDb, c: &mut ThreadCtx, model: &mut BTreeMap<_, _>, k: u64, round: u64| {
+            let v = (k * 10 + round).to_le_bytes().repeat(4);
+            db.put(c, k, &v).unwrap();
+            model.insert(k, v);
+        };
+    for k in 0..600u64 {
+        put(&db, &mut c, &mut model, k, 0); // Normal: flushed to the upper levels
+    }
+    enter_gpm(&db);
+    for k in 600..1000u64 {
+        put(&db, &mut c, &mut model, k, 0); // merged into the ABI, dumped when full
+    }
+    assert_eq!(db.metrics().abi_dumps, 1, "{:?}", db.metrics());
+    assert_eq!(db.metrics().last_compactions, 0);
+    let sealed: Vec<u64> = (0..db.log.data_extent_count())
+        .filter(|&i| db.log.extent_state(i) == kvlog::ExtentState::Sealed)
+        .collect();
+    let (mut dumped, mut behind) = (0, 0);
+    for &idx in &sealed {
+        for (meta, _) in db.log.extent_entries(&mut c, idx).unwrap() {
+            if resolved_source(&db, &mut c, meta.key) == Some(GetSource::Dumped) {
+                dumped += 1;
+                behind += u64::from(meta.key < 600);
+            }
+        }
+    }
+    assert!(
+        dumped >= 500 && behind >= 300,
+        "{dumped} dumped-resolved words, {behind} with an upper copy"
+    );
+    for &idx in &sealed {
+        db.gc_extent(&mut c, idx).unwrap();
+    }
+    let span = 1000;
+    check_model(&db, &mut c, &model, span);
+    db.sync(&mut c).unwrap();
+    db.crash_and_recover(&mut c).unwrap();
+    check_model(&db, &mut c, &model, span); // degraded walk: uppers first
+    for k in 0..40u64 {
+        put(&db, &mut c, &mut model, k, 1); // refills a MemTable: ABI rebuild
+    }
+    assert!(db.metrics().abi_rebuilds > 0);
+    check_model(&db, &mut c, &model, span);
+    db.checkpoint(&mut c).unwrap(); // folds the dumped table into the last
+    check_model(&db, &mut c, &model, span);
+}
+
+/// The (hash, word) slots a shard's last level shares with any of its
+/// other structures — the MemTables (live, frozen, in flight), the ABI,
+/// the upper tables and the dumped tables — with each shared entry's
+/// log seq.
+fn shared_with_last(
+    db: &ChameleonDb,
+    c: &mut ThreadCtx,
+    shard: &Shard,
+) -> BTreeMap<(u64, u64), Option<u64>> {
+    let levels = shard.levels.lock();
+    let mem = shard.mem.lock();
+    let Some(last) = &levels.last else {
+        return BTreeMap::new();
+    };
+    let mut in_last = HashSet::new();
+    last.table().for_each_entry(&db.dev, c, |s| {
+        in_last.insert((s.hash, s.loc));
+    });
+    let mut shared = HashSet::new();
+    let volatile = std::iter::once(&mem.memtable)
+        .chain(&mem.frozen)
+        .chain(&mem.in_flight)
+        .chain(std::iter::once(&levels.abi));
+    for t in volatile {
+        for s in t.iter() {
+            if in_last.contains(&(s.hash, s.loc)) {
+                shared.insert((s.hash, s.loc));
+            }
+        }
+    }
+    for t in levels.uppers.iter().flatten().chain(&levels.dumped) {
+        t.table().for_each_entry(&db.dev, c, |s| {
+            if in_last.contains(&(s.hash, s.loc)) {
+                shared.insert((s.hash, s.loc));
+            }
+        });
+    }
+    // A word into a reclaimed extent has no seq left to read (`None`):
+    // GC skipped it because a newer version shadowed it, and no get
+    // dereferences it.
+    shared
+        .into_iter()
+        .map(|(hash, loc)| {
+            let seq = in_resident_generation(&db.log, loc).then(|| {
+                let meta = db.log.entry_meta_at(c, kvlog::unpack_loc(loc).0).unwrap();
+                assert_eq!(
+                    hash64(meta.key),
+                    hash,
+                    "shared slot {loc:x} names another key"
+                );
+                meta.seq
+            });
+            ((hash, loc), seq)
+        })
+        .collect()
+}
+
+/// The invariant GC's repoint rule rests on (DESIGN §6.2): a (hash,
+/// word) slot of a shard's last level is in none of the shard's other
+/// structures, unless replay made the copy, so its entry was in the log
+/// at the latest restart. A seeded script runs Normal, Write-Intensive
+/// and Get-Protect phases (with ABI dumps), checkpoints, GC passes,
+/// deletes, and crash + recover + ABI rebuild, and checks every shard
+/// after every step; the model after every crash. Around each explicit
+/// GC pass, every hash shared before is still shared after: GC moves all
+/// copies of a word together.
+#[test]
+fn last_level_shares_no_slot_with_newer_structures() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut cfg = gc_cfg();
+    cfg.shards = 2;
+    cfg.memtable_slots = 16;
+    cfg.max_abi_dumps = 2;
+    cfg.gpm = scripted_gpm();
+    let mut db = new_store(cfg);
+    let mut c = ctx();
+    let mut oracle_ctx = ctx();
+    let mut rng = StdRng::seed_from_u64(0x6c61_7374);
+    let mut model = BTreeMap::new();
+    let span = 3000u64;
+    // What the script reached, over every store the crashes start.
+    let mut reached = [0u64; 6];
+    let mut note = |m: StoreMetricsSnapshot| {
+        let counts = [
+            m.abi_dumps,
+            m.wim_merges,
+            m.last_compactions,
+            m.abi_rebuilds,
+            m.gc_relocated_entries,
+            m.last_hits,
+        ];
+        for (r, n) in reached.iter_mut().zip(counts) {
+            *r += n;
+        }
+    };
+    let shared_hashes = |db: &ChameleonDb, c: &mut ThreadCtx, at: &str| {
+        let mut hashes = BTreeSet::new();
+        for (s, shard) in db.shards.iter().enumerate() {
+            for ((hash, loc), seq) in shared_with_last(db, c, shard) {
+                assert!(
+                    seq.is_none_or(|seq| seq <= db.restart_seq),
+                    "{at}, shard {s}: slot ({hash:x}, {loc:x}) at seq {seq:?} is in the \
+                     last level and a newer structure, above the restart seq {}",
+                    db.restart_seq
+                );
+                hashes.insert(hash);
+            }
+        }
+        hashes
+    };
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Puts,
+        Normal,
+        WriteIntensive,
+        GetProtect,
+        Checkpoint,
+        Gc,
+        Crash,
+    }
+    use Step::*;
+    let script = [
+        Puts,
+        Checkpoint,
+        Puts,
+        WriteIntensive,
+        Puts,
+        Normal,
+        Puts,
+        Crash,
+        Puts,
+        GetProtect,
+        Puts,
+        Puts,
+        Normal,
+        Puts,
+        Gc,
+        Checkpoint,
+        Puts,
+        Gc,
+        WriteIntensive,
+        Puts,
+        Crash,
+        Puts,
+        Normal,
+        Puts,
+        GetProtect,
+        Puts,
+        Crash,
+        Puts,
+        Normal,
+        Gc,
+        Puts,
+        Checkpoint,
+        Puts,
+        Gc,
+    ];
+    let mut replayed_copies = 0;
+    for round in 0..3 {
+        for (i, &step) in script.iter().enumerate() {
+            let at = format!("round {round} step {i} ({step:?})");
+            match step {
+                Puts => {
+                    for _ in 0..rng.gen_range(200..1200) {
+                        let k = rng.gen_range(0..span);
+                        if rng.gen_bool(0.1) {
+                            db.delete(&mut c, k).unwrap();
+                            model.remove(&k);
+                        } else {
+                            let v = vec![rng.gen::<u8>(); rng.gen_range(8..64)];
+                            db.put(&mut c, k, &v).unwrap();
+                            model.insert(k, v);
+                        }
+                    }
+                }
+                Normal => db.set_mode(Mode::Normal),
+                WriteIntensive => db.set_mode(Mode::WriteIntensive),
+                GetProtect => enter_gpm(&db),
+                Checkpoint => db.checkpoint(&mut c).unwrap(),
+                Gc => {
+                    let before = shared_hashes(&db, &mut oracle_ctx, &at);
+                    db.gc_once(&mut c).unwrap();
+                    let after = shared_hashes(&db, &mut oracle_ctx, &at);
+                    let split: Vec<_> = before.difference(&after).collect();
+                    assert!(split.is_empty(), "{at}: GC split the copies of {split:x?}");
+                }
+                Crash => {
+                    db.sync(&mut c).unwrap();
+                    note(db.metrics());
+                    db.crash_and_recover(&mut c).unwrap();
+                    check_model(&db, &mut c, &model, span);
+                }
+            }
+            replayed_copies += shared_hashes(&db, &mut oracle_ctx, &at).len();
+        }
+    }
+    check_model(&db, &mut c, &model, span);
+    note(db.metrics());
+    assert!(
+        reached.iter().all(|&n| n > 0),
+        "script missed a transition (dumps, WIM merges, last compactions, \
+         ABI rebuilds, GC relocations, last-level hits): {reached:?}"
+    );
+    assert!(
+        replayed_copies > 0,
+        "the script never reached a replayed copy"
+    );
+}
+
+/// The simulated cost of one scripted GC pass on one thread, pinned: a
+/// collection of every sealed extent, whose live words resolve from the
+/// last level (never overwritten since the checkpoint), the ABI and the
+/// MemTable (overwritten since). It pins both halves of the repoint rule
+/// and `repoint_slot`'s probe cost.
+#[test]
+fn gc_pass_sim_cost_is_pinned() {
+    let mut cfg = gc_cfg();
+    cfg.gc.enabled = false; // only the measured pass
+    let db = new_store(cfg);
+    let mut c = ctx();
+    let keys = 2000u64;
+    // Round r overwrites keys below `fresh[r]`.
+    let fresh = [keys, 1000, 300];
+    for (round, &n) in fresh.iter().enumerate() {
+        for k in 0..n {
+            db.put(&mut c, k, &[round as u8; 64]).unwrap();
+        }
+        if round == 0 {
+            db.checkpoint(&mut c).unwrap();
+        }
+    }
+    let mut sources = Vec::new();
+    for k in 0..keys {
+        let source = resolved_source(&db, &mut c, k).unwrap();
+        if !sources.contains(&source) {
+            sources.push(source);
+        }
+    }
+    assert!(
+        sources.contains(&GetSource::Last) && sources.len() >= 3,
+        "{sources:?}"
+    );
+    let sealed: Vec<u64> = (0..db.log.data_extent_count())
+        .filter(|&i| db.log.extent_state(i) == kvlog::ExtentState::Sealed)
+        .collect();
+    let (t0, s0) = (c.clock.now(), db.dev.stats().snapshot());
+    let mut relocated = 0;
+    for idx in sealed {
+        relocated += db.gc_extent(&mut c, idx).unwrap().0;
+    }
+    let io = db.dev.stats().snapshot() - s0;
+    assert!(relocated > 1000, "{relocated} relocated");
+    assert_eq!(
+        (
+            c.clock.now() - t0,
+            io.media_bytes_read,
+            io.media_bytes_written
+        ),
+        (2_573_713, 1_519_104, 752_896)
+    );
+    let mut out = Vec::new();
+    for k in 0..keys {
+        assert!(db.get(&mut c, k, &mut out).unwrap(), "key {k} lost");
+        let round = fresh.iter().rposition(|&n| k < n).unwrap();
+        assert_eq!(out, [round as u8; 64], "key {k} stale");
     }
 }
 

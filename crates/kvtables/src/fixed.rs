@@ -108,33 +108,37 @@ impl FixedHashTable {
         TABLE_HEADER_BYTES as u64 + self.header.num_slots * SLOT_BYTES as u64
     }
 
-    /// Looks up `hash` by linear probing.
+    /// Looks up `hash` by linear probing (see [`Self::probe`] for what a
+    /// probe reads and charges).
+    pub fn get(&self, dev: &PmemDevice, ctx: &mut ThreadCtx, hash: u64) -> Option<Slot> {
+        self.probe(dev, ctx, hash).map(|(_, slot)| slot)
+    }
+
+    /// Finds `hash`'s slot and its index by linear probing.
     ///
     /// Reads one 256B media block (16 slots) per device access: the first
     /// access pays the device's random-read latency, continuation blocks
     /// are charged bandwidth-only (XPBuffer locality), matching how a real
-    /// implementation scans adjacent cache lines.
-    pub fn get(&self, dev: &PmemDevice, ctx: &mut ThreadCtx, hash: u64) -> Option<Slot> {
+    /// implementation scans adjacent cache lines. Each slot compared costs
+    /// one `key_cmp_ns`.
+    fn probe(&self, dev: &PmemDevice, ctx: &mut ThreadCtx, hash: u64) -> Option<(u64, Slot)> {
         let n = self.header.num_slots;
         if n == 0 {
             return None;
         }
         let slots_per_block = 256 / SLOT_BYTES; // 16
-        let start_idx = hash % n;
         let base = self.region.off + TABLE_HEADER_BYTES as u64;
         let mut block_buf = [0u8; 256];
         let mut loaded_block = u64::MAX;
-        let mut first_read = true;
-        let mut idx = start_idx;
-        for probe in 0..n {
+        let mut idx = hash % n;
+        for _ in 0..n {
             let block = (idx * SLOT_BYTES as u64) / 256;
             if block != loaded_block {
                 let block_off = base + block * 256;
                 // The last block of a small table may be short; clamp.
                 let avail = ((n * SLOT_BYTES as u64) - block * 256).min(256) as usize;
-                if first_read {
+                if loaded_block == u64::MAX {
                     dev.read(ctx, block_off, &mut block_buf[..avail]);
-                    first_read = false;
                 } else {
                     dev.read_adjacent(ctx, block_off, &mut block_buf[..avail]);
                 }
@@ -147,10 +151,9 @@ impl FixedHashTable {
                 return None;
             }
             if slot.hash == hash {
-                return Some(slot);
+                return Some((idx, slot));
             }
             idx = (idx + 1) % n;
-            let _ = probe;
         }
         None
     }
@@ -199,12 +202,12 @@ impl FixedHashTable {
 
     /// Rewrites one slot's location word in place, for GC repointing.
     ///
-    /// Probes for `hash` exactly like [`FixedHashTable::get`]; if the slot
-    /// is found and its location (tombstone bit aside) equals `old_loc`,
-    /// the 8-byte word is rewritten to `new_loc` with the tombstone bit
-    /// preserved. The word is 8-byte aligned so the store is atomic at
-    /// crash granularity: recovery sees either the old or the new location,
-    /// never a torn mix.
+    /// Probes for `hash` exactly like [`FixedHashTable::get`] — same
+    /// blocks read, same simulated charges; if the slot is found and its
+    /// location (tombstone bit aside) equals `old_loc`, the 8-byte word is
+    /// rewritten to `new_loc` with the tombstone bit preserved. The word
+    /// is 8-byte aligned so the store is atomic at crash granularity:
+    /// recovery sees either the old or the new location, never a torn mix.
     ///
     /// Issues a non-temporal store but **no fence** — the caller batches
     /// repoints across an extent and fences once before declaring the GC
@@ -218,39 +221,16 @@ impl FixedHashTable {
         new_loc: u64,
     ) -> bool {
         use crate::slot::TOMBSTONE_BIT;
-        let n = self.header.num_slots;
-        if n == 0 {
+        let Some((idx, slot)) = self.probe(dev, ctx, hash) else {
+            return false;
+        };
+        if slot.loc & !TOMBSTONE_BIT != old_loc & !TOMBSTONE_BIT {
             return false;
         }
-        let base = self.region.off + TABLE_HEADER_BYTES as u64;
-        let mut idx = hash % n;
-        let mut buf = [0u8; SLOT_BYTES];
-        let mut first = true;
-        for _ in 0..n {
-            let off = base + idx * SLOT_BYTES as u64;
-            if first {
-                dev.read(ctx, off, &mut buf);
-                first = false;
-            } else {
-                dev.read_adjacent(ctx, off, &mut buf);
-            }
-            let slot = Slot::decode(&buf);
-            ctx.charge(ctx.cost.key_cmp_ns);
-            if slot.is_empty() {
-                return false;
-            }
-            if slot.hash == hash {
-                if slot.loc & !TOMBSTONE_BIT != old_loc & !TOMBSTONE_BIT {
-                    return false;
-                }
-                let tomb = slot.loc & TOMBSTONE_BIT;
-                let word = (new_loc & !TOMBSTONE_BIT) | tomb;
-                dev.write_nt(ctx, off + 8, &word.to_le_bytes());
-                return true;
-            }
-            idx = (idx + 1) % n;
-        }
-        false
+        let word = (new_loc & !TOMBSTONE_BIT) | (slot.loc & TOMBSTONE_BIT);
+        let off = self.region.off + TABLE_HEADER_BYTES as u64 + idx * SLOT_BYTES as u64;
+        dev.write_nt(ctx, off + 8, &word.to_le_bytes());
+        true
     }
 }
 
@@ -690,6 +670,55 @@ mod tests {
         assert_eq!(reopened.get(&dev, &mut ctx, h).unwrap().loc, 555);
         // Missing hash is a no-op.
         assert!(!reopened.repoint_slot(&dev, &mut ctx, hash64(777), 1, 2));
+    }
+
+    /// A GC repoint reads what a get of the same hash reads — one 256B
+    /// block per block the probe chain visits — and adds only its 8B
+    /// store. `get_probes_cross_block_boundaries`'s chain starts at slot
+    /// 14 of 16, so its tail lies in the second block.
+    #[test]
+    fn repoint_slot_costs_a_get_plus_one_word() {
+        let (dev, mut ctx) = setup();
+        let n = 32u64;
+        let hashes: Vec<u64> = (0..6u64).map(|i| 14 + i * n).collect();
+        let mut b = TableBuilder::new(n as usize);
+        for (i, &h) in hashes.iter().enumerate() {
+            b.insert(&mut ctx, Slot::new(h, i as u64 + 1), false)
+                .unwrap();
+        }
+        let t = b.build(&dev, &mut ctx, 0, 0, 1).unwrap();
+        let measure = |ctx: &mut ThreadCtx, op: &mut dyn FnMut(&mut ThreadCtx)| {
+            // Let the build's (or the last repoint's) write backlog drain,
+            // so neither side pays a queue wait the other does not.
+            ctx.clock.advance(1_000_000_000);
+            let (t0, s0) = (ctx.clock.now(), dev.stats().snapshot());
+            op(ctx);
+            let io = dev.stats().snapshot().delta(&s0);
+            (
+                ctx.clock.now() - t0,
+                io.media_bytes_read,
+                io.logical_bytes_written,
+            )
+        };
+        for (i, &h) in hashes.iter().enumerate() {
+            let loc = i as u64 + 1;
+            let get = measure(&mut ctx, &mut |c| {
+                assert_eq!(t.get(&dev, c, h).unwrap().loc, loc);
+            });
+            let repoint = measure(&mut ctx, &mut |c| {
+                assert!(t.repoint_slot(&dev, c, h, loc, loc + 100));
+            });
+            let blocks = if i < 2 { 1 } else { 2 };
+            assert_eq!(get.1, blocks * 256, "get of chain slot {i}");
+            assert_eq!(get.2, 0);
+            assert_eq!(
+                repoint,
+                (get.0 + ctx.cost.dram_stream_ns(8), get.1, 8),
+                "repoint of chain slot {i} vs its get {get:?}"
+            );
+            dev.fence(&mut ctx);
+            assert_eq!(t.get(&dev, &mut ctx, h).unwrap().loc, loc + 100);
+        }
     }
 
     #[test]
