@@ -2,11 +2,12 @@
 //! variant, compared byte for byte against frozen hex. A codec refactor
 //! that changes any of these bytes breaks every deployed peer, so the
 //! frozen strings may only change together with a protocol version bump.
-//! TRACE responses are pinned by the round-trip properties instead.
+//! TRACE, the most nested layout, has a frame of its own below: one span
+//! with two stages and one event with a field and a label.
 
 use kvserver::proto::{
     decode_request, decode_response, encode_request, encode_response, ModeArg, RepOp, Request,
-    Response, StatsFormat,
+    Response, SpanRecord, StatsFormat, TraceEventRecord,
 };
 
 fn hex(bytes: &[u8]) -> String {
@@ -173,4 +174,60 @@ fn every_non_trace_frame_matches_its_golden_bytes() {
         assert_eq!(hex(&wire), golden, "{resp:?}");
         assert_eq!(decode_response(&wire), Ok(resp));
     }
+}
+
+#[test]
+fn trace_frame_matches_its_golden_bytes() {
+    let resp = Response::Trace {
+        req_id: 12,
+        spans: vec![SpanRecord {
+            id: 1,
+            op: "put".to_owned(),
+            key: 7,
+            start_ns: 0x10,
+            total_ns: 0x20,
+            forced: true,
+            note: "L0 hit".to_owned(),
+            stages: vec![("decode".to_owned(), 5), ("apply".to_owned(), 9)],
+        }],
+        events: vec![TraceEventRecord {
+            seq: 2,
+            ts: 3,
+            name: "flush".to_owned(),
+            fields: vec![("bytes".to_owned(), 64)],
+            labels: vec![("mode".to_owned(), "wim".to_owned())],
+        }],
+    };
+    let golden = concat!(
+        "080c00000000000000",
+        // spans: count, id, op, key, start_ns, total_ns, forced, note
+        "01000000",
+        "0100000000000000",
+        "03000000707574",
+        "0700000000000000",
+        "1000000000000000",
+        "2000000000000000",
+        "01",
+        "060000004c3020686974",
+        // stages: count, then (name, dur_ns) twice
+        "02000000",
+        "060000006465636f6465",
+        "0500000000000000",
+        "050000006170706c79",
+        "0900000000000000",
+        // events: count, seq, ts, name, fields, labels
+        "01000000",
+        "0200000000000000",
+        "0300000000000000",
+        "05000000666c757368",
+        "01000000",
+        "050000006279746573",
+        "4000000000000000",
+        "01000000",
+        "040000006d6f6465",
+        "0300000077696d",
+    );
+    let wire = encode_response(&resp);
+    assert_eq!(hex(&wire), golden);
+    assert_eq!(decode_response(&wire), Ok(resp));
 }
