@@ -46,8 +46,11 @@ impl ShardMut {
                 // credit it exactly once — validated, because a version
                 // already shadowed by a newer MemTable entry may have had
                 // its extent garbage-collected while its ABI slot waited
-                // for this overwrite.
-                store.credit_dead_slot(ctx, old);
+                // for this overwrite. An identical word is a copy replay
+                // made of a slot the ABI already held, not a new version.
+                if old != slot.loc {
+                    store.credit_dead_slot(ctx, old);
+                }
             }
         }
         self.abi.note_seq(max_seq);
@@ -193,8 +196,11 @@ impl ShardMut {
                 // See merge_table_into_abi: an ABI overwrite retires the
                 // overwritten version's only read-path reference —
                 // validated by extent generation in case GC reclaimed the
-                // shadowed version's extent first.
-                store.credit_dead_slot(ctx, old);
+                // shadowed version's extent first — unless it is the same
+                // word, a replayed copy.
+                if old != slot.loc {
+                    store.credit_dead_slot(ctx, old);
+                }
             }
         }
         self.abi.note_seq(max_seq);

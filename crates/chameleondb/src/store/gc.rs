@@ -220,28 +220,31 @@ impl StoreInner {
     }
 
     /// Test oracle: walks every shard's read path and sums the on-log
-    /// size of each *resident* referenced entry — slots whose location
-    /// word still names a matching entry in an in-use extent. Slots left
-    /// stale by GC (the shadowed version's extent was reclaimed before a
-    /// merge dropped the slot) are excluded, exactly as dead-byte
-    /// crediting excludes them. On a store whose accounting never crossed
-    /// a crash, `audit_live_bytes + dead == appended` — the exactly-once
-    /// dead-byte crediting invariant.
+    /// size of each *resident* referenced entry — distinct location words
+    /// that still name a matching entry in an in-use extent. A word held
+    /// twice (replay re-inserts an entry its L0 table still holds) counts
+    /// once. Slots left stale by GC (the shadowed version's extent was
+    /// reclaimed before a merge dropped the slot) are excluded, exactly as
+    /// dead-byte crediting excludes them. On a store whose accounting
+    /// never crossed a crash, `audit_live_bytes + dead == appended` — the
+    /// exactly-once dead-byte crediting invariant; across crashes,
+    /// `audit_live_bytes + dead <= appended`.
     ///
     /// Crediting decides residency from the extent generation alone; this
     /// oracle also reads each entry's header back, so the two agree only
     /// if the generation check is sound.
     #[doc(hidden)]
     pub fn audit_live_bytes(&self, ctx: &mut ThreadCtx) -> u64 {
-        let mut total = 0u64;
+        let mut slots = Vec::new();
         for shard in &self.shards {
-            let mut slots = Vec::new();
             shard.slots_in_get_order(&self.dev, ctx, |sl| slots.push(sl));
-            for sl in slots {
-                total += resident_entry_bytes(&self.log, ctx, sl.hash, sl.loc).unwrap_or(0);
-            }
         }
-        total
+        slots.sort_unstable_by_key(|sl| sl.loc);
+        slots.dedup_by_key(|sl| sl.loc);
+        slots
+            .into_iter()
+            .map(|sl| resident_entry_bytes(&self.log, ctx, sl.hash, sl.loc).unwrap_or(0))
+            .sum()
     }
 
     /// Credits the entry behind a superseded location word as dead, against

@@ -1472,6 +1472,113 @@ fn last_level_shares_no_slot_with_newer_structures() {
     );
 }
 
+/// Dead-byte crediting across crashes. A Normal flush after a
+/// Write-Intensive merge claims less than its L0 table holds, so after a
+/// crash replay re-inserts entries that the table (and the ABI rebuilt
+/// from it) still hold with the same (hash, word). When that MemTable
+/// copy is flushed or WIM-merged, the ABI hands back the identical word,
+/// and a last-level merge meets both copies. Neither is a superseded
+/// version: crediting it would count a live entry as dead.
+///
+/// GC is off. Recovery restarts `dead` from zero, so a crash leaves a
+/// slack `appended - (live + dead)` of superseded bytes it cannot know
+/// about: the slack never goes negative, and between crashes it stays
+/// exactly constant. The step after a crash merges the replayed copies
+/// before any put overwrites one: a put over a replayed MemTable copy
+/// still credits its word twice, once at the overwrite and again when
+/// the ABI hands it back, so the script never does that.
+#[test]
+fn replayed_copies_are_not_credited_as_dead() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut cfg = gc_cfg();
+    cfg.gc.enabled = false;
+    cfg.shards = 2;
+    cfg.memtable_slots = 16;
+    let mut db = new_store(cfg);
+    let mut c = ctx();
+    let mut rng = StdRng::seed_from_u64(0x6c61_7374);
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Step {
+        Puts(u32),
+        WriteIntensive,
+        Normal,
+        Crash,
+        Checkpoint,
+    }
+    use Step::*;
+    // Each crash follows a Normal flush after a WIM phase. After the
+    // first two, replayed copies still sit in the MemTables and the
+    // checkpoint flushes them (Normal) or WIM-merges them; after the
+    // third, the checkpoint's last-level merge meets both copies.
+    let script = [
+        Puts(1200),
+        WriteIntensive,
+        Puts(1200),
+        Normal,
+        Puts(24),
+        Crash,
+        Checkpoint,
+        Puts(1200),
+        WriteIntensive,
+        Puts(1200),
+        Normal,
+        Puts(24),
+        Crash,
+        WriteIntensive,
+        Checkpoint,
+        Normal,
+        Puts(1200),
+        WriteIntensive,
+        Puts(1200),
+        Normal,
+        Puts(1200),
+        Crash,
+        WriteIntensive,
+        Checkpoint,
+        Normal,
+    ];
+    let mut slack = 0;
+    for round in 0..3 {
+        for (i, &step) in script.iter().enumerate() {
+            match step {
+                Puts(most) => {
+                    for _ in 0..rng.gen_range(most / 6..most) {
+                        let k = rng.gen_range(0..3000u64);
+                        if rng.gen_bool(0.1) {
+                            db.delete(&mut c, k).unwrap();
+                        } else {
+                            let v = vec![rng.gen::<u8>(); rng.gen_range(8..64)];
+                            db.put(&mut c, k, &v).unwrap();
+                        }
+                    }
+                }
+                WriteIntensive => db.set_mode(Mode::WriteIntensive),
+                Normal => db.set_mode(Mode::Normal),
+                Crash => {
+                    db.sync(&mut c).unwrap();
+                    db.crash_and_recover(&mut c).unwrap();
+                }
+                Checkpoint => db.checkpoint(&mut c).unwrap(),
+            }
+            let s = db.space_stats();
+            let live = db.audit_live_bytes(&mut c);
+            let at = format!("round {round} step {i} ({step:?})");
+            assert!(
+                live + s.dead_bytes <= s.appended_bytes,
+                "{at}: audited live {live} + dead {} exceeds appended {}",
+                s.dead_bytes,
+                s.appended_bytes
+            );
+            let now = s.appended_bytes - live - s.dead_bytes;
+            if step == Crash {
+                slack = now;
+            }
+            assert_eq!(now, slack, "{at}: the books moved between crashes");
+        }
+    }
+}
+
 /// The simulated cost of one scripted GC pass on one thread, pinned: a
 /// collection of every sealed extent, whose live words resolve from the
 /// last level (never overwritten since the checkpoint), the ABI and the

@@ -14,7 +14,7 @@ use std::io::{self, BufReader, BufWriter, Write as _};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use kvserver::proto::{decode_response, encode_request, read_frame, write_frame};
+use kvserver::proto::{decode_response, encode_request, frame_len, read_frame, write_frame};
 pub use kvserver::proto::{ModeArg, Request, Response, StatsFormat, TracePayload, MAX_SCAN_KEYS};
 use pmem_sim::Histogram;
 
@@ -182,7 +182,7 @@ impl Client {
     /// Returns the assigned `req_id`; pair with [`Client::recv_for`].
     pub fn send(&mut self, mut req: Request) -> io::Result<u64> {
         let id = self.fresh_id();
-        set_req_id(&mut req, id);
+        req.set_req_id(id);
         write_frame(&mut self.writer, &encode_request(&req))?;
         Ok(id)
     }
@@ -344,8 +344,7 @@ impl Client {
             }
             Response::NotFound { .. } => Ok(WriteOutcome::Done { existed: false }),
             Response::Retry { .. } => Ok(WriteOutcome::Retry),
-            Response::Err { message, .. } => Err(server_err(message)),
-            other => Err(bad_data(unexpected(&other))),
+            other => Err(refused(other)),
         }
     }
 
@@ -356,8 +355,7 @@ impl Client {
         let out = match self.recv_for(id)? {
             Response::Value { value, .. } => Ok(Some(value)),
             Response::NotFound { .. } => Ok(None),
-            Response::Err { message, .. } => Err(server_err(message)),
-            other => Err(bad_data(unexpected(&other))),
+            other => Err(refused(other)),
         }?;
         self.lat.get.record(t0.elapsed().as_nanos() as u64);
         Ok(out)
@@ -376,8 +374,7 @@ impl Client {
         })?;
         let keys = match self.recv_for(id)? {
             Response::Keys { keys, .. } => Ok(keys),
-            Response::Err { message, .. } => Err(server_err(message)),
-            other => Err(bad_data(unexpected(&other))),
+            other => Err(refused(other)),
         }?;
         self.lat.scan.record(t0.elapsed().as_nanos() as u64);
         Ok(keys)
@@ -426,8 +423,7 @@ impl Client {
         let id = self.send(Request::Sync { req_id: 0 })?;
         match self.recv_for(id)? {
             Response::Ok { .. } => Ok(()),
-            Response::Err { message, .. } => Err(server_err(message)),
-            other => Err(bad_data(unexpected(&other))),
+            other => Err(refused(other)),
         }
     }
 
@@ -436,8 +432,7 @@ impl Client {
         let id = self.send(Request::Stats { req_id: 0, format })?;
         match self.recv_for(id)? {
             Response::Stats { text, .. } => Ok(text),
-            Response::Err { message, .. } => Err(server_err(message)),
-            other => Err(bad_data(unexpected(&other))),
+            other => Err(refused(other)),
         }
     }
 
@@ -447,8 +442,7 @@ impl Client {
         let id = self.send(Request::Trace { req_id: 0, max })?;
         match self.recv_for(id)? {
             Response::Trace { spans, events, .. } => Ok(TracePayload { spans, events }),
-            Response::Err { message, .. } => Err(server_err(message)),
-            other => Err(bad_data(unexpected(&other))),
+            other => Err(refused(other)),
         }
     }
 
@@ -460,8 +454,7 @@ impl Client {
             Response::Mode {
                 write_intensive, ..
             } => Ok(write_intensive),
-            Response::Err { message, .. } => Err(server_err(message)),
-            other => Err(bad_data(unexpected(&other))),
+            other => Err(refused(other)),
         }
     }
 
@@ -484,8 +477,7 @@ impl Client {
                 acked,
                 applied,
             }),
-            Response::Err { message, .. } => Err(server_err(message)),
-            other => Err(bad_data(unexpected(&other))),
+            other => Err(refused(other)),
         }
     }
 }
@@ -585,41 +577,16 @@ impl ReplicaReader {
 /// Whether `buf` starts with a complete frame: a 4-byte length prefix
 /// and at least that many payload bytes.
 fn holds_whole_frame(buf: &[u8]) -> bool {
-    match buf.split_first_chunk::<4>() {
-        Some((len, rest)) => rest.len() >= u32::from_le_bytes(*len) as usize,
-        None => false,
-    }
+    buf.split_first_chunk::<4>()
+        .is_some_and(|(prefix, rest)| frame_len(*prefix).is_ok_and(|len| rest.len() >= len))
 }
 
-fn set_req_id(req: &mut Request, id: u64) {
-    match req {
-        Request::Get { req_id, .. }
-        | Request::Put { req_id, .. }
-        | Request::Delete { req_id, .. }
-        | Request::Sync { req_id }
-        | Request::Stats { req_id, .. }
-        | Request::Trace { req_id, .. }
-        | Request::Mode { req_id, .. }
-        | Request::Scan { req_id, .. }
-        | Request::ReplSubscribe { req_id, .. }
-        | Request::ReplAck { req_id, .. }
-        | Request::ReplFloor { req_id } => *req_id = id,
-    }
-}
-
-fn unexpected(resp: &Response) -> &'static str {
+/// The tail every blocking call shares: a server ERR becomes
+/// [`server_err`], any other response the call did not expect is
+/// [`io::ErrorKind::InvalidData`].
+fn refused(resp: Response) -> io::Error {
     match resp {
-        Response::Ok { .. } => "unexpected OK",
-        Response::Value { .. } => "unexpected VALUE",
-        Response::NotFound { .. } => "unexpected NOT_FOUND",
-        Response::Deleted { .. } => "unexpected DELETED",
-        Response::Stats { .. } => "unexpected STATS",
-        Response::Mode { .. } => "unexpected MODE",
-        Response::Retry { .. } => "unexpected RETRY",
-        Response::Err { .. } => "unexpected ERR",
-        Response::Trace { .. } => "unexpected TRACE",
-        Response::Keys { .. } => "unexpected KEYS",
-        Response::ReplBatch { .. } => "unexpected REPL_BATCH",
-        Response::ReplFloor { .. } => "unexpected REPL_FLOOR",
+        Response::Err { message, .. } => server_err(message),
+        other => bad_data(&format!("unexpected {}", other.name())),
     }
 }

@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use chameleon_obs::trace::TraceSpan;
 
-use crate::proto::{ProtoError, MAX_FRAME};
+use crate::proto::{frame_len, ProtoError};
 
 /// Most queued frames one flush hands to a single `writev(2)`. Linux's
 /// `IOV_MAX` is 1024; a longer queue takes further calls.
@@ -59,21 +59,17 @@ impl FrameBuf {
     }
 
     /// Returns the next complete frame payload, `Ok(None)` if more bytes
-    /// are needed, or a [`ProtoError`] if the declared length exceeds
-    /// [`MAX_FRAME`] (fatal: framing can't be resynchronized).
+    /// are needed, or a [`ProtoError`] if [`frame_len`] refuses the
+    /// declared length.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, ProtoError> {
-        let pending = &self.buf[self.start..];
-        if pending.len() < 4 {
+        let Some((prefix, body)) = self.buf[self.start..].split_first_chunk::<4>() else {
             return Ok(None);
-        }
-        let len = u32::from_le_bytes([pending[0], pending[1], pending[2], pending[3]]) as usize;
-        if len > MAX_FRAME {
-            return Err(ProtoError("frame length exceeds MAX_FRAME"));
-        }
-        if pending.len() < 4 + len {
+        };
+        let len = frame_len(*prefix)?;
+        let Some(payload) = body.get(..len) else {
             return Ok(None);
-        }
-        let payload = pending[4..4 + len].to_vec();
+        };
+        let payload = payload.to_vec();
         self.start += 4 + len;
         if self.start == self.buf.len() {
             self.buf.clear();
@@ -256,6 +252,7 @@ impl<S: Write> Conn<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::MAX_FRAME;
     use std::cell::RefCell;
     use std::rc::Rc;
 

@@ -8,40 +8,31 @@
 //!
 //! ```text
 //! frame    := len:u32 payload[len]
-//! request  := opcode:u8 req_id:u64 body
-//!   GET    (0x01) := key:u64
-//!   PUT    (0x02) := flags:u8 key:u64 vlen:u32 value[vlen]
-//!   DELETE (0x03) := flags:u8 key:u64
-//!   SYNC   (0x04) :=
-//!   STATS  (0x05) := fmt:u8            (0 = JSON, 1 = Prometheus)
-//!   MODE   (0x06) := mode:u8           (0 = Normal, 1 = WriteIntensive,
-//!                                       0xFF = query current mode)
-//!   TRACE  (0x07) := max:u32           (newest completed spans to return)
-//!   SCAN   (0x08) := start_key:u64 limit:u32   (limit <= MAX_SCAN_KEYS)
-//!   REPL_SUBSCRIBE (0x09) := start_ship:u64   (first ship index wanted)
-//!   REPL_ACK       (0x0A) := sub_id:u64 ship:u64
-//!   REPL_FLOOR     (0x0B) :=
-//! response := status:u8 req_id:u64 body
-//!   OK        (0x00) :=
-//!   VALUE     (0x01) := vlen:u32 value[vlen]
-//!   NOT_FOUND (0x02) :=
-//!   DELETED   (0x03) :=
-//!   STATS     (0x04) := text:str
-//!   MODE      (0x05) := mode:u8
-//!   RETRY     (0x06) :=                 (commit queue full; resubmit)
-//!   ERR       (0x07) := message:str
-//!   TRACE     (0x08) := count:u32 span * count  count:u32 event * count
-//!     span  := id:u64 op:str key:u64 start_ns:u64 total_ns:u64 forced:u8
-//!              note:str count:u32 (stage:str dur_ns:u64) * count
-//!     event := seq:u64 ts:u64 name:str count:u32 (field:str value:u64) * count
-//!              count:u32 (label:str value:str) * count
-//!   KEYS      (0x09) := count:u32 key:u64 * count   (ascending live keys)
-//!   REPL_BATCH (0x0A) := ship:u64 count:u32 op * count
-//!     op := key:u64 opflags:u8 [vlen:u32 value[vlen]]
-//!                                        (opflags bit 0 = tombstone; no
-//!                                         value field when set)
-//!   REPL_FLOOR (0x0B) := sub_id:u64 shipped:u64 acked:u64 applied:u64
-//! str := len:u32 utf8[len]
+//! request  := opcode:u8 req_id:u64 [flags:u8] field*
+//! response := status:u8 req_id:u64 field*
+//! ```
+//!
+//! The grammar of every message is its row in one of the two
+//! `wire_enum!` tables below ([`Request`], [`Response`]): the tag
+//! byte, the variant, the flags byte if it has one, and its fields in
+//! wire order. The tables generate the enums, [`encode_request`] /
+//! [`decode_request`], [`encode_response`] / [`decode_response`],
+//! `req_id()`, `set_req_id()` and `name()`, so a field's place on the
+//! wire is written once. Each field type encodes itself through
+//! `Field`:
+//!
+//! ```text
+//! u32 / u64        little-endian            bool    u8 (0 or 1)
+//! str              len:u32 utf8[len]        (A, B)  A then B
+//! Vec<u8>          len:u32 bytes[len]       (len <= MAX_VALUE)
+//! Vec<T>           count:u32 T * count      (count <= T's cap and the bytes left)
+//! StatsFormat      u8 (0 = JSON, 1 = Prometheus)
+//! ModeArg          u8 (0 = Normal, 1 = WriteIntensive, 0xFF = query current mode)
+//! RepOp            key:u64 opflags:u8 [value:Vec<u8>]   (opflags bit 0 = tombstone,
+//!                                                        no value when set)
+//! SpanRecord       id:u64 op:str key:u64 start_ns:u64 total_ns:u64 forced:bool
+//!                  note:str stages:Vec<(str, u64)>
+//! TraceEventRecord seq:u64 ts:u64 name:str fields:Vec<(str, u64)> labels:Vec<(str, str)>
 //! ```
 //!
 //! Replication frames ride the same connection machinery: a replica
@@ -101,8 +92,8 @@ impl std::error::Error for ProtoError {}
 /// STATS output format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StatsFormat {
-    Json,
-    Prometheus,
+    Json = 0,
+    Prometheus = 1,
 }
 
 /// MODE argument: switch the store's mode or query it.
@@ -113,143 +104,6 @@ pub enum ModeArg {
     Query,
 }
 
-/// A decoded client request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    Get {
-        req_id: u64,
-        key: u64,
-    },
-    Put {
-        req_id: u64,
-        key: u64,
-        value: Vec<u8>,
-        durable: bool,
-        traced: bool,
-    },
-    Delete {
-        req_id: u64,
-        key: u64,
-        durable: bool,
-        traced: bool,
-    },
-    Sync {
-        req_id: u64,
-    },
-    Stats {
-        req_id: u64,
-        format: StatsFormat,
-    },
-    Mode {
-        req_id: u64,
-        arg: ModeArg,
-    },
-    /// Fetch the newest `max` completed trace spans plus a journal tail
-    /// (see `chameleon_obs::trace`).
-    Trace {
-        req_id: u64,
-        max: u32,
-    },
-    /// Range scan: up to `limit` live keys `>= start_key`, ascending.
-    Scan {
-        req_id: u64,
-        start_key: u64,
-        limit: u32,
-    },
-    /// Subscribe to the replication stream from ship index `start_ship`.
-    ReplSubscribe {
-        req_id: u64,
-        start_ship: u64,
-    },
-    /// Acknowledge application of every batch up to ship index `ship`.
-    ReplAck {
-        req_id: u64,
-        sub_id: u64,
-        ship: u64,
-    },
-    /// Poll the replication floors without subscribing.
-    ReplFloor {
-        req_id: u64,
-    },
-}
-
-impl Request {
-    pub fn req_id(&self) -> u64 {
-        match *self {
-            Request::Get { req_id, .. }
-            | Request::Put { req_id, .. }
-            | Request::Delete { req_id, .. }
-            | Request::Sync { req_id }
-            | Request::Stats { req_id, .. }
-            | Request::Mode { req_id, .. }
-            | Request::Trace { req_id, .. }
-            | Request::Scan { req_id, .. }
-            | Request::ReplSubscribe { req_id, .. }
-            | Request::ReplAck { req_id, .. }
-            | Request::ReplFloor { req_id } => req_id,
-        }
-    }
-}
-
-/// A decoded server response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Response {
-    Ok {
-        req_id: u64,
-    },
-    Value {
-        req_id: u64,
-        value: Vec<u8>,
-    },
-    NotFound {
-        req_id: u64,
-    },
-    Deleted {
-        req_id: u64,
-    },
-    Stats {
-        req_id: u64,
-        text: String,
-    },
-    Mode {
-        req_id: u64,
-        write_intensive: bool,
-    },
-    Retry {
-        req_id: u64,
-    },
-    Err {
-        req_id: u64,
-        message: String,
-    },
-    /// Completed trace spans plus the journal tail.
-    Trace {
-        req_id: u64,
-        spans: Vec<SpanRecord>,
-        events: Vec<TraceEventRecord>,
-    },
-    /// SCAN result: live keys, ascending.
-    Keys {
-        req_id: u64,
-        keys: Vec<u64>,
-    },
-    /// One shipped chunk of committed, fenced write ops.
-    ReplBatch {
-        req_id: u64,
-        ship: u64,
-        ops: Vec<RepOp>,
-    },
-    /// Replication floors: reply to REPL_SUBSCRIBE (carrying the
-    /// assigned `sub_id`) and to REPL_FLOOR polls (`sub_id` = 0).
-    ReplFloor {
-        req_id: u64,
-        sub_id: u64,
-        shipped: u64,
-        acked: u64,
-        applied: u64,
-    },
-}
-
 /// One replicated write: a put carries its value, a delete is a
 /// tombstone (`value == None`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -258,49 +112,154 @@ pub struct RepOp {
     pub value: Option<Vec<u8>>,
 }
 
-impl Response {
-    pub fn req_id(&self) -> u64 {
-        match *self {
-            Response::Ok { req_id }
-            | Response::Value { req_id, .. }
-            | Response::NotFound { req_id }
-            | Response::Deleted { req_id }
-            | Response::Stats { req_id, .. }
-            | Response::Mode { req_id, .. }
-            | Response::Retry { req_id }
-            | Response::Err { req_id, .. }
-            | Response::Trace { req_id, .. }
-            | Response::Keys { req_id, .. }
-            | Response::ReplBatch { req_id, .. }
-            | Response::ReplFloor { req_id, .. } => req_id,
+/// Declares one message enum as a table of rows
+/// `TAG = byte => Variant [flags] { field: Type [where at_most(cap, refusal)], .. }`
+/// and generates the enum (every variant also carries `req_id`, and a
+/// flags row `durable`/`traced`), its tag consts in module `$tags`, the
+/// encoder and decoder, `req_id()`, `set_req_id()` and `name()` (the
+/// tag's name). Both directions walk the same field list: the decoder
+/// takes each field in the order the encoder puts it.
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident in $tags:ident, $encode:ident, $decode:ident, $unknown:literal {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:ident = $byte:literal => $variant:ident $([$durable:ident, $traced:ident])? {
+                    $($field:ident: $ty:ty $(where at_most($cap:expr, $refusal:literal))?),*
+                },
+            )+
         }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant { req_id: u64, $($field: $ty,)* $($durable: bool, $traced: bool,)? },
+            )+
+        }
+
+        /// Tag bytes, one per variant.
+        mod $tags {
+            $(pub const $tag: u8 = $byte;)+
+        }
+
+        impl $name {
+            pub fn req_id(&self) -> u64 {
+                match *self {
+                    $($name::$variant { req_id, .. } => req_id,)+
+                }
+            }
+
+            pub fn set_req_id(&mut self, id: u64) {
+                match self {
+                    $($name::$variant { req_id, .. } => *req_id = id,)+
+                }
+            }
+
+            /// The variant's wire name, e.g. `NOT_FOUND`.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($name::$variant { .. } => stringify!($tag),)+
+                }
+            }
+        }
+
+        /// Encodes one payload (no length prefix).
+        pub fn $encode(msg: &$name) -> Vec<u8> {
+            let mut out = Vec::with_capacity(32);
+            match msg {
+                $(
+                    $name::$variant { req_id, $($field,)* $($durable, $traced,)? } => {
+                        out.push($tags::$tag);
+                        req_id.put(&mut out);
+                        $(out.push(encode_flags(*$durable, *$traced));)?
+                        $(
+                            $(debug_assert!(*$field as usize <= $cap, $refusal);)?
+                            $field.put(&mut out);
+                        )*
+                    }
+                )+
+            }
+            out
+        }
+
+        /// Decodes one payload (the bytes after the length prefix).
+        pub fn $decode(payload: &[u8]) -> Result<$name, ProtoError> {
+            let mut c = Cursor::new(payload);
+            let tag = c.u8()?;
+            let req_id = u64::take(&mut c)?;
+            let msg = match tag {
+                $(
+                    $tags::$tag => {
+                        $(let ($durable, $traced) = decode_flags(c.u8()?)?;)?
+                        $(
+                            let $field = <$ty>::take(&mut c)?;
+                            $(if $field as usize > $cap {
+                                return Err(ProtoError($refusal));
+                            })?
+                        )*
+                        $name::$variant { req_id, $($field,)* $($durable, $traced,)? }
+                    }
+                )+
+                _ => return Err(ProtoError($unknown)),
+            };
+            c.finish()?;
+            Ok(msg)
+        }
+    };
+}
+
+wire_enum! {
+    /// A decoded client request.
+    pub enum Request in opcode, encode_request, decode_request, "unknown opcode" {
+        GET = 0x01 => Get { key: u64 },
+        PUT = 0x02 => Put [durable, traced] { key: u64, value: Vec<u8> },
+        DELETE = 0x03 => Delete [durable, traced] { key: u64 },
+        SYNC = 0x04 => Sync {},
+        STATS = 0x05 => Stats { format: StatsFormat },
+        MODE = 0x06 => Mode { arg: ModeArg },
+        /// Fetch the newest `max` completed trace spans plus a journal tail
+        /// (see `chameleon_obs::trace`).
+        TRACE = 0x07 => Trace { max: u32 },
+        /// Range scan: up to `limit` live keys `>= start_key`, ascending.
+        SCAN = 0x08 => Scan {
+            start_key: u64,
+            limit: u32 where at_most(MAX_SCAN_KEYS, "scan limit too large")
+        },
+        /// Subscribe to the replication stream from ship index `start_ship`.
+        REPL_SUBSCRIBE = 0x09 => ReplSubscribe { start_ship: u64 },
+        /// Acknowledge application of every batch up to ship index `ship`.
+        REPL_ACK = 0x0A => ReplAck { sub_id: u64, ship: u64 },
+        /// Poll the replication floors without subscribing.
+        REPL_FLOOR = 0x0B => ReplFloor {},
     }
 }
 
-const OP_GET: u8 = 0x01;
-const OP_PUT: u8 = 0x02;
-const OP_DELETE: u8 = 0x03;
-const OP_SYNC: u8 = 0x04;
-const OP_STATS: u8 = 0x05;
-const OP_MODE: u8 = 0x06;
-const OP_TRACE: u8 = 0x07;
-const OP_SCAN: u8 = 0x08;
-const OP_REPL_SUBSCRIBE: u8 = 0x09;
-const OP_REPL_ACK: u8 = 0x0A;
-const OP_REPL_FLOOR: u8 = 0x0B;
-
-const ST_OK: u8 = 0x00;
-const ST_VALUE: u8 = 0x01;
-const ST_NOT_FOUND: u8 = 0x02;
-const ST_DELETED: u8 = 0x03;
-const ST_STATS: u8 = 0x04;
-const ST_MODE: u8 = 0x05;
-const ST_RETRY: u8 = 0x06;
-const ST_ERR: u8 = 0x07;
-const ST_TRACE: u8 = 0x08;
-const ST_KEYS: u8 = 0x09;
-const ST_REPL_BATCH: u8 = 0x0A;
-const ST_REPL_FLOOR: u8 = 0x0B;
+wire_enum! {
+    /// A decoded server response.
+    pub enum Response in status, encode_response, decode_response, "unknown status" {
+        OK = 0x00 => Ok {},
+        VALUE = 0x01 => Value { value: Vec<u8> },
+        NOT_FOUND = 0x02 => NotFound {},
+        DELETED = 0x03 => Deleted {},
+        STATS = 0x04 => Stats { text: String },
+        MODE = 0x05 => Mode { write_intensive: bool },
+        /// The commit queue was full; resubmit.
+        RETRY = 0x06 => Retry {},
+        ERR = 0x07 => Err { message: String },
+        /// Completed trace spans plus the journal tail.
+        TRACE = 0x08 => Trace { spans: Vec<SpanRecord>, events: Vec<TraceEventRecord> },
+        /// SCAN result: live keys, ascending.
+        KEYS = 0x09 => Keys { keys: Vec<u64> },
+        /// One shipped chunk of committed, fenced write ops.
+        REPL_BATCH = 0x0A => ReplBatch { ship: u64, ops: Vec<RepOp> },
+        /// Replication floors: reply to REPL_SUBSCRIBE (carrying the
+        /// assigned `sub_id`) and to REPL_FLOOR polls (`sub_id` = 0).
+        REPL_FLOOR = 0x0B => ReplFloor { sub_id: u64, shipped: u64, acked: u64, applied: u64 },
+    }
+}
 
 /// Strict little-endian cursor over one frame payload.
 struct Cursor<'a> {
@@ -311,39 +270,6 @@ struct Cursor<'a> {
 impl<'a> Cursor<'a> {
     fn new(buf: &'a [u8]) -> Self {
         Cursor { buf, pos: 0 }
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or(ProtoError("truncated frame"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        let end = self
-            .pos
-            .checked_add(4)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(ProtoError("truncated frame"))?;
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(&self.buf[self.pos..end]);
-        self.pos = end;
-        Ok(u32::from_le_bytes(raw))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        let end = self
-            .pos
-            .checked_add(8)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(ProtoError("truncated frame"))?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(&self.buf[self.pos..end]);
-        self.pos = end;
-        Ok(u64::from_le_bytes(raw))
     }
 
     fn bytes(&mut self, len: usize) -> Result<&'a [u8], ProtoError> {
@@ -357,30 +283,22 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    /// A `str` field: `len:u32` then that many bytes of UTF-8.
-    fn str(&mut self) -> Result<String, ProtoError> {
-        let len = self.u32()? as usize;
-        std::str::from_utf8(self.bytes(len)?)
-            .map(str::to_owned)
-            .map_err(|_| ProtoError("text not utf-8"))
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ProtoError> {
+        let mut raw = [0u8; N];
+        raw.copy_from_slice(self.bytes(N)?);
+        Ok(raw)
     }
 
-    /// A `count:u32` list of `item`s. Every item takes at least one byte,
-    /// so a count above the bytes left is refused before anything is
-    /// reserved for it.
-    fn list<T>(
-        &mut self,
-        mut item: impl FnMut(&mut Self) -> Result<T, ProtoError>,
-    ) -> Result<Vec<T>, ProtoError> {
-        let count = self.u32()? as usize;
-        if count > self.buf.len() - self.pos {
-            return Err(ProtoError("list longer than frame"));
-        }
-        (0..count).map(|_| item(self)).collect()
+    fn u8(&mut self) -> Result<u8, ProtoError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn left(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     fn finish(self) -> Result<(), ProtoError> {
-        if self.pos == self.buf.len() {
+        if self.left() == 0 {
             Ok(())
         } else {
             Err(ProtoError("trailing bytes in frame"))
@@ -399,437 +317,219 @@ fn encode_flags(durable: bool, traced: bool) -> u8 {
     (if durable { FLAG_DURABLE } else { 0 }) | (if traced { FLAG_TRACE } else { 0 })
 }
 
-/// Writes a `str` field, the inverse of `Cursor::str`.
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// A type with one wire encoding: `take` reads back exactly what `put`
+/// wrote, and refuses anything `put` could not have written.
+trait Field: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError>;
 }
 
-/// Writes a `count:u32` list, the inverse of `Cursor::list`.
-fn put_list<T>(out: &mut Vec<u8>, items: &[T], mut item: impl FnMut(&mut Vec<u8>, &T)) {
-    out.extend_from_slice(&(items.len() as u32).to_le_bytes());
-    for it in items {
-        item(out, it);
+/// An element of a `count:u32` list: at most `CAP` of them, else the
+/// decoder refuses the list with `TOO_LONG`.
+trait Item: Field {
+    const CAP: usize = usize::MAX;
+    const TOO_LONG: &'static str = "";
+}
+
+impl Field for u32 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        c.array().map(u32::from_le_bytes)
     }
 }
 
-/// Decodes one request payload (the bytes after the length prefix).
-pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
-    let mut c = Cursor::new(payload);
-    let opcode = c.u8()?;
-    let req_id = c.u64()?;
-    let req = match opcode {
-        OP_GET => Request::Get {
-            req_id,
-            key: c.u64()?,
-        },
-        OP_PUT => {
-            let (durable, traced) = decode_flags(c.u8()?)?;
-            let key = c.u64()?;
-            let vlen = c.u32()? as usize;
-            if vlen > MAX_VALUE {
-                return Err(ProtoError("value too large"));
+impl Field for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_le_bytes());
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        c.array().map(u64::from_le_bytes)
+    }
+}
+
+impl Field for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        match c.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(ProtoError("bool byte not 0 or 1")),
+        }
+    }
+}
+
+impl Field for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        let len = u32::take(c)? as usize;
+        std::str::from_utf8(c.bytes(len)?)
+            .map(str::to_owned)
+            .map_err(|_| ProtoError("text not utf-8"))
+    }
+}
+
+/// A value: `len:u32` then at most [`MAX_VALUE`] bytes.
+impl Field for Vec<u8> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self);
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        let len = u32::take(c)? as usize;
+        if len > MAX_VALUE {
+            return Err(ProtoError("value too large"));
+        }
+        c.bytes(len).map(<[u8]>::to_vec)
+    }
+}
+
+/// A `count:u32` list. Every item takes at least one byte, so a count
+/// above the bytes left is refused before anything is reserved for it.
+impl<T: Item> Field for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        debug_assert!(self.len() <= T::CAP, "{}", T::TOO_LONG);
+        (self.len() as u32).put(out);
+        for item in self {
+            item.put(out);
+        }
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        let count = u32::take(c)? as usize;
+        if count > T::CAP {
+            return Err(ProtoError(T::TOO_LONG));
+        }
+        if count > c.left() {
+            return Err(ProtoError("list longer than frame"));
+        }
+        (0..count).map(|_| T::take(c)).collect()
+    }
+}
+
+impl<A: Field, B: Field> Field for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        Ok((A::take(c)?, B::take(c)?))
+    }
+}
+
+impl<A: Field, B: Field> Item for (A, B) {}
+
+impl Item for u64 {
+    const CAP: usize = MAX_SCAN_KEYS;
+    const TOO_LONG: &'static str = "key list too large";
+}
+
+impl Field for StatsFormat {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        match c.u8()? {
+            0 => Ok(StatsFormat::Json),
+            1 => Ok(StatsFormat::Prometheus),
+            _ => Err(ProtoError("unknown stats format")),
+        }
+    }
+}
+
+impl Field for ModeArg {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            ModeArg::Normal => 0,
+            ModeArg::WriteIntensive => 1,
+            ModeArg::Query => 0xFF,
+        });
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        match c.u8()? {
+            0 => Ok(ModeArg::Normal),
+            1 => Ok(ModeArg::WriteIntensive),
+            0xFF => Ok(ModeArg::Query),
+            _ => Err(ProtoError("unknown mode")),
+        }
+    }
+}
+
+impl Field for RepOp {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.key.put(out);
+        match &self.value {
+            Some(v) => {
+                out.push(0);
+                v.put(out);
             }
-            let value = c.bytes(vlen)?.to_vec();
-            Request::Put {
-                req_id,
-                key,
-                value,
-                durable,
-                traced,
+            None => out.push(REP_FLAG_TOMBSTONE),
+        }
+    }
+    fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        let key = u64::take(c)?;
+        let value = match c.u8()? {
+            0 => Some(Vec::take(c)?),
+            REP_FLAG_TOMBSTONE => None,
+            _ => return Err(ProtoError("reserved repl op flag bits set")),
+        };
+        Ok(RepOp { key, value })
+    }
+}
+
+impl Item for RepOp {
+    const CAP: usize = MAX_SCAN_KEYS;
+    const TOO_LONG: &'static str = "repl batch too large";
+}
+
+/// `Field` and `Item` for a record whose fields all go on the wire, in
+/// the order listed.
+macro_rules! wire_record {
+    ($ty:ident { $($field:ident),+ }) => {
+        impl Field for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)+
+            }
+            fn take(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+                Ok($ty { $($field: Field::take(c)?),+ })
             }
         }
-        OP_DELETE => {
-            let (durable, traced) = decode_flags(c.u8()?)?;
-            Request::Delete {
-                req_id,
-                key: c.u64()?,
-                durable,
-                traced,
-            }
-        }
-        OP_SYNC => Request::Sync { req_id },
-        OP_STATS => {
-            let format = match c.u8()? {
-                0 => StatsFormat::Json,
-                1 => StatsFormat::Prometheus,
-                _ => return Err(ProtoError("unknown stats format")),
-            };
-            Request::Stats { req_id, format }
-        }
-        OP_MODE => {
-            let arg = match c.u8()? {
-                0 => ModeArg::Normal,
-                1 => ModeArg::WriteIntensive,
-                0xFF => ModeArg::Query,
-                _ => return Err(ProtoError("unknown mode")),
-            };
-            Request::Mode { req_id, arg }
-        }
-        OP_TRACE => Request::Trace {
-            req_id,
-            max: c.u32()?,
-        },
-        OP_SCAN => {
-            let start_key = c.u64()?;
-            let limit = c.u32()?;
-            if limit as usize > MAX_SCAN_KEYS {
-                return Err(ProtoError("scan limit too large"));
-            }
-            Request::Scan {
-                req_id,
-                start_key,
-                limit,
-            }
-        }
-        OP_REPL_SUBSCRIBE => Request::ReplSubscribe {
-            req_id,
-            start_ship: c.u64()?,
-        },
-        OP_REPL_ACK => Request::ReplAck {
-            req_id,
-            sub_id: c.u64()?,
-            ship: c.u64()?,
-        },
-        OP_REPL_FLOOR => Request::ReplFloor { req_id },
-        _ => return Err(ProtoError("unknown opcode")),
+
+        impl Item for $ty {}
     };
-    c.finish()?;
-    Ok(req)
 }
 
-/// Encodes one request payload (no length prefix).
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    match req {
-        Request::Get { req_id, key } => {
-            out.push(OP_GET);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            out.extend_from_slice(&key.to_le_bytes());
-        }
-        Request::Put {
-            req_id,
-            key,
-            value,
-            durable,
-            traced,
-        } => {
-            out.push(OP_PUT);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            out.push(encode_flags(*durable, *traced));
-            out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-            out.extend_from_slice(value);
-        }
-        Request::Delete {
-            req_id,
-            key,
-            durable,
-            traced,
-        } => {
-            out.push(OP_DELETE);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            out.push(encode_flags(*durable, *traced));
-            out.extend_from_slice(&key.to_le_bytes());
-        }
-        Request::Sync { req_id } => {
-            out.push(OP_SYNC);
-            out.extend_from_slice(&req_id.to_le_bytes());
-        }
-        Request::Stats { req_id, format } => {
-            out.push(OP_STATS);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            out.push(match format {
-                StatsFormat::Json => 0,
-                StatsFormat::Prometheus => 1,
-            });
-        }
-        Request::Mode { req_id, arg } => {
-            out.push(OP_MODE);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            out.push(match arg {
-                ModeArg::Normal => 0,
-                ModeArg::WriteIntensive => 1,
-                ModeArg::Query => 0xFF,
-            });
-        }
-        Request::Trace { req_id, max } => {
-            out.push(OP_TRACE);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            out.extend_from_slice(&max.to_le_bytes());
-        }
-        Request::Scan {
-            req_id,
-            start_key,
-            limit,
-        } => {
-            debug_assert!(*limit as usize <= MAX_SCAN_KEYS);
-            out.push(OP_SCAN);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            out.extend_from_slice(&start_key.to_le_bytes());
-            out.extend_from_slice(&limit.to_le_bytes());
-        }
-        Request::ReplSubscribe { req_id, start_ship } => {
-            out.push(OP_REPL_SUBSCRIBE);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            out.extend_from_slice(&start_ship.to_le_bytes());
-        }
-        Request::ReplAck {
-            req_id,
-            sub_id,
-            ship,
-        } => {
-            out.push(OP_REPL_ACK);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            out.extend_from_slice(&sub_id.to_le_bytes());
-            out.extend_from_slice(&ship.to_le_bytes());
-        }
-        Request::ReplFloor { req_id } => {
-            out.push(OP_REPL_FLOOR);
-            out.extend_from_slice(&req_id.to_le_bytes());
-        }
+wire_record!(SpanRecord {
+    id,
+    op,
+    key,
+    start_ns,
+    total_ns,
+    forced,
+    note,
+    stages
+});
+wire_record!(TraceEventRecord {
+    seq,
+    ts,
+    name,
+    fields,
+    labels
+});
+
+/// Decodes a frame's length prefix, refusing lengths above [`MAX_FRAME`]
+/// (fatal: framing can't be resynchronized).
+pub fn frame_len(prefix: [u8; 4]) -> Result<usize, ProtoError> {
+    let len = u32::from_le_bytes(prefix) as usize;
+    if len > MAX_FRAME {
+        return Err(ProtoError("frame too large"));
     }
-    out
-}
-
-/// Decodes one response payload (the bytes after the length prefix).
-pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
-    let mut c = Cursor::new(payload);
-    let status = c.u8()?;
-    let req_id = c.u64()?;
-    let resp = match status {
-        ST_OK => Response::Ok { req_id },
-        ST_VALUE => {
-            let vlen = c.u32()? as usize;
-            if vlen > MAX_VALUE {
-                return Err(ProtoError("value too large"));
-            }
-            Response::Value {
-                req_id,
-                value: c.bytes(vlen)?.to_vec(),
-            }
-        }
-        ST_NOT_FOUND => Response::NotFound { req_id },
-        ST_DELETED => Response::Deleted { req_id },
-        ST_STATS => Response::Stats {
-            req_id,
-            text: c.str()?,
-        },
-        ST_MODE => {
-            let write_intensive = match c.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(ProtoError("unknown mode")),
-            };
-            Response::Mode {
-                req_id,
-                write_intensive,
-            }
-        }
-        ST_RETRY => Response::Retry { req_id },
-        ST_ERR => Response::Err {
-            req_id,
-            message: c.str()?,
-        },
-        ST_TRACE => Response::Trace {
-            req_id,
-            spans: c.list(|c| {
-                Ok(SpanRecord {
-                    id: c.u64()?,
-                    op: c.str()?,
-                    key: c.u64()?,
-                    start_ns: c.u64()?,
-                    total_ns: c.u64()?,
-                    forced: match c.u8()? {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(ProtoError("bad span forced flag")),
-                    },
-                    note: c.str()?,
-                    stages: c.list(|c| Ok((c.str()?, c.u64()?)))?,
-                })
-            })?,
-            events: c.list(|c| {
-                Ok(TraceEventRecord {
-                    seq: c.u64()?,
-                    ts: c.u64()?,
-                    name: c.str()?,
-                    fields: c.list(|c| Ok((c.str()?, c.u64()?)))?,
-                    labels: c.list(|c| Ok((c.str()?, c.str()?)))?,
-                })
-            })?,
-        },
-        ST_KEYS => {
-            let count = c.u32()? as usize;
-            if count > MAX_SCAN_KEYS {
-                return Err(ProtoError("key list too large"));
-            }
-            let mut keys = Vec::with_capacity(count);
-            for _ in 0..count {
-                keys.push(c.u64()?);
-            }
-            Response::Keys { req_id, keys }
-        }
-        ST_REPL_BATCH => {
-            let ship = c.u64()?;
-            let count = c.u32()? as usize;
-            if count > MAX_SCAN_KEYS {
-                return Err(ProtoError("repl batch too large"));
-            }
-            let mut ops = Vec::with_capacity(count);
-            for _ in 0..count {
-                let key = c.u64()?;
-                let opflags = c.u8()?;
-                if opflags & !REP_FLAG_TOMBSTONE != 0 {
-                    return Err(ProtoError("reserved repl op flag bits set"));
-                }
-                let value = if opflags & REP_FLAG_TOMBSTONE != 0 {
-                    None
-                } else {
-                    let vlen = c.u32()? as usize;
-                    if vlen > MAX_VALUE {
-                        return Err(ProtoError("value too large"));
-                    }
-                    Some(c.bytes(vlen)?.to_vec())
-                };
-                ops.push(RepOp { key, value });
-            }
-            Response::ReplBatch { req_id, ship, ops }
-        }
-        ST_REPL_FLOOR => Response::ReplFloor {
-            req_id,
-            sub_id: c.u64()?,
-            shipped: c.u64()?,
-            acked: c.u64()?,
-            applied: c.u64()?,
-        },
-        _ => return Err(ProtoError("unknown status")),
-    };
-    c.finish()?;
-    Ok(resp)
-}
-
-/// Encodes one response payload (no length prefix).
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    match resp {
-        Response::Ok { req_id } => {
-            out.push(ST_OK);
-            out.extend_from_slice(&req_id.to_le_bytes());
-        }
-        Response::Value { req_id, value } => {
-            out.push(ST_VALUE);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-            out.extend_from_slice(value);
-        }
-        Response::NotFound { req_id } => {
-            out.push(ST_NOT_FOUND);
-            out.extend_from_slice(&req_id.to_le_bytes());
-        }
-        Response::Deleted { req_id } => {
-            out.push(ST_DELETED);
-            out.extend_from_slice(&req_id.to_le_bytes());
-        }
-        Response::Stats { req_id, text } => {
-            out.push(ST_STATS);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            put_str(&mut out, text);
-        }
-        Response::Mode {
-            req_id,
-            write_intensive,
-        } => {
-            out.push(ST_MODE);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            out.push(u8::from(*write_intensive));
-        }
-        Response::Retry { req_id } => {
-            out.push(ST_RETRY);
-            out.extend_from_slice(&req_id.to_le_bytes());
-        }
-        Response::Err { req_id, message } => {
-            out.push(ST_ERR);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            put_str(&mut out, message);
-        }
-        Response::Trace {
-            req_id,
-            spans,
-            events,
-        } => {
-            out.push(ST_TRACE);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            put_list(&mut out, spans, |out, s| {
-                out.extend_from_slice(&s.id.to_le_bytes());
-                put_str(out, &s.op);
-                out.extend_from_slice(&s.key.to_le_bytes());
-                out.extend_from_slice(&s.start_ns.to_le_bytes());
-                out.extend_from_slice(&s.total_ns.to_le_bytes());
-                out.push(u8::from(s.forced));
-                put_str(out, &s.note);
-                put_list(out, &s.stages, |out, (name, dur)| {
-                    put_str(out, name);
-                    out.extend_from_slice(&dur.to_le_bytes());
-                });
-            });
-            put_list(&mut out, events, |out, e| {
-                out.extend_from_slice(&e.seq.to_le_bytes());
-                out.extend_from_slice(&e.ts.to_le_bytes());
-                put_str(out, &e.name);
-                put_list(out, &e.fields, |out, (name, v)| {
-                    put_str(out, name);
-                    out.extend_from_slice(&v.to_le_bytes());
-                });
-                put_list(out, &e.labels, |out, (name, v)| {
-                    put_str(out, name);
-                    put_str(out, v);
-                });
-            });
-        }
-        Response::Keys { req_id, keys } => {
-            debug_assert!(keys.len() <= MAX_SCAN_KEYS);
-            out.push(ST_KEYS);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            out.extend_from_slice(&(keys.len() as u32).to_le_bytes());
-            for k in keys {
-                out.extend_from_slice(&k.to_le_bytes());
-            }
-        }
-        Response::ReplBatch { req_id, ship, ops } => {
-            debug_assert!(ops.len() <= MAX_SCAN_KEYS);
-            out.push(ST_REPL_BATCH);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            out.extend_from_slice(&ship.to_le_bytes());
-            out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-            for op in ops {
-                out.extend_from_slice(&op.key.to_le_bytes());
-                match &op.value {
-                    Some(v) => {
-                        out.push(0);
-                        out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                        out.extend_from_slice(v);
-                    }
-                    None => out.push(REP_FLAG_TOMBSTONE),
-                }
-            }
-        }
-        Response::ReplFloor {
-            req_id,
-            sub_id,
-            shipped,
-            acked,
-            applied,
-        } => {
-            out.push(ST_REPL_FLOOR);
-            out.extend_from_slice(&req_id.to_le_bytes());
-            out.extend_from_slice(&sub_id.to_le_bytes());
-            out.extend_from_slice(&shipped.to_le_bytes());
-            out.extend_from_slice(&acked.to_le_bytes());
-            out.extend_from_slice(&applied.to_le_bytes());
-        }
-    }
-    out
+    Ok(len)
 }
 
 /// Writes `payload` as one frame: length prefix, then the bytes, handed
@@ -875,13 +575,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
             Err(e) => return Err(e),
         }
     }
-    let len = u32::from_le_bytes(len_raw) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            ProtoError("frame too large"),
-        ));
-    }
+    let len = frame_len(len_raw).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
@@ -1039,7 +733,7 @@ mod tests {
 
     #[test]
     fn oversized_value_is_rejected_without_allocation() {
-        let mut wire = vec![OP_PUT];
+        let mut wire = vec![opcode::PUT];
         wire.extend_from_slice(&1u64.to_le_bytes());
         wire.push(0);
         wire.extend_from_slice(&2u64.to_le_bytes());
@@ -1049,7 +743,7 @@ mod tests {
 
     #[test]
     fn reserved_flag_bits_are_rejected() {
-        let mut wire = vec![OP_DELETE];
+        let mut wire = vec![opcode::DELETE];
         wire.extend_from_slice(&1u64.to_le_bytes());
         wire.push(0x04);
         wire.extend_from_slice(&2u64.to_le_bytes());
@@ -1072,7 +766,7 @@ mod tests {
     #[test]
     fn scan_limit_and_key_count_are_bounded() {
         // SCAN limit above the cap: rejected without serving.
-        let mut wire = vec![OP_SCAN];
+        let mut wire = vec![opcode::SCAN];
         wire.extend_from_slice(&1u64.to_le_bytes());
         wire.extend_from_slice(&0u64.to_le_bytes());
         wire.extend_from_slice(&((MAX_SCAN_KEYS + 1) as u32).to_le_bytes());
@@ -1082,7 +776,7 @@ mod tests {
         );
 
         // KEYS count above the cap: rejected before allocating the list.
-        let mut wire = vec![ST_KEYS];
+        let mut wire = vec![status::KEYS];
         wire.extend_from_slice(&1u64.to_le_bytes());
         wire.extend_from_slice(&(u32::MAX).to_le_bytes());
         assert_eq!(
@@ -1106,7 +800,7 @@ mod tests {
     #[test]
     fn repl_batch_bounds_and_flags_are_enforced() {
         // Op count above the cap: rejected before allocating the list.
-        let mut wire = vec![ST_REPL_BATCH];
+        let mut wire = vec![status::REPL_BATCH];
         wire.extend_from_slice(&1u64.to_le_bytes());
         wire.extend_from_slice(&1u64.to_le_bytes());
         wire.extend_from_slice(&(u32::MAX).to_le_bytes());
@@ -1116,7 +810,7 @@ mod tests {
         );
 
         // Oversized per-op value: rejected before allocation.
-        let mut wire = vec![ST_REPL_BATCH];
+        let mut wire = vec![status::REPL_BATCH];
         wire.extend_from_slice(&1u64.to_le_bytes());
         wire.extend_from_slice(&1u64.to_le_bytes());
         wire.extend_from_slice(&1u32.to_le_bytes());
@@ -1126,7 +820,7 @@ mod tests {
         assert_eq!(decode_response(&wire), Err(ProtoError("value too large")));
 
         // Reserved per-op flag bits: rejected (keeps encoding canonical).
-        let mut wire = vec![ST_REPL_BATCH];
+        let mut wire = vec![status::REPL_BATCH];
         wire.extend_from_slice(&1u64.to_le_bytes());
         wire.extend_from_slice(&1u64.to_le_bytes());
         wire.extend_from_slice(&1u32.to_le_bytes());
@@ -1163,23 +857,23 @@ mod tests {
     #[test]
     fn trace_counts_beyond_the_frame_are_refused_before_reserving() {
         // A span count of u32::MAX with nothing behind it.
-        let mut wire = vec![ST_TRACE];
+        let mut wire = vec![status::TRACE];
         wire.extend_from_slice(&1u64.to_le_bytes());
         wire.extend_from_slice(&u32::MAX.to_le_bytes());
         let refused = Err(ProtoError("list longer than frame"));
         assert_eq!(decode_response(&wire), refused);
 
         // One span whose stage count claims far more than the bytes left.
-        let mut wire = vec![ST_TRACE];
+        let mut wire = vec![status::TRACE];
         wire.extend_from_slice(&1u64.to_le_bytes());
         wire.extend_from_slice(&1u32.to_le_bytes());
         wire.extend_from_slice(&7u64.to_le_bytes());
-        put_str(&mut wire, "put");
+        "put".to_owned().put(&mut wire);
         wire.extend_from_slice(&[0; 24]);
         wire.push(1);
-        put_str(&mut wire, "");
+        String::new().put(&mut wire);
         wire.extend_from_slice(&(u32::MAX - 1).to_le_bytes());
-        put_str(&mut wire, "decode");
+        "decode".to_owned().put(&mut wire);
         wire.extend_from_slice(&5u64.to_le_bytes());
         wire.extend_from_slice(&0u32.to_le_bytes());
         assert_eq!(decode_response(&wire), refused);

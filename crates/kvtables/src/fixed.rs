@@ -342,8 +342,12 @@ impl TableBuilder {
             }
             if cur.hash == slot.hash {
                 // Already staged by a newer source — the older version's
-                // log entry leaves the index when this merge commits.
-                self.dropped.push(slot);
+                // log entry leaves the index when this merge commits. The
+                // same word staged twice is one entry (replay copies a slot
+                // a table still holds): it stays in the image, not dropped.
+                if cur.loc != slot.loc {
+                    self.dropped.push(slot);
+                }
                 return Ok(false);
             }
             idx = (idx + 1) % self.slots.len();
