@@ -8,8 +8,12 @@
 //! Differences from real proptest, by design (see `compat/README.md`):
 //! inputs are generated from a deterministic splitmix64 stream seeded by the
 //! test's module path (every run exercises the same cases, like a seeded
-//! fuzzer), and there is **no shrinking** — a failure reports the case
-//! number and assertion message only.
+//! fuzzer), and shrinking is minimal: a failing input is shrunk greedily,
+//! halving `collection::vec` values and moving range integers toward the
+//! range's low end, and the failure reports the case number, the
+//! assertion message of the smallest failing input, and that input. The
+//! shrink order is fixed, so a failure shrinks the same way every run.
+//! `name: Type` parameters and booleans are not shrunk.
 
 /// Run-count configuration, honoring `ProptestConfig::with_cases(n)`.
 #[derive(Debug, Clone)]
@@ -93,17 +97,35 @@ pub mod test_runner {
 }
 
 pub mod strategy {
-    //! Value-generation strategies (no shrinking).
+    //! Value-generation strategies and their shrinking.
 
     use crate::test_runner::TestRng;
+    use std::fmt::Debug;
     use std::ops::Range;
 
     /// A recipe for generating values of `Self::Value`.
     pub trait Strategy {
         /// The generated type.
-        type Value;
+        type Value: Clone + Debug;
         /// Draws one value from `rng`'s deterministic stream.
         fn generate(&self, rng: &mut TestRng) -> Self::Value;
+        /// Simpler values to try in place of a failing `value`, simplest
+        /// first (none by default).
+        fn shrink(&self, _value: &Self::Value) -> Vec<Self::Value> {
+            Vec::new()
+        }
+    }
+
+    /// The low end of a range, then points ever closer to `value`:
+    /// `value - d/2, value - d/4, ..., value - 1` for `d = value - low`.
+    fn toward(low: i128, value: i128) -> Vec<i128> {
+        let mut out = Vec::new();
+        let mut step = value - low;
+        while step > 0 {
+            out.push(value - step);
+            step /= 2;
+        }
+        out
     }
 
     macro_rules! impl_range_strategy {
@@ -114,10 +136,19 @@ pub mod strategy {
                     let width = (self.end as i128).wrapping_sub(self.start as i128) as u128;
                     ((self.start as i128) + rng.below(width) as i128) as $t
                 }
+                fn shrink(&self, value: &$t) -> Vec<$t> {
+                    toward(self.start as i128, *value as i128).into_iter().map(|v| v as $t).collect()
+                }
             }
         )*};
     }
     impl_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+    /// No parameters: the macro's end of the parameter list.
+    impl Strategy for () {
+        type Value = ();
+        fn generate(&self, _rng: &mut TestRng) {}
+    }
 
     macro_rules! impl_tuple_strategy {
         ($(($($n:tt $s:ident),+))*) => {$(
@@ -125,6 +156,18 @@ pub mod strategy {
                 type Value = ($($s::Value,)+);
                 fn generate(&self, rng: &mut TestRng) -> Self::Value {
                     ($(self.$n.generate(rng),)+)
+                }
+                /// One component at a time, the others kept.
+                fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+                    let mut out = Vec::new();
+                    $(
+                        for c in self.$n.shrink(&value.$n) {
+                            let mut v = value.clone();
+                            v.$n = c;
+                            out.push(v);
+                        }
+                    )+
+                    out
                 }
             }
         )*};
@@ -161,6 +204,23 @@ pub mod collection {
             let width = (self.size.end - self.size.start) as u128;
             let len = self.size.start + rng.below(width) as usize;
             (0..len).map(|_| self.element.generate(rng)).collect()
+        }
+        /// Either half, if the length allows it, then one element shrunk.
+        fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+            let half = value.len() / 2;
+            let mut out: Vec<Self::Value> = [&value[..half], &value[half..]]
+                .into_iter()
+                .filter(|h| h.len() < value.len() && h.len() >= self.size.start)
+                .map(<[S::Value]>::to_vec)
+                .collect();
+            for (i, e) in value.iter().enumerate() {
+                for c in self.element.shrink(e) {
+                    let mut v = value.clone();
+                    v[i] = c;
+                    out.push(v);
+                }
+            }
+            out
         }
     }
 }
@@ -212,6 +272,94 @@ pub mod arbitrary {
             rng.next_u64() & 1 == 1
         }
     }
+
+    /// The strategy behind a `name: Type` parameter.
+    pub struct Any<T>(std::marker::PhantomData<T>);
+
+    pub fn any<T: Arbitrary>() -> Any<T> {
+        Any(std::marker::PhantomData)
+    }
+
+    impl<T: Arbitrary + Clone + std::fmt::Debug> crate::strategy::Strategy for Any<T> {
+        type Value = T;
+        fn generate(&self, rng: &mut TestRng) -> T {
+            T::arbitrary(rng)
+        }
+    }
+}
+
+pub mod runner {
+    //! Runs one property over its cases and shrinks a failing input.
+
+    use crate::strategy::Strategy;
+    use crate::test_runner::{TestCaseError, TestRng};
+    use crate::ProptestConfig;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Shrink attempts after a failure, at most.
+    const SHRINK_RUNS: u32 = 4096;
+
+    /// A failing case: its number, the smallest failing input found and
+    /// that input's failure.
+    pub struct Failure<V> {
+        pub case: u32,
+        pub input: V,
+        pub error: TestCaseError,
+    }
+
+    fn attempt<V>(
+        test: &impl Fn(V) -> Result<(), TestCaseError>,
+        v: V,
+    ) -> Result<(), TestCaseError> {
+        catch_unwind(AssertUnwindSafe(|| test(v))).unwrap_or_else(|panic| {
+            let msg = panic
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_else(|| "panicked".into());
+            Err(TestCaseError::fail(msg))
+        })
+    }
+
+    /// Runs `test` on `config.cases` inputs drawn from `strategy`; the
+    /// first failure is shrunk greedily (the first simpler candidate that
+    /// still fails replaces it) until no candidate fails.
+    pub fn run<S: Strategy>(
+        id: &str,
+        config: &ProptestConfig,
+        strategy: &S,
+        test: impl Fn(S::Value) -> Result<(), TestCaseError>,
+    ) -> Option<Failure<S::Value>> {
+        let mut rng = TestRng::deterministic(id);
+        for case in 0..config.cases {
+            let input = strategy.generate(&mut rng);
+            let Err(error) = attempt(&test, input.clone()) else {
+                continue;
+            };
+            let mut best = Failure {
+                case: case + 1,
+                input,
+                error,
+            };
+            let mut runs = 0;
+            'shrink: while runs < SHRINK_RUNS {
+                for candidate in strategy.shrink(&best.input) {
+                    runs += 1;
+                    if let Err(error) = attempt(&test, candidate.clone()) {
+                        best.input = candidate;
+                        best.error = error;
+                        continue 'shrink;
+                    }
+                    if runs >= SHRINK_RUNS {
+                        break;
+                    }
+                }
+                break;
+            }
+            return Some(best);
+        }
+        None
+    }
 }
 
 pub mod prelude {
@@ -225,7 +373,8 @@ pub mod prelude {
 }
 
 /// Defines property tests. Each `fn name(param in strategy, other: Type)`
-/// becomes a `#[test]` that generates inputs for `config.cases` iterations.
+/// becomes a `#[test]` that generates inputs for `config.cases` iterations
+/// and, on a failure, shrinks the input and reports the smallest one.
 #[macro_export]
 macro_rules! proptest {
     ( #![proptest_config($cfg:expr)] $($rest:tt)* ) => {
@@ -240,35 +389,50 @@ macro_rules! proptest {
         $(#[$meta])*
         fn $name() {
             let __config: $crate::ProptestConfig = $cfg;
-            let mut __rng = $crate::test_runner::TestRng::deterministic(
+            let __failure = $crate::runner::run(
                 concat!(module_path!(), "::", stringify!($name)),
+                &__config,
+                &$crate::proptest!(@strategy $($params)*),
+                |__input| -> ::std::result::Result<(), $crate::test_runner::TestCaseError> {
+                    let $crate::proptest!(@pattern $($params)*) = __input;
+                    { $body }
+                    ::std::result::Result::Ok(())
+                },
             );
-            for __case in 0..__config.cases {
-                let __result: ::std::result::Result<(), $crate::test_runner::TestCaseError> = {
-                    $crate::proptest!(@bind __rng, $($params)*);
-                    (move || -> ::std::result::Result<(), $crate::test_runner::TestCaseError> {
-                        { $body }
-                        ::std::result::Result::Ok(())
-                    })()
-                };
-                if let ::std::result::Result::Err(__e) = __result {
-                    ::std::panic!(
-                        "proptest {} failed at case {}/{}: {}",
-                        stringify!($name), __case + 1, __config.cases, __e,
-                    );
-                }
+            if let ::std::option::Option::Some(__f) = __failure {
+                let $crate::proptest!(@pattern $($params)*) = __f.input;
+                let mut __input = ::std::vec::Vec::<::std::string::String>::new();
+                $crate::proptest!(@describe __input, $($params)*);
+                ::std::panic!(
+                    "proptest {} failed at case {}/{}: {}\n  minimal input: {}",
+                    stringify!($name), __f.case, __config.cases, __f.error, __input.join(", "),
+                );
             }
         }
         $crate::proptest!(@fns ($cfg) $($rest)*);
     };
-    (@bind $rng:ident $(,)?) => {};
-    (@bind $rng:ident, $var:ident in $strat:expr $(, $($rest:tt)*)?) => {
-        let $var = $crate::strategy::Strategy::generate(&($strat), &mut $rng);
-        $crate::proptest!(@bind $rng $(, $($rest)*)?);
+    (@strategy $(,)?) => { () };
+    (@strategy $var:ident in $strat:expr $(, $($rest:tt)*)?) => {
+        ($strat, $crate::proptest!(@strategy $($($rest)*)?))
     };
-    (@bind $rng:ident, $var:ident : $ty:ty $(, $($rest:tt)*)?) => {
-        let $var: $ty = $crate::arbitrary::Arbitrary::arbitrary(&mut $rng);
-        $crate::proptest!(@bind $rng $(, $($rest)*)?);
+    (@strategy $var:ident : $ty:ty $(, $($rest:tt)*)?) => {
+        ($crate::arbitrary::any::<$ty>(), $crate::proptest!(@strategy $($($rest)*)?))
+    };
+    (@pattern $(,)?) => { () };
+    (@pattern $var:ident in $strat:expr $(, $($rest:tt)*)?) => {
+        ($var, $crate::proptest!(@pattern $($($rest)*)?))
+    };
+    (@pattern $var:ident : $ty:ty $(, $($rest:tt)*)?) => {
+        ($var, $crate::proptest!(@pattern $($($rest)*)?))
+    };
+    (@describe $out:ident $(,)?) => {};
+    (@describe $out:ident, $var:ident in $strat:expr $(, $($rest:tt)*)?) => {
+        $out.push(::std::format!("{} = {:?}", stringify!($var), $var));
+        $crate::proptest!(@describe $out $(, $($rest)*)?);
+    };
+    (@describe $out:ident, $var:ident : $ty:ty $(, $($rest:tt)*)?) => {
+        $out.push(::std::format!("{} = {:?}", stringify!($var), $var));
+        $crate::proptest!(@describe $out $(, $($rest)*)?);
     };
     ( $($rest:tt)* ) => {
         $crate::proptest!(@fns ($crate::ProptestConfig::default()) $($rest)*);
@@ -374,6 +538,29 @@ mod tests {
         let msg = err.downcast_ref::<String>().expect("panic message");
         assert!(msg.contains("failed at case 1/4"), "got: {msg}");
         assert!(msg.contains("12345"), "got: {msg}");
+        // Shrunk to the range's low end.
+        assert!(msg.ends_with("minimal input: x = 0"), "got: {msg}");
+    }
+
+    #[test]
+    fn failures_shrink_to_a_minimal_vec() {
+        let err = std::panic::catch_unwind(|| {
+            proptest! {
+                #![proptest_config(ProptestConfig::with_cases(16))]
+                #[allow(unused)]
+                fn no_element_reaches_300(v in crate::collection::vec(0u64..1000, 1..40), flag: bool) {
+                    prop_assert!(v.iter().all(|&x| x < 300), "{:?} has an element >= 300", v);
+                }
+            }
+            no_element_reaches_300();
+        })
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("panic message");
+        assert!(msg.contains(": [300] has an element >= 300"), "got: {msg}");
+        assert!(
+            msg.contains("minimal input: v = [300], flag = "),
+            "got: {msg}"
+        );
     }
 
     #[test]

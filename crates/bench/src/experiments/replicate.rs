@@ -4,9 +4,10 @@
 //! Phase A (replicated serving): a loopback primary under the
 //! `replica-quorum` ack policy with N subscribed replicas, concurrent
 //! writer clients appending round-stamped stripes, and reader clients
-//! auditing every published ack floor through staleness-bound-0
-//! [`ReplicaReader`] reads — a durable ack must imply the write is
-//! visible on a replica within the bound. The phase also asserts the
+//! reading each writer's newest acked key through staleness-bound-0
+//! [`ReplicaReader`] reads, each audited with [`History::read`] — a
+//! durable ack must imply the write is visible on a replica within the
+//! bound. The phase also asserts the
 //! lag floors are visible where the tentpole promised: the primary's
 //! and replicas' obs snapshots (`chameleon_repl_*`), the windowed
 //! telemetry (`chameleon_win_repl_*`, rendered by `repro top`).
@@ -14,10 +15,11 @@
 //! Phase B (promotion drill): fresh primary + replicas per round, kill
 //! the primary with [`KvServer::abort`] at a different fence point each
 //! round, promote the replica with the highest applied floor, and audit
-//! the promoted image against the writers' acked floors — the
-//! log-prefix-cut invariant, distributed: every acked write present
-//! (quorum ⇒ some replica applied it ⇒ the max-applied replica has it),
-//! at most one in-flight write per writer optional, nothing past it.
+//! the promoted image with [`History::image`] — the log-prefix-cut
+//! invariant, distributed: every acked write present (quorum ⇒ some
+//! replica applied it ⇒ the max-applied replica has it), at most the one
+//! in-flight write per writer optional, nothing past it, and a full scan
+//! equal to the live set.
 //!
 //! Exits nonzero on any staleness or promotion violation; artifact under
 //! `results/pr10_repl/`.
@@ -31,6 +33,7 @@ use std::time::{Duration, Instant};
 use chameleon_obs::export::{parse_prometheus, sample_value, Sample};
 use chameleon_obs::ServerObs;
 use chameleondb::{ChameleonConfig, ChameleonDb};
+use integration::history::{History, Op};
 use kvclient::{Client, ReplicaReader, StatsFormat};
 use kvrepl::Replica;
 use kvserver::{AckPolicy, KvServer, ServerConfig};
@@ -49,6 +52,31 @@ fn stripe_key(w: usize, i: u64) -> u64 {
 
 fn stripe_value(w: usize, i: u64) -> Vec<u8> {
     format!("repl-{w:02}-{i:08}").into_bytes()
+}
+
+/// `writers` stripes of `puts` round-stamped puts each.
+fn stripes(writers: usize, puts: u64) -> History {
+    History::new(
+        (0..writers)
+            .map(|w| {
+                (0..puts)
+                    .map(|i| Op::Put(stripe_key(w, i), stripe_value(w, i)))
+                    .collect()
+            })
+            .collect(),
+    )
+}
+
+/// Writer `w` runs its stripe as durable puts, stopping at the first
+/// failed put.
+fn write_stripe(c: &mut Client, h: &History, w: usize) -> std::io::Result<()> {
+    let n = h.script(w).len() as u64;
+    h.drive(w, 0, n, |op| {
+        let Op::Put(k, v) = op else {
+            unreachable!("stripes only put")
+        };
+        c.put_retrying(*k, v, true).map(drop)
+    })
 }
 
 fn node() -> (Arc<PmemDevice>, Arc<ChameleonDb>) {
@@ -125,8 +153,7 @@ fn serving_phase(
          replicas, every published ack floor audited at staleness bound 0"
     );
 
-    let floors: Vec<AtomicU64> = (0..writers).map(|_| AtomicU64::new(0)).collect();
-    let floors = &floors;
+    let h = &stripes(writers, puts_per_writer);
     let audited = AtomicU64::new(0);
     let violations = AtomicU64::new(0);
     let done = AtomicU64::new(0);
@@ -135,16 +162,10 @@ fn serving_phase(
     let replica_addrs = &replica_addrs;
 
     thread::scope(|sc| {
-        for (w, floor) in floors.iter().enumerate() {
+        for w in 0..writers {
             sc.spawn(move || {
                 let mut c = Client::connect(addr).expect("writer connect");
-                for i in 0..puts_per_writer {
-                    c.put_retrying(stripe_key(w, i), &stripe_value(w, i), true)
-                        .expect("writer put");
-                    // The quorum ack is in hand: publish the floor the
-                    // readers audit against.
-                    floor.store(i + 1, Ordering::Release);
-                }
+                write_stripe(&mut c, h, w).expect("writer put");
                 done.fetch_add(1, Ordering::Release);
             });
         }
@@ -155,20 +176,18 @@ fn serving_phase(
                         .expect("reader connect");
                 loop {
                     let finished = done.load(Ordering::Acquire) as usize == writers;
-                    for (w, floor) in floors.iter().enumerate() {
-                        let f = floor.load(Ordering::Acquire);
-                        if f == 0 {
-                            continue;
-                        }
+                    let before = h.floors();
+                    for (w, &f) in before.acked.iter().enumerate().filter(|(_, &f)| f > 0) {
                         // The newest acked write of this stripe: a
                         // bound-0 read must observe it.
-                        let i = f - 1;
-                        match reader.get_within(stripe_key(w, i), 0, Duration::from_secs(10)) {
-                            Ok(Some(v)) if v == stripe_value(w, i) => {}
-                            other => {
-                                eprintln!("  STALENESS VIOLATION: writer {w} floor {f}: {other:?}");
-                                violations.fetch_add(1, Ordering::Relaxed);
-                            }
+                        let key = stripe_key(w, f - 1);
+                        let checked = match reader.get_within(key, 0, Duration::from_secs(10)) {
+                            Ok(v) => h.read(key, v.as_deref().into(), &before, &h.floors()),
+                            Err(e) => Err(e.to_string()),
+                        };
+                        if let Err(e) = checked {
+                            eprintln!("  STALENESS VIOLATION: writer {w} floor {f}: {e}");
+                            violations.fetch_add(1, Ordering::Relaxed);
                         }
                         audited.fetch_add(1, Ordering::Relaxed);
                     }
@@ -180,7 +199,7 @@ fn serving_phase(
         }
     });
 
-    let acked: u64 = floors.iter().map(|f| f.load(Ordering::Acquire)).sum();
+    let acked: u64 = h.floors().acked.iter().sum();
 
     // Lag floors visible everywhere the tentpole promised.
     let mut c = Client::connect(addr).expect("stats connect");
@@ -246,28 +265,20 @@ fn serving_phase(
 fn promotion_round(
     round: usize,
     replicas: usize,
-    writers: usize,
+    (writers, puts_per_writer): (usize, u64),
     kill_after: u64,
 ) -> PromotionRound {
     let (primary, addr) = start_primary(1);
     let reps: Vec<Replica> = (0..replicas).map(|_| start_replica(addr)).collect();
 
-    let floors: Vec<AtomicU64> = (0..writers).map(|_| AtomicU64::new(0)).collect();
-    let floors = Arc::new(floors);
+    let h = Arc::new(stripes(writers, puts_per_writer));
     let handles: Vec<_> = (0..writers)
         .map(|w| {
-            let floors = Arc::clone(&floors);
+            let h = Arc::clone(&h);
             thread::spawn(move || {
-                let Ok(mut c) = Client::connect(addr) else {
-                    return;
-                };
-                for i in 0..u64::MAX {
-                    if c.put_retrying(stripe_key(w, i), &stripe_value(w, i), true)
-                        .is_err()
-                    {
-                        break; // primary killed mid-write
-                    }
-                    floors[w].store(i + 1, Ordering::Release);
+                // Fails once the primary is killed mid-write.
+                if let Ok(mut c) = Client::connect(addr) {
+                    let _ = write_stripe(&mut c, &h, w);
                 }
             })
         })
@@ -275,20 +286,15 @@ fn promotion_round(
 
     // Kill at this round's fence point: whatever batch boundary the
     // primary happens to be at when the acked total crosses the mark.
-    while floors
-        .iter()
-        .map(|f| f.load(Ordering::Acquire))
-        .sum::<u64>()
-        < kill_after
-    {
+    while h.floors().acked.iter().sum::<u64>() < kill_after {
         thread::sleep(Duration::from_millis(1));
     }
     primary.abort();
     for h in handles {
         h.join().expect("writer join");
     }
-    let shadow: Vec<u64> = floors.iter().map(|f| f.load(Ordering::Acquire)).collect();
-    let acked_total: u64 = shadow.iter().sum();
+    let floors = h.floors();
+    let acked_total: u64 = floors.acked.iter().sum();
 
     // Promote the replica with the highest applied floor: with quorum 1
     // the top acker applied every acked write, so the max-floor replica
@@ -311,28 +317,16 @@ fn promotion_round(
     let promoted = promoted.expect("promoted replica");
     let promoted_applied = promoted.floors.applied.load(Ordering::Acquire);
 
-    // Audit the promoted image against the shadow floors.
-    let mut violations = 0u64;
     let mut c = Client::connect(promoted.server.local_addr()).expect("promoted connect");
-    for (w, &f) in shadow.iter().enumerate() {
-        for i in 0..f + 8 {
-            let got = c.get(stripe_key(w, i)).expect("promoted get");
-            let ok = if i < f {
-                got.as_deref() == Some(stripe_value(w, i).as_slice())
-            } else if i == f {
-                // The one in-flight write: absent, or present and intact.
-                got.is_none() || got.as_deref() == Some(stripe_value(w, i).as_slice())
-            } else {
-                got.is_none()
-            };
-            if !ok {
-                eprintln!(
-                    "  PROMOTION VIOLATION (round {round}): writer {w} floor {f} index {i}: {got:?}"
-                );
-                violations += 1;
-            }
-        }
+    let scanned = c
+        .scan(0, kvserver::proto::MAX_SCAN_KEYS as u32)
+        .map_err(|e| e.to_string());
+    let get = |key| c.get(key).map_err(|e| e.to_string());
+    let found = h.image(get, scanned, &floors);
+    for v in &found {
+        eprintln!("  PROMOTION VIOLATION (round {round}): {v}");
     }
+    let violations = found.len() as u64;
     // The promoted image is writable.
     c.put_retrying(stripe_key(0, 1 << 30), b"post-promotion", true)
         .expect("promoted write");
@@ -381,7 +375,12 @@ pub fn run(opts: &Opts) {
     for r in 0..rounds {
         // A different fence point every round.
         let kill_after = 40 + 75 * r as u64;
-        promo_rounds.push(promotion_round(r, replicas, writers, kill_after));
+        assert!(
+            kill_after <= writers as u64 * puts_per_writer,
+            "stripes too short"
+        );
+        let stripes = (writers, puts_per_writer);
+        promo_rounds.push(promotion_round(r, replicas, stripes, kill_after));
     }
     let promotion_violations: u64 = promo_rounds.iter().map(|r| r.violations).sum();
 

@@ -6,20 +6,22 @@
 //! then YCSB-E (95% scan / 5% insert) runs against the indexed store.
 //! The TCP phase is the adversarial one: a kvserver with four scanner
 //! clients running the YCSB-E mix over the wire while four writer
-//! clients append durable puts, and *every* scan result is audited
-//! against a shadow model — strictly sorted, contiguous over the
-//! preloaded key range (no holes, no phantoms), and churn-region keys
-//! bounded by the writers' published ack floors. Periodic frontier
-//! scans additionally prove no acked write is ever missing from a scan
-//! that covers it.
+//! clients append durable puts, and *every* scan result is audited with
+//! [`integration::history`]: strictly sorted, no key that no cut of its
+//! writer between the floors before and after the scan holds (a
+//! phantom), and no key every such cut holds missing below the last key
+//! returned (a hole). Preloaded keys are one writer's acked puts.
+//! Periodic frontier scans cover the whole writer region, so they also
+//! prove no acked write is ever missing from a scan that covers it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
 use chameleon_obs::ServerObs;
 use chameleondb::{ChameleonConfig, ChameleonDb};
+use integration::history::{History, Op};
 use kvapi::mix64;
 use kvclient::Client;
 use kvserver::{KvServer, ServerConfig};
@@ -37,7 +39,6 @@ use crate::util::{header, Opts};
 const SCANNER_BASE: u64 = 1 << 40;
 const WRITER_BASE: u64 = 1 << 41;
 const STRIPE_SHIFT: u32 = 32;
-const STRIPE_MASK: u64 = (1 << STRIPE_SHIFT) - 1;
 const WRITERS: usize = 4;
 const SCANNERS: usize = 4;
 /// Frontier audits scan `[WRITER_BASE, ..)` with this limit; the writer
@@ -208,127 +209,23 @@ fn next_rand(state: &mut u64) -> u64 {
     *state
 }
 
-/// Audits one YCSB-E scan result against the shadow model. `records`
-/// keys `[0, records)` were preloaded and are never deleted, so a scan
-/// window that fits inside them must come back full and contiguous; any
-/// key beyond them must decode to a writer/scanner stripe and sit at or
-/// below that stripe's published ack floor (reading the floor *after*
-/// the scan makes the bound race-free: acks only raise it).
-fn audit_scan(
-    keys: &[u64],
-    start: u64,
-    len: u32,
-    records: u64,
-    floors: &[AtomicU64],
-    ceils: &[AtomicU64],
-    writer_ops: u64,
-) {
-    assert!(
-        keys.len() <= len as usize,
-        "scan({start},{len}) returned {} keys, over its limit",
-        keys.len()
-    );
-    for pair in keys.windows(2) {
-        assert!(
-            pair[0] < pair[1],
-            "scan({start},{len}) not strictly ascending: {pair:?}"
-        );
-    }
-    if let Some(&first) = keys.first() {
-        assert!(
-            first >= start,
-            "scan({start},{len}) returned {first} < start"
-        );
-    }
-    let stable = keys.iter().take_while(|&&k| k < records).count();
-    for (j, &k) in keys[..stable].iter().enumerate() {
-        assert_eq!(
-            k,
-            start + j as u64,
-            "scan({start},{len}) has a hole in the always-live range"
-        );
-    }
-    if start + len as u64 <= records {
-        // The window fits inside the preloaded range: nothing in it was
-        // ever deleted, so the scan must fill its limit from it exactly.
-        assert_eq!(
-            keys.len(),
-            len as usize,
-            "scan({start},{len}) dropped live preloaded keys"
-        );
-        assert_eq!(stable, keys.len());
-    } else {
-        assert_eq!(
-            stable as u64,
-            records - start,
-            "scan({start},{len}) missed preloaded keys before the churn region"
-        );
-    }
-    for &k in &keys[stable..] {
-        if k >= WRITER_BASE {
-            let rel = k - WRITER_BASE;
-            let (w, i) = ((rel >> STRIPE_SHIFT) as usize, rel & STRIPE_MASK);
-            assert!(
-                w < floors.len() && i < writer_ops,
-                "phantom writer key {k:#x}"
-            );
-            assert!(
-                i <= floors[w].load(Ordering::Acquire),
-                "writer key {k:#x} beyond its ack floor"
-            );
-        } else {
-            assert!(k >= SCANNER_BASE, "key {k:#x} in the unpopulated gap");
-            let rel = k - SCANNER_BASE;
-            let (s, i) = ((rel >> STRIPE_SHIFT) as usize, rel & STRIPE_MASK);
-            assert!(s < ceils.len(), "phantom scanner key {k:#x}");
-            assert!(
-                i <= ceils[s].load(Ordering::Acquire),
-                "scanner key {k:#x} beyond its insert ceiling"
-            );
-        }
-    }
-}
-
-/// Scans the whole writer region and proves no acked write is missing:
-/// floors are snapshotted *before* the scan, so every index below a
-/// snapshot floor was durably acked when the scan started and must
-/// appear, hole-free, in its stripe.
-fn frontier_audit(c: &mut Client, floors: &[AtomicU64], writer_ops: u64) -> u64 {
-    let before: Vec<u64> = floors.iter().map(|f| f.load(Ordering::Acquire)).collect();
-    let keys = c
-        .scan(WRITER_BASE, FRONTIER_LIMIT)
-        .expect("ycsb-e: frontier scan");
-    for pair in keys.windows(2) {
-        assert!(
-            pair[0] < pair[1],
-            "frontier scan not strictly ascending: {pair:?}"
-        );
-    }
-    let mut seen: Vec<Vec<u64>> = vec![Vec::new(); floors.len()];
-    for &k in &keys {
-        assert!(
-            k >= WRITER_BASE,
-            "frontier scan returned {k:#x} below its start"
-        );
-        let rel = k - WRITER_BASE;
-        let (w, i) = ((rel >> STRIPE_SHIFT) as usize, rel & STRIPE_MASK);
-        assert!(
-            w < floors.len() && i < writer_ops,
-            "phantom writer key {k:#x}"
-        );
-        seen[w].push(i);
-    }
-    for (w, &acked) in before.iter().enumerate() {
-        assert!(
-            seen[w].len() as u64 >= acked,
-            "writer {w}: scan saw {} keys but {acked} were acked before it started",
-            seen[w].len()
-        );
-        for (j, &i) in seen[w].iter().take(acked as usize).enumerate() {
-            assert_eq!(i, j as u64, "writer {w}: hole below the ack floor");
-        }
+/// One `scan(start, len)` over the wire, audited against `h` between
+/// two floor snapshots; returns how many keys it returned.
+fn audited_scan(c: &mut Client, h: &History, start: u64, len: u32) -> u64 {
+    let before = h.floors();
+    let keys = c.scan(start, len).expect("ycsb-e: scan");
+    if let Err(e) = h.scan(start, len as usize, &keys, &before, &h.floors()) {
+        panic!("ycsb-e: {e}");
     }
     keys.len() as u64
+}
+
+/// One scripted durable put over the wire; returns its retries.
+fn put(c: &mut Client, op: &Op) -> std::io::Result<u64> {
+    let Op::Put(k, v) = op else {
+        unreachable!("ycsb-e scripts only put")
+    };
+    c.put_retrying(*k, v, true)
 }
 
 #[derive(Default)]
@@ -369,11 +266,19 @@ fn tcp_phase(opts: &Opts) -> TcpRow {
     .expect("ycsb-e: bind failed");
     let addr = server.local_addr();
 
-    // Published ack floors: writer/scanner threads store them after each
-    // durable ack, scan audits read them to bound the churn regions.
-    let floors: Vec<AtomicU64> = (0..WRITERS).map(|_| AtomicU64::new(0)).collect();
-    let ceils: Vec<AtomicU64> = (0..SCANNERS).map(|_| AtomicU64::new(0)).collect();
-    let (floors, ceils) = (&floors, &ceils);
+    // Writer 0 is the preload (its values are the driver's and never
+    // read here), then the writers' stripes, then each scanner's inserts.
+    let stripe = |base: u64, w: usize, n: u64, byte: u8| -> Vec<Op> {
+        (0..n)
+            .map(|i| Op::Put(base | ((w as u64) << STRIPE_SHIFT) | i, vec![byte; 64]))
+            .collect()
+    };
+    let scripts = std::iter::once((0..records).map(|k| Op::Put(k, Vec::new())).collect())
+        .chain((0..WRITERS).map(|w| stripe(WRITER_BASE, w, writer_ops, 0xE5)))
+        .chain((0..SCANNERS).map(|s| stripe(SCANNER_BASE, s, scanner_ops, 0x5C)));
+    let h = &History::new(scripts.collect());
+    h.issue(0, records);
+    h.ack(0, records);
 
     let started = Instant::now();
     let (writer_out, scanner_out): (Vec<(Histogram, u64)>, Vec<ScanTally>) = thread::scope(|sc| {
@@ -381,15 +286,11 @@ fn tcp_phase(opts: &Opts) -> TcpRow {
             .map(|w| {
                 sc.spawn(move || {
                     let mut c = Client::connect(addr).expect("ycsb-e: writer connect");
-                    let value = [0xE5u8; 64];
                     let mut retries = 0u64;
-                    for i in 0..writer_ops {
-                        let key = WRITER_BASE | ((w as u64) << STRIPE_SHIFT) | i;
-                        retries += c
-                            .put_retrying(key, &value, true)
-                            .expect("ycsb-e: writer put");
-                        floors[w].store(i + 1, Ordering::Release);
-                    }
+                    h.drive(1 + w, 0, writer_ops, |op| {
+                        put(&mut c, op).map(|r| retries += r)
+                    })
+                    .expect("ycsb-e: writer put");
                     (c.latencies().put.clone(), retries)
                 })
             })
@@ -401,24 +302,21 @@ fn tcp_phase(opts: &Opts) -> TcpRow {
                     let mut chooser =
                         KeyChooser::new(Distribution::Zipfian, records, 0xE5EED ^ s as u64);
                     let mut rng = (s as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-                    let value = [0x5Cu8; 64];
                     let mut t = ScanTally::default();
                     for op in 0..scanner_ops {
                         if next_rand(&mut rng) % 100 < 95 {
                             let start = chooser.next_key();
                             let len = 1 + (next_rand(&mut rng) % 100) as u32;
-                            let keys = c.scan(start, len).expect("ycsb-e: scan");
-                            audit_scan(&keys, start, len, records, floors, ceils, writer_ops);
+                            t.keys_returned += audited_scan(&mut c, h, start, len);
                             t.scans += 1;
-                            t.keys_returned += keys.len() as u64;
                         } else {
-                            let key = SCANNER_BASE | ((s as u64) << STRIPE_SHIFT) | t.inserts;
-                            c.put_retrying(key, &value, true).expect("ycsb-e: insert");
-                            ceils[s].store(t.inserts + 1, Ordering::Release);
+                            let n = t.inserts;
+                            h.drive(1 + WRITERS + s, n, n + 1, |op| put(&mut c, op).map(drop))
+                                .expect("ycsb-e: insert");
                             t.inserts += 1;
                         }
                         if op % 64 == 63 {
-                            t.keys_returned += frontier_audit(&mut c, floors, writer_ops);
+                            t.keys_returned += audited_scan(&mut c, h, WRITER_BASE, FRONTIER_LIMIT);
                             t.frontier_audits += 1;
                         }
                     }

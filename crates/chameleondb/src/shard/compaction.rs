@@ -49,7 +49,7 @@ impl ShardMut {
                 // for this overwrite. An identical word is a copy replay
                 // made of a slot the ABI already held, not a new version.
                 if old != slot.loc {
-                    store.credit_dead_slot(ctx, old);
+                    store.credit_dead_slot(ctx, self.id, old);
                 }
             }
         }
@@ -199,7 +199,7 @@ impl ShardMut {
                 // shadowed version's extent first — unless it is the same
                 // word, a replayed copy.
                 if old != slot.loc {
-                    store.credit_dead_slot(ctx, old);
+                    store.credit_dead_slot(ctx, self.id, old);
                 }
             }
         }
@@ -429,7 +429,7 @@ impl ShardMut {
         // passes, and GC (which resolves by the newest version) may have
         // reclaimed its extent long before this merge dropped its slot.
         for old in drops {
-            store.credit_dead_slot(ctx, old.loc);
+            store.credit_dead_slot(ctx, self.id, old.loc);
         }
         self.checkpoint_seq = self.checkpoint_seq.max(table.header().max_log_seq);
         self.last = Some(TableHandle::new(table, &store.dev));

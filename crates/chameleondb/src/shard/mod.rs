@@ -28,11 +28,11 @@
 
 mod compaction;
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use chameleon_obs::{EventKind, Stage};
-use kvapi::{PreHashed, Result};
+use kvapi::{mix64, PreHashed, Result};
 use kvtables::{SharedTable, Slot};
 use parking_lot::{Mutex, MutexGuard};
 use pmem_sim::{PmemDevice, ThreadCtx};
@@ -43,10 +43,106 @@ use crate::store::StoreInner;
 use crate::view::{ShardView, TableHandle};
 
 /// One shard: the put half behind `mem`, the level half behind
-/// `levels`. Lock order: `levels` before `mem`.
+/// `levels`. Lock order: `levels` before `mem`; `replayed` is taken
+/// under either, and nothing is taken under it.
 pub(crate) struct Shard {
     pub mem: Mutex<MemState>,
     pub levels: Mutex<ShardMut>,
+    pub replayed: Mutex<ReplayCopies>,
+}
+
+/// The entries recovery replay re-inserted, by location word. A table
+/// may hold the same word above its claim (DESIGN §6.3), so a replayed
+/// entry can have two index slots, and only the drop of its last slot
+/// may credit it.
+#[derive(Default)]
+pub(crate) struct ReplayCopies {
+    /// Keyed by `mix64(word)`: a bijection, so exact, and a hash
+    /// `PreHashed` can use as is (the restart walk probes every slot).
+    words: HashMap<u64, Copies, PreHashed>,
+    /// The lowest and highest log offset of a replayed word: most slots
+    /// the restart walk counts point outside it and skip the probe.
+    span: (u64, u64),
+    replaying: bool,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Copies {
+    /// Slots not counted yet, or never: a store without an ordered index
+    /// has no restart walk.
+    Uncounted,
+    /// Met once by the restart walk so far.
+    One,
+    /// Met twice by the restart walk.
+    Two,
+    /// Uncounted, and one drop credited the entry already.
+    Credited,
+}
+
+impl ReplayCopies {
+    /// Replay is about to re-insert `words`.
+    pub fn start(&mut self, words: impl IntoIterator<Item = u64>) {
+        self.replaying = true;
+        self.span = (u64::MAX, 0);
+        for w in words {
+            let off = kvlog::unpack_loc(w).0;
+            self.span = (self.span.0.min(off), self.span.1.max(off));
+            self.words.insert(mix64(w), Copies::Uncounted);
+        }
+    }
+
+    pub fn end_replay(&mut self) {
+        self.replaying = false;
+    }
+
+    /// Whether dropping one slot that holds `word` must not credit its
+    /// entry, because another slot still holds it or already credited it.
+    pub fn skip_credit(&mut self, word: u64) -> bool {
+        let Some(copies) = self.words.get_mut(&mix64(word)) else {
+            return false;
+        };
+        match *copies {
+            // During replay only a table's copy of a tombstone is dropped
+            // (pruned), and the replayed copy outlives it.
+            Copies::Uncounted if self.replaying => true,
+            // Uncounted: the first drop credits, a second one must not.
+            Copies::Uncounted => {
+                *copies = Copies::Credited;
+                false
+            }
+            Copies::Two | Copies::Credited => {
+                self.words.remove(&mix64(word));
+                true
+            }
+            Copies::One => unreachable!("the restart walk has ended"),
+        }
+    }
+
+    /// Counts the slots the restart walk hands over, one call per slot;
+    /// [`Self::end_count`] then forgets every entry met once.
+    pub fn count(&mut self, word: u64) {
+        let off = kvlog::unpack_loc(word).0;
+        if off < self.span.0 || off > self.span.1 {
+            return;
+        }
+        if let Some(copies) = self.words.get_mut(&mix64(word)) {
+            *copies = match *copies {
+                Copies::Uncounted => Copies::One,
+                _ => Copies::Two,
+            };
+        }
+    }
+
+    pub fn end_count(&mut self) {
+        self.words.retain(|_, c| *c == Copies::Two);
+    }
+
+    /// GC moved an entry: every slot of it now holds `new`.
+    pub fn repoint(&mut self, old: u64, new: u64) {
+        if let Some(copies) = self.words.remove(&mix64(old)) {
+            self.words.insert(mix64(new), copies);
+        }
+    }
 }
 
 impl Shard {
@@ -54,6 +150,7 @@ impl Shard {
         Self {
             mem: Mutex::new(MemState::new(levels.id, cfg)),
             levels: Mutex::new(levels),
+            replayed: Mutex::default(),
         }
     }
 

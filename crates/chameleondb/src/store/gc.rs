@@ -169,6 +169,12 @@ impl StoreInner {
                     .repoint_slot(&self.dev, ctx, hash, old_loc, new_loc);
             };
             for &(hash, old_loc, new_loc, source, seq) in &moves {
+                if self.restart_seq != 0 {
+                    self.shards[shard_idx]
+                        .replayed
+                        .lock()
+                        .repoint(old_loc, new_loc);
+                }
                 // Repoint every copy of the word, and only where one can
                 // be (DESIGN §6.2). A word found in the last level is in
                 // no other structure: the probe missed them all. A word
@@ -247,6 +253,13 @@ impl StoreInner {
             .sum()
     }
 
+    /// Whether dropping a slot holding `word` leaves its entry to the
+    /// other of the two index slots replay can give it (DESIGN §6.3). A
+    /// store that never restarted replayed nothing.
+    pub(super) fn replay_copy_skips_credit(&self, shard: usize, word: u64) -> bool {
+        self.restart_seq != 0 && self.shards[shard].replayed.lock().skip_credit(word)
+    }
+
     /// Credits the entry behind a superseded location word as dead, against
     /// both the global counter and its extent. Call sites are chosen so every
     /// entry is credited exactly once — at the single moment the last
@@ -285,7 +298,10 @@ impl StoreInner {
     /// no longer Active or Sealed, or one claimed again since, in a newer
     /// generation than the word carries (DESIGN §6.3); it is dropped and
     /// counted in `stale_credit_skips`.
-    pub(crate) fn credit_dead_slot(&self, ctx: &mut ThreadCtx, word: u64) {
+    pub(crate) fn credit_dead_slot(&self, ctx: &mut ThreadCtx, shard: u32, word: u64) {
+        if self.replay_copy_skips_credit(shard as usize, word) {
+            return;
+        }
         if in_resident_generation(&self.log, word) {
             self.credit_dead_word(ctx, word);
         } else {

@@ -279,12 +279,24 @@ impl StoreInner {
     fn replay(&self, ctx: &mut ThreadCtx, pending: Pending) -> Result<()> {
         let mut ordered: Vec<(u64, EntryMeta)> = pending.into_iter().collect();
         ordered.sort_by_key(|(_, m)| m.seq);
-        for (hash, meta) in ordered {
-            let slot = if meta.tombstone {
+        let slot_of = |hash, meta: &EntryMeta| {
+            if meta.tombstone {
                 Slot::tombstone(hash, meta.loc())
             } else {
                 Slot::new(hash, meta.loc())
-            };
+            }
+        };
+        // Noted before the first insert: a flush during replay may drop
+        // a table's copy of an entry that replay has yet to re-insert.
+        let mut words = vec![Vec::new(); self.shards.len()];
+        for (hash, meta) in &ordered {
+            words[self.shard_of(*hash)].push(slot_of(*hash, meta).loc);
+        }
+        for (shard, words) in self.shards.iter().zip(words) {
+            shard.replayed.lock().start(words);
+        }
+        for (hash, meta) in ordered {
+            let slot = slot_of(hash, &meta);
             let shard_idx = self.shard_of(hash);
             let shard = &self.shards[shard_idx];
             let mut mem = shard.mem.lock();
@@ -292,6 +304,9 @@ impl StoreInner {
                 mem = shard.freeze_and_process(mem, self, ctx, shard_idx)?;
             }
             mem.insert(ctx, slot, meta.seq)?;
+        }
+        for shard in &self.shards {
+            shard.replayed.lock().end_replay();
         }
         Ok(())
     }
@@ -311,13 +326,18 @@ impl StoreInner {
         let mut shadowed = HashSet::with_hasher(PreHashed::default());
         for shard in &self.shards {
             shadowed.clear();
+            // The walk meets every index slot once, so it also counts the
+            // slots of each replayed entry.
+            let mut replayed = shard.replayed.lock();
             shard.slots_in_get_order(&self.dev, ctx, |sl| {
+                replayed.count(sl.loc);
                 if sl.is_tombstone() {
                     shadowed.insert(sl.hash);
                 } else if !shadowed.contains(&sl.hash) {
                     keys.push(key_of_hash(sl.hash));
                 }
             });
+            replayed.end_count();
         }
         keys.sort_unstable();
         keys.dedup();

@@ -187,8 +187,11 @@ impl StoreInner {
         if let Some(old) = mem.insert(ctx, slot, meta.seq)? {
             // A MemTable overwrite is the only reference the old entry
             // ever had (a loc lives in exactly one read-path structure);
-            // credit its extent exactly once.
-            self.credit_dead_word(ctx, old);
+            // credit its extent exactly once — unless replay gave it a
+            // second slot.
+            if !self.replay_copy_skips_credit(shard_idx, old) {
+                self.credit_dead_word(ctx, old);
+            }
         }
         // Maintain the ordered key index at the same publish point as the
         // hash index. The index is one tree shared by every shard, but a

@@ -15,25 +15,26 @@
 //! 2. simulates the power cut ([`pmem_sim::PmemDevice::crash`] drops all
 //!    unfenced lines), optionally arms a *second* crash a few fences into
 //!    recovery itself (the double-crash case), and recovers;
-//! 3. audits the recovered store against a shadow model under the
+//! 3. audits the recovered store with [`History::image`] under the
 //!    acknowledged-write invariant below.
 //!
 //! # The invariant: a single log-prefix cut
 //!
 //! The store has one log writer per thread and this harness drives one
-//! thread, so every mutation is assigned a position in one totally-ordered
-//! op sequence. A crash may lose an *un-acknowledged* suffix of that
-//! sequence — never more. Concretely, for the recovered store there must
-//! exist a single cut `C` (number of leading ops whose effects survived)
+//! thread, so the script's mutations form one writer's script in the
+//! [`History`]. A crash may lose an *un-acknowledged* suffix of it —
+//! never more. Concretely, for the recovered store there must exist a
+//! single cut `C` (number of leading mutations whose effects survived)
 //! such that
 //!
-//! * `C >= synced`: every op acknowledged by the last successful
-//!   `sync`/`checkpoint` survived (acknowledged writes present with their
-//!   latest value, acknowledged deletes still deleted);
-//! * `C <= completed + 1`: nothing from the future, where op `completed`
-//!   is the op in flight when the crash fired (its log append may or may
+//! * `C >= acked`: every mutation acknowledged by the last successful
+//!   `sync`/`checkpoint`/batch commit survived (acknowledged writes
+//!   present with their latest value, acknowledged deletes still
+//!   deleted);
+//! * `C <= issued`: nothing from the future, where the last issued op is
+//!   the one in flight when the crash fired (its log append may or may
 //!   not have landed);
-//! * every key reads as the newest version with op index `< C` — stale
+//! * every key reads as its newest version among the first `C` — stale
 //!   resurrection (manifest replay of a dead epoch, index ahead of log)
 //!   shows up as a key whose observed state admits no cut consistent with
 //!   the other keys, and is reported as a violation.
@@ -48,8 +49,8 @@
 //! [`EventKind::CrashInjected`] event in its journal so the crash point is
 //! visible through the normal observability exports.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -62,6 +63,8 @@ use kvlog::LogConfig;
 use pmem_sim::{CrashPoint, PmemDevice, ThreadCtx};
 use serde::Serialize;
 
+use crate::history::{Floors, History, Op};
+
 /// Gets per Get-Protect evaluation window in the matrix store config; the
 /// workload's get burst issues twice this many to guarantee entry.
 const GPM_WINDOW: u64 = 64;
@@ -73,7 +76,7 @@ pub enum WlOp {
     Put(u64),
     /// Delete `key` (appends a tombstone).
     Del(u64),
-    /// Read `key`; checked against the shadow model while pre-crash.
+    /// Read `key`; checked against the history while pre-crash.
     Get(u64),
     /// `KvStore::sync` — acknowledges everything before it.
     Sync,
@@ -304,15 +307,6 @@ pub fn build_script_churn(keys: u64, churn: u64) -> Vec<WlOp> {
     s
 }
 
-/// One recorded mutation of a key in the shadow model.
-#[derive(Debug, Clone, Copy)]
-pub struct Version {
-    /// Op index in the script.
-    pub op: u64,
-    /// Tombstone?
-    pub del: bool,
-}
-
 /// The value a [`WlOp::Put`] at op index `op` writes for `key`.
 fn value_of(key: u64, op: u64) -> [u8; 16] {
     let mut v = [0u8; 16];
@@ -321,96 +315,74 @@ fn value_of(key: u64, op: u64) -> [u8; 16] {
     v
 }
 
-/// Per-key version histories, derived statically from the script.
-pub fn build_model(script: &[WlOp]) -> BTreeMap<u64, Vec<Version>> {
-    let mut model: BTreeMap<u64, Vec<Version>> = BTreeMap::new();
-    for (i, op) in script.iter().enumerate() {
-        match *op {
-            WlOp::Put(k) | WlOp::BatchPut(k) => model.entry(k).or_default().push(Version {
-                op: i as u64,
-                del: false,
-            }),
-            WlOp::Del(k) | WlOp::BatchDel(k) => model.entry(k).or_default().push(Version {
-                op: i as u64,
-                del: true,
-            }),
-            _ => {}
-        }
-    }
-    model
+/// The script's mutations as writer 0's script of a [`History`].
+pub fn history_of(script: &[WlOp]) -> History {
+    let ops = script.iter().enumerate().filter_map(|(i, op)| match *op {
+        WlOp::Put(k) | WlOp::BatchPut(k) => Some(Op::Put(k, value_of(k, i as u64).into())),
+        WlOp::Del(k) | WlOp::BatchDel(k) => Some(Op::Del(k)),
+        _ => None,
+    });
+    History::new(vec![ops.collect()])
 }
 
-/// Runs the script against `db`, tracking progress through the `Cell`s so
-/// the caller can read how far it got after an unwind. Live gets are
-/// checked against the exact pre-crash model; a mismatch panics (a
-/// non-`CrashPoint` payload, re-raised by the harness).
+/// Runs the script against `db`, publishing its progress in `history`'s
+/// floors so the caller can read how far it got after an unwind. A
+/// mutation is issued as it starts; a staged batch op is issued before
+/// its log append happens (at the commit), a loose upper bound on the
+/// cut that is sound because staging acknowledges nothing. A live get
+/// must read exactly what the mutations before it wrote (no batch is
+/// open at a get); a mismatch panics (a non-`CrashPoint` payload,
+/// re-raised by the harness).
 fn exec(
     db: &ChameleonDb,
     ctx: &mut ThreadCtx,
     script: &[WlOp],
-    completed: &Cell<u64>,
-    synced: &Cell<u64>,
+    history: &History,
 ) -> kvapi::Result<()> {
-    // key -> Some(op of live put) | None = deleted.
-    let mut live: HashMap<u64, Option<u64>> = HashMap::new();
-    // Open group-commit batch: ops staged since the last BatchCommit,
-    // with their deferred live-map updates (staged ops are invisible to
-    // gets until the batch commits).
-    let mut staged_ops: Vec<BatchOp> = Vec::new();
-    let mut staged_live: Vec<(u64, Option<u64>)> = Vec::new();
+    // Ops staged since the last BatchCommit, invisible until it commits.
+    let mut staged: Vec<BatchOp> = Vec::new();
     let mut out = Vec::new();
+    let mut issued = 0;
+    history.issue(0, 0);
+    history.ack(0, 0);
     for (i, op) in script.iter().enumerate() {
         let idx = i as u64;
+        if matches!(
+            op,
+            WlOp::Put(_) | WlOp::Del(_) | WlOp::BatchPut(_) | WlOp::BatchDel(_)
+        ) {
+            issued += 1;
+            history.issue(0, issued);
+        }
         match *op {
-            WlOp::Put(k) => {
-                db.put(ctx, k, &value_of(k, idx))?;
-                live.insert(k, Some(idx));
-            }
+            WlOp::Put(k) => db.put(ctx, k, &value_of(k, idx))?,
             WlOp::Del(k) => {
                 db.delete(ctx, k)?;
-                live.insert(k, None);
             }
-            WlOp::BatchPut(k) => {
-                staged_ops.push(BatchOp::Put {
-                    key: k,
-                    value: value_of(k, idx).to_vec(),
-                });
-                staged_live.push((k, Some(idx)));
-            }
-            WlOp::BatchDel(k) => {
-                staged_ops.push(BatchOp::Delete { key: k });
-                staged_live.push((k, None));
-            }
+            WlOp::BatchPut(k) => staged.push(BatchOp::Put {
+                key: k,
+                value: value_of(k, idx).to_vec(),
+            }),
+            WlOp::BatchDel(k) => staged.push(BatchOp::Delete { key: k }),
             WlOp::BatchCommit => {
-                db.apply_batch(ctx, &staged_ops)?;
-                staged_ops.clear();
-                for (k, v) in staged_live.drain(..) {
-                    live.insert(k, v);
-                }
+                db.apply_batch(ctx, &staged)?;
+                staged.clear();
             }
             WlOp::Get(k) => {
                 let found = db.get(ctx, k, &mut out)?;
-                match live.get(&k).copied().flatten() {
-                    Some(put_op) => assert!(
-                        found && out == value_of(k, put_op),
-                        "live get of key {k} at op {idx} diverged from model"
-                    ),
-                    None => assert!(!found, "live get of key {k} at op {idx}: ghost value"),
+                let exact = Floors::exact(vec![issued]);
+                if let Err(e) = history.read(k, found.then_some(&out[..]).into(), &exact, &exact) {
+                    panic!("live get at op {idx} diverged: {e}");
                 }
             }
             WlOp::Sync => db.sync(ctx)?,
             WlOp::Checkpoint => db.checkpoint(ctx)?,
             WlOp::SetMode(m) => db.set_mode(m),
         }
-        // Staged batch ops advance `completed` before their log appends
-        // happen (at the commit): a loose upper bound on the cut is
-        // sound — the audit only requires that nothing *acknowledged* is
-        // lost, and staging acknowledges nothing.
-        completed.set(idx + 1);
         // `apply_batch` flushes the (single) log writer, so like Sync it
         // acknowledges every op before it.
         if matches!(op, WlOp::Sync | WlOp::Checkpoint | WlOp::BatchCommit) {
-            synced.set(idx + 1);
+            history.ack(0, issued);
         }
     }
     Ok(())
@@ -462,16 +434,12 @@ impl CrashMatrixReport {
     }
 }
 
-/// Crash-free run of the full script; returns the total fence count
-/// (the matrix size) and validates the workload itself end to end.
-pub fn dry_run(cfg: &MatrixConfig, script: &[WlOp]) -> u64 {
-    dry_run_with_metrics(cfg, script).0
-}
-
-/// [`dry_run`] plus the store's final metrics snapshot, so callers can
-/// assert the workload actually crossed the stages they care about (the
-/// GC matrix checks `gc_runs > 0` — an enumeration that never GCs would
-/// silently test nothing new).
+/// Crash-free run of the full script, which validates the workload end
+/// to end. Returns the total fence count (the matrix size) and the
+/// store's final metrics snapshot, so callers can assert the workload
+/// actually crossed the stages they care about (the GC matrix checks
+/// `gc_runs > 0` — an enumeration that never GCs would silently test
+/// nothing new).
 pub fn dry_run_with_metrics(
     cfg: &MatrixConfig,
     script: &[WlOp],
@@ -480,9 +448,7 @@ pub fn dry_run_with_metrics(
     let db = ChameleonDb::create(Arc::clone(&dev), store_config_for(cfg))
         .expect("crash matrix: create failed in dry run");
     let mut ctx = ThreadCtx::with_default_cost();
-    let completed = Cell::new(0);
-    let synced = Cell::new(0);
-    exec(&db, &mut ctx, script, &completed, &synced)
+    exec(&db, &mut ctx, script, &history_of(script))
         .expect("crash matrix: workload failed in dry run");
     (dev.fence_count(), db.metrics())
 }
@@ -492,7 +458,7 @@ pub fn dry_run_with_metrics(
 pub fn run_point(
     cfg: &MatrixConfig,
     script: &[WlOp],
-    model: &BTreeMap<u64, Vec<Version>>,
+    history: &History,
     k: u64,
     nested_offset: Option<u64>,
 ) -> PointOutcome {
@@ -500,8 +466,6 @@ pub fn run_point(
     let store_cfg = store_config_for(cfg);
     dev.arm_crash_at_fence(k);
 
-    let completed = Cell::new(0u64);
-    let synced = Cell::new(0u64);
     let mut ctx = ThreadCtx::with_default_cost();
     // The store outlives the unwind so the open maintenance span is still
     // readable for stage attribution.
@@ -510,34 +474,24 @@ pub fn run_point(
         let db = ChameleonDb::create(Arc::clone(&dev), store_cfg.clone())?;
         *db_slot.borrow_mut() = Some(db);
         let slot = db_slot.borrow();
-        exec(
-            slot.as_ref().unwrap(),
-            &mut ctx,
-            script,
-            &completed,
-            &synced,
-        )
+        exec(slot.as_ref().unwrap(), &mut ctx, script, history)
     }));
 
+    let outcome = |stage: &str, nested_fence, violations| PointOutcome {
+        fence: k,
+        stage: stage.into(),
+        nested_fence,
+        violations,
+    };
     match res {
+        // k was beyond the last fence; nothing to audit.
         Ok(Ok(())) => {
-            // k was beyond the last fence; nothing to audit.
-            return PointOutcome {
-                fence: k,
-                stage: "none".into(),
-                nested_fence: None,
-                violations: vec![format!(
-                    "fence {k} never fired (workload ran to completion)"
-                )],
-            };
+            let never = format!("fence {k} never fired (workload ran to completion)");
+            return outcome("none", None, vec![never]);
         }
         Ok(Err(e)) => {
-            return PointOutcome {
-                fence: k,
-                stage: "none".into(),
-                nested_fence: None,
-                violations: vec![format!("workload errored before fence {k}: {e}")],
-            };
+            let failed = format!("workload errored before fence {k}: {e}");
+            return outcome("none", None, vec![failed]);
         }
         Err(payload) => match payload.downcast::<CrashPoint>() {
             Ok(cp) => debug_assert_eq!(cp.fence, k),
@@ -570,12 +524,7 @@ pub fn run_point(
         match r {
             Ok(Ok(db)) => break db,
             Ok(Err(e)) => {
-                return PointOutcome {
-                    fence: k,
-                    stage: stage.into(),
-                    nested_fence,
-                    violations: vec![format!("recovery failed: {e}")],
-                }
+                return outcome(stage, nested_fence, vec![format!("recovery failed: {e}")])
             }
             Err(payload) => match payload.downcast::<CrashPoint>() {
                 Ok(cp) => {
@@ -605,155 +554,24 @@ pub fn run_point(
         );
     }
 
-    let violations = audit(&db2, &mut ctx, model, synced.get(), completed.get());
-    PointOutcome {
-        fence: k,
-        stage: stage.into(),
-        nested_fence,
-        violations,
-    }
-}
-
-/// Audits a recovered store against the shadow model: a single log-prefix
-/// cut `C` in `[synced, completed + 1]` must explain every key's state.
-fn audit(
-    db: &ChameleonDb,
-    ctx: &mut ThreadCtx,
-    model: &BTreeMap<u64, Vec<Version>>,
-    synced: u64,
-    completed: u64,
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    // Inclusive intervals of feasible cuts, intersected key by key.
-    let mut feasible: Vec<(u64, u64)> = vec![(synced, completed + 1)];
+    // The op in flight at the crash (the last issued) may or may not
+    // have landed.
+    let floors = history.floors();
+    let scanned = db2.scan(&mut ctx, 0, usize::MAX).map_err(|e| e.to_string());
     let mut out = Vec::new();
-    let mut live_keys: Vec<u64> = Vec::new();
-    for (&key, versions) in model {
-        let found = match db.get(ctx, key, &mut out) {
-            Ok(f) => f,
-            Err(e) => {
-                violations.push(format!("get({key}) failed after recovery: {e}"));
-                continue;
-            }
-        };
-        if found {
-            live_keys.push(key);
-        }
-        let allowed: Vec<(u64, u64)> = if found {
-            if out.len() != 16 || out[..8] != key.to_le_bytes() {
-                violations.push(format!("key {key}: garbled value {out:?}"));
-                continue;
-            }
-            let op = u64::from_le_bytes(out[8..16].try_into().unwrap());
-            match versions.iter().find(|v| v.op == op && !v.del) {
-                None => {
-                    violations.push(format!("key {key}: value from op {op} was never written"));
-                    continue;
-                }
-                Some(v) => {
-                    // Observed iff v landed and nothing newer did:
-                    // v.op < C <= next version's op.
-                    let next = versions
-                        .iter()
-                        .find(|w| w.op > v.op)
-                        .map(|w| w.op)
-                        .unwrap_or(u64::MAX);
-                    vec![(v.op + 1, next)]
-                }
-            }
-        } else {
-            // Absent iff the cut predates the key's first version, or the
-            // newest landed version is a tombstone.
-            let mut iv = Vec::new();
-            if let Some(first) = versions.first() {
-                iv.push((0, first.op));
-            }
-            for (i, v) in versions.iter().enumerate() {
-                if v.del {
-                    let next = versions.get(i + 1).map(|w| w.op).unwrap_or(u64::MAX);
-                    iv.push((v.op + 1, next));
-                }
-            }
-            iv
-        };
-        let narrowed = intersect(&feasible, &allowed);
-        if narrowed.is_empty() {
-            let state = if found {
-                format!(
-                    "value from op {}",
-                    u64::from_le_bytes(out[8..16].try_into().unwrap())
-                )
-            } else {
-                "absent".into()
-            };
-            violations.push(format!(
-                "key {key}: {state} admits no log-prefix cut in [{synced}, {}] \
-                 consistent with the other keys (acked write lost, stale \
-                 resurrection, or torn ordering)",
-                completed + 1
-            ));
-            // Keep the previous feasible set so later keys still get
-            // audited against the acknowledged window.
-        } else {
-            feasible = narrowed;
-        }
-    }
-    // Post-recovery scan audit: the ordered index is rebuilt wholesale
-    // during recovery, so one full scan (served inside the degraded
-    // window, before any ABI rebuild) must agree *exactly* with what the
-    // hash-index gets above observed — same live key set, strictly
-    // sorted. A mismatch is an index divergence the point-get audit
-    // cannot see (resurrected tombstone, dropped rebuild entry).
-    match db.scan(ctx, 0, model.len() + 16) {
-        Ok(scanned) => {
-            if !scanned.windows(2).all(|w| w[0] < w[1]) {
-                violations.push("post-recovery scan not strictly ascending".into());
-            }
-            if scanned != live_keys {
-                let extra: Vec<u64> = scanned
-                    .iter()
-                    .filter(|k| live_keys.binary_search(k).is_err())
-                    .copied()
-                    .collect();
-                let missing: Vec<u64> = live_keys
-                    .iter()
-                    .filter(|k| scanned.binary_search(k).is_err())
-                    .copied()
-                    .collect();
-                violations.push(format!(
-                    "post-recovery scan diverged from gets: {} phantom key(s) {extra:?}, \
-                     {} missing key(s) {missing:?}",
-                    extra.len(),
-                    missing.len()
-                ));
-            }
-        }
-        Err(e) => violations.push(format!("post-recovery scan failed: {e}")),
-    }
-    violations
-}
-
-/// Intersection of two inclusive-interval unions.
-fn intersect(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64)> {
-    let mut out = Vec::new();
-    for &(alo, ahi) in a {
-        for &(blo, bhi) in b {
-            let lo = alo.max(blo);
-            let hi = ahi.min(bhi);
-            if lo <= hi {
-                out.push((lo, hi));
-            }
-        }
-    }
-    out
+    let get = |key| match db2.get(&mut ctx, key, &mut out) {
+        Ok(found) => Ok(found.then(|| out.clone())),
+        Err(e) => Err(e.to_string()),
+    };
+    outcome(stage, nested_fence, history.image(get, scanned, &floors))
 }
 
 /// Runs the whole matrix. `progress(done, total)` is called after each
 /// tested point (pass `|_, _| {}` to ignore).
 pub fn run_matrix(cfg: &MatrixConfig, mut progress: impl FnMut(u64, u64)) -> CrashMatrixReport {
     let script = build_script_churn(cfg.keys, cfg.churn);
-    let model = build_model(&script);
-    let total_fences = dry_run(cfg, &script);
+    let history = history_of(&script);
+    let total_fences = dry_run_with_metrics(cfg, &script).0;
     let stride = cfg.stride.max(1);
     let planned = total_fences.div_ceil(stride);
 
@@ -770,7 +588,7 @@ pub fn run_matrix(cfg: &MatrixConfig, mut progress: impl FnMut(u64, u64)) -> Cra
         } else {
             None
         };
-        let outcome = run_point(cfg, &script, &model, k, nested_offset);
+        let outcome = run_point(cfg, &script, &history, k, nested_offset);
         points_tested += 1;
         if outcome.nested_fence.is_some() {
             nested_crashes += 1;
@@ -857,29 +675,10 @@ mod tests {
     }
 
     #[test]
-    fn model_versions_are_ordered() {
-        let s = build_script(128);
-        let m = build_model(&s);
-        for versions in m.values() {
-            assert!(versions.windows(2).all(|w| w[0].op < w[1].op));
-        }
-    }
-
-    #[test]
-    fn interval_intersection() {
-        assert_eq!(intersect(&[(0, 10)], &[(5, 20)]), vec![(5, 10)]);
-        assert!(intersect(&[(0, 4)], &[(5, 20)]).is_empty());
-        assert_eq!(
-            intersect(&[(0, 10)], &[(2, 3), (8, 12)]),
-            vec![(2, 3), (8, 10)]
-        );
-    }
-
-    #[test]
     fn dry_run_reports_a_nontrivial_matrix() {
         let cfg = MatrixConfig::quick(CompactionScheme::Direct);
         let script = build_script(cfg.keys);
-        let fences = dry_run(&cfg, &script);
+        let fences = dry_run_with_metrics(&cfg, &script).0;
         assert!(fences >= 100, "matrix unexpectedly small: {fences} fences");
     }
 }

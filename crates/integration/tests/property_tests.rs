@@ -1,10 +1,12 @@
 //! Property-based tests (proptest) over the core data structures and the
 //! whole store.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use chameleondb::{ChameleonConfig, ChameleonDb};
+use integration::history::{Floors, History, Op, Seen};
 use kvapi::{hash64, KvStore};
 use kvlog::{loc_gen, pack_loc, unpack_loc, LogConfig, StorageLog};
 use kvtables::{DramTable, RobinHoodMap, Slot, TableBuilder};
@@ -145,12 +147,80 @@ proptest! {
     }
 }
 
+/// Applies `ops` (key, kind) to `db` as one writer's script: kinds below
+/// `puts` put `value(key, i)`, kind `puts` deletes, the rest get. Every
+/// get and every delete's answer must be exactly what the ops before it
+/// left; `crash_at` syncs, crashes and recovers before that op. Ends with
+/// a get of every key below `keys` and the image check at the full cut.
+fn run_against_history(
+    db: &mut ChameleonDb,
+    (ops, keys): (&[(u64, u8)], u64),
+    puts: u8,
+    value: impl Fn(u64, usize) -> Vec<u8>,
+    crash_at: Option<usize>,
+) -> Result<(), TestCaseError> {
+    let script = ops
+        .iter()
+        .enumerate()
+        .filter(|(_, (_, kind))| *kind <= puts);
+    let h = History::new(vec![script
+        .map(|(i, &(key, kind))| {
+            if kind < puts {
+                Op::Put(key, value(key, i))
+            } else {
+                Op::Del(key)
+            }
+        })
+        .collect()]);
+    let mut ctx = ThreadCtx::with_default_cost();
+    let mut out = Vec::new();
+    let mut n = 0;
+    for (i, &(key, kind)) in ops.iter().enumerate() {
+        if Some(i) == crash_at {
+            db.sync(&mut ctx).unwrap();
+            kvapi::CrashRecover::crash_and_recover(db, &mut ctx).unwrap();
+        }
+        let at = Floors::exact(vec![n]);
+        let seen = match kind.cmp(&puts) {
+            Ordering::Less => {
+                db.put(&mut ctx, key, &value(key, i)).unwrap();
+                None
+            }
+            Ordering::Equal => Some(if db.delete(&mut ctx, key).unwrap() {
+                Seen::Live
+            } else {
+                Seen::Absent
+            }),
+            Ordering::Greater => {
+                let found = db.get(&mut ctx, key, &mut out).unwrap();
+                Some(Seen::from(found.then_some(&out[..])))
+            }
+        };
+        if let Some(seen) = seen {
+            let r = h.read(key, seen, &at, &at);
+            prop_assert!(r.is_ok(), "op {}: {}", i, r.unwrap_err());
+        }
+        n += u64::from(kind <= puts);
+    }
+    let all = Floors::exact(vec![n]);
+    for key in 0..keys {
+        let found = db.get(&mut ctx, key, &mut out).unwrap();
+        let r = h.read(key, found.then_some(&out[..]).into(), &all, &all);
+        prop_assert!(r.is_ok(), "final sweep: {}", r.unwrap_err());
+    }
+    let scanned = db.scan(&mut ctx, 0, usize::MAX).map_err(|e| e.to_string());
+    let get = |k| Ok(db.get(&mut ctx, k, &mut out).unwrap().then(|| out.clone()));
+    let violations = h.image(get, scanned, &all);
+    prop_assert!(violations.is_empty(), "{}", violations.join("\n"));
+    Ok(())
+}
+
 proptest! {
     // The whole-store property is expensive; fewer cases.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// ChameleonDB equals a HashMap under arbitrary op sequences, including
-    /// a crash/recover in the middle.
+    /// ChameleonDB reads exactly what its op sequence wrote, including
+    /// across a crash/recover in the middle.
     #[test]
     fn chameleondb_model_with_crash(
         ops in proptest::collection::vec((0u64..500, 0u8..10), 200..800),
@@ -160,37 +230,8 @@ proptest! {
         let mut cfg = ChameleonConfig::tiny();
         cfg.log = LogConfig { capacity: 64 << 20, ..LogConfig::default() };
         let mut db = ChameleonDb::create(Arc::clone(&dev), cfg).unwrap();
-        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-        let mut ctx = ThreadCtx::with_default_cost();
-        let mut out = Vec::new();
-        for (i, (key, op)) in ops.iter().enumerate() {
-            if i == crash_at {
-                db.sync(&mut ctx).unwrap();
-                kvapi::CrashRecover::crash_and_recover(&mut db, &mut ctx).unwrap();
-            }
-            match op {
-                0..=6 => {
-                    let v = (key * 31 + i as u64).to_le_bytes().to_vec();
-                    db.put(&mut ctx, *key, &v).unwrap();
-                    model.insert(*key, v);
-                }
-                7 => {
-                    let expected = model.remove(key).is_some();
-                    prop_assert_eq!(db.delete(&mut ctx, *key).unwrap(), expected);
-                }
-                _ => {
-                    let got = db.get(&mut ctx, *key, &mut out).unwrap();
-                    prop_assert_eq!(got, model.contains_key(key));
-                    if got {
-                        prop_assert_eq!(&out, model.get(key).unwrap());
-                    }
-                }
-            }
-        }
-        for (k, v) in &model {
-            prop_assert!(db.get(&mut ctx, *k, &mut out).unwrap());
-            prop_assert_eq!(&out, v);
-        }
+        let value = |key: u64, i: usize| (key * 31 + i as u64).to_le_bytes().to_vec();
+        run_against_history(&mut db, (&ops, 500), 7, value, Some(crash_at))?;
     }
 
     /// Random put/delete interleavings with value-log GC firing throughout
@@ -211,48 +252,16 @@ proptest! {
             extent_bytes: 16 << 10,
         };
         cfg.bg.workers = 0;
-        let db = ChameleonDb::create(Arc::clone(&dev), cfg).unwrap();
-        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
-        let mut ctx = ThreadCtx::with_default_cost();
-        let mut out = Vec::new();
-        for (i, (key, op)) in ops.iter().enumerate() {
-            match op {
-                0..=5 => {
-                    let mut v = vec![0u8; 256];
-                    v[..8].copy_from_slice(&(key * 131 + i as u64).to_le_bytes());
-                    db.put(&mut ctx, *key, &v).unwrap();
-                    model.insert(*key, v);
-                }
-                6 => {
-                    let expected = model.remove(key).is_some();
-                    prop_assert_eq!(db.delete(&mut ctx, *key).unwrap(), expected);
-                }
-                _ => {
-                    let got = db.get(&mut ctx, *key, &mut out).unwrap();
-                    prop_assert_eq!(got, model.contains_key(key));
-                    if got {
-                        prop_assert_eq!(&out, model.get(key).unwrap());
-                    }
-                }
-            }
-        }
-        // Full sweep over the key space: exactly the model's live keys
-        // survive, each at its newest value, through every relocation.
-        for k in 0..120u64 {
-            let got = db.get(&mut ctx, k, &mut out).unwrap();
-            prop_assert!(
-                got == model.contains_key(&k),
-                "key {} liveness wrong (got {}, model {})",
-                k,
-                got,
-                model.contains_key(&k)
-            );
-            if got {
-                prop_assert!(&out == model.get(&k).unwrap(), "key {} stale", k);
-            }
-        }
+        let mut db = ChameleonDb::create(Arc::clone(&dev), cfg).unwrap();
+        let value = |key: u64, i: usize| {
+            let mut v = vec![0u8; 256];
+            v[..8].copy_from_slice(&(key * 131 + i as u64).to_le_bytes());
+            v
+        };
+        run_against_history(&mut db, (&ops, 120), 6, value, None)?;
         // Exactly-once dead-byte crediting (crash-free run): referenced
         // bytes plus credited dead bytes account for every resident byte.
+        let mut ctx = ThreadCtx::with_default_cost();
         let s = db.space_stats();
         let live = db.audit_live_bytes(&mut ctx);
         prop_assert!(

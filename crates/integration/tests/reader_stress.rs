@@ -7,18 +7,21 @@
 //! even while the shard's writer freezes MemTables, dumps ABIs, and
 //! dooms compacted tables underneath the readers.
 //!
-//! Protocol: each writer owns a key range. A *stable* key is only ever
-//! overwritten; after every put the writer publishes the new version in
-//! a shared ack word (Release). A reader first loads the ack (Acquire),
-//! then gets: if the ack claimed version `v`, the get MUST find the key
-//! with version `>= v`. *Churn* keys are deleted and re-put, so readers
-//! only check self-consistency on them (a hit must carry the right key);
-//! a final single-threaded audit checks their end state.
+//! Protocol: each writer owns a key range and runs a fixed script of
+//! puts and deletes from an [`integration::history::History`], which
+//! publishes its acked and issued floors. Every get and scan is taken
+//! between two snapshots of those floors and must be explained by some
+//! cut of each writer between them: an acked put is visible to any
+//! later get on any thread, a hit carries a value its key's writer put,
+//! and a scan holds every key live across the window and no key dead
+//! across it. *Stable* keys are only overwritten; *churn* keys are
+//! deleted and re-put.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use chameleondb::{ChameleonConfig, ChameleonDb, CompactionScheme, GpmConfig, Mode};
+use integration::history::{Floors, History, Op};
 use kvapi::KvStore;
 use kvlog::LogConfig;
 use pmem_sim::{CostModel, PmemDevice, ThreadCtx};
@@ -49,117 +52,147 @@ fn churn_key(writer: usize, i: u64) -> u64 {
     ((writer as u64) << 32) | (1 << 24) | i
 }
 
-struct Stress {
-    db: ChameleonDb,
-    /// acks[writer][i]: latest acknowledged version of stable key i.
-    acks: Vec<Vec<AtomicU64>>,
-    writers_left: AtomicUsize,
-    stop: AtomicBool,
+fn put(key: u64, version: u64) -> Op {
+    Op::Put(key, value_for(key, version).into())
 }
 
-/// Runs `writers` put threads (versioned overwrites + churn
-/// delete/re-put) against `readers` get threads enforcing the ack-floor
-/// protocol, then audits the end state single-threaded.
-fn run_stress(cfg: ChameleonConfig, writers: usize, readers: usize, rounds: u64) -> Stress {
-    let dev = PmemDevice::optane(1 << 30);
-    let db = ChameleonDb::create(Arc::clone(&dev), cfg).unwrap();
+/// Per writer and round: put every stable key, then re-put every churn
+/// key (deleting it first in even rounds).
+fn stress_history(writers: usize, rounds: u64) -> History {
+    History::new(
+        (0..writers)
+            .map(|w| {
+                let mut ops = Vec::new();
+                for round in 1..=rounds {
+                    ops.extend((0..STABLE_PER_WRITER).map(|i| put(stable_key(w, i), round)));
+                    for k in (0..CHURN_PER_WRITER).map(|i| churn_key(w, i)) {
+                        if round.is_multiple_of(2) {
+                            ops.push(Op::Del(k));
+                        }
+                        ops.push(put(k, round));
+                    }
+                }
+                ops
+            })
+            .collect(),
+    )
+}
+
+/// Runs writer `w`'s script against `db` from op `from` to its end.
+fn drive(db: &ChameleonDb, h: &History, ctx: &mut ThreadCtx, w: usize, from: u64) {
+    let n = h.script(w).len() as u64;
+    h.drive(w, from, n, |op| apply(db, ctx, op)).unwrap();
+}
+
+fn apply(db: &ChameleonDb, ctx: &mut ThreadCtx, op: &Op) -> kvapi::Result<()> {
+    match op {
+        Op::Put(k, v) => db.put(ctx, *k, v),
+        // Every script deletes only keys it put before.
+        Op::Del(k) => db
+            .delete(ctx, *k)
+            .map(|existed| assert!(existed, "delete of absent key {k:#x}")),
+    }
+}
+
+/// One get of `key` checked against `h` between two floor snapshots.
+fn audited_get(db: &ChameleonDb, ctx: &mut ThreadCtx, h: &History, key: u64) {
+    let before = h.floors();
+    let mut out = Vec::new();
+    let found = db.get(ctx, key, &mut out).expect("get");
+    if let Err(e) = h.read(key, found.then_some(&out[..]).into(), &before, &h.floors()) {
+        panic!("{e}");
+    }
+}
+
+/// One scan from `start` checked against `h` between two floor
+/// snapshots.
+fn audited_scan(db: &ChameleonDb, ctx: &mut ThreadCtx, h: &History, start: u64, limit: usize) {
+    let before = h.floors();
+    let keys = db.scan(ctx, start, limit).expect("scan");
+    if let Err(e) = h.scan(start, limit, &keys, &before, &h.floors()) {
+        panic!("{e}");
+    }
+}
+
+/// Runs `write(w, ctx)` on `writers` threads while `readers` threads call
+/// `read(ctx, draw)` with xorshift draws seeded from `seed`, each at
+/// least once and until every writer has returned.
+fn race(
+    dev: &PmemDevice,
+    (writers, readers): (usize, usize),
+    seed: u64,
+    write: impl Fn(usize, &mut ThreadCtx) + Sync,
+    read: impl Fn(&mut ThreadCtx, u64) + Sync,
+) {
     dev.set_active_threads((writers + readers) as u32);
     let cost = Arc::new(CostModel::default());
-
-    let st = Stress {
-        db,
-        acks: (0..writers)
-            .map(|_| (0..STABLE_PER_WRITER).map(|_| AtomicU64::new(0)).collect())
-            .collect(),
-        writers_left: AtomicUsize::new(writers),
-        stop: AtomicBool::new(false),
-    };
-
+    let writers_left = AtomicUsize::new(writers);
+    let (write, read, writers_left) = (&write, &read, &writers_left);
     crossbeam::thread::scope(|s| {
         for w in 0..writers {
-            let st = &st;
             let cost = Arc::clone(&cost);
             s.spawn(move |_| {
-                let mut ctx = ThreadCtx::for_thread(cost, w);
-                for round in 1..=rounds {
-                    for i in 0..STABLE_PER_WRITER {
-                        let k = stable_key(w, i);
-                        st.db.put(&mut ctx, k, &value_for(k, round)).expect("put");
-                        // Ack: the put is now claimed visible to any
-                        // subsequent get on any thread.
-                        st.acks[w][i as usize].store(round, Ordering::Release);
-                    }
-                    for i in 0..CHURN_PER_WRITER {
-                        let k = churn_key(w, i);
-                        if round.is_multiple_of(2) {
-                            st.db.delete(&mut ctx, k).expect("delete");
-                        }
-                        st.db.put(&mut ctx, k, &value_for(k, round)).expect("put");
-                    }
-                }
-                if st.writers_left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    st.stop.store(true, Ordering::Release);
-                }
+                write(w, &mut ThreadCtx::for_thread(cost, w));
+                writers_left.fetch_sub(1, Ordering::AcqRel);
             });
         }
         for r in 0..readers {
-            let st = &st;
             let cost = Arc::clone(&cost);
             s.spawn(move |_| {
                 let mut ctx = ThreadCtx::for_thread(cost, writers + r);
-                let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (r as u64) << 17;
-                let mut out = Vec::new();
-                while !st.stop.load(Ordering::Acquire) {
+                let mut rng = seed ^ ((r as u64) << 17);
+                loop {
+                    let done = writers_left.load(Ordering::Acquire) == 0;
                     rng ^= rng << 13;
                     rng ^= rng >> 7;
                     rng ^= rng << 17;
-                    let w = (rng >> 32) as usize % writers;
-                    if rng.is_multiple_of(8) {
-                        // Churn key: only self-consistency on a hit.
-                        let k = churn_key(w, rng % CHURN_PER_WRITER);
-                        if st.db.get(&mut ctx, k, &mut out).expect("get") {
-                            let (vk, _) = decode(&out);
-                            assert_eq!(vk, k, "hit returned a value for the wrong key");
-                        }
-                    } else {
-                        let i = rng % STABLE_PER_WRITER;
-                        let k = stable_key(w, i);
-                        // Load the floor BEFORE the get: everything acked
-                        // at this point must be visible to the probe.
-                        let floor = st.acks[w][i as usize].load(Ordering::Acquire);
-                        let found = st.db.get(&mut ctx, k, &mut out).expect("get");
-                        if floor > 0 {
-                            assert!(found, "stable key {k} acked at v{floor} but not found");
-                            let (vk, vv) = decode(&out);
-                            assert_eq!(vk, k, "hit returned a value for the wrong key");
-                            assert!(
-                                vv >= floor,
-                                "stale read past ack: key {k} acked v{floor}, got v{vv}"
-                            );
-                        }
+                    read(&mut ctx, rng);
+                    if done {
+                        break;
                     }
                 }
             });
         }
     })
     .expect("scope");
+}
 
-    // Single-threaded end-state audit: every key holds its final version.
+/// Single-threaded end-state audit once every script ran to its end.
+fn audit_image(db: &ChameleonDb, h: &History, writers: usize) {
     let mut ctx = ThreadCtx::with_default_cost();
+    let all = Floors::exact((0..writers).map(|w| h.script(w).len() as u64).collect());
+    let scanned = db.scan(&mut ctx, 0, usize::MAX).map_err(|e| e.to_string());
     let mut out = Vec::new();
-    for w in 0..writers {
-        for i in 0..STABLE_PER_WRITER {
-            let k = stable_key(w, i);
-            assert!(st.db.get(&mut ctx, k, &mut out).unwrap(), "key {k} lost");
-            assert_eq!(decode(&out), (k, rounds), "key {k} final version");
-        }
-        for i in 0..CHURN_PER_WRITER {
-            let k = churn_key(w, i);
-            assert!(st.db.get(&mut ctx, k, &mut out).unwrap(), "churn {k} lost");
-            assert_eq!(decode(&out), (k, rounds), "churn {k} final version");
-        }
-    }
-    st
+    let get = |k| Ok(db.get(&mut ctx, k, &mut out).unwrap().then(|| out.clone()));
+    let violations = h.image(get, scanned, &all);
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
+}
+
+/// Runs `writers` put threads (versioned overwrites + churn
+/// delete/re-put) against `readers` get threads, every get audited, then
+/// audits the end state single-threaded.
+fn run_stress(cfg: ChameleonConfig, writers: usize, readers: usize, rounds: u64) -> ChameleonDb {
+    let dev = PmemDevice::optane(1 << 30);
+    let db = ChameleonDb::create(Arc::clone(&dev), cfg).unwrap();
+    let h = stress_history(writers, rounds);
+    let write = |w, ctx: &mut ThreadCtx| drive(&db, &h, ctx, w, 0);
+    race(
+        &dev,
+        (writers, readers),
+        0x9E37_79B9_7F4A_7C15,
+        write,
+        |ctx, rng| {
+            let w = (rng >> 32) as usize % writers;
+            let k = if rng.is_multiple_of(8) {
+                churn_key(w, rng % CHURN_PER_WRITER)
+            } else {
+                stable_key(w, rng % STABLE_PER_WRITER)
+            };
+            audited_get(&db, ctx, &h, k);
+        },
+    );
+    audit_image(&db, &h, writers);
+    db
 }
 
 fn stress_cfg() -> ChameleonConfig {
@@ -174,8 +207,8 @@ fn stress_cfg() -> ChameleonConfig {
 /// Direct compaction under reader fire (the CI slice).
 #[test]
 fn readers_vs_maintenance_direct() {
-    let st = run_stress(stress_cfg(), 2, 4, 3);
-    let m = st.db.metrics();
+    let db = run_stress(stress_cfg(), 2, 4, 3);
+    let m = db.metrics();
     assert!(m.flushes > 0, "workload must drive flushes");
     assert!(m.mid_compactions > 0, "workload must drive mid compactions");
     assert!(m.view_publishes > 0, "transitions must republish views");
@@ -186,8 +219,8 @@ fn readers_vs_maintenance_direct() {
 fn readers_vs_maintenance_level_by_level() {
     let mut cfg = stress_cfg();
     cfg.compaction = CompactionScheme::LevelByLevel;
-    let st = run_stress(cfg, 2, 4, 3);
-    let m = st.db.metrics();
+    let db = run_stress(cfg, 2, 4, 3);
+    let m = db.metrics();
     assert!(m.flushes > 0 && m.mid_compactions > 0);
 }
 
@@ -209,9 +242,9 @@ fn readers_vs_wim_merges_and_abi_dumps() {
     // ABI and force unmerged dumps (and, past `max_abi_dumps`, the
     // dumped-table fold-back) — all of it under reader fire.
     cfg.shards = 1;
-    let st = run_stress(cfg, 2, 4, 4);
-    let m = st.db.metrics();
-    assert_eq!(st.db.mode(), Mode::GetProtect);
+    let db = run_stress(cfg, 2, 4, 4);
+    let m = db.metrics();
+    assert_eq!(db.mode(), Mode::GetProtect);
     assert!(m.wim_merges > 0, "GPM must merge MemTables into the ABI");
     assert!(m.abi_dumps > 0, "full ABIs must dump unmerged under GPM");
 }
@@ -231,8 +264,8 @@ fn bg_torture_cfg() -> ChameleonConfig {
 /// the puts, and the tiny frozen queue forces writers into stalls.
 #[test]
 fn readers_vs_background_pipeline_stalls_direct() {
-    let st = run_stress(bg_torture_cfg(), 2, 4, 3);
-    let m = st.db.metrics();
+    let db = run_stress(bg_torture_cfg(), 2, 4, 3);
+    let m = db.metrics();
     assert!(m.flushes > 0, "workload must drive flushes");
     assert!(m.mid_compactions > 0, "workload must drive mid compactions");
     assert!(
@@ -246,10 +279,39 @@ fn readers_vs_background_pipeline_stalls_direct() {
 fn readers_vs_background_pipeline_stalls_level_by_level() {
     let mut cfg = bg_torture_cfg();
     cfg.compaction = CompactionScheme::LevelByLevel;
-    let st = run_stress(cfg, 2, 4, 3);
-    let m = st.db.metrics();
+    let db = run_stress(cfg, 2, 4, 3);
+    let m = db.metrics();
     assert!(m.flushes > 0 && m.mid_compactions > 0);
     assert!(m.write_stalls > 0, "torture config must stall writers");
+}
+
+/// One writer puts keys 0..4096 for six rounds, switching between
+/// Normal (odd rounds) and Write-Intensive (even rounds) before each,
+/// while two readers audit gets; then the pipeline settles and the end
+/// state is audited.
+fn mode_switch_race(cfg: ChameleonConfig) -> ChameleonDb {
+    let dev = PmemDevice::optane(1 << 30);
+    let db = ChameleonDb::create(Arc::clone(&dev), cfg).unwrap();
+    let rounds = (1..=6u64).flat_map(|round| (0..4096).map(move |k| put(k, round)));
+    let h = History::new(vec![rounds.collect()]);
+    let write = |_, ctx: &mut ThreadCtx| {
+        for round in 0..6u64 {
+            db.set_mode(if round % 2 == 1 {
+                Mode::WriteIntensive
+            } else {
+                Mode::Normal
+            });
+            let ops = round * 4096..(round + 1) * 4096;
+            h.drive(0, ops.start, ops.end, |op| apply(&db, ctx, op))
+                .expect("put");
+        }
+    };
+    race(&dev, (1, 2), 1, write, |ctx, rng| {
+        audited_get(&db, ctx, &h, rng % 4096)
+    });
+    db.drain_maintenance().unwrap();
+    audit_image(&db, &h, 1);
+    db
 }
 
 /// Runtime mode switches while the background pipeline is saturated:
@@ -258,70 +320,7 @@ fn readers_vs_background_pipeline_stalls_level_by_level() {
 /// must never notice.
 #[test]
 fn readers_vs_background_pipeline_mode_switches() {
-    let dev = PmemDevice::optane(1 << 30);
-    let db = ChameleonDb::create(Arc::clone(&dev), bg_torture_cfg()).unwrap();
-    dev.set_active_threads(3);
-    let cost = Arc::new(CostModel::default());
-    let stop = AtomicBool::new(false);
-    let ack = AtomicU64::new(0);
-    crossbeam::thread::scope(|s| {
-        let db = &db;
-        let stop = &stop;
-        let ack = &ack;
-        let wcost = Arc::clone(&cost);
-        s.spawn(move |_| {
-            let mut ctx = ThreadCtx::for_thread(wcost, 0);
-            for round in 1..=6u64 {
-                db.set_mode(if round.is_multiple_of(2) {
-                    Mode::WriteIntensive
-                } else {
-                    Mode::Normal
-                });
-                for i in 0..4096u64 {
-                    db.put(&mut ctx, i, &value_for(i, round)).expect("put");
-                    ack.store(round * 4096 + i, Ordering::Release);
-                }
-            }
-            stop.store(true, Ordering::Release);
-        });
-        for r in 0..2usize {
-            let rcost = Arc::clone(&cost);
-            s.spawn(move |_| {
-                let mut ctx = ThreadCtx::for_thread(rcost, 1 + r);
-                let mut out = Vec::new();
-                let mut x = 1u64 + r as u64;
-                while !stop.load(Ordering::Acquire) {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let floor = ack.load(Ordering::Acquire);
-                    if floor == 0 {
-                        continue;
-                    }
-                    let k = x % 4096;
-                    if floor >= 4096 + k {
-                        assert!(
-                            db.get(&mut ctx, k, &mut out).expect("get"),
-                            "acked key {k} missing (ack cursor {floor})"
-                        );
-                        let (vk, vv) = decode(&out);
-                        assert_eq!(vk, k);
-                        assert!(vv >= 1);
-                    }
-                }
-            });
-        }
-    })
-    .expect("scope");
-    // Settle the pipeline, then audit the end state single-threaded.
-    db.drain_maintenance().unwrap();
-    let mut ctx = ThreadCtx::with_default_cost();
-    let mut out = Vec::new();
-    for k in 0..4096u64 {
-        assert!(db.get(&mut ctx, k, &mut out).unwrap(), "key {k} lost");
-        assert_eq!(decode(&out), (k, 6));
-    }
-    let m = db.metrics();
+    let m = mode_switch_race(bg_torture_cfg()).metrics();
     assert!(m.wim_merges > 0, "WIM phases must merge");
     assert!(m.flushes > 0, "Normal phases must flush");
 }
@@ -330,8 +329,8 @@ fn readers_vs_background_pipeline_mode_switches() {
 #[test]
 #[ignore = "long-running full stress; CI runs the quick slices above"]
 fn readers_vs_maintenance_full() {
-    let st = run_stress(stress_cfg(), 4, 8, 10);
-    let m = st.db.metrics();
+    let db = run_stress(stress_cfg(), 4, 8, 10);
+    let m = db.metrics();
     assert!(m.last_compactions > 0, "full run must reach the last level");
 }
 
@@ -339,64 +338,7 @@ fn readers_vs_maintenance_full() {
 /// readers and a writer are live: switching must not disturb visibility.
 #[test]
 fn readers_vs_runtime_mode_switches() {
-    let dev = PmemDevice::optane(1 << 30);
-    let db = ChameleonDb::create(Arc::clone(&dev), stress_cfg()).unwrap();
-    dev.set_active_threads(3);
-    let cost = Arc::new(CostModel::default());
-    let stop = AtomicBool::new(false);
-    let ack = AtomicU64::new(0);
-    crossbeam::thread::scope(|s| {
-        let db = &db;
-        let stop = &stop;
-        let ack = &ack;
-        let wcost = Arc::clone(&cost);
-        s.spawn(move |_| {
-            let mut ctx = ThreadCtx::for_thread(wcost, 0);
-            for round in 1..=6u64 {
-                db.set_mode(if round.is_multiple_of(2) {
-                    Mode::WriteIntensive
-                } else {
-                    Mode::Normal
-                });
-                for i in 0..4096u64 {
-                    db.put(&mut ctx, i, &value_for(i, round)).expect("put");
-                    ack.store(round * 4096 + i, Ordering::Release);
-                }
-            }
-            stop.store(true, Ordering::Release);
-        });
-        for r in 0..2usize {
-            let rcost = Arc::clone(&cost);
-            s.spawn(move |_| {
-                let mut ctx = ThreadCtx::for_thread(rcost, 1 + r);
-                let mut out = Vec::new();
-                let mut x = 1u64 + r as u64;
-                while !stop.load(Ordering::Acquire) {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let floor = ack.load(Ordering::Acquire);
-                    if floor == 0 {
-                        continue;
-                    }
-                    // The ack cursor is round*4096+i; key k is guaranteed
-                    // present once the round-1 put of k is acked.
-                    let k = x % 4096;
-                    if floor >= 4096 + k {
-                        assert!(
-                            db.get(&mut ctx, k, &mut out).expect("get"),
-                            "acked key {k} missing (ack cursor {floor})"
-                        );
-                        let (vk, vv) = decode(&out);
-                        assert_eq!(vk, k);
-                        assert!(vv >= 1);
-                    }
-                }
-            });
-        }
-    })
-    .expect("scope");
-    let m = db.metrics();
+    let m = mode_switch_race(stress_cfg()).metrics();
     assert!(m.wim_merges > 0, "WIM phases must merge");
     assert!(m.flushes > 0, "Normal phases must flush");
 }
@@ -450,142 +392,31 @@ fn degraded_reads_after_restart_are_counted_and_correct() {
     );
 }
 
-/// Audits one range scan taken while writers race: `floor` stable keys
-/// of writer `w` were acked (in ascending key order) before the scan
-/// started, so a window starting at index `i0 < floor` must open with
-/// the contiguous acked run (up to `floor` or the limit). Keys past that
-/// run raced with the writers — each must still decode to a key some
-/// writer could legitimately have put (no phantoms), and the whole
-/// result must be strictly ascending.
-fn audit_racing_scan(keys: &[u64], w: usize, i0: u64, limit: u64, floor: u64, writers: usize) {
-    assert!(
-        keys.len() as u64 <= limit,
-        "scan returned more than its limit"
-    );
-    for pair in keys.windows(2) {
-        assert!(pair[0] < pair[1], "scan not strictly ascending: {pair:?}");
-    }
-    let guaranteed = (floor - i0).min(limit);
-    assert!(
-        keys.len() as u64 >= guaranteed,
-        "scan from writer {w} index {i0} returned {} keys but {guaranteed} were acked in-window",
-        keys.len()
-    );
-    for (j, &k) in keys.iter().take(guaranteed as usize).enumerate() {
-        assert_eq!(
-            k,
-            stable_key(w, i0 + j as u64),
-            "scan missed an acked stable key (writer {w}, start {i0}, floor {floor})"
-        );
-    }
-    for &k in &keys[guaranteed as usize..] {
-        let kw = (k >> 32) as usize;
-        let rest = k & 0xFFFF_FFFF;
-        assert!(kw < writers, "phantom key {k:#x}: no such writer");
-        if rest & (1 << 24) != 0 {
-            assert!(
-                (rest ^ (1 << 24)) < CHURN_PER_WRITER,
-                "phantom churn key {k:#x}"
-            );
-        } else {
-            assert!(rest < STABLE_PER_WRITER, "phantom stable key {k:#x}");
-        }
-    }
-}
-
 /// Range scans racing concurrent puts and deletes. Writers run the usual
-/// stress mix (versioned overwrites of stable keys, delete/re-put churn)
-/// while scanner threads sweep windows of the stable ranges and hold
-/// every result to the shadow model: no acked key missing, no phantom
-/// keys, strict order. Afterwards one full scan must agree exactly with
-/// the live key set — deletions must not resurrect and re-puts must not
-/// duplicate.
+/// stress scripts (versioned overwrites of stable keys, delete/re-put
+/// churn) while scanner threads sweep windows of the stable ranges, each
+/// audited: no key live across the scan missing, no phantom, strict
+/// order. Afterwards the end state is audited, one full scan included —
+/// deletions must not resurrect and re-puts must not duplicate.
 #[test]
 fn scans_vs_concurrent_puts_and_deletes() {
     let writers = 2usize;
-    let rounds = 3u64;
     let dev = PmemDevice::optane(1 << 30);
     let db = ChameleonDb::create(Arc::clone(&dev), stress_cfg()).unwrap();
-    dev.set_active_threads((writers + 2) as u32);
-    let cost = Arc::new(CostModel::default());
-    let stop = AtomicBool::new(false);
-    let writers_left = AtomicUsize::new(writers);
-    // present[w]: stable keys of writer w put at least once. Stable keys
-    // are first inserted in ascending order, so presence is a prefix and
-    // one cursor per writer is a complete shadow of round 1.
-    let present: Vec<AtomicU64> = (0..writers).map(|_| AtomicU64::new(0)).collect();
-
-    crossbeam::thread::scope(|s| {
-        for w in 0..writers {
-            let (db, present, stop, writers_left) = (&db, &present, &stop, &writers_left);
-            let cost = Arc::clone(&cost);
-            s.spawn(move |_| {
-                let mut ctx = ThreadCtx::for_thread(cost, w);
-                for round in 1..=rounds {
-                    for i in 0..STABLE_PER_WRITER {
-                        let k = stable_key(w, i);
-                        db.put(&mut ctx, k, &value_for(k, round)).expect("put");
-                        if round == 1 {
-                            present[w].store(i + 1, Ordering::Release);
-                        }
-                    }
-                    for i in 0..CHURN_PER_WRITER {
-                        let k = churn_key(w, i);
-                        if round.is_multiple_of(2) {
-                            db.delete(&mut ctx, k).expect("delete");
-                        }
-                        db.put(&mut ctx, k, &value_for(k, round)).expect("put");
-                    }
-                }
-                if writers_left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    stop.store(true, Ordering::Release);
-                }
-            });
-        }
-        for r in 0..2usize {
-            let (db, present, stop) = (&db, &present, &stop);
-            let cost = Arc::clone(&cost);
-            s.spawn(move |_| {
-                let mut ctx = ThreadCtx::for_thread(cost, writers + r);
-                let mut rng = 0xA5A5_5A5A_0F0F_F0F0u64 ^ ((r as u64) << 21);
-                while !stop.load(Ordering::Acquire) {
-                    rng ^= rng << 13;
-                    rng ^= rng >> 7;
-                    rng ^= rng << 17;
-                    let w = (rng >> 32) as usize % writers;
-                    // Floor BEFORE the scan: everything below it is acked
-                    // and must appear in the scan's window.
-                    let floor = present[w].load(Ordering::Acquire);
-                    if floor == 0 {
-                        continue;
-                    }
-                    let i0 = rng % floor;
-                    let limit = 1 + (rng >> 17) % 128;
-                    let keys = db
-                        .scan(&mut ctx, stable_key(w, i0), limit as usize)
-                        .expect("scan");
-                    audit_racing_scan(&keys, w, i0, limit, floor, writers);
-                }
-            });
-        }
-    })
-    .expect("scope");
-
-    // End state, single-threaded: every stable and churn key is live
-    // (each round ends with a re-put), so one full scan must reproduce
-    // the exact sorted key set.
-    let mut ctx = ThreadCtx::with_default_cost();
-    let mut expected: Vec<u64> = Vec::new();
-    for w in 0..writers {
-        expected.extend((0..STABLE_PER_WRITER).map(|i| stable_key(w, i)));
-        expected.extend((0..CHURN_PER_WRITER).map(|i| churn_key(w, i)));
-    }
-    expected.sort_unstable();
-    let scanned = db.scan(&mut ctx, 0, expected.len() + 10).expect("scan");
-    assert_eq!(
-        scanned, expected,
-        "post-race scan disagrees with the live set"
+    let h = stress_history(writers, 3);
+    let write = |w, ctx: &mut ThreadCtx| drive(&db, &h, ctx, w, 0);
+    race(
+        &dev,
+        (writers, 2),
+        0xA5A5_5A5A_0F0F_F0F0,
+        write,
+        |ctx, rng| {
+            let w = (rng >> 32) as usize % writers;
+            let start = stable_key(w, rng % STABLE_PER_WRITER);
+            audited_scan(&db, ctx, &h, start, 1 + (rng >> 17) as usize % 128);
+        },
     );
+    audit_image(&db, &h, writers);
 }
 
 /// Keys per block of the weak-scan test: the first `DOOMED` of each are
@@ -596,93 +427,46 @@ const DOOMED: u64 = 192;
 /// Weak-scan guarantees while whole leaves empty and merge under the
 /// cursor. The store is preloaded in ascending order (full 64-key leaves);
 /// then each writer deletes, in ascending order, the first 192 keys of
-/// every block it owns (three whole leaves a block) and after each acked
-/// delete publishes a floor: every doomed key of its blocks below the
-/// floor is gone. Scanners load the floors *before* a full scan from a
-/// random start and hold it to what a cursor over an exact index
-/// guarantees: strictly ascending, no doomed key below its writer's floor
-/// (it was dead for the whole scan), no key that never existed, and every
-/// stable key at or above the start exactly once (live for the whole
-/// scan).
+/// every block it owns (three whole leaves a block). Scanners run full
+/// scans from random starts, each audited: strictly ascending, no key
+/// deleted before the scan began (a phantom), and every stable key at or
+/// above the start (live for the whole scan).
 #[test]
 fn weak_scans_vs_permanent_range_deletes() {
     let writers = 2usize;
     let blocks = 96u64;
     let dev = PmemDevice::optane(1 << 30);
     let db = ChameleonDb::create(Arc::clone(&dev), stress_cfg()).unwrap();
-    dev.set_active_threads((writers + 2) as u32);
-    let cost = Arc::new(CostModel::default());
+    // Writer w owns every writers-th block: it preloads its keys, then
+    // deletes their doomed prefixes.
+    let owned = |w: usize| (w as u64..blocks).step_by(writers).map(|b| b * BLOCK);
+    let h = History::new(
+        (0..writers)
+            .map(|w| {
+                let keys = owned(w).flat_map(|b| b..b + BLOCK);
+                let doomed = owned(w).flat_map(|b| b..b + DOOMED);
+                keys.map(|k| put(k, 1)).chain(doomed.map(Op::Del)).collect()
+            })
+            .collect(),
+    );
+    let preload = |w: usize| owned(w).count() as u64 * BLOCK;
     let mut ctx = ThreadCtx::with_default_cost();
     for k in 0..blocks * BLOCK {
         db.put(&mut ctx, k, &value_for(k, 1)).unwrap();
     }
-    let owner = |k: u64| (k / BLOCK) as usize % writers;
-    let floors: Vec<AtomicU64> = (0..writers).map(|_| AtomicU64::new(0)).collect();
-    let stop = AtomicBool::new(false);
-    let writers_left = AtomicUsize::new(writers);
-
-    crossbeam::thread::scope(|s| {
-        for w in 0..writers {
-            let (db, floors, stop, writers_left) = (&db, &floors, &stop, &writers_left);
-            let cost = Arc::clone(&cost);
-            s.spawn(move |_| {
-                let mut ctx = ThreadCtx::for_thread(cost, w);
-                for b in (w as u64..blocks).step_by(writers) {
-                    for k in b * BLOCK..b * BLOCK + DOOMED {
-                        assert!(db.delete(&mut ctx, k).expect("delete"), "key {k} absent");
-                        floors[w].store(k + 1, Ordering::Release);
-                    }
-                }
-                if writers_left.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    stop.store(true, Ordering::Release);
-                }
-            });
-        }
-        for r in 0..2usize {
-            let (db, floors, stop) = (&db, &floors, &stop);
-            let cost = Arc::clone(&cost);
-            s.spawn(move |_| {
-                let mut ctx = ThreadCtx::for_thread(cost, writers + r);
-                let mut rng = 0x3C3C_C3C3_5A5A_A5A5u64 ^ ((r as u64) << 23);
-                // At least one scan, however the threads are scheduled.
-                let mut done = false;
-                while !done {
-                    done = stop.load(Ordering::Acquire);
-                    rng ^= rng << 13;
-                    rng ^= rng >> 7;
-                    rng ^= rng << 17;
-                    // Floors BEFORE the scan.
-                    let floor: Vec<u64> =
-                        floors.iter().map(|f| f.load(Ordering::Acquire)).collect();
-                    let start = rng % (blocks * BLOCK);
-                    let keys = db.scan(&mut ctx, start, usize::MAX).expect("scan");
-                    for pair in keys.windows(2) {
-                        assert!(pair[0] < pair[1], "scan not strictly ascending: {pair:?}");
-                    }
-                    let mut stable = (start..blocks * BLOCK).filter(|k| k % BLOCK >= DOOMED);
-                    for &k in &keys {
-                        assert!(k >= start && k < blocks * BLOCK, "phantom key {k}");
-                        if k % BLOCK < DOOMED {
-                            assert!(
-                                k >= floor[owner(k)],
-                                "deleted key {k} came back (floor {})",
-                                floor[owner(k)]
-                            );
-                        } else {
-                            assert_eq!(stable.next(), Some(k), "stable key missed before {k}");
-                        }
-                    }
-                    assert_eq!(stable.next(), None, "scan from {start} missed stable keys");
-                }
-            });
-        }
-    })
-    .expect("scope");
-
-    let live: Vec<u64> = (0..blocks * BLOCK)
-        .filter(|k| k % BLOCK >= DOOMED)
-        .collect();
-    assert_eq!(db.scan(&mut ctx, 0, usize::MAX).unwrap(), live);
+    for w in 0..writers {
+        h.issue(w, preload(w));
+        h.ack(w, preload(w));
+    }
+    let write = |w, ctx: &mut ThreadCtx| drive(&db, &h, ctx, w, preload(w));
+    race(
+        &dev,
+        (writers, 2),
+        0x3C3C_C3C3_5A5A_A5A5,
+        write,
+        |ctx, rng| audited_scan(&db, ctx, &h, rng % (blocks * BLOCK), usize::MAX),
+    );
+    audit_image(&db, &h, writers);
 }
 
 /// The get path is read-only on media: a burst of gets (hits and misses)

@@ -7,7 +7,6 @@
 //! sweep sparing connections with a withheld (un-acked) submission.
 
 use std::io::ErrorKind;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -15,6 +14,7 @@ use std::time::{Duration, Instant};
 use chameleon_obs::export::{parse_prometheus, sample_value};
 use chameleon_obs::{ObsConfig, ServerObs};
 use chameleondb::{BatchOp, ChameleonConfig, ChameleonDb};
+use integration::history::{History, Op};
 use kvclient::{Client, ReplicaReader, RetryPolicy, StatsFormat, WriteOutcome, MAX_SCAN_KEYS};
 use kvrepl::Replica;
 use kvserver::{AckPolicy, KvServer, ServerConfig};
@@ -250,49 +250,38 @@ fn promotion_preserves_acked_prefix_after_primary_crash() {
     let replica = start_replica(addr);
 
     const BASE: u64 = 1 << 40;
-    let acked = Arc::new(AtomicU64::new(0));
+    let h = Arc::new(History::new(vec![(0..200)
+        .map(|i| Op::Put(BASE | i, value_for(i)))
+        .collect()]));
     let writer = {
-        let acked = Arc::clone(&acked);
+        let h = Arc::clone(&h);
         thread::spawn(move || {
-            let mut c = match Client::connect(addr) {
-                Ok(c) => c,
-                Err(_) => return,
+            let Ok(mut c) = Client::connect(addr) else {
+                return;
             };
-            for i in 0..100_000u64 {
-                match c.put_retrying(BASE | i, &value_for(i), true) {
-                    // Only count after the quorum ack: the acked floor is
-                    // exactly the prefix the promoted image must contain.
-                    Ok(_) => acked.store(i + 1, Ordering::Release),
-                    Err(_) => break, // primary died
-                }
-            }
+            // Acked only after the quorum ack; stops when the primary dies.
+            let _ = h.drive(0, 0, 200, |op| {
+                let Op::Put(k, v) = op else { unreachable!() };
+                c.put_retrying(*k, v, true).map(drop)
+            });
         })
     };
 
     // Let some writes through, then crash the primary at whatever fence
     // point it happens to be at — no drain, no final checkpoint.
-    while acked.load(Ordering::Acquire) < 20 {
+    while h.floors().acked[0] < 20 {
         thread::sleep(Duration::from_millis(1));
     }
     primary.abort();
     writer.join().unwrap();
-    let f = acked.load(Ordering::Acquire);
+    let floors = h.floors();
+    let f = floors.acked[0];
 
     let promoted = replica.promote("127.0.0.1:0").expect("promote replica");
     let mut c = Client::connect(promoted.server.local_addr()).unwrap();
-    for i in 0..f + 16 {
-        let got = c.get(BASE | i).unwrap();
-        if i < f {
-            assert_eq!(
-                got.as_deref(),
-                Some(value_for(i).as_slice()),
-                "acked write {i} (floor {f}) missing after promotion"
-            );
-        } else if i > f {
-            assert_eq!(got, None, "unacked write {i} (floor {f}) materialized");
-        }
-        // i == f: the one in-flight write may have landed or not.
-    }
+    let scanned = c.scan(0, MAX_SCAN_KEYS as u32).map_err(|e| e.to_string());
+    let violations = h.image(|k| c.get(k).map_err(|e| e.to_string()), scanned, &floors);
+    assert!(violations.is_empty(), "{}", violations.join("\n"));
 
     // The promoted image takes new writes.
     assert_eq!(
