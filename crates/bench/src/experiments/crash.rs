@@ -79,16 +79,19 @@ fn print_report(report: &CrashMatrixReport) {
         println!("    audit: clean — every point admits a valid log-prefix cut");
     } else {
         println!("    audit: {} VIOLATIONS", report.violations.len());
+        // A violation's text has several lines; each is its own block.
         for v in &report.violations {
             println!(
-                "      fence {} ({}{}): {}",
+                "      fence {} ({}{}):",
                 v.fence,
                 v.stage,
                 v.nested_fence
                     .map(|n| format!(", nested at {n}"))
                     .unwrap_or_default(),
-                v.violations.join("; ")
             );
+            for line in v.violations.iter().flat_map(|text| text.lines()) {
+                println!("        {line}");
+            }
         }
     }
 }

@@ -451,12 +451,25 @@ impl KvStore for ChameleonDb {
 
 impl CrashRecover for ChameleonDb {
     fn crash_and_recover(&mut self, ctx: &mut ThreadCtx) -> Result<()> {
+        self.crash_and_recover_with(ctx, None)
+    }
+}
+
+impl ChameleonDb {
+    /// [`CrashRecover::crash_and_recover`], its restart walk on `threads`
+    /// threads if given, else on as many as recovery derives.
+    pub(crate) fn crash_and_recover_with(
+        &mut self,
+        ctx: &mut ThreadCtx,
+        threads: Option<usize>,
+    ) -> Result<()> {
         // Stop the worker pool *before* the simulated power cut: a crash
         // abandons queued maintenance (it is not a graceful shutdown), and
         // no worker may touch the device once the cut happens.
         self.stop_workers(true);
         self.dev.crash();
-        let recovered = ChameleonDb::recover(Arc::clone(&self.dev), self.cfg.clone(), ctx)?;
+        let recovered =
+            ChameleonDb::recover_with(Arc::clone(&self.dev), self.cfg.clone(), ctx, threads)?;
         // The old journal dies with the old store; mark the epoch boundary
         // in the recovered store's journal.
         recovered.obs.record_event(

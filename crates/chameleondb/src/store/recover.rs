@@ -4,13 +4,16 @@
 //! [`StoreInner`] and start serving through the same `open` step.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::AtomicBool;
+use std::hint::select_unpredictable;
+use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use chameleon_obs::Obs;
 use kvapi::{hash64, key_of_hash, KvError, PreHashed, Result};
 use kvlog::{EntryMeta, StorageLog};
-use kvorder::OrderedIndex;
+use kvorder::{Leaves, OrderedIndex};
 use kvsync::{EpochDomain, ViewCell};
 use kvtables::{FixedHashTable, Slot};
 use parking_lot::Mutex;
@@ -31,6 +34,24 @@ const SUPERBLOCK_OFF: u64 = 256;
 
 /// The newest un-checkpointed log entry per key hash, for replay.
 type Pending = HashMap<u64, EntryMeta, PreHashed>;
+
+/// Index entries per thread of the restart walk: below twice this, the
+/// walk stays on the calling thread. A second thread costs two spawns
+/// and a two-way merge, about 100–170 µs. Building the index of a
+/// 16-shard store of `n` fresh keys (median of 41 restarts, 2-core
+/// container) took 320 µs on one thread against 383 µs on two at
+/// `n` = 4 k, 632 against 525 µs at 8 k and 1 735 against 1 301 µs at
+/// 32 k: two threads start to pay at about 6 k entries, and this keeps
+/// a margin over that. The crash matrix's and the unit tests' stores,
+/// a few thousand entries, walk on one thread.
+const WALK_ENTRIES_PER_THREAD: u64 = 8 << 10;
+
+/// Keys drawn per key range when the restart picks the splitters of its
+/// leaf cut. The sample takes every so-many-th key of each sorted
+/// array, so a splitter is off its exact quantile by less than one
+/// stride per array: with two arrays and two ranges, under 2 % of a
+/// range.
+const SAMPLE_PER_RANGE: usize = 128;
 
 impl ChameleonDb {
     /// Creates a fresh store on `dev`. The store must be the device's first
@@ -63,15 +84,16 @@ impl ChameleonDb {
             .map(|i| ShardMut::new(i, &cfg))
             .collect();
         let store = StoreInner::new(dev, cfg, shards, manifest, HashMap::new(), log);
-        Ok(Self::open(store, &mut ctx))
+        Ok(Self::open(store, &mut ctx, None))
     }
 
     /// Reopens a store after a crash, charging the full restart cost
     /// (superblock + manifest replay, table-header reads, one log scan,
     /// MemTable reconstruction and, with the ordered index on, one
-    /// streamed walk of every shard's tables, which pushes each live key
-    /// into one array that is sorted once and builds the index in one
-    /// pass; replay never touches it) to `ctx`. ABIs are rebuilt
+    /// streamed walk of every shard's tables, whose live keys build the
+    /// index; replay never touches it) to `ctx`. The walk, its sort and
+    /// the index build run on up to one thread per core (see `open`),
+    /// and the charge is the same on any number of them. ABIs are rebuilt
     /// lazily at a shard's first structural transition (MemTable-full);
     /// until then gets on that shard take the degraded upper-level walk
     /// (counted in `degraded_gets`).
@@ -79,6 +101,17 @@ impl ChameleonDb {
         dev: Arc<PmemDevice>,
         cfg: ChameleonConfig,
         ctx: &mut ThreadCtx,
+    ) -> Result<Self> {
+        Self::recover_with(dev, cfg, ctx, None)
+    }
+
+    /// [`recover`](Self::recover), its restart walk on `threads` threads
+    /// if given, else on as many as it derives.
+    pub(crate) fn recover_with(
+        dev: Arc<PmemDevice>,
+        cfg: ChameleonConfig,
+        ctx: &mut ThreadCtx,
+        threads: Option<usize>,
     ) -> Result<Self> {
         cfg.validate()
             .map_err(|_| KvError::Corrupt("invalid config"))?;
@@ -181,19 +214,27 @@ impl ChameleonDb {
         let mut store = StoreInner::new(dev, cfg, shards, manifest, registry, log);
         store.restart_seq = store.log.last_seq();
         store.replay(ctx, pending)?;
-        Ok(Self::open(store, ctx))
+        Ok(Self::open(store, ctx, threads))
     }
 
     /// The one way a store starts serving, fresh or recovered: installs
     /// the ordered index over the live keys (none on a fresh store), the
     /// configured mode and the per-thread log writers, then spawns the
-    /// worker pool (none with `bg.workers == 0`).
-    fn open(mut store: StoreInner, ctx: &mut ThreadCtx) -> Self {
+    /// worker pool (none with `bg.workers == 0`). The index is built on
+    /// `threads` threads, or as many as [`walk_threads`] derives when
+    /// `None`: each walks and sorts the keys of the shards it claims
+    /// ([`StoreInner::live_keys`]), then cuts the leaves of one key range
+    /// ([`key_ranges`]) from the merge of every thread's keys. One root
+    /// is assembled over all the leaves: the tree one pass over all the
+    /// keys builds, whatever the thread count.
+    fn open(mut store: StoreInner, ctx: &mut ThreadCtx, threads: Option<usize>) -> Self {
         if store.cfg.ordered_index {
-            let keys = store.live_keys(ctx);
-            store.order = Some(Arc::new(OrderedIndex::from_sorted(
+            let sorted = store.live_keys(ctx, threads);
+            let ranges = key_ranges(&sorted);
+            let parts = fan_out(ranges, |(at, heads)| Leaves::cut(at, Merge::new(heads)));
+            store.order = Some(Arc::new(OrderedIndex::from_parts(
                 Arc::clone(&store.epochs),
-                vec![keys],
+                parts,
             )));
         }
         let base_mode = if store.cfg.write_intensive {
@@ -311,37 +352,187 @@ impl StoreInner {
         Ok(())
     }
 
-    /// The store's live user keys, ascending, for the one-tree ordered
-    /// index `open` builds before any writer or worker exists. Each
-    /// shard's walk meets a hash's versions newest first, so it pushes
-    /// the key of every put no earlier tombstone shadowed into one array,
-    /// reserved once from the shards' entry counts, then sorted and
-    /// deduplicated (older puts of a live key push it again). The user
-    /// key is the hash's preimage ([`kvapi::key_of_hash`]), so no log
-    /// entry is read. No live key's newest version is stale: GC repoints
-    /// it before it reclaims the old extent (DESIGN §6.2).
-    fn live_keys(&self, ctx: &mut ThreadCtx) -> Vec<u64> {
+    /// The store's live user keys for the one-tree ordered index `open`
+    /// builds before any writer or worker exists, walked on `threads`
+    /// threads (derived by [`walk_threads`] when `None`): one sorted and
+    /// deduplicated array per thread, the keys of the shards it walked.
+    ///
+    /// Each thread claims shards one at a time, so a slow shard holds
+    /// back no fixed share. A shard's walk meets a hash's versions newest
+    /// first, so it pushes the key of every put no earlier tombstone
+    /// shadowed into the thread's array; older puts of a live key push it
+    /// again, and the sort and dedup remove them. The user key is the
+    /// hash's preimage ([`kvapi::key_of_hash`]), so no log entry is read.
+    /// A key's versions are all in one shard, so the arrays are disjoint.
+    ///
+    /// Each thread walks on its own `ThreadCtx`, started at the caller's
+    /// clock, and the caller is charged the sum of their charges. With
+    /// the queue model off, a read's charge depends only on its offset,
+    /// length and the device profile, so that sum is what one thread
+    /// walking every shard is charged, whatever the thread count.
+    ///
+    /// No live key's newest version is stale: GC repoints it before it
+    /// reclaims the old extent (DESIGN §6.2).
+    fn live_keys(&self, ctx: &mut ThreadCtx, threads: Option<usize>) -> Vec<Vec<u64>> {
         let entries: u64 = self.shards.iter().map(Shard::approx_len).sum();
-        let mut keys = Vec::with_capacity(entries as usize);
-        let mut shadowed = HashSet::with_hasher(PreHashed::default());
-        for shard in &self.shards {
-            shadowed.clear();
-            // The walk meets every index slot once, so it also counts the
-            // slots of each replayed entry.
-            let mut replayed = shard.replayed.lock();
-            shard.slots_in_get_order(&self.dev, ctx, |sl| {
-                replayed.count(sl.loc);
-                if sl.is_tombstone() {
-                    shadowed.insert(sl.hash);
-                } else if !shadowed.contains(&sl.hash) {
-                    keys.push(key_of_hash(sl.hash));
-                }
-            });
-            replayed.end_count();
+        let threads = threads.unwrap_or_else(|| walk_threads(entries, self.shards.len()));
+        // Twice a thread's share, at most every entry: claiming whole
+        // shards can leave a thread above its share, and pages are
+        // touched only as keys are pushed.
+        let reserve = (2 * entries.div_ceil(threads as u64)).min(entries);
+        let (cost, thread_id, start) = (&ctx.cost, ctx.thread_id, ctx.clock.now());
+        let next = AtomicUsize::new(0);
+        let walked = fan_out((0..threads).collect(), |_| {
+            let mut c = ThreadCtx::for_thread(Arc::clone(cost), thread_id);
+            c.clock.catch_up_to(start);
+            let mut keys = Vec::with_capacity(reserve as usize);
+            let mut shadowed = HashSet::with_hasher(PreHashed::default());
+            while let Some(shard) = self.shards.get(next.fetch_add(1, Ordering::Relaxed)) {
+                shadowed.clear();
+                // The walk meets every index slot once, so it also counts
+                // the slots of each replayed entry.
+                let mut replayed = shard.replayed.lock();
+                shard.slots_in_get_order(&self.dev, &mut c, |sl| {
+                    replayed.count(sl.loc);
+                    if sl.is_tombstone() {
+                        shadowed.insert(sl.hash);
+                    } else if !shadowed.contains(&sl.hash) {
+                        keys.push(key_of_hash(sl.hash));
+                    }
+                });
+                replayed.end_count();
+            }
+            keys.sort_unstable();
+            keys.dedup();
+            (keys, c.clock.since(start))
+        });
+        let (sorted, charges): (Vec<_>, Vec<_>) = walked.into_iter().unzip();
+        ctx.charge(charges.iter().sum());
+        sorted
+    }
+}
+
+/// The restart walk's thread count for `entries` index entries over
+/// `shards` shards: one per core, no more than the shards (a thread walks
+/// whole shards), and no more than one per [`WALK_ENTRIES_PER_THREAD`]
+/// entries, so a small store walks on the calling thread alone.
+fn walk_threads(entries: u64, shards: usize) -> usize {
+    let wanted = usize::try_from(entries / WALK_ENTRIES_PER_THREAD).unwrap_or(usize::MAX);
+    if wanted < 2 {
+        return 1;
+    }
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    wanted.min(cores).min(shards)
+}
+
+/// Runs `f` on every item, the first on the calling thread and each
+/// other one on a scoped thread of its own, and returns the results in
+/// item order. A helper's panic resumes on the caller with its payload,
+/// so an injected crash point unwinds as it would on one thread.
+fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    let f = &f;
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = items.map(|item| s.spawn(move || f(item))).collect();
+        let mut out = vec![f(first)];
+        for helper in helpers {
+            out.push(
+                helper
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
         }
-        keys.sort_unstable();
-        keys.dedup();
-        keys
+        out
+    })
+}
+
+/// Cuts the keys of `sorted`'s disjoint arrays into one key range per
+/// array, of about equal size, for [`Leaves::cut`]: the splitters are
+/// the quantiles of a sample of every array's keys. Returns each range's
+/// indices in the merged sequence of all the keys, and every array from
+/// the range's first key on.
+fn key_ranges(sorted: &[Vec<u64>]) -> Vec<(Range<usize>, Vec<&[u64]>)> {
+    let total: usize = sorted.iter().map(Vec::len).sum();
+    let ranges = if total == 0 { 1 } else { sorted.len() };
+    let stride = (total / (SAMPLE_PER_RANGE * ranges)).max(1);
+    let mut sample: Vec<u64> = sorted
+        .iter()
+        .flat_map(|keys| keys.iter().step_by(stride).copied())
+        .collect();
+    sample.sort_unstable();
+    let mut cuts: Vec<u64> = (1..ranges)
+        .map(|r| sample[r * sample.len() / ranges])
+        .collect();
+    cuts.dedup();
+    // Where each range starts in each array: at its first key not below
+    // the range's lower splitter.
+    let starts: Vec<Vec<usize>> = [None]
+        .into_iter()
+        .chain(cuts.iter().map(Some))
+        .map(|cut| {
+            let at = |keys: &[u64]| cut.map_or(0, |&c| keys.partition_point(|&k| k < c));
+            sorted.iter().map(|keys| at(keys)).collect()
+        })
+        .collect();
+    let index = |at: &Vec<usize>| at.iter().sum::<usize>();
+    starts
+        .iter()
+        .enumerate()
+        .map(|(r, at)| {
+            let end = starts.get(r + 1).map_or(total, index);
+            let heads = sorted.iter().zip(at).map(|(keys, &i)| &keys[i..]);
+            (index(at)..end, heads.collect())
+        })
+        .collect()
+}
+
+/// The ascending merge of sorted, pairwise disjoint key arrays, none
+/// of them empty. Which array holds the next key is a coin toss for
+/// keys spread evenly over them, so the choice is made without a
+/// branch; two arrays, the two-core case, take a path of their own
+/// that is about twice as fast as the general one.
+struct Merge<'a> {
+    heads: Vec<&'a [u64]>,
+}
+
+impl<'a> Merge<'a> {
+    fn new(mut heads: Vec<&'a [u64]>) -> Self {
+        heads.retain(|h| !h.is_empty());
+        Self { heads }
+    }
+}
+
+impl Iterator for Merge<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        if let [a, b] = &mut self.heads[..] {
+            let (x, y) = (a[0], b[0]);
+            let take = x < y;
+            *a = &a[usize::from(take)..];
+            *b = &b[usize::from(!take)..];
+            if a.is_empty() || b.is_empty() {
+                self.heads.retain(|h| !h.is_empty());
+            }
+            return Some(select_unpredictable(take, x, y));
+        }
+        let first = self.heads.first()?;
+        let (mut best, mut key) = (0, first[0]);
+        for (i, head) in self.heads.iter().enumerate().skip(1) {
+            let take = head[0] < key;
+            best = select_unpredictable(take, i, best);
+            key = select_unpredictable(take, head[0], key);
+        }
+        let head = &mut self.heads[best];
+        *head = &head[1..];
+        if head.is_empty() {
+            self.heads.swap_remove(best);
+        }
+        Some(key)
     }
 }
 

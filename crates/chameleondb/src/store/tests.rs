@@ -1489,6 +1489,12 @@ fn last_level_shares_no_slot_with_newer_structures() {
 /// the last slot that holds such a word may credit it.
 #[test]
 fn replayed_copies_are_not_credited_as_dead() {
+    replayed_copies_script(None);
+}
+
+/// The script of [`replayed_copies_are_not_credited_as_dead`], each
+/// restart walk on `threads` threads if given.
+fn replayed_copies_script(threads: Option<usize>) {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     let mut cfg = gc_cfg();
@@ -1570,7 +1576,7 @@ fn replayed_copies_are_not_credited_as_dead() {
                 Normal => db.set_mode(Mode::Normal),
                 Crash => {
                     db.sync(&mut c).unwrap();
-                    db.crash_and_recover(&mut c).unwrap();
+                    db.crash_and_recover_with(&mut c, threads).unwrap();
                 }
                 Checkpoint => db.checkpoint(&mut c).unwrap(),
             }
@@ -1972,11 +1978,11 @@ fn assert_index_matches(db: &ChameleonDb, c: &mut ThreadCtx, model: &BTreeSet<u6
         .collect();
     let want: Vec<u64> = model.iter().copied().collect();
     assert_eq!(found, want, "get disagrees with the model");
-    let indexed: Vec<u64> = {
-        let pin = db.epochs.pin(c.thread_id);
-        db.order.as_ref().unwrap().range_from(0, 0, &pin).collect()
-    };
-    assert_eq!(indexed, want, "the ordered index holds other keys");
+    assert_eq!(
+        indexed_keys(db, c),
+        want,
+        "the ordered index holds other keys"
+    );
     assert_eq!(db.scan(c, 0, usize::MAX).unwrap(), want);
 }
 
@@ -1988,8 +1994,6 @@ fn assert_index_matches(db: &ChameleonDb, c: &mut ThreadCtx, model: &BTreeSet<u6
 /// fails here, and `scan`, which trusts the index, would return it.
 #[test]
 fn recovery_rebuild_matches_a_seeded_oracle() {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
     const SPAN: u64 = 2000;
     for workers in [0, 2] {
         for seed in 1..=8u64 {
@@ -1997,23 +2001,7 @@ fn recovery_rebuild_matches_a_seeded_oracle() {
             cfg.bg.workers = workers;
             let mut db = new_store(cfg);
             let mut c = ctx();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut model = BTreeSet::new();
-            for _ in 0..6000 {
-                let k = rng.gen_range(0..SPAN);
-                match rng.gen_range(0..500u32) {
-                    0 => db.checkpoint(&mut c).unwrap(),
-                    1..=150 => {
-                        db.delete(&mut c, k).unwrap();
-                        model.remove(&k);
-                    }
-                    _ => {
-                        db.put(&mut c, k, &value_for(k)).unwrap();
-                        model.insert(k);
-                    }
-                }
-            }
-            db.sync(&mut c).unwrap();
+            let mut model = seeded_churn(&db, &mut c, seed, SPAN);
             db.crash_and_recover(&mut c).unwrap();
             assert_index_matches(&db, &mut c, &model, 2 * SPAN);
             // ~100 puts a shard: every shard flushes and rebuilds its ABI.
@@ -2024,6 +2012,114 @@ fn recovery_rebuild_matches_a_seeded_oracle() {
             db.drain_maintenance().unwrap();
             assert_index_matches(&db, &mut c, &model, 2 * SPAN);
         }
+    }
+}
+
+/// The seeded script of [`recovery_rebuild_matches_a_seeded_oracle`]:
+/// random puts, deletes and re-puts over `0..span`, now and then a
+/// checkpoint, then a sync. Returns the live keys.
+fn seeded_churn(db: &ChameleonDb, c: &mut ThreadCtx, seed: u64, span: u64) -> BTreeSet<u64> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut model = BTreeSet::new();
+    for _ in 0..6000 {
+        let k = rng.gen_range(0..span);
+        match rng.gen_range(0..500u32) {
+            0 => db.checkpoint(c).unwrap(),
+            1..=150 => {
+                db.delete(c, k).unwrap();
+                model.remove(&k);
+            }
+            _ => {
+                db.put(c, k, &value_for(k)).unwrap();
+                model.insert(k);
+            }
+        }
+    }
+    db.sync(c).unwrap();
+    model
+}
+
+/// The ordered index's keys, by one full cursor walk.
+fn indexed_keys(db: &ChameleonDb, c: &ThreadCtx) -> Vec<u64> {
+    let pin = db.epochs.pin(c.thread_id);
+    db.order.as_ref().unwrap().range_from(0, 0, &pin).collect()
+}
+
+/// The script of [`recovery_sim_cost_is_pinned`], which keeps its own
+/// copy as it was pinned.
+fn pinned_image(db: &ChameleonDb, c: &mut ThreadCtx) {
+    fill(db, c, 3000);
+    for k in (0..3000).step_by(7) {
+        db.delete(c, k).unwrap();
+    }
+    db.checkpoint(c).unwrap();
+    for k in 3000..4500 {
+        db.put(c, k, &value_for(k)).unwrap();
+    }
+    for k in (0..4500).step_by(5) {
+        db.delete(c, k).unwrap();
+    }
+    for k in 4500..4530 {
+        db.put(c, k, &value_for(k)).unwrap();
+    }
+    db.sync(c).unwrap();
+}
+
+/// Seed 1 of [`recovery_rebuild_matches_a_seeded_oracle`].
+fn seeded_image(db: &ChameleonDb, c: &mut ThreadCtx) {
+    seeded_churn(db, c, 1, 2000);
+}
+
+/// The restart walk's split is invisible: two crashed images, the one
+/// [`recovery_sim_cost_is_pinned`] pins and one of
+/// [`recovery_rebuild_matches_a_seeded_oracle`], each rebuilt by the
+/// same one-thread script and recovered on 1, 2, 3 and `shards + 1`
+/// threads (more threads than shards: some claim none), give the same
+/// index keys and the same sim ns, media read bytes and logical read
+/// bytes, the pinned image its pinned ones. The dead-byte books of
+/// [`replayed_copies_are_not_credited_as_dead`], which the walk's slot
+/// counts feed, hold at every count too. The store's own derivation
+/// walks these small stores on one thread, so this is what runs the
+/// split on a one-core host.
+#[test]
+fn restart_walk_is_the_same_at_every_thread_count() {
+    let mut cfg = ChameleonConfig::tiny();
+    cfg.bg.workers = 0;
+    let threads = [1, 2, 3, cfg.shards + 1];
+    let images = [
+        ("pinned", pinned_image as fn(&ChameleonDb, &mut ThreadCtx)),
+        ("seeded", seeded_image),
+    ];
+    for (image, script) in images {
+        let runs: Vec<_> = threads
+            .iter()
+            .map(|&t| {
+                let mut db = new_store(cfg.clone());
+                let mut c = ctx();
+                script(&db, &mut c);
+                let (t0, s0) = (c.clock.now(), db.dev.stats().snapshot());
+                db.crash_and_recover_with(&mut c, Some(t)).unwrap();
+                let io = db.dev.stats().snapshot() - s0;
+                let cost = (
+                    c.clock.now() - t0,
+                    io.media_bytes_read,
+                    io.logical_bytes_read,
+                );
+                (indexed_keys(&db, &c), cost)
+            })
+            .collect();
+        for (t, run) in threads.iter().zip(&runs) {
+            assert_eq!(run, &runs[0], "{image} image on {t} threads");
+        }
+        assert!(!runs[0].0.is_empty(), "{image} image has no live key");
+        if image == "pinned" {
+            assert_eq!(runs[0].1, (252_834, 1_244_928, 1_182_840));
+        }
+    }
+    for t in threads {
+        replayed_copies_script(Some(t));
     }
 }
 

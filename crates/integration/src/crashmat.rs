@@ -267,6 +267,10 @@ pub fn build_script_churn(keys: u64, churn: u64) -> Vec<WlOp> {
     }
     s.push(WlOp::Sync);
     s.push(WlOp::SetMode(Mode::Normal));
+    // A Normal flush over the WIM-merged, ABI-only entries, before Phase
+    // 4's dumps persist the ABI: its L0 table must claim no more than
+    // the ABI's unpersisted floor (DESIGN §4c, bug 5).
+    s.push(WlOp::Checkpoint);
     // Phase 4: get burst trips Get-Protect, then puts force ABI dumps
     // (and, past max_abi_dumps, last-level compactions of dumped tables).
     for i in 0..2 * GPM_WINDOW {

@@ -614,16 +614,21 @@ fn shutdown_answers_every_put_streamed_from_two_workers() {
         let store = Arc::new(ChameleonDb::create(Arc::clone(&dev), test_store_config()).unwrap());
         let (server, addr) = start_server(&dev, &store, ServerConfig::default());
         let stop = Arc::new(AtomicBool::new(false));
-        let bursts = Arc::new(AtomicU64::new(0));
+        let bursts: Arc<[AtomicU64; 2]> = Arc::default();
         // Connection ids 0 and 1: one connection on each of two workers.
         let clients: Vec<_> = (0..2u64)
             .map(|cid| {
                 let c = Client::connect(addr).unwrap();
                 let (stop, bursts) = (Arc::clone(&stop), Arc::clone(&bursts));
-                thread::spawn(move || stream_until_stop(c, cid, &stop, &bursts))
+                thread::spawn(move || stream_until_stop(c, cid, &stop, &bursts[cid as usize]))
             })
             .collect();
-        while bursts.load(Ordering::SeqCst) < 20 {
+        // Each client, not the two together: a client that has sent its
+        // third burst has read its first burst's answers, all before the
+        // stop, so its `oks` cannot be 0. A starved client thread would
+        // otherwise be stopped with every put in flight, and those are
+        // rightly answered "shutting down".
+        while bursts.iter().any(|b| b.load(Ordering::SeqCst) < 10) {
             thread::sleep(Duration::from_millis(1));
         }
         stop.store(true, Ordering::SeqCst);

@@ -38,11 +38,14 @@
 //!
 //! A tree comes to exist in one of two ways. [`OrderedIndex::new`]
 //! starts it empty and mutations grow it. [`OrderedIndex::from_sorted`]
-//! builds it whole from sorted keys before any reader exists, which is
-//! how the store installs it, fresh or recovered: full leaves, as
-//! ascending inserts leave them, spread evenly over as many inner nodes
-//! as ascending inserts leave, nothing published. `new` is that builder
-//! given no keys.
+//! builds it whole from sorted keys before any reader exists: full
+//! leaves, as ascending inserts leave them, spread evenly over as many
+//! inner nodes as ascending inserts leave, nothing published. `new` is
+//! that builder given no keys. [`OrderedIndex::from_parts`] is the same
+//! build with its leaves cut in parts, one part per thread, each from
+//! its own range of the sorted keys (see [`Leaves::cut`]); it gives the
+//! same tree, leaf for leaf, however the ranges split the keys. That is
+//! how the store installs the index, fresh or recovered.
 //!
 //! * **Writers** ([`OrderedIndex::insert`] / [`OrderedIndex::remove`])
 //!   lock one inner node, not the tree. Behind its own mutex each inner
@@ -367,30 +370,30 @@ struct Tree {
 }
 
 impl Tree {
-    /// A tree holding `keys`, built in one pass (see module docs):
-    /// `LEAF_CAP` keys to a leaf, and as many inner nodes as ascending
-    /// inserts of `keys` leave (one, until an inner split), with the
-    /// leaves spread evenly over them. Past one node, that is at most 48
-    /// leaves to a node, so the first leaf split after the build
-    /// republishes one inner node and leaves the root alone.
-    fn build(domain: Arc<EpochDomain>, keys: &[u64]) -> Self {
-        assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
-            "shard keys must be strictly ascending"
-        );
+    /// A tree over the leaves of `parts`, in order (see
+    /// [`Leaves::cut`]): as many inner nodes as ascending inserts of
+    /// the same keys leave (one, until an inner split), with the leaves
+    /// spread evenly over them. Past one node, that is at most 48 leaves
+    /// to a node, so the first leaf split after the build republishes one
+    /// inner node and leaves the root alone.
+    fn build(domain: Arc<EpochDomain>, parts: Vec<Leaves>) -> Self {
         let alloc = Alloc {
             total: Arc::default(),
             domain,
         };
+        let mut leaves: Vec<Kid<Arc<Leaf>>> = parts.into_iter().flat_map(|p| p.0).collect();
+        assert!(
+            leaves.windows(2).all(|w| w[0].0 < w[1].0),
+            "parts must come in key order"
+        );
+        if leaves.is_empty() {
+            leaves.push((0, Arc::new(Leaf::new(&[]))));
+        }
+        alloc
+            .total
+            .fetch_add(leaves.len() as u64 * LEAF_BYTES, Ordering::Relaxed);
         // A leaf's low is its first key, except the first leaf's: the
         // tree's lower bound, 0.
-        let mut leaves: Vec<Kid<Arc<Leaf>>> = keys
-            .chunks(LEAF_CAP)
-            .map(|chunk| (chunk[0], alloc.leaf(chunk)))
-            .collect();
-        if leaves.is_empty() {
-            leaves.push((0, alloc.leaf(&[])));
-        }
         leaves[0].0 = 0;
         let n = leaves.len();
         let nodes = 1 + n.saturating_sub(INNER_CAP).div_ceil(INNER_CAP / 2);
@@ -545,6 +548,58 @@ impl Tree {
     }
 }
 
+/// The leaves of one part of a tree built in parts, one part to a
+/// thread: see [`Leaves::cut`] and [`OrderedIndex::from_parts`].
+pub struct Leaves(Vec<Kid<Arc<Leaf>>>);
+
+impl Leaves {
+    /// The leaves whose first key has its index in `at`, of the tree
+    /// over one strictly ascending key sequence; `keys` yields that
+    /// sequence from index `at.start` on. Leaves are cut every
+    /// `LEAF_CAP` keys from index 0, so the parts cut for ranges that
+    /// tile the sequence's indices hold together the leaves one pass over
+    /// the whole sequence cuts. The last leaf may take keys from past
+    /// `at.end`; the keys before the first leaf are skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the keys read are not strictly ascending, the first key
+    /// past the last leaf included.
+    pub fn cut(at: Range<usize>, keys: impl IntoIterator<Item = u64>) -> Self {
+        let mut keys = keys.into_iter();
+        let mut last = None;
+        let mut next = || {
+            let key = keys.next()?;
+            assert!(
+                last.is_none_or(|last| last < key),
+                "shard keys must be strictly ascending"
+            );
+            last = Some(key);
+            Some(key)
+        };
+        let carried = (LEAF_CAP - at.start % LEAF_CAP) % LEAF_CAP;
+        let mut first = at.start + carried;
+        for _ in 0..carried.min(at.len()) {
+            next();
+        }
+        let mut leaves = Vec::with_capacity(at.len().div_ceil(LEAF_CAP));
+        let mut buf = [0; LEAF_CAP];
+        while first < at.end {
+            let len = buf
+                .iter_mut()
+                .map_while(|to| next().map(|k| *to = k))
+                .count();
+            if len == 0 {
+                break;
+            }
+            leaves.push((buf[0], Arc::new(Leaf::new(&buf[..len]))));
+            first += LEAF_CAP;
+        }
+        next();
+        Self(leaves)
+    }
+}
+
 /// An ordered index over `u64` user keys: one or more independent trees,
 /// each addressed by its `shard` number (see module docs).
 pub struct OrderedIndex {
@@ -570,9 +625,26 @@ impl OrderedIndex {
     pub fn from_sorted(domain: Arc<EpochDomain>, shards: Vec<Vec<u64>>) -> Self {
         let shards = shards
             .iter()
-            .map(|keys| Tree::build(Arc::clone(&domain), keys))
+            .map(|keys| {
+                let leaves = Leaves::cut(0..keys.len(), keys.iter().copied());
+                Tree::build(Arc::clone(&domain), vec![leaves])
+            })
             .collect();
         Self { shards }
+    }
+
+    /// Builds a one-tree index from the [`Leaves::cut`] of every part of
+    /// one key sequence, in part order: the tree that
+    /// [`from_sorted`](Self::from_sorted) builds from the whole sequence,
+    /// its leaves cut on as many threads as the caller gave the parts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parts' leaves are not in ascending key order.
+    pub fn from_parts(domain: Arc<EpochDomain>, parts: Vec<Leaves>) -> Self {
+        Self {
+            shards: vec![Tree::build(domain, parts)],
+        }
     }
 
     /// Inserts `key` into tree `shard`; returns `false` if already present.
@@ -905,6 +977,52 @@ mod tests {
     fn from_sorted_rejects_duplicate_keys() {
         let _ =
             OrderedIndex::from_sorted(Arc::new(EpochDomain::new(1)), vec![vec![], vec![1, 2, 2]]);
+    }
+
+    /// However ranges split the keys, `from_parts` builds the tree
+    /// `from_sorted` builds from all of them: the same leaves and inner
+    /// nodes, the same scans, the same DRAM. Cuts land on, inside and
+    /// just past leaf boundaries, and some ranges are empty.
+    #[test]
+    fn from_parts_matches_from_sorted_at_every_split() {
+        let domain = Arc::new(EpochDomain::new(1));
+        for n in [0, 5, 3 * LEAF_CAP * INNER_CAP / 2 + 7] {
+            let keys: Vec<u64> = (0..n as u64).map(|k| 5 * k + 2).collect();
+            let whole = OrderedIndex::from_sorted(Arc::clone(&domain), vec![keys.clone()]);
+            let (third, lc) = (n / 3, LEAF_CAP.min(n));
+            let splits = [
+                vec![],
+                vec![0],
+                vec![n],
+                vec![1, 1],
+                vec![lc.saturating_sub(1), lc, (lc + 1).min(n)],
+                vec![third, 2 * third],
+                vec![0, 2.min(n), 2.min(n), n.saturating_sub(1)],
+            ];
+            for cuts in splits {
+                let cut = cuts.iter().map(|&c| c.min(n));
+                let bounds: Vec<usize> = [0].into_iter().chain(cut).chain([n]).collect();
+                let parts = bounds
+                    .windows(2)
+                    .map(|b| Leaves::cut(b[0]..b[1], keys[b[0]..].iter().copied()))
+                    .collect();
+                let built = OrderedIndex::from_parts(Arc::clone(&domain), parts);
+                let at = format!("{n} keys, cuts {cuts:?}");
+                assert_eq!(leaf_lens(&built, 0), leaf_lens(&whole, 0), "{at}");
+                assert_eq!(nodes(&built, 0).len(), nodes(&whole, 0).len(), "{at}");
+                assert_eq!(scan_all(&built, 0, 0), keys, "{at}");
+                assert_eq!(built.dram_bytes(), whole.dram_bytes(), "{at}");
+            }
+        }
+    }
+
+    /// A part checks the first key past its last leaf too, so a part
+    /// that ends on a leaf boundary still meets the next part's first key.
+    #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn leaves_cut_checks_the_key_past_its_last_leaf() {
+        let keys: Vec<u64> = (0..LEAF_CAP as u64).chain([LEAF_CAP as u64 - 1]).collect();
+        let _ = Leaves::cut(0..LEAF_CAP, keys);
     }
 
     #[test]
