@@ -61,12 +61,12 @@ fn one_point(threads: u32, size: usize, opts: &Opts) -> Fig1Point {
     let cost = std::sync::Arc::new(CostModel::default());
     let blocks = arena / 256;
 
-    let elapsed_max = crossbeam::thread::scope(|s| {
+    let elapsed_max = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let dev = &dev;
                 let cost = std::sync::Arc::clone(&cost);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut ctx = ThreadCtx::for_thread(cost, t as usize);
                     let data = vec![0xEEu8; size];
                     let mut rng = kvapi::mix64(t as u64 + 1);
@@ -87,8 +87,7 @@ fn one_point(threads: u32, size: usize, opts: &Opts) -> Fig1Point {
             .map(|h| h.join().expect("writer thread"))
             .max()
             .unwrap_or(0)
-    })
-    .expect("scope");
+    });
 
     let stats = dev.stats().snapshot();
     let user_bytes = writes_per_thread * size as u64 * threads as u64;

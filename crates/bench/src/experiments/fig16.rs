@@ -113,21 +113,18 @@ fn drive<S: KvStore>(
 
     for _cycle in 0..2 {
         // Quiet phase: gets only.
-        let phase: Vec<PhaseOut> = crossbeam::thread::scope(|s| {
+        let phase: Vec<PhaseOut> = std::thread::scope(|s| {
             let handles: Vec<_> = get_ctxs
                 .drain(..)
                 .map(|ctx| {
-                    s.spawn(move |_| {
-                        get_loop(store, ctx, keys, gets_per_phase / 4, window_ns, None)
-                    })
+                    s.spawn(move || get_loop(store, ctx, keys, gets_per_phase / 4, window_ns, None))
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("get thread"))
                 .collect()
-        })
-        .expect("scope");
+        });
         for (ctx, samples, ops) in phase {
             merge(&mut p99_windows, &mut ops_windows, samples, ops);
             get_ctxs.push(ctx);
@@ -143,12 +140,12 @@ fn drive<S: KvStore>(
         // Burst phase: put threads flood while get threads keep reading.
         let stop = AtomicBool::new(false);
         type PutOut = Vec<(ThreadCtx, Vec<(u64, u64)>)>;
-        let (get_out, put_out): (Vec<PhaseOut>, PutOut) = crossbeam::thread::scope(|s| {
+        let (get_out, put_out): (Vec<PhaseOut>, PutOut) = std::thread::scope(|s| {
             let get_handles: Vec<_> = get_ctxs
                 .drain(..)
                 .map(|ctx| {
                     let stop = &stop;
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         get_loop(store, ctx, keys, gets_per_phase, window_ns, Some(stop))
                     })
                 })
@@ -156,7 +153,7 @@ fn drive<S: KvStore>(
             let put_handles: Vec<_> = put_ctxs
                 .drain(..)
                 .map(|mut ctx| {
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut rng = kvapi::mix64(ctx.thread_id as u64 ^ 0xB00);
                         let mut ops: Vec<(u64, u64)> = Vec::new();
                         for i in 0..burst_puts {
@@ -184,8 +181,7 @@ fn drive<S: KvStore>(
                 .map(|h| h.join().expect("get thread"))
                 .collect();
             (get_out, put_out)
-        })
-        .expect("scope");
+        });
         for (ctx, samples, ops) in get_out {
             merge(&mut p99_windows, &mut ops_windows, samples, ops);
             get_ctxs.push(ctx);

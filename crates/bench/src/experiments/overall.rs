@@ -175,11 +175,11 @@ pub fn fig12(opts: &Opts) -> Vec<ThroughputPoint> {
             // Budget the putter so the log sizing (`keys + 2*ops` entries
             // via `opts.scale()`) covers the stream.
             let put_budget = opts.ops;
-            let r = crossbeam::thread::scope(|s| {
+            let r = std::thread::scope(|s| {
                 let store = built.store.as_ref();
                 let stop = &stop;
                 let put_cost = Arc::clone(&cost);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let mut ctx = ThreadCtx::for_thread(put_cost, threads);
                     let mut k = opts.keys;
                     while !stop.load(Ordering::Relaxed) && k < opts.keys + put_budget {
@@ -191,8 +191,7 @@ pub fn fig12(opts: &Opts) -> Vec<ThroughputPoint> {
                 let r = ycsb::run(store, &cfg);
                 stop.store(true, Ordering::Relaxed);
                 r
-            })
-            .expect("fig12 putter scope");
+            });
             assert_eq!(
                 r.not_found, 0,
                 "ChameleonDB+put: loaded keys must stay visible under the put stream"

@@ -729,10 +729,10 @@ fn frozen_queue_never_exceeds_cap_under_concurrent_load() {
     let db = std::sync::Arc::new(new_store(cfg));
     let threads = 4;
     db.device().set_active_threads(threads);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..threads as usize {
             let db = std::sync::Arc::clone(&db);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut c =
                     ThreadCtx::for_thread(std::sync::Arc::new(pmem_sim::CostModel::default()), t);
                 let base = t as u64 * 1_000_000;
@@ -744,7 +744,7 @@ fn frozen_queue_never_exceeds_cap_under_concurrent_load() {
         // Observer: the backpressure invariant must hold at any
         // instant, not just at the end.
         let db2 = std::sync::Arc::clone(&db);
-        s.spawn(move |_| {
+        s.spawn(move || {
             for _ in 0..200 {
                 for shard in &db2.shards {
                     assert!(shard.mem.lock().pending_frozen() <= 1);
@@ -752,8 +752,7 @@ fn frozen_queue_never_exceeds_cap_under_concurrent_load() {
                 std::thread::yield_now();
             }
         });
-    })
-    .unwrap();
+    });
     db.drain_maintenance().unwrap();
     let mut c = ctx();
     let mut out = Vec::new();
@@ -771,10 +770,10 @@ fn concurrent_puts_and_gets() {
     let db = std::sync::Arc::new(new_store(cfg));
     let threads = 4;
     db.device().set_active_threads(threads);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..threads as usize {
             let db = std::sync::Arc::clone(&db);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut c =
                     ThreadCtx::for_thread(std::sync::Arc::new(pmem_sim::CostModel::default()), t);
                 let base = t as u64 * 1_000_000;
@@ -788,8 +787,7 @@ fn concurrent_puts_and_gets() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert!(db.approx_len() >= 4 * 5000);
 }
 

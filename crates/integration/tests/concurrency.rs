@@ -26,10 +26,10 @@ fn small_log() -> LogConfig {
 fn hammer(store: &dyn KvStore, dev: &PmemDevice) {
     dev.set_active_threads(THREADS as u32);
     let cost = Arc::new(CostModel::default());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..THREADS {
             let cost = Arc::clone(&cost);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut ctx = ThreadCtx::for_thread(cost, t);
                 let base = (t as u64) << 32;
                 let mut out = Vec::new();
@@ -46,8 +46,7 @@ fn hammer(store: &dyn KvStore, dev: &PmemDevice) {
                 }
             });
         }
-    })
-    .expect("scope");
+    });
 
     let mut ctx = ThreadCtx::with_default_cost();
     let mut out = Vec::new();
@@ -122,11 +121,11 @@ fn concurrent_same_key_writes_are_atomic() {
     cfg.log = small_log();
     let db = Arc::new(ChameleonDb::create(Arc::clone(&dev), cfg.clone()).unwrap());
     let cost = Arc::new(CostModel::default());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..4usize {
             let db = Arc::clone(&db);
             let cost = Arc::clone(&cost);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut ctx = ThreadCtx::for_thread(cost, t);
                 for i in 0..5_000u64 {
                     // All threads fight over 64 keys; value encodes writer.
@@ -136,8 +135,7 @@ fn concurrent_same_key_writes_are_atomic() {
                 }
             });
         }
-    })
-    .expect("scope");
+    });
     let mut ctx = ThreadCtx::with_default_cost();
     let mut out = Vec::new();
     for k in 0..64u64 {
@@ -175,12 +173,12 @@ fn simulated_time_scales_with_threads() {
         let db = ChameleonDb::create(Arc::clone(&dev), cfg).unwrap();
         dev.set_active_threads(threads as u32);
         let cost = Arc::new(CostModel::default());
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
                     let db = &db;
                     let cost = Arc::clone(&cost);
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let mut ctx = ThreadCtx::for_thread(cost, t);
                         let base = (t as u64) << 40;
                         for i in 0..(80_000 / threads as u64) {
@@ -196,7 +194,6 @@ fn simulated_time_scales_with_threads() {
                 .max()
                 .unwrap()
         })
-        .expect("scope")
     };
     let t1 = run(1);
     let t8 = run(8);

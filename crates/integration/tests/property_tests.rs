@@ -9,7 +9,7 @@ use chameleondb::{ChameleonConfig, ChameleonDb};
 use integration::history::{Floors, History, Op, Seen};
 use kvapi::{hash64, KvStore};
 use kvlog::{loc_gen, pack_loc, unpack_loc, LogConfig, StorageLog};
-use kvtables::{DramTable, RobinHoodMap, Slot, TableBuilder};
+use kvtables::{RobinHoodMap, SharedTable, Slot, TableBuilder};
 use pmem_sim::{Histogram, PmemDevice, ThreadCtx};
 use proptest::prelude::*;
 
@@ -39,10 +39,10 @@ proptest! {
         prop_assert_eq!(Slot::decode(&s.encode()), s);
     }
 
-    /// DramTable behaves like a map under arbitrary insert sequences.
+    /// SharedTable behaves like a map under arbitrary insert sequences.
     #[test]
-    fn dram_table_is_a_map(ops in proptest::collection::vec((0u64..200, 1u64..1000), 1..300)) {
-        let mut table = DramTable::new(512);
+    fn shared_table_is_a_map(ops in proptest::collection::vec((0u64..200, 1u64..1000), 1..300)) {
+        let table = SharedTable::new(512);
         let mut model: HashMap<u64, u64> = HashMap::new();
         let mut ctx = ThreadCtx::with_default_cost();
         for (key, loc) in ops {

@@ -128,17 +128,17 @@ fn race(
     let cost = Arc::new(CostModel::default());
     let writers_left = AtomicUsize::new(writers);
     let (write, read, writers_left) = (&write, &read, &writers_left);
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..writers {
             let cost = Arc::clone(&cost);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 write(w, &mut ThreadCtx::for_thread(cost, w));
                 writers_left.fetch_sub(1, Ordering::AcqRel);
             });
         }
         for r in 0..readers {
             let cost = Arc::clone(&cost);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut ctx = ThreadCtx::for_thread(cost, writers + r);
                 let mut rng = seed ^ ((r as u64) << 17);
                 loop {
@@ -153,8 +153,7 @@ fn race(
                 }
             });
         }
-    })
-    .expect("scope");
+    });
 }
 
 /// Single-threaded end-state audit once every script ran to its end.

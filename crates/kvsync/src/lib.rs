@@ -20,10 +20,10 @@
 //!   pinned before the swap, else retires it into a writer-side garbage
 //!   list that later publishes collect once it has quiesced.
 //!
-//! This is deliberately simpler than crossbeam-epoch: publications are
-//! rare (memtable freeze, compaction commit, …) and always serialized by
-//! the writer's own mutex, so the garbage list can be a plain
-//! mutex-guarded vector; only the reader side must be wait-free.
+//! This is deliberately simpler than general-purpose epoch reclamation:
+//! publications are rare (memtable freeze, compaction commit, …) and
+//! always serialized by the writer's own mutex, so the garbage list can be
+//! a plain mutex-guarded vector; only the reader side must be wait-free.
 //!
 //! ## Why not `Mutex<Arc<T>>` or `RwLock<Arc<T>>`?
 //!

@@ -3,8 +3,10 @@
 //! The paper's index structures are all hash tables of 16-byte
 //! `{key_hash, location}` entries (§2.5, "KV items in the storage log"):
 //!
-//! * [`DramTable`] — the mutable in-DRAM linear-probing table used for
-//!   MemTables and for ChameleonDB's Auxiliary Bypass Index (ABI).
+//! * [`SharedTable`] — the mutable in-DRAM linear-probing table (one
+//!   writer, lock-free readers): ChameleonDB's MemTables and Auxiliary
+//!   Bypass Index (ABI), and the Pmem-LSM baselines' MemTables and PinK
+//!   mirrors.
 //! * [`FixedHashTable`] — the immutable, fixed-size linear-probing table
 //!   flushed to persistent memory as an LSM (sub-)level.
 //! * [`BloomFilter`] — per-table filters for the Pmem-LSM-F baseline.
@@ -17,14 +19,12 @@
 //! hand-tuned per-store constants.
 
 mod bloom;
-mod dram;
 mod fixed;
 mod robinhood;
 mod shared;
 mod slot;
 
 pub use bloom::BloomFilter;
-pub use dram::DramTable;
 pub use fixed::{FixedHashTable, TableBuilder, TableHeader, TABLE_HEADER_BYTES};
 pub use robinhood::RobinHoodMap;
 pub use shared::SharedTable;

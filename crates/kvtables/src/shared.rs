@@ -1,11 +1,18 @@
-//! A shared-readable variant of [`DramTable`](crate::DramTable): one
-//! writer, lock-free concurrent readers.
+//! The mutable in-DRAM linear-probing table of [`Slot`]s: one writer,
+//! lock-free concurrent readers.
+//!
+//! ChameleonDB uses it twice (§2.2, §2.5): as the per-shard MemTable that
+//! aggregates recent puts, and as the per-shard Auxiliary Bypass Index
+//! over all upper-level items. The Pmem-LSM baselines use it for their
+//! MemTables and PinK's DRAM mirrors, so every store pays the same
+//! modelled cost for the same probe. Capacity is fixed at creation: the
+//! paper deliberately avoids extendable hashing here, because rehashing
+//! is what it keeps off the put path.
 //!
 //! ChameleonDB's read-path split (write-side mutex + epoch-published read
 //! views) needs the MemTable and ABI to be probe-able by readers *while*
-//! the writer inserts. This table keeps the exact linear-probing layout
-//! and simulated-cost model of `DramTable` but stores every slot as a
-//! pair of atomics so readers never take a lock.
+//! the writer inserts, so every slot is a pair of atomics and readers
+//! never take a lock.
 //!
 //! ## Protocol
 //!
@@ -43,8 +50,10 @@ struct AtomicSlot {
 /// A fixed-capacity linear-probing table with a single (externally
 /// serialized) writer and lock-free readers.
 ///
-/// Same shape, costs, and semantics as [`DramTable`](crate::DramTable)
-/// except that all methods take `&self` and there is no `clear()`.
+/// Updates to an existing hash overwrite in place (latest wins). Deletes
+/// are recorded as tombstone slots, not removals, so flushed tables shadow
+/// older levels correctly. Inserts take `&self`, and there is no `clear()`
+/// (see the module doc's protocol).
 #[derive(Debug)]
 pub struct SharedTable {
     slots: Box<[AtomicSlot]>,
@@ -52,7 +61,8 @@ pub struct SharedTable {
     len: AtomicUsize,
     /// Highest log sequence number inserted (for recovery checkpoints).
     max_seq: AtomicU64,
-    /// See [`DramTable::new_resident`](crate::DramTable::new_resident).
+    /// Whether the table is small enough to live in the CPU cache (KB-scale
+    /// MemTables): probes then cost an L1/L2 hit, not a DRAM miss.
     resident: bool,
 }
 
@@ -366,6 +376,17 @@ mod tests {
         let mut locs: Vec<u64> = t.iter().iter().map(|s| s.loc).collect();
         locs.sort_unstable();
         assert_eq!(locs, (1..=20).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn load_factor_threshold() {
+        let t = SharedTable::new(16);
+        let mut c = ctx();
+        for k in 0..12u64 {
+            t.insert(&mut c, Slot::new(hash64(k), k + 1)).unwrap();
+        }
+        assert!(t.is_full(0.75));
+        assert!(!t.is_full(0.8));
     }
 
     #[test]

@@ -129,19 +129,18 @@ struct ThreadOutcome {
 pub fn run<S: KvStore + ?Sized>(store: &S, cfg: &RunConfig) -> RunResult {
     let cost = std::sync::Arc::new(CostModel::default());
     let per_thread = cfg.ops / cfg.threads as u64;
-    let outcomes: Vec<ThreadOutcome> = crossbeam::thread::scope(|s| {
+    let outcomes: Vec<ThreadOutcome> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..cfg.threads)
             .map(|t| {
                 let cost = std::sync::Arc::clone(&cost);
-                s.spawn(move |_| run_thread(store, cfg, t, per_thread, cost))
+                s.spawn(move || run_thread(store, cfg, t, per_thread, cost))
             })
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("worker panicked"))
             .collect()
-    })
-    .expect("driver scope");
+    });
 
     let mut read_hist = Histogram::new();
     let mut write_hist = Histogram::new();

@@ -52,14 +52,14 @@ fn run_one(gpm_enabled: bool) -> (u64, u64, u64) {
     let burst_start = Barrier::new(2);
     let burst_instant = AtomicU64::new(0);
 
-    let (quiet_p99, burst_p99) = crossbeam::thread::scope(|s| {
+    let (quiet_p99, burst_p99) = std::thread::scope(|s| {
         let getter = {
             let db = Arc::clone(&db);
             let cost = Arc::clone(&cost);
             let stop = &stop;
             let burst_start = &burst_start;
             let burst_instant = &burst_instant;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut ctx = ThreadCtx::for_thread(cost, 0);
                 let mut out = Vec::new();
                 let mut rng = 7u64;
@@ -92,7 +92,7 @@ fn run_one(gpm_enabled: bool) -> (u64, u64, u64) {
             let stop = &stop;
             let burst_start = &burst_start;
             let burst_instant = &burst_instant;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 burst_start.wait();
                 // Start the burst at the getter's current instant.
                 let mut ctx = ThreadCtx::for_thread(cost, 1);
@@ -107,8 +107,7 @@ fn run_one(gpm_enabled: bool) -> (u64, u64, u64) {
         };
         putter.join().expect("putter");
         getter.join().expect("getter")
-    })
-    .expect("scope");
+    });
 
     (quiet_p99, burst_p99, db.metrics().abi_dumps)
 }
