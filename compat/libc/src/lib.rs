@@ -6,14 +6,19 @@
 //! Surface: `poll(2)` readiness multiplexing, anonymous pipes for
 //! cross-thread wakeups, and the `fcntl` calls needed to make those
 //! pipes nonblocking. Sockets keep using `std::net`; only readiness
-//! notification needs to drop below the standard library.
+//! notification needs to drop below the standard library. Also
+//! `mmap`/`munmap`/`madvise` for the simulated device image: one
+//! anonymous mapping per device, backed by transparent huge pages.
 
 #![allow(non_camel_case_types)]
+
+pub use core::ffi::c_void;
 
 pub type c_int = i32;
 pub type c_short = i16;
 pub type c_ulong = u64;
 pub type nfds_t = c_ulong;
+pub type off_t = i64;
 
 /// One entry in a `poll(2)` set, layout-compatible with `struct pollfd`.
 #[repr(C)]
@@ -39,6 +44,21 @@ pub const F_GETFL: c_int = 3;
 pub const F_SETFL: c_int = 4;
 pub const O_NONBLOCK: c_int = 0o4000;
 
+/// Pages may be read.
+pub const PROT_READ: c_int = 0x1;
+/// Pages may be written.
+pub const PROT_WRITE: c_int = 0x2;
+/// Copy-on-write mapping, private to this process.
+pub const MAP_PRIVATE: c_int = 0x02;
+/// Not backed by a file; pages read as zero until written.
+pub const MAP_ANONYMOUS: c_int = 0x20;
+/// Reserve no swap for the mapping: pages are committed as they fault.
+pub const MAP_NORESERVE: c_int = 0x4000;
+/// What `mmap` returns on failure.
+pub const MAP_FAILED: *mut c_void = !0 as *mut c_void;
+/// Back the range with transparent huge pages where possible.
+pub const MADV_HUGEPAGE: c_int = 14;
+
 extern "C" {
     /// Blocks until one of `fds` is ready, `timeout` milliseconds pass
     /// (`-1` = forever), or a signal arrives. Returns the ready count,
@@ -55,6 +75,19 @@ extern "C" {
     /// Legal on an already-listening socket (updates the backlog), which
     /// is how the server widens std's default beyond 128.
     pub fn listen(fd: c_int, backlog: c_int) -> c_int;
+    /// Maps `len` bytes; returns [`MAP_FAILED`] on error.
+    pub fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        offset: off_t,
+    ) -> *mut c_void;
+    pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
+    /// Advises the kernel how `[addr, addr+len)` will be used; `addr`
+    /// must be page-aligned.
+    pub fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
 }
 
 #[cfg(test)]
@@ -88,6 +121,34 @@ mod tests {
         unsafe {
             close(r);
             close(w);
+        }
+    }
+
+    #[test]
+    fn anonymous_mapping_reads_zero_and_keeps_writes() {
+        let len = 4 << 20;
+        let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE;
+        let p = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                len,
+                PROT_READ | PROT_WRITE,
+                flags,
+                -1,
+                0,
+            )
+        };
+        assert_ne!(p, MAP_FAILED);
+        // Advice may be refused (huge pages configured `never`); the
+        // mapping stays usable either way.
+        let _ = unsafe { madvise(p, len, MADV_HUGEPAGE) };
+        let bytes = p.cast::<u8>();
+        unsafe {
+            assert_eq!(*bytes.add(len - 1), 0);
+            *bytes.add(len - 1) = 7;
+            assert_eq!(*bytes.add(len - 1), 7);
+            assert_eq!(*bytes.add(len / 2), 0);
+            assert_eq!(munmap(p, len), 0);
         }
     }
 

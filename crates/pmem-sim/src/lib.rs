@@ -16,9 +16,10 @@
 //! 3. **Persistence domain.** Stores are buffered in a pending-line table
 //!    (the simulated CPU cache / write-pending queue) and only reach durable
 //!    media on `flush` + `fence`. [`PmemDevice::crash`] discards all
-//!    pending lines; recovery code must rebuild from media alone. The image
-//!    is split into 64 lock stripes by media block, each holding its
-//!    blocks' media bytes and pending lines under one `RwLock`: a store
+//!    pending lines; recovery code must rebuild from media alone. Media is
+//!    one anonymous huge-page mapping per device. Media blocks fall into
+//!    64 lock stripes, each holding its blocks' pending lines under one
+//!    `RwLock` that also guards their bytes in the mapping: a store
 //!    updates a pending line, a fence moves it to media, and a read copies
 //!    it out, each under the block's stripe lock, so two threads storing to
 //!    disjoint bytes of one line never lose either store, and two readers
